@@ -324,7 +324,8 @@ def main(argv=None):
         code = HANDLERS[args.command](args, out)
         out.flush()
         return code
-    except (DymartError, ValueError, OSError) as exc:
+    except (DymartError, ValueError, OSError, RecursionError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._shiftcore_py import aligned_blocks
 from .errors import ParseError
 
 _WORD_RE = re.compile(r"[01]*\Z")
@@ -453,11 +454,13 @@ def clamp_unit(a, b):
 def minimal_cover(a, b, m=None):
     """Prefix-minimal words w with interval(w) inside [a, b], left to right.
 
-    a and b must be on the 2^-m grid with 0 <= a <= b <= 1.  The greedy scan
-    repeatedly takes the shortest word whose interval starts at the running
-    position and stays inside [a, b].  The result S satisfies: the intervals
-    tile [a, b] exactly (empty when a == b), every length is <= m, no length
-    occurs more than twice, |S| <= 2m+1, and sum(2^-|w|) == b - a.
+    a and b must be on the 2^-m grid with 0 <= a <= b <= 1.  The greedy
+    prefix-minimal cover -- at each position the shortest word that starts
+    there and stays inside [a, b] -- is exactly the maximal aligned-block
+    decomposition of the grid-index range [a 2^m, b 2^m).  The result S
+    satisfies: the intervals tile [a, b] exactly (empty when a == b), every
+    length is <= m, no length occurs more than twice, |S| <= 2m+1, and
+    sum(2^-|w|) == b - a.
     """
     if isinstance(a, GridPoint):
         if m is None:
@@ -472,19 +475,8 @@ def minimal_cover(a, b, m=None):
         raise ValueError(f"need 0 <= {a} <= {b} <= 1")
     if a.exp > m or b.exp > m:
         raise ValueError("endpoints must lie on the 2^-m grid")
-
-    cover = []
-    z = a
-    while z < b:
-        for length in range(z.exp, m + 1):
-            step = Dyadic(1, length)
-            if z + step <= b:
-                cover.append(Word(z.num << (length - z.exp), length))
-                z = z + step
-                break
-        else:  # unreachable for on-grid inputs: length == m always fits
-            raise AssertionError("greedy cover failed to advance")
-    return cover
+    return [Word(idx, m - lev) for lev, idx in
+            aligned_blocks(a.num << (m - a.exp), b.num << (m - b.exp))]
 
 
 def affine_transform(x, j, a):

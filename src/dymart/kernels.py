@@ -1,9 +1,15 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""Product-form kernels: the block walk, and the cell scan's backends.
 
-Set ``DYMART_PURE=1`` in the environment to force the pure-Python backend.
-Both backends return bit-identical exact results; the compiled one only
-accepts calls that pass :func:`fits_compiled`, so dispatch silently falls
-back to pure Python outside that envelope (huge factors, extreme depths).
+The block walk is pure Python and always used: ``aligned_blocks`` (the one
+aligned-block decomposition), ``subtree_sum`` (O(n) factor steps per range)
+and ``PathCursor`` (behind ``ExactMartingale.at``; a left-to-right cover
+costs about 3n steps).  None of them dispatches to the compiled kernel.
+
+``cell_value`` and ``range_sum_max`` (the literal scan behind
+``method="enumerate"``) use the compiled extension when it is built and
+the call passes :func:`fits_compiled`, else pure Python, with
+bit-identical exact results.  Set ``DYMART_PURE=1`` in the environment to
+force the pure-Python backend.
 """
 
 import os
@@ -21,7 +27,9 @@ else:
 BACKEND = "cython" if _cy is not None else "python"
 
 validate = _py.validate
+aligned_blocks = _py.aligned_blocks
 subtree_sum = _py.subtree_sum
+PathCursor = _py.PathCursor
 
 
 def fits_compiled(desc, n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import Word
+from .dyadic import Dyadic, Word
 from .errors import PrecisionContractError
 
 HALF = Fraction(1, 2)
@@ -84,20 +84,26 @@ class ExactMartingale:
         self.name = name
         self._fn = fn
         self.product_form = product_form
-        self._desc = product_form.descriptor() if product_form else None
+        self._cursor = (kernels.PathCursor(product_form.descriptor(),
+                                           product_form.classes)
+                        if product_form else None)
         self.initial = Fraction(1) if initial is None else Fraction(initial)
         self.conservative = conservative
         self._cache = {}
 
     def at(self, w):
-        """Exact d(w) as a Fraction."""
+        """Exact d(w) as a Fraction.
+
+        Product-form values come from a per-instance path cursor, so words
+        asked in left-to-right order (a cover) share their walks.
+        """
         hit = self._cache.get(w)
         if hit is not None:
             return hit
-        if self._desc is not None:
-            num, dexp = kernels.cell_value(
-                self._desc, self.product_form.classes(len(w)), len(w), w.k)
-            val = self.initial * Fraction(num, 1 << dexp)
+        if self._cursor is not None:
+            num, dexp = self._cursor.value(w.k, len(w))
+            # a Dyadic is already in lowest terms: no gcd on big integers
+            val = self.initial * Fraction(Dyadic(num, dexp))
         else:
             val = Fraction(self._fn(w))
         if len(self._cache) < 1 << 18:

@@ -57,21 +57,31 @@ def exponent_pred_succ(q):
 
 def patch_reference(f, q, _memo=None):
     """Exact monotone patch g(q); f must be exactly evaluable on all
-    dyadics of exponent <= e_q."""
+    dyadics of exponent <= e_q.
+
+    Evaluates the defining recursion with an explicit stack, so the depth
+    of Python calls does not grow with e_q.
+    """
     q = Dyadic(q) if not isinstance(q, Dyadic) else q
     memo = {} if _memo is None else _memo
-    hit = memo.get(q)
-    if hit is not None:
-        return hit
-    e, pred, succ = exponent_pred_succ(q)
-    if e == 0:
-        val = Fraction(f.at_one() if q == Dyadic(1) else f.at(q))
-    else:
-        g_lo = patch_reference(f, pred, memo)
-        g_hi = patch_reference(f, succ, memo)
-        val = max(g_lo, min(g_hi, Fraction(f.at(q))))
-    memo[q] = val
-    return val
+    stack = [q]
+    while stack:
+        p = stack[-1]
+        if p in memo:
+            stack.pop()
+            continue
+        e, pred, succ = exponent_pred_succ(p)
+        if e == 0:
+            memo[p] = Fraction(f.at_one() if p == Dyadic(1) else f.at(p))
+            stack.pop()
+            continue
+        pending = [t for t in (succ, pred) if t not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[p] = max(memo[pred], min(memo[succ], Fraction(f.at(p))))
+        stack.pop()
+    return memo[q]
 
 
 def patch_table(f, exp):

@@ -17,6 +17,13 @@ so both converge to a common value, the pullback martingale d_f(x).  The
 access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
+
+Covers and block sums share one aligned-block decomposition
+(``kernels.aligned_blocks``).  The cover is queried left to right, one
+d-query per word, so an exact product-form strategy answers the whole
+cover through its path cursor in about 3m factor steps; the bracket's
+block sum at depth m + 8 walks the two paths to the ends of its range once,
+O(m) steps.  Neither goes through the compiled kernel.
 """
 
 from __future__ import annotations
@@ -80,23 +87,6 @@ class ShiftStats:
     max_inside: Fraction  # None under method="subtree" (sums only)
 
 
-def _blocks(a, b):
-    """Maximal aligned blocks tiling [a, b): (level, index) pairs."""
-    out = []
-    lo, hi, lev = a, b, 0
-    while lo < hi:
-        if lo & 1:
-            out.append((lev, lo))
-            lo += 1
-        if hi & 1:
-            hi -= 1
-            out.append((lev, hi))
-        lo >>= 1
-        hi >>= 1
-        lev += 1
-    return out
-
-
 def shift_stats(d, f, x, n, method="enumerate"):
     """Exact (lower, upper, max-inside-cell-value) at depth n.
 
@@ -142,7 +132,7 @@ def shift_stats(d, f, x, n, method="enumerate"):
             # the block collapse only needs the fair-bet identity, which
             # holds for any true martingale
             inner_sum = Fraction(0)
-            for lev, idx in _blocks(inner_a, inner_b):
+            for lev, idx in kernels.aligned_blocks(inner_a, inner_b):
                 inner_sum += d.at(Word(idx, n - lev)) * (1 << lev)
             max_inside = None
         else:
@@ -220,11 +210,22 @@ def pullback_approx(d_hat, f_hat, x, r):
                 "outside [0,1] margin")
         b = round_to_grid(c1, m)
     a, b = clamp_unit(a, b)
-    cover = minimal_cover(a, b, m)
-    total = Fraction(0)
-    for w in cover:
-        total += d_hat.query(w, m) * Fraction(1, 1 << len(w))
-    return total * (1 << n)
+    # the total as one integer numerator over 2^exp, plus a Fraction
+    # remainder for replies that are not dyadic
+    num, exp = 0, 0
+    rest = Fraction(0)
+    for w in minimal_cover(a, b, m):
+        q = d_hat.query(w, m)
+        den = q.denominator
+        if den & (den - 1):
+            rest += q / (1 << len(w))
+            continue
+        e = den.bit_length() - 1 + len(w)
+        if e > exp:
+            num <<= e - exp
+            exp = e
+        num += q.numerator << (exp - e)
+    return (Fraction(Dyadic(num, exp)) + rest) * (1 << n)
 
 
 def pullback_martingale(d_hat, f_hat, name=None):

@@ -11,6 +11,28 @@ from fractions import Fraction
 from dymart.dyadic import Dyadic, Word, all_words, gamma
 
 
+def greedy_cover(a, b, m):
+    """Greedy prefix-minimal cover of [a, b] on the 2^-m grid, by Dyadics.
+
+    At each position takes the shortest word that starts there and stays
+    inside [a, b]; O(m) exact Dyadic steps, so it reaches grids far beyond
+    ``brute_force_cover``.
+    """
+    a, b = Dyadic(a), Dyadic(b)
+    cover = []
+    z = a
+    while z < b:
+        for length in range(z.exp, m + 1):
+            step = Dyadic(1, length)
+            if z + step <= b:
+                cover.append(Word(z.num << (length - z.exp), length))
+                z = z + step
+                break
+        else:
+            raise AssertionError("greedy cover failed to advance")
+    return cover
+
+
 def brute_force_cover(a, b, m):
     """Prefix-minimal words of length <= m whose interval lies in [a, b]."""
     af, bf = Fraction(a), Fraction(b)

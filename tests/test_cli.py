@@ -179,6 +179,20 @@ class TestDeterminism:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("exc", [RecursionError("too deep"),
+                                     ZeroDivisionError("Fraction(1, 0)"),
+                                     OverflowError("too large")])
+    def test_runtime_errors_exit_2_without_traceback(self, capsys,
+                                                     monkeypatch, exc):
+        def fail(args, out):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "trace", fail)
+        code, out, err = run(capsys, "trace", "--martingale", "uniform",
+                             "--word", "0", "--precision", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: {exc}\n"
+
     def test_unknown_martingale(self, capsys):
         code, _, err = run(capsys, "pullback", "--martingale", "gambler",
                            "--function", "identity", "--word", "0",

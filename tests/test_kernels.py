@@ -1,5 +1,6 @@
-"""Backend agreement: the compiled kernel must be bit-identical to the pure
-one, and both must match direct per-cell evaluation."""
+"""Kernel checks: the block walk and the path cursor against the literal
+cell scan and brute force, the compiled kernel bit-identical to the pure
+one, and the walk's factor-step counts linear in the grid exponent."""
 
 from fractions import Fraction
 
@@ -9,10 +10,16 @@ from hypothesis import strategies as st
 
 from dymart import _shiftcore_py as pure
 from dymart import kernels
-from dymart.dyadic import Word
-from dymart.martingale import ExactMartingale, ProductForm, allin_zeros, \
-    conservative_transform, pattern_bettor, uniform
+from dymart.config import parse_function, parse_martingale
+from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
+from dymart.funcs import as_weak
+from dymart.martingale import ApproxMartingale, ExactMartingale, \
+    ProductForm, allin_zeros, conservative_transform, pattern_bettor, \
+    uniform
+from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
 from dymart.tightness import z_bettor
+
+from helpers import brute_force_cover, brute_force_shift, greedy_cover
 
 try:
     from dymart import _shiftcore as compiled
@@ -177,3 +184,118 @@ class TestDispatch:
         got = kernels.range_sum_max(desc, classes, n, 3, 900)
         want = pure.range_sum_max(desc, classes, n, 3, 900)
         assert as_fraction(got[0], got[1]) == as_fraction(want[0], want[1])
+
+
+def product_forms():
+    """Random fair product forms (zero factors included) and the built-ins
+    with dead states."""
+    return st.one_of(
+        random_product_forms(),
+        st.sampled_from([allin_zeros().product_form,
+                         conservative_transform(allin_zeros()).product_form,
+                         z_bettor("1,3").product_form,
+                         pattern_bettor("011").product_form]))
+
+
+def index_range(data, cells):
+    a = data.draw(st.integers(0, cells))
+    return a, data.draw(st.integers(a, cells))
+
+
+class TestBlockWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(product_forms(), st.integers(0, 14), st.data())
+    def test_walk_sum_matches_scan_and_brute_force(self, pf, n, data):
+        desc = pf.descriptor()
+        classes = pf.classes(n)
+        a, b = index_range(data, 1 << n)
+        tn, td = kernels.subtree_sum(desc, classes, n, a, b)
+        walk = Fraction(tn, 1 << td)
+        sn, sd, _, _ = pure.range_sum_max(desc, classes, n, a, b,
+                                          want_max=False)
+        assert walk == Fraction(sn, 1 << sd)
+        mart = ExactMartingale("random", product_form=pf)
+        assert walk == brute_force_shift(mart, Fraction(a, 1 << n),
+                                         Fraction(b, 1 << n), n, n,
+                                         inner=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_forms(), st.integers(0, 40), st.data())
+    def test_cursor_matches_cell_value_in_any_order(self, pf, m, data):
+        desc = pf.descriptor()
+        a, b = index_range(data, 1 << m)
+        words = list(all_words(4)) + \
+            minimal_cover(Dyadic(a, m), Dyadic(b, m), m)
+        words = data.draw(st.permutations(words + words[::3]))
+        mart = ExactMartingale("random", product_form=pf)
+        cursor = kernels.PathCursor(desc, pf.classes)
+        for w in words:
+            want = pure.cell_value(desc, pf.classes(len(w)), len(w), w.k)
+            assert cursor.value(w.k, len(w)) == want, w
+            assert mart.at(w) == Fraction(want[0], 1 << want[1]), w
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.data())
+    def test_cover_matches_brute_force(self, m, data):
+        a, b = index_range(data, 1 << m)
+        a, b = Dyadic(a, m), Dyadic(b, m)
+        assert minimal_cover(a, b, m) == brute_force_cover(a, b, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2072), st.data())
+    def test_cover_matches_greedy_up_to_full_grid(self, m, data):
+        a, b = index_range(data, 1 << m)
+        a, b = Dyadic(a, m), Dyadic(b, m)
+        assert minimal_cover(a, b, m) == greedy_cover(a, b, m)
+
+    def test_blocks_hang_off_the_end_paths(self):
+        # odd blocks are right children on the path to a - 1, even blocks
+        # left children on the path to b
+        a, b = 37, 410
+        for lev, idx in kernels.aligned_blocks(a, b):
+            if idx & 1:
+                assert idx >> 1 == (a - 1) >> (lev + 1)
+            else:
+                assert idx >> 1 == b >> (lev + 1)
+
+
+class CountingEdges(tuple):
+    """An edge table that counts its lookups: one per factor step."""
+
+    steps = 0
+
+    def __getitem__(self, state):
+        self.steps += 1
+        return super().__getitem__(state)
+
+
+class TestWorkCounts:
+    """Deterministic factor-step counts of the walk at |x| = 4, r = 512."""
+
+    @pytest.mark.parametrize("name", ["conservative:pattern:011",
+                                      "conservative:zbettor:1,3"])
+    def test_value_and_bracket_linear_in_m(self, name):
+        base = parse_martingale(name)
+        pf = base.product_form
+        edges = CountingEdges(pf.edges)
+        mart = ExactMartingale(
+            name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            conservative=base.conservative)
+        fn = parse_function("fz_norm:0,2,4")
+        x, r = Word.parse("0110"), 512
+        m = grid_exponent(len(x), r)
+        queries = []
+        d_hat = ApproxMartingale(
+            "counting", lambda w, p: queries.append(w) or mart.at(w),
+            conservative=mart.conservative)
+        edges.steps = 0
+        value = pullback_approx(d_hat, as_weak(fn), x, r)
+        # a full-size cover, so the bound below is not met trivially
+        assert m // 2 <= len(queries) <= 2 * m + 1
+        assert edges.steps <= 4 * m
+        # at most n lookups per end path of the block walk, and n per
+        # boundary cell (two at most), at n = m + 8
+        edges.steps = 0
+        ok, _, _ = certify_bracket(mart, fn, x, r, value)
+        assert ok
+        assert edges.steps <= 4 * (m + 8)

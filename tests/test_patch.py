@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from dymart.dyadic import Dyadic, Word, all_words
-from dymart.funcs import TableStepFn, as_weak
+from dymart.funcs import FnOracle, TableStepFn, as_weak
 from dymart.patch import (exponent_pred_succ, patch_approx, patch_reference,
                           patch_table, strong_increase_check)
 
@@ -36,6 +36,19 @@ def monotone_table():
 
 
 ZOO = [wiggle_table, sawtooth_table, dip_table, monotone_table]
+
+
+class Zigzag(FnOracle):
+    """Non-monotone at every scale: k/2^e (k odd) is pushed 2^-(e-1) up
+    for even e and down for odd e, past its coarser neighbors."""
+
+    name = "zigzag"
+
+    def at(self, q):
+        q = Dyadic(q) if not isinstance(q, Dyadic) else q
+        if q.exp == 0:
+            return Fraction(q)
+        return Fraction(q) + (-1) ** q.exp * F(2, 1 << q.exp)
 
 
 class TestNeighbors:
@@ -94,6 +107,18 @@ class TestPatchReference:
             g_vals = patch_table(f, 6)
             g_fn = TableStepFn(6, g_vals, name="patched")
             assert patch_table(g_fn, 6) == g_vals
+
+    def test_deep_point_without_recursion_limit(self):
+        # exponent 2000 is past the default recursion limit; the one-pass
+        # approximation with exact access is the independent check
+        f = Zigzag()
+        x = Word((1 << 1999) // 3 * 2 + 1, 2000)
+        q = x.value()
+        assert q.exp == 2000
+        g = patch_reference(f, q)
+        assert g == patch_approx(as_weak(f), x, 8)
+        _, pred, succ = exponent_pred_succ(q)
+        assert patch_reference(f, pred) <= g <= patch_reference(f, succ)
 
 
 class TestPatchApprox:

@@ -13,7 +13,8 @@ from dymart.pullback import (StrongVariationCert, bracket_depth,
                              pullback_approx, pullback_martingale,
                              shift_stats, squeeze_bound, transfer_witness,
                              upper_shift)
-from dymart.tightness import ZeroInsertionFn, z_bettor
+from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
+    z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift
 
@@ -198,6 +199,28 @@ class TestPullbackApprox:
                     v = pullback_approx(as_approx(d), as_weak(f), x, r)
                     s = shift_stats(d, f, x, m, method="subtree")
                     assert s.lower <= v <= s.upper, (d.name, x, r)
+
+    def test_total_of_mixed_dyadic_and_general_replies(self):
+        # replies off by -2^-r/3 on every other cover word are not dyadic;
+        # the total must equal the plain Fraction sum over the cover
+        d = conservative_transform(z_bettor("0,2,4"))
+        f = NormalizedInsertionFn("0,2,4")
+        x, r = W("01"), 6
+        m = grid_exponent(len(x), r)
+
+        def reply(w, p):
+            off = F(-1, 3 << p) if (w.k + len(w)) % 2 else F(0)
+            return d.at(w) + off
+
+        seen = []
+        d_hat = ApproxMartingale(
+            "mixed", lambda w, p: seen.append(w) or reply(w, p),
+            conservative=d.conservative)
+        v = pullback_approx(d_hat, as_weak(f), x, r)
+        assert any(reply(w, m).denominator % 3 == 0 for w in seen)
+        assert any(reply(w, m).denominator % 3 for w in seen)
+        want = sum((reply(w, m) / (1 << len(w)) for w in seen), F(0))
+        assert v == want * (1 << len(x))
 
     def test_requires_conservative_cert(self):
         with pytest.raises(ValueError):

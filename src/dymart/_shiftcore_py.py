@@ -9,7 +9,7 @@ machine starts in ``start`` and steps along the bits, and ``class(i)`` is a
 per-position tag (pattern phase, insertion-set membership, ...).  The
 normalization d(empty) = 1 is the kernel's convention.
 
-Descriptor layout (plain tuples so the compiled twin can unpack cheaply)::
+Descriptor layout (plain tuples)::
 
     desc = (n_states, start, edges, max_num, max_dexp)
     edges[state][cls][bit] = (num, dexp, next_state)
@@ -21,15 +21,14 @@ checks it exactly and ``subtree_sum`` relies on it.
 All arithmetic is exact integer arithmetic.
 
 ``aligned_blocks`` is the one aligned-block decomposition in the package:
-covers, block sums and the pullback all tile a range with it.  Every block
-hangs off one of the two root-to-leaf paths to the ends of the range, so
-two walks give all block values in O(n) factor steps (``subtree_sum``),
-and a ``PathCursor`` fed the blocks left to right reuses the prefix it
-shares with the previous path, so a whole cover costs about 3n steps
-instead of n per word.  Both are pure Python; the compiled twin in
-``_shiftcore.pyx`` only implements the cell scan behind
-``cell_value``/``range_sum_max`` (same signatures, bit-identical results
-within its overflow guard).
+covers, block sums, block maxima and the pullback all tile a range with
+it.  Every block hangs off one of the two root-to-leaf paths to the ends
+of the range, so two walks give all block values in O(n) factor steps
+(``subtree_sum``), and a ``PathCursor`` fed the blocks left to right
+reuses the prefix it shares with the previous path, so a whole cover costs
+about 3n steps instead of n per word.  The largest cell below a block is
+its value times the best product of the factors still to come, read from a
+table built once per call in O(n * n_states) steps (``range_sum_max``).
 """
 
 
@@ -61,48 +60,6 @@ def cell_value(desc, classes, n, k):
     return num, dexp
 
 
-def range_sum_max(desc, classes, n, a, b, want_max=True):
-    """Literal cell-by-cell scan over k in [a, b) at depth n.
-
-    Returns (sum_num, sum_dexp, max_num, max_dexp).  The scan walks the
-    cells in order, reusing the unchanged prefix of the previous path, so
-    the total work is O(b - a) factor steps.
-    """
-    if a >= b:
-        return 0, 0, 0, 0
-    _, start, edges, _, _ = desc
-    states = [start] * (n + 1)
-    nums = [1] * (n + 1)
-    dexps = [0] * (n + 1)
-
-    def descend(frm, k):
-        for i in range(frm, n):
-            bit = (k >> (n - 1 - i)) & 1
-            fnum, fdexp, nxt = edges[states[i]][classes[i]][bit]
-            nums[i + 1] = nums[i] * fnum
-            dexps[i + 1] = dexps[i] + fdexp
-            states[i + 1] = nxt
-
-    descend(0, a)
-    s_num, s_dexp = 0, 0
-    m_num, m_dexp = 0, 0
-    k = a
-    while True:
-        p_num, p_dexp = nums[n], dexps[n]
-        if p_num:
-            if s_dexp < p_dexp:
-                s_num <<= p_dexp - s_dexp
-                s_dexp = p_dexp
-            s_num += p_num << (s_dexp - p_dexp)
-            if want_max and (p_num << m_dexp) > (m_num << p_dexp):
-                m_num, m_dexp = p_num, p_dexp
-        k += 1
-        if k >= b:
-            break
-        descend(n - ((k ^ (k - 1)).bit_length()), k)
-    return s_num, s_dexp, m_num, m_dexp
-
-
 def aligned_blocks(a, b):
     """Maximal aligned blocks tiling [a, b), left to right.
 
@@ -129,8 +86,9 @@ def aligned_blocks(a, b):
 
 
 def _hanging_values(edges, start, classes, n, hanging):
-    """Yield (num, dexp, lev) per block, for blocks given top-down that all
-    hang off one root-to-leaf path.
+    """Yield (num, dexp, lev, state) per block, for blocks given top-down
+    that all hang off one root-to-leaf path; state is the one below the
+    block's word.
 
     Walks the path once holding only the running product; one factor
     lookup per level serves both the path step and the block beside it.
@@ -148,8 +106,33 @@ def _hanging_values(edges, start, classes, n, hanging):
             pair = edges[state][classes[depth]]
         if not num:
             return
-        fnum, fdexp, _ = pair[idx & 1]
-        yield num * fnum, dexp + fdexp, lev
+        fnum, fdexp, below = pair[idx & 1]
+        yield num * fnum, dexp + fdexp, lev, below
+
+
+def _block_values(desc, classes, n, a, b):
+    """``_hanging_values`` for every aligned block of a nonempty range
+    [a, b) other than the full one: one walk along each end path."""
+    _, start, edges, _, _ = desc
+    blocks = aligned_blocks(a, b)
+    for hanging in ([blk for blk in reversed(blocks) if blk[1] & 1],
+                    [blk for blk in blocks if not blk[1] & 1]):
+        if hanging:
+            yield from _hanging_values(edges, start, classes, n, hanging)
+
+
+def _block_total(values):
+    """Sum of 2**lev * d(w) over the block values, as (num, dexp)."""
+    s_num, s_dexp = 0, 0
+    for num, dexp, lev, _ in values:
+        if not num:
+            continue
+        num <<= lev
+        if s_dexp < dexp:
+            s_num <<= dexp - s_dexp
+            s_dexp = dexp
+        s_num += num << (s_dexp - dexp)
+    return s_num, s_dexp
 
 
 def subtree_sum(desc, classes, n, a, b):
@@ -164,23 +147,60 @@ def subtree_sum(desc, classes, n, a, b):
         return 0, 0
     if b - a == 1 << n:
         return 1 << n, 0
+    return _block_total(_block_values(desc, classes, n, a, b))
+
+
+def _max_products(edges, classes, n):
+    """best[i][s]: the largest product of the factors at depths i..n-1 over
+    the paths that are in state s at depth i, as (num, dexp).
+
+    Built bottom-up with one factor-pair lookup per (depth, state).  Every
+    entry is positive: fairness leaves a nonzero factor at each step.
+    """
+    row = [(1, 0)] * len(edges)
+    best = [row]
+    for i in range(n - 1, -1, -1):
+        cls = classes[i]
+        below = row
+        row = []
+        for state in range(len(edges)):
+            b_num, b_dexp = 0, 0
+            for fnum, fdexp, nxt in edges[state][cls]:
+                t_num, t_dexp = below[nxt]
+                t_num *= fnum
+                t_dexp += fdexp
+                if (t_num << b_dexp) > (b_num << t_dexp):
+                    b_num, b_dexp = t_num, t_dexp
+            row.append((b_num, b_dexp))
+        best.append(row)
+    best.reverse()
+    return best
+
+
+def range_sum_max(desc, classes, n, a, b):
+    """Sum and maximum of d over cells [a, b) at depth n, as
+    (sum_num, sum_dexp, max_num, max_dexp); (0, 0, 0, 0) when empty.
+
+    The sum is ``subtree_sum``'s.  The largest cell below the block word w
+    is d(w) * best[|w|][state below w] (``_max_products``), so the walk
+    that values the blocks also gives the maximum: O(n * n_states) factor
+    steps in all, for any depth.
+    """
+    if a >= b:
+        return 0, 0, 0, 0
     _, start, edges, _, _ = desc
-    blocks = aligned_blocks(a, b)
-    s_num, s_dexp = 0, 0
-    for hanging in ([blk for blk in reversed(blocks) if blk[1] & 1],
-                    [blk for blk in blocks if not blk[1] & 1]):
-        if not hanging:
-            continue
-        for num, dexp, lev in _hanging_values(edges, start, classes, n,
-                                              hanging):
-            if not num:
-                continue
-            num <<= lev
-            if s_dexp < dexp:
-                s_num <<= dexp - s_dexp
-                s_dexp = dexp
-            s_num += num << (s_dexp - dexp)
-    return s_num, s_dexp
+    best = _max_products(edges, classes, n)
+    if b - a == 1 << n:
+        return (1 << n, 0) + best[0][start]
+    values = list(_block_values(desc, classes, n, a, b))
+    m_num, m_dexp = 0, 0
+    for num, dexp, lev, state in values:
+        t_num, t_dexp = best[n - lev][state]
+        num *= t_num
+        dexp += t_dexp
+        if (num << m_dexp) > (m_num << dexp):
+            m_num, m_dexp = num, dexp
+    return _block_total(values) + (m_num, m_dexp)
 
 
 class PathCursor:

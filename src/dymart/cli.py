@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import config as cfg
 from .analytic import PowerSeriesSpec, eval_approx, find_root
 from .dyadic import Dyadic, Word, parse_rational
-from .errors import DymartError
+from .errors import DepthGuardError, DymartError
 from .funcs import as_weak
 from .martingale import as_approx, capital_trace
 from .measure import cumulative, differential, roundtrip_check
@@ -105,12 +105,26 @@ def _need(args, name):
     return value
 
 
+def _depth(value, flag, limit=None):
+    """A depth-like knob as an int in [0, limit] (no upper limit when
+    None).  Where the work doubles with each step, the limit sits at a few
+    seconds of work, so a larger value fails at once instead of running
+    for minutes or hours."""
+    depth = int(value)
+    if depth < 0:
+        raise DepthGuardError(f"{flag} must be nonnegative, got {depth}")
+    if limit is not None and depth > limit:
+        raise DepthGuardError(f"{flag} {depth} is above the limit {limit}; "
+                              "the work doubles with each step")
+    return depth
+
+
 def _weak(oracle):
     return oracle.as_weak() if hasattr(oracle, "as_weak") else as_weak(oracle)
 
 
 def cmd_verify(args, out):
-    ok, lines = run_suite(args.suite, int(args.depth))
+    ok, lines = run_suite(args.suite, _depth(args.depth, "--depth", 12))
     for line in lines:
         out.line(line)
     return 0 if ok else 1
@@ -171,7 +185,7 @@ def cmd_analytic(args, out):
 def cmd_tightness(args, out):
     zset = cfg.parse_zset(_need(args, "zset"))
     if args.action == "demo":
-        depth = int(args.depth)
+        depth = _depth(args.depth, "--depth")
         bettor = z_bettor(zset)
         stretched = insert_zeros(Word((1 << depth) - 1, depth), zset, depth)
         out.line("# capital trace along the stretched all-ones word")
@@ -181,8 +195,8 @@ def cmd_tightness(args, out):
         out.csv("n,word,capital", rows)
         step_exp, slope_exp = min(depth, 4), min(depth, 4)
     else:
-        step_exp = int(args.step_exp)
-        slope_exp = int(args.slope_exp)
+        step_exp = _depth(args.step_exp, "--step-exp", 12)
+        slope_exp = _depth(args.slope_exp, "--slope-exp", 9)
 
     ok = True
     out.line("# step bounds: image increment over 2^-n steps vs census floor")
@@ -222,7 +236,7 @@ def cmd_measure(args, out):
         out.value(differential(fn, cfg.parse_word(_need(args, "word"))))
         return 0
     nu = cfg.parse_measure(_need(args, "measure"))
-    rep = roundtrip_check(nu, int(args.depth))
+    rep = roundtrip_check(nu, _depth(args.depth, "--depth", 14))
     for line in rep.lines():
         out.line(line)
     return 0 if rep.ok else 1

@@ -16,7 +16,7 @@ class ParseError(DymartError):
 
 
 class DepthGuardError(DymartError):
-    """An exponential enumeration was requested beyond its depth guard."""
+    """A depth or exponent input is negative or above its limit."""
 
 
 class PrecisionContractError(DymartError):

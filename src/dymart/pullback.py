@@ -18,12 +18,13 @@ access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
-Covers and block sums share one aligned-block decomposition
+Covers, block sums and block maxima share one aligned-block decomposition
 (``kernels.aligned_blocks``).  The cover is queried left to right, one
 d-query per word, so an exact product-form strategy answers the whole
 cover through its path cursor in about 3m factor steps; the bracket's
 block sum at depth m + 8 walks the two paths to the ends of its range once,
-O(m) steps.  Neither goes through the compiled kernel.
+O(m) steps.  ``inner_max`` reads the largest inside cell from the same walk
+plus a max-product table, so the chain checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from fractions import Fraction
 from . import kernels
 from .dyadic import (Dyadic, GridPoint, Word, clamp_unit, exact_ceil_lg,
                      lex_successor, minimal_cover, round_to_grid)
-from .errors import DepthGuardError, PrecisionContractError
+from .errors import PrecisionContractError
 from .martingale import ApproxMartingale, Report, Violation
-
-MAX_ENUM_DEPTH = 22
 
 
 def grid_exponent(n, r):
@@ -84,25 +83,18 @@ def _cell_ranges(lo, hi, n):
 class ShiftStats:
     lower: Fraction
     upper: Fraction
-    max_inside: Fraction  # None under method="subtree" (sums only)
 
 
-def shift_stats(d, f, x, n, method="enumerate"):
-    """Exact (lower, upper, max-inside-cell-value) at depth n.
+def shift_stats(d, f, x, n):
+    """Exact (lower, upper) at depth n.
 
-    method="enumerate" walks every qualifying cell in order (guarded by
-    MAX_ENUM_DEPTH); method="subtree" collapses aligned blocks with the
-    fair-bet identity, has no depth limit, and reports max_inside=None.
-    Both are exact and their sums agree.
+    The inside cells are summed by aligned-block collapse, which needs only
+    the fair-bet identity and so works at any depth: product forms through
+    ``kernels.subtree_sum``, other strategies through ``d.at`` per block.
+    The at most two boundary cells are valued one by one.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    if method == "enumerate" and n > MAX_ENUM_DEPTH:
-        raise DepthGuardError(
-            f"enumeration at depth {n} exceeds the guard "
-            f"({MAX_ENUM_DEPTH}); use method='subtree'")
-    if method not in ("enumerate", "subtree"):
-        raise ValueError(f"unknown method {method!r}")
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
     scale = Fraction(1 << len(x), 1 << n)
@@ -111,14 +103,8 @@ def shift_stats(d, f, x, n, method="enumerate"):
     if pf is not None:
         desc = pf.descriptor()
         classes = pf.classes(n)
-        if method == "enumerate":
-            s_num, s_dexp, m_num, m_dexp = kernels.range_sum_max(
-                desc, classes, n, inner_a, inner_b)
-            max_inside = Fraction(m_num, 1 << m_dexp) * d.initial * scale
-        else:
-            s_num, s_dexp = kernels.subtree_sum(
-                desc, classes, n, inner_a, inner_b)
-            max_inside = None
+        s_num, s_dexp = kernels.subtree_sum(
+            desc, classes, n, inner_a, inner_b)
         inner_sum = Fraction(s_num, 1 << s_dexp) * d.initial
         boundary = Fraction(0)
         for k in range(touch_a, inner_a):
@@ -128,22 +114,9 @@ def shift_stats(d, f, x, n, method="enumerate"):
             num, dexp = kernels.cell_value(desc, classes, n, k)
             boundary += Fraction(num, 1 << dexp) * d.initial
     else:
-        if method == "subtree":
-            # the block collapse only needs the fair-bet identity, which
-            # holds for any true martingale
-            inner_sum = Fraction(0)
-            for lev, idx in kernels.aligned_blocks(inner_a, inner_b):
-                inner_sum += d.at(Word(idx, n - lev)) * (1 << lev)
-            max_inside = None
-        else:
-            inner_sum = Fraction(0)
-            max_inside = Fraction(0)
-            for k in range(inner_a, inner_b):
-                v = d.at(Word(k, n))
-                inner_sum += v
-                if v > max_inside:
-                    max_inside = v
-            max_inside = max_inside * scale
+        inner_sum = Fraction(0)
+        for lev, idx in kernels.aligned_blocks(inner_a, inner_b):
+            inner_sum += d.at(Word(idx, n - lev)) * (1 << lev)
         boundary = Fraction(0)
         for k in range(touch_a, inner_a):
             boundary += d.at(Word(k, n))
@@ -151,18 +124,40 @@ def shift_stats(d, f, x, n, method="enumerate"):
             boundary += d.at(Word(k, n))
 
     return ShiftStats(lower=inner_sum * scale,
-                      upper=(inner_sum + boundary) * scale,
-                      max_inside=max_inside)
+                      upper=(inner_sum + boundary) * scale)
 
 
-def lower_shift(d, f, x, n, method="enumerate"):
+def inner_max(d, f, x, n):
+    """Exact 2^(|x|-n) * max d(y) over the depth-n cells y inside D_x, or 0
+    when there are none: the left side of the inner-cell bound
+    2^(|x|-|y|) d(y) <= lower(x; |y|).
+
+    Product-form strategies only (ValueError otherwise): the maximum comes
+    from ``kernels.range_sum_max``, block values times a max-product table.
+    Kept apart from ``shift_stats`` so the bracket does not build the table.
+    """
+    pf = d.product_form
+    if pf is None:
+        raise ValueError(f"{d.name} has no product form; inner_max needs "
+                         "one")
+    if n < 0:
+        raise ValueError("depth must be nonnegative")
+    lo, hi = _delta_interval(f, x)
+    inner_a, inner_b, _, _ = _cell_ranges(lo, hi, n)
+    _, _, m_num, m_dexp = kernels.range_sum_max(
+        pf.descriptor(), pf.classes(n), n, inner_a, inner_b)
+    return Fraction(m_num, 1 << m_dexp) * d.initial * \
+        Fraction(1 << len(x), 1 << n)
+
+
+def lower_shift(d, f, x, n):
     """Exact depth-n under-estimate of d over D_x."""
-    return shift_stats(d, f, x, n, method).lower
+    return shift_stats(d, f, x, n).lower
 
 
-def upper_shift(d, f, x, n, method="enumerate"):
+def upper_shift(d, f, x, n):
     """Exact depth-n over-estimate of d over D_x."""
-    return shift_stats(d, f, x, n, method).upper
+    return shift_stats(d, f, x, n).upper
 
 
 def squeeze_bound(x_len, n):
@@ -239,7 +234,7 @@ def pullback_martingale(d_hat, f_hat, name=None):
 def certify_bracket(d, f, x, r, value):
     """Exact certificate [lower(x;M) - 2^-r, upper(x;M) + 2^-r] around an
     approximate pullback value, M = m + 8; returns (ok, lo, hi)."""
-    stats = shift_stats(d, f, x, bracket_depth(len(x), r), method="subtree")
+    stats = shift_stats(d, f, x, bracket_depth(len(x), r))
     slack = Fraction(1, 1 << r)
     lo = stats.lower - slack
     hi = stats.upper + slack

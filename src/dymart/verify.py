@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import kernels
 from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
 from .dyadic import Dyadic, Word, all_words, gamma, minimal_cover
 from .funcs import IdentityFn, TableStepFn, as_weak
@@ -20,8 +21,9 @@ from .measure import (DifferentialMeasure, ProductMeasure, UniformMeasure,
                       dual_roundtrip_check, roundtrip_check, verify_measure)
 from .patch import patch_approx, patch_reference, patch_table, \
     strong_increase_check
-from .pullback import certify_bracket, pullback_approx, shift_stats, \
-    squeeze_bound
+from .pullback import (_cell_ranges, _delta_interval, certify_bracket,
+                       inner_max, pullback_approx, shift_stats,
+                       squeeze_bound)
 from .tightness import (NormalizedInsertionFn, ZeroInsertionFn, z_bettor,
                         verify_ratio, verify_strong_ratio, zoo)
 
@@ -142,7 +144,7 @@ def _chk_chain(depth):
                                                 "chain", "monotonicity"))
             for n, s in enumerate(stats):
                 checked += 1
-                if s.max_inside > s.lower:
+                if inner_max(d, f, x, n) > s.lower:
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "chain", "inner-cell bound"))
                 if conservative and \
@@ -153,6 +155,29 @@ def _chk_chain(depth):
                    violations)
 
 
+def _scan_cells(d, f, x, n):
+    """(lower, upper, inner max) at depth n from every cell in order, by
+    integers scaled to 2^-(n * max_dexp) and a fresh path cursor: the
+    literal counterpart of the block walk, for product forms."""
+    lo, hi = _delta_interval(f, x)
+    inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
+    pf = d.product_form
+    desc = pf.descriptor()
+    cursor = kernels.PathCursor(desc, pf.classes)
+    top = n * desc[4]
+    inner = boundary = best = 0
+    for k in range(touch_a, touch_b):
+        num, dexp = cursor.value(k, n)
+        v = num << (top - dexp)
+        if inner_a <= k < inner_b:
+            inner += v
+            best = max(best, v)
+        else:
+            boundary += v
+    unit = d.initial * F(1 << len(x), 1 << (n + top))
+    return inner * unit, (inner + boundary) * unit, best * unit
+
+
 def _chk_methods_agree(depth):
     violations = []
     checked = 0
@@ -160,9 +185,9 @@ def _chk_methods_agree(depth):
         for x in [Word(0, 0), Word(1, 1), Word(1, 2)]:
             for n in (0, 4, min(depth + 6, 11)):
                 checked += 1
-                a = shift_stats(d, f, x, n, method="enumerate")
-                b = shift_stats(d, f, x, n, method="subtree")
-                if a.lower != b.lower or a.upper != b.upper:
+                s = shift_stats(d, f, x, n)
+                if (s.lower, s.upper, inner_max(d, f, x, n)) != \
+                        _scan_cells(d, f, x, n):
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "methods", "disagree"))
     return _report("enumeration equals aligned-block collapse", checked,

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, shifts by literal cell
-loops over Fractions, and reference constants come from plain partial sums
-with explicit remainder bounds.
+loops (over Fractions, or over integer cell products for product forms),
+and reference constants come from plain partial sums with explicit
+remainder bounds.
 """
 
 from fractions import Fraction
@@ -63,6 +64,49 @@ def brute_force_shift(d, lo, hi, x_len, n, inner):
             total += Fraction(d.at(Word(k, n)))
     return total * Fraction(2 ** x_len, 2 ** n) if n <= x_len else \
         total * Fraction(1, 2 ** (n - x_len))
+
+
+def scan_sum_max(desc, classes, n, a, b):
+    """Sum and maximum of a product form over cells [a, b) at depth n, by
+    a literal in-order scan; same (sum_num, sum_dexp, max_num, max_dexp)
+    convention as ``kernels.range_sum_max``.
+
+    Each cell's path reuses the unchanged prefix of the previous one, so
+    the scan costs O(b - a) factor steps.
+    """
+    if a >= b:
+        return 0, 0, 0, 0
+    _, start, edges, _, _ = desc
+    states = [start] * (n + 1)
+    nums = [1] * (n + 1)
+    dexps = [0] * (n + 1)
+
+    def descend(frm, k):
+        for i in range(frm, n):
+            bit = (k >> (n - 1 - i)) & 1
+            fnum, fdexp, nxt = edges[states[i]][classes[i]][bit]
+            nums[i + 1] = nums[i] * fnum
+            dexps[i + 1] = dexps[i] + fdexp
+            states[i + 1] = nxt
+
+    descend(0, a)
+    s_num, s_dexp = 0, 0
+    m_num, m_dexp = 0, 0
+    k = a
+    while True:
+        p_num, p_dexp = nums[n], dexps[n]
+        if p_num:
+            if s_dexp < p_dexp:
+                s_num <<= p_dexp - s_dexp
+                s_dexp = p_dexp
+            s_num += p_num << (s_dexp - p_dexp)
+            if (p_num << m_dexp) > (m_num << p_dexp):
+                m_num, m_dexp = p_num, p_dexp
+        k += 1
+        if k >= b:
+            break
+        descend(n - ((k ^ (k - 1)).bit_length()), k)
+    return s_num, s_dexp, m_num, m_dexp
 
 
 class NoisyWeakFn:

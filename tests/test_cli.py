@@ -193,6 +193,31 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {exc}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--depth", "-1"),
+        ("verify", "--suite", "martingale", "--depth", "13"),
+        ("measure", "roundtrip", "--measure", "uniform", "--depth", "-3"),
+        ("measure", "roundtrip", "--measure", "uniform", "--depth", "15"),
+        ("tightness", "bounds", "--zset", "pow2", "--step-exp", "-1"),
+        ("tightness", "bounds", "--zset", "pow2", "--step-exp", "13"),
+        ("tightness", "bounds", "--zset", "pow2", "--slope-exp", "-2"),
+        ("tightness", "bounds", "--zset", "pow2", "--slope-exp", "10"),
+        ("tightness", "demo", "--zset", "1", "--depth", "-2"),
+    ], ids=" ".join)
+    def test_depth_out_of_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert ("nonnegative" in err) == argv[-1].startswith("-")
+
+    def test_depth_zero_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "measure", "roundtrip", "--measure",
+                           "uniform", "--depth", "0")
+        assert code == 0 and "pass" in out
+        code, _, _ = run(capsys, "tightness", "bounds", "--zset", "1",
+                         "--step-exp", "0", "--slope-exp", "0")
+        assert code == 0
+
     def test_unknown_martingale(self, capsys):
         code, _, err = run(capsys, "pullback", "--martingale", "gambler",
                            "--function", "identity", "--word", "0",

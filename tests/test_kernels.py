@@ -1,6 +1,6 @@
-"""Kernel checks: the block walk and the path cursor against the literal
-cell scan and brute force, the compiled kernel bit-identical to the pure
-one, and the walk's factor-step counts linear in the grid exponent."""
+"""Kernel checks: the block walk (sums and maxima) and the path cursor
+against the literal cell scan and brute force, and the walk's factor-step
+counts linear in the depth."""
 
 from fractions import Fraction
 
@@ -19,12 +19,8 @@ from dymart.martingale import ApproxMartingale, ExactMartingale, \
 from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
 from dymart.tightness import z_bettor
 
-from helpers import brute_force_cover, brute_force_shift, greedy_cover
-
-try:
-    from dymart import _shiftcore as compiled
-except ImportError:
-    compiled = None
+from helpers import brute_force_cover, brute_force_shift, greedy_cover, \
+    scan_sum_max
 
 MARTS = [uniform(), allin_zeros(), pattern_bettor("011"), z_bettor("1"),
          z_bettor("0,2,4"), z_bettor("pow2"),
@@ -72,8 +68,7 @@ class TestPureKernel:
             cells = 1 << n
             for a, b in [(0, cells), (cells // 3, (2 * cells) // 3 + 1),
                          (1, cells - 1) if cells > 2 else (0, cells)]:
-                sn, sd, _, _ = pure.range_sum_max(desc, classes, n, a, b,
-                                                  want_max=False)
+                sn, sd, _, _ = scan_sum_max(desc, classes, n, a, b)
                 tn, td = pure.subtree_sum(desc, classes, n, a, b)
                 assert as_fraction(sn, sd) == as_fraction(tn, td)
 
@@ -85,36 +80,6 @@ class TestPureKernel:
         classes = mart.product_form.classes(n)
         full, dexp = pure.subtree_sum(desc, classes, n, 0, 1 << n)
         assert as_fraction(full, dexp) == 1 << n  # total mass 2^n * d(λ)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-class TestCompiledKernel:
-    @pytest.mark.parametrize("mart", MARTS, ids=lambda m: m.name)
-    def test_bit_identical_results(self, mart):
-        desc = mart.product_form.descriptor()
-        for n in (0, 1, 4, 8, 11):
-            classes = mart.product_form.classes(n)
-            cells = 1 << n
-            ranges = [(0, cells), (cells // 5, cells // 2 + 1), (0, 1)]
-            for a, b in ranges:
-                got = compiled.range_sum_max(desc, classes, n, a, b)
-                want = pure.range_sum_max(desc, classes, n, a, b)
-                assert as_fraction(got[0], got[1]) == \
-                    as_fraction(want[0], want[1])
-                assert as_fraction(got[2], got[3]) == \
-                    as_fraction(want[2], want[3])
-            for k in (0, cells - 1, cells // 2):
-                assert as_fraction(*compiled.cell_value(desc, classes, n, k)) \
-                    == as_fraction(*pure.cell_value(desc, classes, n, k))
-
-    def test_guard_accepts_deep_builtin(self):
-        mart = conservative_transform(z_bettor("pow2"))
-        desc = mart.product_form.descriptor()
-        assert kernels.fits_compiled(desc, 22)
-
-    def test_guard_rejects_monster_factors(self):
-        desc = (1, 0, ((((127, 6, 0), (1, 6, 0)),),), 127, 6)
-        assert not kernels.fits_compiled(desc, 60)
 
 
 def fair_factor_pairs():
@@ -174,16 +139,21 @@ class TestRandomDescriptors:
 
 class TestDispatch:
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("cython", "python")
+        assert kernels.BACKEND == "python"
 
     def test_dispatch_matches_pure(self):
+        # kernels re-exports the one implementation under the same names
+        for name in ("cell_value", "range_sum_max", "subtree_sum",
+                     "aligned_blocks", "PathCursor", "validate"):
+            assert getattr(kernels, name) is getattr(pure, name)
         mart = conservative_transform(allin_zeros())
         desc = mart.product_form.descriptor()
         n = 10
         classes = mart.product_form.classes(n)
         got = kernels.range_sum_max(desc, classes, n, 3, 900)
-        want = pure.range_sum_max(desc, classes, n, 3, 900)
+        want = scan_sum_max(desc, classes, n, 3, 900)
         assert as_fraction(got[0], got[1]) == as_fraction(want[0], want[1])
+        assert as_fraction(got[2], got[3]) == as_fraction(want[2], want[3])
 
 
 def product_forms():
@@ -211,13 +181,23 @@ class TestBlockWalk:
         a, b = index_range(data, 1 << n)
         tn, td = kernels.subtree_sum(desc, classes, n, a, b)
         walk = Fraction(tn, 1 << td)
-        sn, sd, _, _ = pure.range_sum_max(desc, classes, n, a, b,
-                                          want_max=False)
+        sn, sd, _, _ = scan_sum_max(desc, classes, n, a, b)
         assert walk == Fraction(sn, 1 << sd)
         mart = ExactMartingale("random", product_form=pf)
         assert walk == brute_force_shift(mart, Fraction(a, 1 << n),
                                          Fraction(b, 1 << n), n, n,
                                          inner=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_forms(), st.integers(0, 14), st.data())
+    def test_block_max_matches_scan(self, pf, n, data):
+        desc = pf.descriptor()
+        classes = pf.classes(n)
+        a, b = index_range(data, 1 << n)
+        got = kernels.range_sum_max(desc, classes, n, a, b)
+        want = scan_sum_max(desc, classes, n, a, b)
+        assert as_fraction(got[0], got[1]) == as_fraction(want[0], want[1])
+        assert as_fraction(got[2], got[3]) == as_fraction(want[2], want[3])
 
     @settings(max_examples=60, deadline=None)
     @given(product_forms(), st.integers(0, 40), st.data())
@@ -270,7 +250,7 @@ class CountingEdges(tuple):
 
 
 class TestWorkCounts:
-    """Deterministic factor-step counts of the walk at |x| = 4, r = 512."""
+    """Deterministic factor-step counts of the walk."""
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])
@@ -299,3 +279,20 @@ class TestWorkCounts:
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
         assert edges.steps <= 4 * (m + 8)
+
+    @pytest.mark.parametrize("name", ["conservative:pattern:011",
+                                      "conservative:zbettor:1,3"])
+    def test_range_sum_max_linear_in_n(self, name):
+        # the max-product table takes one lookup per (depth, state), the
+        # two end-path walks at most n + 1 each
+        pf = parse_martingale(name).product_form
+        edges = CountingEdges(pf.edges)
+        desc = ProductForm(edges, pf.start, pf.classes_fn).descriptor()
+        n = 256
+        classes = pf.classes(n)
+        cells = 1 << n
+        for a, b in [(0, cells), (cells // 3 + 5, cells - 12345),
+                     (1, 2), (7, 7)]:
+            edges.steps = 0
+            kernels.range_sum_max(desc, classes, n, a, b)
+            assert edges.steps <= 2 * n * len(edges) + 4 * n, (a, b)

@@ -1,22 +1,25 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from dymart.dyadic import Dyadic, Word, all_words
-from dymart.errors import DepthGuardError, PrecisionContractError
+from dymart.errors import PrecisionContractError
 from dymart.funcs import AffineFn, IdentityFn, as_weak
 from dymart.martingale import (ApproxMartingale, allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
                                uniform)
 from dymart.pullback import (StrongVariationCert, bracket_depth,
-                             certify_bracket, grid_exponent, lower_shift,
+                             certify_bracket, grid_exponent, inner_max,
+                             lower_shift,
                              pullback_approx, pullback_martingale,
                              shift_stats, squeeze_bound, transfer_witness,
                              upper_shift)
 from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
-from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift
+from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
+    scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -63,14 +66,18 @@ class TestShiftExamples:
         assert upper_shift(d, Flat(), W("01"), 3) == F(4, 8) * 2
 
     def test_depth_guard(self):
-        with pytest.raises(DepthGuardError):
-            upper_shift(uniform(), IdentityFn(), W("0"), 23)
-        # subtree method has no guard; at depth 40 the upper estimate still
-        # carries the one straddling cell at the right endpoint
-        assert lower_shift(uniform(), IdentityFn(), W("0"), 40,
-                           method="subtree") == 1
-        assert upper_shift(uniform(), IdentityFn(), W("0"), 40,
-                           method="subtree") == 1 + F(2, 1 << 40)
+        # no depth guard: at depth 40 the upper estimate still carries the
+        # one straddling cell at the right endpoint
+        assert lower_shift(uniform(), IdentityFn(), W("0"), 40) == 1
+        assert upper_shift(uniform(), IdentityFn(), W("0"), 40) == \
+            1 + F(2, 1 << 40)
+
+
+def image_interval(f, x):
+    lo = F(f.at(x.value()))
+    hi = F(f.at_one()) if x.is_all_ones() else \
+        F(f.at(Word(x.k + 1, x.n).value()))
+    return lo, hi
 
 
 class TestShiftAgainstBruteForce:
@@ -78,9 +85,7 @@ class TestShiftAgainstBruteForce:
                              ids=lambda p: getattr(p, "name", ""))
     def test_small_depths(self, d, f):
         for x in [W("λ"), W("0"), W("11"), W("010")]:
-            lo = F(f.at(x.value()))
-            hi = F(f.at_one()) if x.is_all_ones() else \
-                F(f.at(Word(x.k + 1, x.n).value()))
+            lo, hi = image_interval(f, x)
             for n in range(0, 8):
                 s = shift_stats(d, f, x, n)
                 assert s.lower == brute_force_shift(d, lo, hi, len(x), n,
@@ -91,12 +96,22 @@ class TestShiftAgainstBruteForce:
     @pytest.mark.parametrize("d,f", SHIFT_PAIRS,
                              ids=lambda p: getattr(p, "name", ""))
     def test_enumerate_equals_subtree(self, d, f):
+        # block sums and block maxima against the literal in-order scan of
+        # the inside cells, and the upper shift against the brute force
+        pf = d.product_form
+        desc = pf.descriptor()
         for x in [W("λ"), W("1"), W("001")]:
+            lo, hi = image_interval(f, x)
             for n in (0, 3, 9, 12):
-                a = shift_stats(d, f, x, n, method="enumerate")
-                b = shift_stats(d, f, x, n, method="subtree")
-                assert a.lower == b.lower and a.upper == b.upper
-                assert b.max_inside is None
+                a = max(0, math.ceil(lo * (1 << n)))
+                b = max(a, min(1 << n, math.floor(hi * (1 << n))))
+                sn, sd, mn, md = scan_sum_max(desc, pf.classes(n), n, a, b)
+                unit = d.initial * F(1 << len(x), 1 << n)
+                s = shift_stats(d, f, x, n)
+                assert s.lower == F(sn, 1 << sd) * unit
+                assert inner_max(d, f, x, n) == F(mn, 1 << md) * unit
+                assert s.upper == brute_force_shift(d, lo, hi, len(x), n,
+                                                    inner=False)
 
     def test_subtree_works_for_generic_martingales(self):
         from dymart.martingale import savings_wrapper
@@ -104,12 +119,17 @@ class TestShiftAgainstBruteForce:
         assert d.product_form is None
         f = IdentityFn()
         for x in [W("0"), W("01")]:
+            lo, hi = image_interval(f, x)
             for n in (2, 6, 9):
-                a = shift_stats(d, f, x, n, method="enumerate")
-                b = shift_stats(d, f, x, n, method="subtree")
-                assert a.lower == b.lower and a.upper == b.upper
-        # and it reaches depths the enumerator refuses
-        deep = shift_stats(d, f, W("0"), 40, method="subtree")
+                s = shift_stats(d, f, x, n)
+                assert s.lower == brute_force_shift(d, lo, hi, len(x), n,
+                                                    inner=True)
+                assert s.upper == brute_force_shift(d, lo, hi, len(x), n,
+                                                    inner=False)
+            with pytest.raises(ValueError):
+                inner_max(d, f, x, 2)
+        # and it reaches depths no cell scan could
+        deep = shift_stats(d, f, W("0"), 40)
         assert deep.lower <= deep.upper
 
 
@@ -122,10 +142,11 @@ class TestChainAndSqueeze:
             for a, b in zip(stats, stats[1:]):
                 assert a.lower <= b.lower
                 assert b.upper <= a.upper
-            for s in stats:
+            for n, s in enumerate(stats):
                 assert s.lower <= s.upper
                 # every inside cell y obeys 2^(|x|-|y|) d(y) <= lower(x;|y|)
-                assert s.max_inside <= s.lower or s.max_inside == 0
+                top = inner_max(d, f, x, n)
+                assert top <= s.lower or top == 0
 
     @pytest.mark.parametrize("d,f", SHIFT_PAIRS,
                              ids=lambda p: getattr(p, "name", ""))
@@ -197,7 +218,7 @@ class TestPullbackApprox:
                 for r in (1, 2):
                     m = grid_exponent(len(x), r)
                     v = pullback_approx(as_approx(d), as_weak(f), x, r)
-                    s = shift_stats(d, f, x, m, method="subtree")
+                    s = shift_stats(d, f, x, m)
                     assert s.lower <= v <= s.upper, (d.name, x, r)
 
     def test_total_of_mixed_dyadic_and_general_replies(self):

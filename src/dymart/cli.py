@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import config as cfg
 from .analytic import PowerSeriesSpec, eval_approx, find_root
-from .dyadic import Dyadic, Word, parse_rational
+from .dyadic import Dyadic, Word, fmt_rational, parse_rational
 from .errors import DepthGuardError, DymartError
 from .funcs import as_weak
 from .martingale import as_approx, capital_trace
@@ -35,11 +35,6 @@ from .pullback import certify_bracket, pullback_approx
 from .tightness import insert_zeros, verify_ratio, verify_strong_ratio, \
     z_bettor
 from .verify import run_suite
-
-
-def fmt(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def decimal_str(q, digits):
@@ -68,7 +63,7 @@ class Output:
 
     def value(self, q, label=None):
         prefix = f"{label} = " if label else ""
-        self.lines.append(prefix + fmt(q))
+        self.lines.append(prefix + fmt_rational(q))
         if self.decimal:
             self.lines.append(f"# approx {decimal_str(q, self.decimal)} "
                               f"({self.decimal} digits, truncated)")
@@ -105,22 +100,17 @@ def _need(args, name):
     return value
 
 
-def _depth(value, flag, limit=None):
-    """A depth-like knob as an int in [0, limit] (no upper limit when
-    None).  Where the work doubles with each step, the limit sits at a few
-    seconds of work, so a larger value fails at once instead of running
-    for minutes or hours."""
+def _depth(value, flag, limit, growth="the work doubles with each step"):
+    """A depth-like knob as an int in [0, limit].  The limit sits at a few
+    seconds of work (or megabytes of output), so a larger value fails at
+    once instead of running for minutes or hours; ``growth`` says why."""
     depth = int(value)
     if depth < 0:
         raise DepthGuardError(f"{flag} must be nonnegative, got {depth}")
-    if limit is not None and depth > limit:
+    if depth > limit:
         raise DepthGuardError(f"{flag} {depth} is above the limit {limit}; "
-                              "the work doubles with each step")
+                              f"{growth}")
     return depth
-
-
-def _weak(oracle):
-    return oracle.as_weak() if hasattr(oracle, "as_weak") else as_weak(oracle)
 
 
 def cmd_verify(args, out):
@@ -139,13 +129,14 @@ def cmd_pullback(args, out):
     word = cfg.parse_word(_need(args, "word"))
     r = int(_need(args, "precision"))
     approx = as_approx(mart)
-    weak = _weak(fn)
+    weak = as_weak(fn)
     if args.trace:
         rows = []
         for p in word.prefixes():
             v = pullback_approx(approx, weak, p, r)
             _, lo, hi = certify_bracket(mart, fn, p, r, v)
-            rows.append((str(p), str(len(p)), fmt(v), fmt(lo), fmt(hi)))
+            rows.append((str(p), str(len(p)), fmt_rational(v),
+                         fmt_rational(lo), fmt_rational(hi)))
         out.csv("word,prefix_len,v,lower_bracket,upper_bracket", rows)
     else:
         out.value(pullback_approx(approx, weak, word, r))
@@ -155,7 +146,7 @@ def cmd_pullback(args, out):
 def cmd_patch(args, out):
     fn = cfg.parse_function(_need(args, "function"))
     word = cfg.parse_word(_need(args, "word"))
-    out.value(patch_approx(_weak(fn), word, int(_need(args, "precision"))))
+    out.value(patch_approx(as_weak(fn), word, int(_need(args, "precision"))))
     return 0
 
 
@@ -185,12 +176,13 @@ def cmd_analytic(args, out):
 def cmd_tightness(args, out):
     zset = cfg.parse_zset(_need(args, "zset"))
     if args.action == "demo":
-        depth = _depth(args.depth, "--depth")
+        depth = _depth(args.depth, "--depth", 4096,
+                       "the output grows with the square of the depth")
         bettor = z_bettor(zset)
         stretched = insert_zeros(Word((1 << depth) - 1, depth), zset, depth)
         out.line("# capital trace along the stretched all-ones word")
         rows = [(str(n), str(stretched.prefix(n)),
-                 fmt(bettor.at(stretched.prefix(n))))
+                 fmt_rational(bettor.at(stretched.prefix(n))))
                 for n in range(depth + 1)]
         out.csv("n,word,capital", rows)
         step_exp, slope_exp = min(depth, 4), min(depth, 4)
@@ -208,8 +200,8 @@ def cmd_tightness(args, out):
                 continue
             chk = verify_strong_ratio(zset, x, n)
             ok = ok and chk.ok
-            rows.append((fmt(Fraction(x)), str(n), fmt(chk.lhs),
-                         fmt(chk.rhs), str(chk.ok)))
+            rows.append((fmt_rational(x), str(n), fmt_rational(chk.lhs),
+                         fmt_rational(chk.rhs), str(chk.ok)))
     out.csv("x,n,lhs,rhs,ok", rows)
 
     out.line("# slope bounds: difference quotients vs census floor")
@@ -220,8 +212,9 @@ def cmd_tightness(args, out):
             chk = verify_ratio(zset, Dyadic(ka, slope_exp),
                                Dyadic(kb, slope_exp))
             ok = ok and chk.ok
-            rows.append((f"{ka}/{denom}", f"{kb}/{denom}", fmt(chk.lhs),
-                         fmt(chk.rhs), str(chk.ok)))
+            rows.append((f"{ka}/{denom}", f"{kb}/{denom}",
+                         fmt_rational(chk.lhs), fmt_rational(chk.rhs),
+                         str(chk.ok)))
     out.csv("x,y,lhs,rhs,ok", rows)
     return 0 if ok else 1
 
@@ -246,7 +239,7 @@ def cmd_trace(args, out):
     mart = cfg.parse_martingale(_need(args, "martingale"))
     word = cfg.parse_word(_need(args, "word"))
     values = capital_trace(as_approx(mart), word, int(args.precision))
-    rows = [(str(i), str(word.prefix(i)), fmt(v))
+    rows = [(str(i), str(word.prefix(i)), fmt_rational(v))
             for i, v in enumerate(values)]
     out.csv("prefix_len,word,capital", rows)
     return 0

@@ -156,12 +156,7 @@ def _evaluator_from_file(path):
         )
         spec.validate()
         return spec
-    if kind == "quotient":
-        return QuotientFn(_rat_list(_require(cfg, "num", path)),
-                          _rat_list(_require(cfg, "den", path)),
-                          parse_rational(_require(cfg, "den_floor", path)),
-                          name=f"quotient[{path}]")
-    if kind in ("table", "f_Z"):
+    if kind in ("table", "f_Z", "quotient"):
         return _function_from_file(path)
     raise ParseError(f"{path}: unknown kind {kind!r}")
 

@@ -268,7 +268,8 @@ def parse_rational(text):
 
 
 def fmt_rational(q):
-    """Render an exact rational as "p/q" (denominator always shown)."""
+    """Render an exact rational (Fraction, Dyadic or int) as "p/q" in
+    lowest terms (denominator always shown)."""
     return f"{q.numerator}/{q.denominator}"
 
 

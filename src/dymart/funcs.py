@@ -180,7 +180,13 @@ class WeakFn:
 
 
 def as_weak(oracle, anchor=None):
-    """Exact-backed approximator: returns the true value at any precision."""
-    query_one = (lambda r: oracle.at_one()) if oracle.has_one else None
+    """Exact-backed approximator: returns the true value at any precision.
+
+    At 1 it answers with the exact value when the oracle has one, else
+    with the oracle's ``approx_at_one(r)`` (within 2^-r) when it declares
+    one, else not at all (``has_one`` is False).
+    """
+    query_one = (lambda r: oracle.at_one()) if oracle.has_one else \
+        getattr(oracle, "approx_at_one", None)
     return WeakFn(oracle.name, lambda w, r: oracle.at_word(w),
                   anchor=anchor, query_one_fn=query_one)

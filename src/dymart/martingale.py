@@ -288,11 +288,10 @@ def verify_conservative(mart, depth):
 class ApproxMartingale:
     """Approximation contract: query(w, r) is within 2^-r of the true d(w)."""
 
-    def __init__(self, name, query_fn, *, conservative=None, true_mart=None):
+    def __init__(self, name, query_fn, *, conservative=None):
         self.name = name
         self._query = query_fn
         self.conservative = conservative
-        self.true_mart = true_mart
 
     def query(self, w, r):
         v = Fraction(self._query(w, r))
@@ -306,7 +305,7 @@ class ApproxMartingale:
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision."""
     return ApproxMartingale(mart.name, lambda w, r: mart.at(w),
-                            conservative=mart.conservative, true_mart=mart)
+                            conservative=mart.conservative)
 
 
 def capital_trace(approx, s, r):

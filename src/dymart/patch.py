@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word
+from .dyadic import Dyadic, Word, fmt_rational
 from .martingale import Report, Violation
 
 
@@ -147,11 +147,7 @@ def strong_increase_check(f, g_at, x0, C, exp):
         else:
             ok = lhs <= C * gap
         if not ok:
-            violations.append(Violation(_fmt(x), "slope",
+            violations.append(Violation(fmt_rational(x), "slope",
                                         f"(g-f(x0))/(x-x0) = {lhs / gap} < {C}"))
-    return Report(f"strong-increase check at x0={_fmt(x0)} grid 2^-{exp}",
-                  checked, violations)
-
-
-def _fmt(q):
-    return f"{q.numerator}/{q.denominator}"
+    return Report(f"strong-increase check at x0={fmt_rational(x0)} "
+                  f"grid 2^-{exp}", checked, violations)

@@ -21,10 +21,12 @@ and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 Covers, block sums and block maxima share one aligned-block decomposition
 (``kernels.aligned_blocks``).  The cover is queried left to right, one
 d-query per word, so an exact product-form strategy answers the whole
-cover through its path cursor in about 3m factor steps; the bracket's
-block sum at depth m + 8 walks the two paths to the ends of its range once,
-O(m) steps.  ``inner_max`` reads the largest inside cell from the same walk
-plus a max-product table, so the chain checks need no cell enumeration.
+cover through its path cursor in about 3m factor steps.  ``shift_stats``
+has one block sum per strategy kind and takes all three of its ranges from
+it: the inside cells, and each boundary cell as a one-cell range, so the
+bracket at depth m + 8 costs O(m) steps.  ``inner_max`` reads the largest
+inside cell from the same walk plus a max-product table, so the chain
+checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -88,43 +90,37 @@ class ShiftStats:
 def shift_stats(d, f, x, n):
     """Exact (lower, upper) at depth n.
 
-    The inside cells are summed by aligned-block collapse, which needs only
-    the fair-bet identity and so works at any depth: product forms through
-    ``kernels.subtree_sum``, other strategies through ``d.at`` per block.
-    The at most two boundary cells are valued one by one.
+    Every sum is one aligned-block collapse, which needs only the fair-bet
+    identity and so works at any depth: lower sums the inside cells
+    [inner_a, inner_b), upper adds the at most two boundary cells as
+    one-cell ranges.  Product forms sum through ``kernels.subtree_sum``
+    (a one-cell range is one root-to-leaf walk, n factor steps), other
+    strategies through ``d.at`` per aligned block.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
-    scale = Fraction(1 << len(x), 1 << n)
 
     pf = d.product_form
     if pf is not None:
-        desc = pf.descriptor()
-        classes = pf.classes(n)
-        s_num, s_dexp = kernels.subtree_sum(
-            desc, classes, n, inner_a, inner_b)
-        inner_sum = Fraction(s_num, 1 << s_dexp) * d.initial
-        boundary = Fraction(0)
-        for k in range(touch_a, inner_a):
-            num, dexp = kernels.cell_value(desc, classes, n, k)
-            boundary += Fraction(num, 1 << dexp) * d.initial
-        for k in range(max(inner_b, touch_a), touch_b):
-            num, dexp = kernels.cell_value(desc, classes, n, k)
-            boundary += Fraction(num, 1 << dexp) * d.initial
-    else:
-        inner_sum = Fraction(0)
-        for lev, idx in kernels.aligned_blocks(inner_a, inner_b):
-            inner_sum += d.at(Word(idx, n - lev)) * (1 << lev)
-        boundary = Fraction(0)
-        for k in range(touch_a, inner_a):
-            boundary += d.at(Word(k, n))
-        for k in range(max(inner_b, touch_a), touch_b):
-            boundary += d.at(Word(k, n))
+        desc, classes = pf.descriptor(), pf.classes(n)
 
-    return ShiftStats(lower=inner_sum * scale,
-                      upper=(inner_sum + boundary) * scale)
+        def block_sum(a, b):
+            num, dexp = kernels.subtree_sum(desc, classes, n, a, b)
+            return Fraction(num, 1 << dexp) * d.initial
+    else:
+        def block_sum(a, b):
+            total = Fraction(0)
+            for lev, idx in kernels.aligned_blocks(a, b):
+                total += d.at(Word(idx, n - lev)) * (1 << lev)
+            return total
+
+    inner = block_sum(inner_a, inner_b)
+    boundary = block_sum(touch_a, inner_a) + \
+        block_sum(max(inner_b, touch_a), touch_b)
+    scale = Fraction(1 << len(x), 1 << n)
+    return ShiftStats(lower=inner * scale, upper=(inner + boundary) * scale)
 
 
 def inner_max(d, f, x, n):
@@ -150,16 +146,6 @@ def inner_max(d, f, x, n):
         Fraction(1 << len(x), 1 << n)
 
 
-def lower_shift(d, f, x, n):
-    """Exact depth-n under-estimate of d over D_x."""
-    return shift_stats(d, f, x, n).lower
-
-
-def upper_shift(d, f, x, n):
-    """Exact depth-n over-estimate of d over D_x."""
-    return shift_stats(d, f, x, n).upper
-
-
 def squeeze_bound(x_len, n):
     """The conservative-martingale gap bound 2^(|x|+1) (3/4)^n, exactly."""
     return Fraction(2 ** (x_len + 1) * 3 ** n, 4 ** n)
@@ -181,29 +167,27 @@ def pullback_approx(d_hat, f_hat, x, r):
     m = grid_exponent(n, r)
     eps = Fraction(1, 1 << (m + 2))
 
-    c0 = f_hat.query(x, m + 2)
-    if not -eps <= c0 <= 1 + eps:
-        raise PrecisionContractError(
-            f"{f_hat.name}: query({x}, {m + 2}) = {c0} outside [0,1] margin")
-    a = round_to_grid(c0, m)
-    if x.is_all_ones():
+    def endpoint(w):
+        """f's reply at w (at 1 when w is None) on the 2^-m grid, after
+        checking that it lies within 2^-(m+2) of [0, 1]."""
+        if w is None:
+            c, what = f_hat.query_one(m + 2), "value at 1"
+        else:
+            c, what = f_hat.query(w, m + 2), f"query({w}, {m + 2})"
+        if not -eps <= c <= 1 + eps:
+            raise PrecisionContractError(
+                f"{f_hat.name}: {what} = {c} outside [0,1] margin")
+        return round_to_grid(c, m)
+
+    a = endpoint(x)
+    if not x.is_all_ones():
+        b = endpoint(lex_successor(x))
+    elif getattr(f_hat, "has_one", False):
         # right endpoint of the image: the separate approximator at 1 when
         # one is declared, else the f(1) = 1 normalization
-        if getattr(f_hat, "has_one", False):
-            c1 = f_hat.query_one(m + 2)
-            if not -eps <= c1 <= 1 + eps:
-                raise PrecisionContractError(
-                    f"{f_hat.name}: value at 1 = {c1} outside [0,1] margin")
-            b = round_to_grid(c1, m)
-        else:
-            b = GridPoint(Dyadic(1), m)
+        b = endpoint(None)
     else:
-        c1 = f_hat.query(lex_successor(x), m + 2)
-        if not -eps <= c1 <= 1 + eps:
-            raise PrecisionContractError(
-                f"{f_hat.name}: query({lex_successor(x)}, {m + 2}) = {c1} "
-                "outside [0,1] margin")
-        b = round_to_grid(c1, m)
+        b = GridPoint(Dyadic(1), m)
     a, b = clamp_unit(a, b)
     # the total as one integer numerator over 2^exp, plus a Fraction
     # remainder for replies that are not dyadic
@@ -329,7 +313,7 @@ def transfer_witness(d, f, cert, x, y, sample_exp=7):
             f"interval of y not inside D_x = [{d_lo}, {d_hi}]"))
 
     checked += 1
-    low = lower_shift(d, f, x, len(y))
+    low = shift_stats(d, f, x, len(y)).lower
     need = Fraction(1, 1 << (ell + 2)) * d.at(y)
     if low < need:
         violations.append(Violation(

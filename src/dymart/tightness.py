@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .dyadic import Dyadic, Word, exact_ceil_lg
 from .errors import InsufficientBitsError, ParseError
-from .funcs import FnOracle, WeakFn
+from .funcs import FnOracle
 from .martingale import ExactMartingale, ProductForm
 
 
@@ -132,8 +132,8 @@ class ZeroInsertionFn(FnOracle):
     grafts the constant 1 on at the right endpoint (the standard trick for
     feeding a monotone map with computable right endpoint to the pullback
     machinery); otherwise, for finite sets the exact supremum is used and
-    for infinite sets there is no exact value at 1 (``has_one`` is False,
-    approximate queries remain available).
+    for infinite sets there is no exact value at 1 (``has_one`` is False;
+    ``approx_at_one`` answers within 2^-r, and ``funcs.as_weak`` uses it).
     """
 
     def __init__(self, zset, scaled=False):
@@ -167,12 +167,6 @@ class ZeroInsertionFn(FnOracle):
     def approx_at_one(self, r):
         """Truncated limit, within 2^-r (monotone from below)."""
         return Fraction(limit_at_one(self.zset, r + 1))
-
-    def as_weak(self):
-        query_one = ((lambda r: self.at_one()) if self.has_one
-                     else self.approx_at_one)
-        return WeakFn(self.name, lambda w, r: self.at(w.value()),
-                      query_one_fn=query_one)
 
 
 class NormalizedInsertionFn(FnOracle):

@@ -30,7 +30,12 @@ from .tightness import (NormalizedInsertionFn, ZeroInsertionFn, z_bettor,
 F = Fraction
 
 
-def _report(title, checked, violations):
+def _merged(title, reports):
+    """One Report with the checks and violations of the given reports."""
+    checked, violations = 0, []
+    for rep in reports:
+        checked += rep.checked
+        violations.extend(rep.violations)
     return Report(title, checked, violations)
 
 
@@ -66,27 +71,14 @@ def _patch_tables():
 # -- martingale suite --------------------------------------------------------
 
 def _chk_martingale_identity(depth):
-    violations = []
-    checked = 0
-    for d in _martingale_zoo():
-        rep = verify_martingale(d, depth)
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return _report("fair-bet identity over the strategy zoo", checked,
-                   violations)
+    return _merged("fair-bet identity over the strategy zoo",
+                   (verify_martingale(d, depth) for d in _martingale_zoo()))
 
 
 def _chk_conservative_bounds(depth):
-    violations = []
-    checked = 0
-    for d in _martingale_zoo():
-        if d.conservative is None:
-            continue
-        rep = verify_conservative(d, depth)
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return _report("bet-ratio bounds for certified strategies", checked,
-                   violations)
+    return _merged("bet-ratio bounds for certified strategies",
+                   (verify_conservative(d, depth) for d in _martingale_zoo()
+                    if d.conservative is not None))
 
 
 def _chk_domination(depth):
@@ -102,8 +94,8 @@ def _chk_domination(depth):
                 if d.at(w) ** 2 < base.at(w) * root:
                     violations.append(Violation(str(w), "domination",
                                                 d.name))
-    return _report("square-domination of the damped transform", checked,
-                   violations)
+    return Report("square-domination of the damped transform", checked,
+                  violations)
 
 
 # -- pullback suite ----------------------------------------------------------
@@ -126,7 +118,7 @@ def _chk_cover(depth):
                 if F(lo) != pos or len(w) > m:
                     violations.append(Violation(str(w), "cover", "tiling"))
                 pos = F(hi)
-    return _report("greedy cover tiles exactly", checked, violations)
+    return Report("greedy cover tiles exactly", checked, violations)
 
 
 def _chk_chain(depth):
@@ -151,8 +143,8 @@ def _chk_chain(depth):
                         s.upper - s.lower > squeeze_bound(len(x), n):
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "squeeze", "gap too wide"))
-    return _report("shift chain and conservative gap bound", checked,
-                   violations)
+    return Report("shift chain and conservative gap bound", checked,
+                  violations)
 
 
 def _scan_cells(d, f, x, n):
@@ -190,8 +182,8 @@ def _chk_methods_agree(depth):
                         _scan_cells(d, f, x, n):
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "methods", "disagree"))
-    return _report("enumeration equals aligned-block collapse", checked,
-                   violations)
+    return Report("enumeration equals aligned-block collapse", checked,
+                  violations)
 
 
 def _chk_pullback_identity(depth):
@@ -206,8 +198,8 @@ def _chk_pullback_identity(depth):
                 if abs(v - d.at(x)) > F(1, 1 << r):
                     violations.append(Violation(f"{d.name} x={x} r={r}",
                                                 "pullback", f"v={v}"))
-    return _report("pullback through identity recovers the strategy",
-                   checked, violations)
+    return Report("pullback through identity recovers the strategy",
+                  checked, violations)
 
 
 def _chk_pullback_bracket(depth):
@@ -223,8 +215,8 @@ def _chk_pullback_bracket(depth):
         if not ok:
             violations.append(Violation(f"x={x}", "bracket",
                                         f"{v} outside [{lo}, {hi}]"))
-    return _report("pullback value sits in the exact shift bracket",
-                   checked, violations)
+    return Report("pullback value sits in the exact shift bracket",
+                  checked, violations)
 
 
 # -- patch suite -------------------------------------------------------------
@@ -240,7 +232,7 @@ def _chk_patch_monotone(depth):
             if a > b:
                 violations.append(Violation(f"{f.name} k={k}", "monotone",
                                             f"{a} > {b}"))
-    return _report("patched tables are monotone", checked, violations)
+    return Report("patched tables are monotone", checked, violations)
 
 
 def _chk_patch_approx(depth):
@@ -257,8 +249,8 @@ def _chk_patch_approx(depth):
             if abs(got - want) > F(1, 1 << r):
                 violations.append(Violation(f"{f.name} x={x}", "approx",
                                             f"{got} vs {want}"))
-    return _report("one-pass patch approximation within tolerance", checked,
-                   violations)
+    return Report("one-pass patch approximation within tolerance", checked,
+                  violations)
 
 
 def _chk_patch_slope(depth):
@@ -276,8 +268,8 @@ def _chk_patch_slope(depth):
     memo = {}
     rep = strong_increase_check(f, lambda q: patch_reference(f, q, memo),
                                 x0, F(1, 4), grid)
-    return _report("slope floor survives patching", rep.checked,
-                   rep.violations)
+    return Report("slope floor survives patching", rep.checked,
+                  rep.violations)
 
 
 # -- analytic suite ----------------------------------------------------------
@@ -291,7 +283,7 @@ def _chk_series_constants(depth):
             builtin_spec(name).validate()
         except ValueError as exc:
             violations.append(Violation(name, "constants", str(exc)))
-    return _report("series constants validate", checked, violations)
+    return Report("series constants validate", checked, violations)
 
 
 def _chk_series_eval(depth):
@@ -310,8 +302,8 @@ def _chk_series_eval(depth):
                 if abs(v - fine) > F(1, 1 << s) + F(1, 1 << 24):
                     violations.append(Violation(f"{name} a={a} s={s}",
                                                 "eval", f"{v} vs {fine}"))
-    return _report("series evaluation self-consistent across precisions",
-                   checked, violations)
+    return Report("series evaluation self-consistent across precisions",
+                  checked, violations)
 
 
 def _chk_series_derivative(depth):
@@ -326,8 +318,8 @@ def _chk_series_derivative(depth):
                 2 * F(1, 1 << 10):
             violations.append(Violation(f"a={a}", "derivative",
                                         "exp deviates from its derivative"))
-    return _report("derivative series of exp matches exp", checked,
-                   violations)
+    return Report("derivative series of exp matches exp", checked,
+                  violations)
 
 
 def _chk_root(depth):
@@ -336,7 +328,7 @@ def _chk_root(depth):
     root = find_root(builtin_spec("poly:-1/2,1"), (Dyadic(0), Dyadic(1)), 12)
     if root != Dyadic(1, 1):
         violations.append(Violation("poly:-1/2,1", "root", str(root)))
-    return _report("bisection pins the linear root", checked, violations)
+    return Report("bisection pins the linear root", checked, violations)
 
 
 # -- tightness suite ---------------------------------------------------------
@@ -356,8 +348,8 @@ def _chk_step_bound(depth):
                 if not chk.ok:
                     violations.append(Violation(f"z={z.name} x={x} n={n}",
                                                 "step", chk.line()))
-    return _report("insertion-map step bound, exhaustive grid", checked,
-                   violations)
+    return Report("insertion-map step bound, exhaustive grid", checked,
+                  violations)
 
 
 def _chk_slope_bound(depth):
@@ -375,8 +367,8 @@ def _chk_slope_bound(depth):
                     violations.append(Violation(
                         f"z={z.name} {ka}/{1 << exp},{kb}/{1 << exp}",
                         "slope", chk.line()))
-    return _report("insertion-map slope bound, exhaustive pairs", checked,
-                   violations)
+    return Report("insertion-map slope bound, exhaustive pairs", checked,
+                  violations)
 
 
 def _chk_capital(depth):
@@ -392,8 +384,8 @@ def _chk_capital(depth):
             if d.at(s_z.prefix(n)) != F(1 << z.census(n - 1)):
                 violations.append(Violation(f"z={z.name} n={n}", "capital",
                                             "census identity broken"))
-    return _report("bettor capital equals census power along stretched "
-                   "sequences", checked, violations)
+    return Report("bettor capital equals census power along stretched "
+                  "sequences", checked, violations)
 
 
 # -- measure suite -----------------------------------------------------------
@@ -404,36 +396,22 @@ def _measure_zoo():
 
 
 def _chk_measure_axioms(depth):
-    violations = []
-    checked = 0
-    for nu in _measure_zoo():
-        rep = verify_measure(nu, min(depth, 8))
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return _report("measure axioms over the zoo", checked, violations)
+    return _merged("measure axioms over the zoo",
+                   (verify_measure(nu, min(depth, 8))
+                    for nu in _measure_zoo()))
 
 
 def _chk_measure_roundtrip(depth):
-    violations = []
-    checked = 0
-    for nu in _measure_zoo():
-        rep = roundtrip_check(nu, min(depth, 8))
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return _report("measure -> cumulative -> increments round trip", checked,
-                   violations)
+    return _merged("measure -> cumulative -> increments round trip",
+                   (roundtrip_check(nu, min(depth, 8))
+                    for nu in _measure_zoo()))
 
 
 def _chk_function_roundtrip(depth):
-    violations = []
-    checked = 0
-    for fn in (IdentityFn(), NormalizedInsertionFn("1"),
-               NormalizedInsertionFn("0,2,4")):
-        rep = dual_roundtrip_check(fn, min(depth, 8))
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return _report("function -> increments -> cumulative round trip",
-                   checked, violations)
+    return _merged("function -> increments -> cumulative round trip",
+                   (dual_roundtrip_check(fn, min(depth, 8))
+                    for fn in (IdentityFn(), NormalizedInsertionFn("1"),
+                               NormalizedInsertionFn("0,2,4"))))
 
 
 SUITES = {

@@ -203,6 +203,7 @@ class TestErrors:
         ("tightness", "bounds", "--zset", "pow2", "--slope-exp", "-2"),
         ("tightness", "bounds", "--zset", "pow2", "--slope-exp", "10"),
         ("tightness", "demo", "--zset", "1", "--depth", "-2"),
+        ("tightness", "demo", "--zset", "1", "--depth", "4097"),
     ], ids=" ".join)
     def test_depth_out_of_range_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

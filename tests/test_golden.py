@@ -1,0 +1,87 @@
+"""Byte-for-byte stdout of fixed CLI commands against tests/golden/*.txt.
+
+Each command runs in process through ``cli.main``.  To regenerate the
+files after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from dymart import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the README's "step function on the 2^-2 grid" table
+STEP_TABLE = ("# step function on the 2^-2 grid\n"
+              "00 0/1\n01 1/4\n10 1/2\n11 3/4\n1  1/1\n")
+
+# name -> argv; "{table}" stands for the path of STEP_TABLE on disk
+COMMANDS = {
+    # also the README's verify command
+    "verify_all_depth8": "verify --suite all --depth 8",
+    "readme_pullback_uniform_identity":
+        "pullback --martingale uniform --function identity --word λ "
+        "--precision 10",
+    "readme_pullback_trace":
+        "pullback --martingale conservative:zbettor:1 --function "
+        "fz_scaled:1 --word 10 --precision 4 --trace",
+    "readme_patch_table":
+        "patch --function table:{table} --word 0110 --precision 8",
+    "readme_analytic_eval_exp":
+        "analytic eval --spec exp --word 1 --precision 10",
+    "readme_analytic_root_poly":
+        "analytic root --spec poly:-1/2,0,1 --interval 0,1 --precision 20",
+    "readme_analytic_root_exp":
+        "analytic root --spec exp --offset 3/2 --interval 0,1 "
+        "--precision 16",
+    "readme_tightness_demo": "tightness demo --zset 1 --depth 5",
+    "readme_tightness_bounds":
+        "tightness bounds --zset pow2 --step-exp 6 --slope-exp 5",
+    "readme_measure_cumulative":
+        "measure cumulative --measure product:2/3 --word 1",
+    "readme_measure_roundtrip":
+        "measure roundtrip --measure from_function:fz_norm:1 --depth 10",
+    "readme_trace": "trace --martingale zbettor:1 --word 10100 --precision 5",
+    "pullback_conservative_fz_norm_trace":
+        "pullback --martingale conservative:pattern:011 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 16 --trace",
+    "pullback_savings_fz_norm_trace":
+        "pullback --martingale savings:pattern:01 --function fz_norm:1,2 "
+        "--word 101 --precision 8 --trace",
+    "pullback_uniform_fz_pow2":
+        "pullback --martingale uniform --function fz:pow2 --word 11 "
+        "--precision 8",
+}
+
+
+def cli_stdout(name, tmp_dir):
+    table = Path(tmp_dir) / "step.tbl"
+    table.write_text(STEP_TABLE, encoding="utf-8")
+    argv = COMMANDS[name].format(table=table).split()
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, tmp_path):
+    code, out = cli_stdout(name, tmp_path)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMMANDS):
+            code, out = cli_stdout(name, tmp)
+            if code != 0:
+                sys.exit(f"{name}: exit code {code}")
+            (GOLDEN / f"{name}.txt").write_bytes(out.encode())

@@ -5,16 +5,14 @@ import pytest
 
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
-from dymart.funcs import AffineFn, IdentityFn, as_weak
+from dymart.funcs import AffineFn, IdentityFn, TableStepFn, as_weak
 from dymart.martingale import (ApproxMartingale, allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
                                uniform)
 from dymart.pullback import (StrongVariationCert, bracket_depth,
                              certify_bracket, grid_exponent, inner_max,
-                             lower_shift,
                              pullback_approx, pullback_martingale,
-                             shift_stats, squeeze_bound, transfer_witness,
-                             upper_shift)
+                             shift_stats, squeeze_bound, transfer_witness)
 from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
@@ -37,20 +35,20 @@ SHIFT_PAIRS = [
 class TestShiftExamples:
     def test_upper_identity_neighbors(self):
         # the cell itself plus both closed-endpoint neighbors
-        assert upper_shift(uniform(), IdentityFn(), W("01"), 2) == 3
+        assert shift_stats(uniform(), IdentityFn(), W("01"), 2).upper == 3
 
     def test_upper_whole_interval(self):
         for n in range(6):
-            assert upper_shift(uniform(), IdentityFn(), W("λ"), n) == 1
+            assert shift_stats(uniform(), IdentityFn(), W("λ"), n).upper == 1
 
     def test_lower_identity(self):
-        assert lower_shift(uniform(), IdentityFn(), W("01"), 2) == 1
+        assert shift_stats(uniform(), IdentityFn(), W("01"), 2).lower == 1
 
     def test_lower_at_own_depth_is_value(self):
         for d, f in [(conservative_transform(allin_zeros()), IdentityFn()),
                      (pattern_bettor("10"), IdentityFn())]:
             for w in all_words(4):
-                assert lower_shift(d, f, w, len(w)) == d.at(w)
+                assert shift_stats(d, f, w, len(w)).lower == d.at(w)
 
     def test_degenerate_image_interval(self):
         # constant function: empty lower sum, at most two touching cells
@@ -61,15 +59,15 @@ class TestShiftExamples:
                 return F(1, 2)
 
         d = uniform()
-        assert lower_shift(d, Flat(), W("01"), 3) == 0
+        assert shift_stats(d, Flat(), W("01"), 3).lower == 0
         # exactly the two cells touching the point 1/2
-        assert upper_shift(d, Flat(), W("01"), 3) == F(4, 8) * 2
+        assert shift_stats(d, Flat(), W("01"), 3).upper == F(4, 8) * 2
 
     def test_depth_guard(self):
         # no depth guard: at depth 40 the upper estimate still carries the
         # one straddling cell at the right endpoint
-        assert lower_shift(uniform(), IdentityFn(), W("0"), 40) == 1
-        assert upper_shift(uniform(), IdentityFn(), W("0"), 40) == \
+        assert shift_stats(uniform(), IdentityFn(), W("0"), 40).lower == 1
+        assert shift_stats(uniform(), IdentityFn(), W("0"), 40).upper == \
             1 + F(2, 1 << 40)
 
 
@@ -131,6 +129,50 @@ class TestShiftAgainstBruteForce:
         # and it reaches depths no cell scan could
         deep = shift_stats(d, f, W("0"), 40)
         assert deep.lower <= deep.upper
+
+
+    def test_flat_steps_and_empty_inner_range(self):
+        # a monotone table with flat steps: D_x collapses to a point on the
+        # grid (1/4, 5/8) or off every grid (1/3), so the inside range is
+        # empty and upper holds only the one or two cells touching it
+        from dymart.martingale import savings_wrapper
+        f = TableStepFn(3, [F(0), F(1, 4), F(1, 4), F(1, 3), F(1, 3),
+                            F(5, 8), F(5, 8), F(5, 8), F(1)], name="flat")
+        assert f.monotone
+        flat = 0
+        for d in (pattern_bettor("01"), savings_wrapper(pattern_bettor("01")),
+                  z_bettor("1")):
+            for x in all_words(3):
+                lo, hi = image_interval(f, x)
+                flat += lo == hi
+                for n in range(9):
+                    s = shift_stats(d, f, x, n)
+                    assert s.lower == brute_force_shift(
+                        d, lo, hi, len(x), n, inner=True)
+                    assert s.upper == brute_force_shift(
+                        d, lo, hi, len(x), n, inner=False)
+                    if lo == hi:
+                        assert s.lower == 0
+        assert flat == 3 * 4
+
+    def test_no_per_cell_kernel_calls(self, monkeypatch):
+        # every sum, boundary cells included, comes from the block walk
+        import dymart._shiftcore_py
+        import dymart.kernels
+
+        def fail(*args):
+            raise AssertionError("cell_value called")
+
+        monkeypatch.setattr(dymart.kernels, "cell_value", fail)
+        monkeypatch.setattr(dymart._shiftcore_py, "cell_value", fail)
+        for d, f in SHIFT_PAIRS:
+            for x in [W("λ"), W("0"), W("011")]:
+                for n in (0, 5, 40):
+                    shift_stats(d, f, x, n)
+                r = 6
+                v = pullback_approx(as_approx(d), as_weak(f), x, r) \
+                    if d.conservative is not None else d.at(x)
+                certify_bracket(d, f, x, r, v)
 
 
 class TestChainAndSqueeze:
@@ -252,6 +294,14 @@ class TestPullbackApprox:
         bad_f = NoisyWeakFn(AffineFn(3, Dyadic(0)))  # maps far outside [0,1]
         with pytest.raises(PrecisionContractError):
             pullback_approx(as_approx(uniform()), bad_f, W("1"), 4)
+
+    def test_value_at_one_from_approximator(self):
+        # fz:pow2 has no exact value at 1; as_weak answers there with the
+        # truncated limit instead of the f(1) = 1 normalization
+        fn = ZeroInsertionFn("pow2")
+        assert not fn.has_one
+        v = pullback_approx(as_approx(uniform()), as_weak(fn), W("11"), 8)
+        assert v == F(14965145599, 68719476736)
 
     def test_grid_exponent_formula(self):
         assert grid_exponent(3, 4) == 36

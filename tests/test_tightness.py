@@ -4,6 +4,7 @@ import pytest
 
 from dymart.dyadic import Dyadic, Word, all_words, word_value
 from dymart.errors import InsufficientBitsError
+from dymart.funcs import as_weak
 from dymart.martingale import verify_martingale
 from dymart.tightness import (CensusSet, ZeroInsertionFn, ceil_neg_lg,
                               insert_zeros, insertion_value, verify_ratio,
@@ -108,12 +109,12 @@ class TestZeroInsertionFn:
         fn = ZeroInsertionFn(CensusSet.parse("1"), scaled=True)
         assert fn.at_one() == 1
         assert fn.at(Dyadic(1, 1)) == F(1, 2)
-        weak = fn.as_weak()
+        weak = as_weak(fn)
         assert weak.query_one(10) == 1
 
     def test_weak_contract(self):
         fn = ZeroInsertionFn(CensusSet.parse("pow2"))
-        weak = fn.as_weak()
+        weak = as_weak(fn)
         assert weak.query(W("101"), 4) == fn.at(Dyadic(5, 3))
 
 

@@ -9,14 +9,16 @@ machine starts in ``start`` and steps along the bits, and ``class(i)`` is a
 per-position tag (pattern phase, insertion-set membership, ...).  The
 normalization d(empty) = 1 is the kernel's convention.
 
-Descriptor layout (plain tuples)::
+Every kernel takes the strategy's ``martingale.ProductForm`` ``pf`` first
+and reads two of its fields::
 
-    desc = (n_states, start, edges, max_num, max_dexp)
-    edges[state][cls][bit] = (num, dexp, next_state)
+    pf.start                                  the state at the root
+    pf.edges[state][cls][bit] = (num, dexp, next_state)
 
 The fairness condition -- the two child factors of every (state, class)
 average to one -- is what makes block sums collapsible; ``validate``
-checks it exactly and ``subtree_sum`` relies on it.
+checks it exactly (``ProductForm`` calls it once, on construction) and
+``subtree_sum`` relies on it.
 
 All arithmetic is exact integer arithmetic.
 
@@ -32,10 +34,9 @@ table built once per call in O(n * n_states) steps (``range_sum_max``).
 """
 
 
-def validate(desc):
+def validate(pf):
     """Check the exact fairness identity f0 + f1 == 2 per (state, class)."""
-    _, _, edges, _, _ = desc
-    for state, per_state in enumerate(edges):
+    for state, per_state in enumerate(pf.edges):
         for cls, ((n0, d0, _), (n1, d1, _)) in enumerate(per_state):
             if n0 < 0 or n1 < 0:
                 raise ValueError(f"negative factor at state {state} "
@@ -46,9 +47,9 @@ def validate(desc):
     return True
 
 
-def cell_value(desc, classes, n, k):
+def cell_value(pf, classes, n, k):
     """d(word) for the depth-n cell with index k, as a (num, dexp) pair."""
-    _, state, edges, _, _ = desc
+    state, edges = pf.start, pf.edges
     num, dexp = 1, 0
     for i in range(n):
         bit = (k >> (n - 1 - i)) & 1
@@ -110,15 +111,15 @@ def _hanging_values(edges, start, classes, n, hanging):
         yield num * fnum, dexp + fdexp, lev, below
 
 
-def _block_values(desc, classes, n, a, b):
+def _block_values(pf, classes, n, a, b):
     """``_hanging_values`` for every aligned block of a nonempty range
     [a, b) other than the full one: one walk along each end path."""
-    _, start, edges, _, _ = desc
     blocks = aligned_blocks(a, b)
     for hanging in ([blk for blk in reversed(blocks) if blk[1] & 1],
                     [blk for blk in blocks if not blk[1] & 1]):
         if hanging:
-            yield from _hanging_values(edges, start, classes, n, hanging)
+            yield from _hanging_values(pf.edges, pf.start, classes, n,
+                                       hanging)
 
 
 def _block_total(values):
@@ -135,7 +136,7 @@ def _block_total(values):
     return s_num, s_dexp
 
 
-def subtree_sum(desc, classes, n, a, b):
+def subtree_sum(pf, classes, n, a, b):
     """Sum of d over cells [a, b) at depth n via aligned-block collapse.
 
     A block of 2**lev cells below the word w contributes 2**lev * d(w) by
@@ -147,7 +148,7 @@ def subtree_sum(desc, classes, n, a, b):
         return 0, 0
     if b - a == 1 << n:
         return 1 << n, 0
-    return _block_total(_block_values(desc, classes, n, a, b))
+    return _block_total(_block_values(pf, classes, n, a, b))
 
 
 def _max_products(edges, classes, n):
@@ -177,7 +178,7 @@ def _max_products(edges, classes, n):
     return best
 
 
-def range_sum_max(desc, classes, n, a, b):
+def range_sum_max(pf, classes, n, a, b):
     """Sum and maximum of d over cells [a, b) at depth n, as
     (sum_num, sum_dexp, max_num, max_dexp); (0, 0, 0, 0) when empty.
 
@@ -188,11 +189,10 @@ def range_sum_max(desc, classes, n, a, b):
     """
     if a >= b:
         return 0, 0, 0, 0
-    _, start, edges, _, _ = desc
-    best = _max_products(edges, classes, n)
+    best = _max_products(pf.edges, classes, n)
     if b - a == 1 << n:
-        return (1 << n, 0) + best[0][start]
-    values = list(_block_values(desc, classes, n, a, b))
+        return (1 << n, 0) + best[0][pf.start]
+    values = list(_block_values(pf, classes, n, a, b))
     m_num, m_dexp = 0, 0
     for num, dexp, lev, state in values:
         t_num, t_dexp = best[n - lev][state]
@@ -213,16 +213,15 @@ class PathCursor:
     integers are held.  Fed the words of a cover left to right, each word
     shares all but O(1) levels of its path with the one before, apart from
     the first word on each side of the split, so the cover costs about 3n
-    factor steps in all.  ``classes_of(n)`` must return the class tags of
-    at least n positions.
+    factor steps in all.  The class tags come from ``pf.classes(n)``.
     """
 
-    def __init__(self, desc, classes_of):
-        _, start, self._edges, _, _ = desc
-        self._classes_of = classes_of
+    def __init__(self, pf):
+        self._edges = pf.edges
+        self._classes_of = pf.classes
         self._classes = ()
         self._k = 0
-        self._states = [start]   # state at each depth of the last path
+        self._states = [pf.start]  # state at each depth of the last path
         self._factors = []       # (num, dexp) of the step into each depth
         self._num = 1            # product of the factors before the first 0
         self._dexp = 0

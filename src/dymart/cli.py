@@ -100,17 +100,23 @@ def _need(args, name):
     return value
 
 
-def _depth(value, flag, limit, growth="the work doubles with each step"):
-    """A depth-like knob as an int in [0, limit].  The limit sits at a few
-    seconds of work (or megabytes of output), so a larger value fails at
-    once instead of running for minutes or hours; ``growth`` says why."""
+def _depth(value, flag, limit=None,
+           growth="the work doubles with each step"):
+    """A depth-like knob as an int in [0, limit], or any nonnegative int
+    when there is no limit.  A limit sits at a few seconds of work (or
+    megabytes of output), so a larger value fails at once instead of
+    running for minutes or hours; ``growth`` says why."""
     depth = int(value)
     if depth < 0:
         raise DepthGuardError(f"{flag} must be nonnegative, got {depth}")
-    if depth > limit:
+    if limit is not None and depth > limit:
         raise DepthGuardError(f"{flag} {depth} is above the limit {limit}; "
                               f"{growth}")
     return depth
+
+
+def _precision(args):
+    return _depth(_need(args, "precision"), "--precision")
 
 
 def cmd_verify(args, out):
@@ -127,7 +133,7 @@ def cmd_pullback(args, out):
         raise DymartError(f"{fn.name} is not monotone; the pullback needs a "
                           "monotone function")
     word = cfg.parse_word(_need(args, "word"))
-    r = int(_need(args, "precision"))
+    r = _precision(args)
     approx = as_approx(mart)
     weak = as_weak(fn)
     if args.trace:
@@ -146,7 +152,7 @@ def cmd_pullback(args, out):
 def cmd_patch(args, out):
     fn = cfg.parse_function(_need(args, "function"))
     word = cfg.parse_word(_need(args, "word"))
-    out.value(patch_approx(as_weak(fn), word, int(_need(args, "precision"))))
+    out.value(patch_approx(as_weak(fn), word, _precision(args)))
     return 0
 
 
@@ -154,7 +160,7 @@ def cmd_analytic(args, out):
     spec = cfg.parse_series(_need(args, "spec"))
     if args.action == "eval":
         word = cfg.parse_word(_need(args, "word"))
-        r = int(_need(args, "precision"))
+        r = _precision(args)
         if isinstance(spec, PowerSeriesSpec):
             out.value(eval_approx(spec, word, r))
         else:
@@ -167,7 +173,7 @@ def cmd_analytic(args, out):
         spec = spec.shifted(parse_rational(args.offset))
     lo_text, _, hi_text = _need(args, "interval").partition(",")
     lo, hi = Dyadic.parse(lo_text), Dyadic.parse(hi_text)
-    root = find_root(spec, (lo, hi), int(_need(args, "precision")))
+    root = find_root(spec, (lo, hi), _precision(args))
     out.value(root)
     out.line(f"# binary {root.binary()}")
     return 0
@@ -238,7 +244,7 @@ def cmd_measure(args, out):
 def cmd_trace(args, out):
     mart = cfg.parse_martingale(_need(args, "martingale"))
     word = cfg.parse_word(_need(args, "word"))
-    values = capital_trace(as_approx(mart), word, int(args.precision))
+    values = capital_trace(as_approx(mart), word, _precision(args))
     rows = [(str(i), str(word.prefix(i)), fmt_rational(v))
             for i, v in enumerate(values)]
     out.csv("prefix_len,word,capital", rows)
@@ -326,8 +332,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        decimal = getattr(args, "decimal", None)
         out = Output(getattr(args, "output", None),
-                     getattr(args, "decimal", None))
+                     None if decimal is None else _depth(decimal, "--decimal"))
         code = HANDLERS[args.command](args, out)
         out.flush()
         return code

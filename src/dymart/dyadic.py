@@ -29,8 +29,9 @@ class Dyadic:
     numerator is odd whenever ``exp > 0``; zero is ``(0, 0)``.  Equality is
     therefore structural and hashing cheap.  Addition, subtraction,
     multiplication, comparison, min/max and scaling by powers of two are
-    closed and exact; true division is deliberately not provided (it leaves
-    the dyadics -- use Fraction when a quotient is genuinely needed).
+    closed and exact.  There is no true division: a quotient leaves the
+    dyadics, so ``Dyadic`` defines no ``/`` and a caller that genuinely
+    needs one converts to ``Fraction`` first.
     """
 
     __slots__ = ("num", "exp")
@@ -163,15 +164,6 @@ class Dyadic:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         return Dyadic(self.num ** n, self.exp * n)
-
-    # division only where it stays exact inside the dyadics
-    def __truediv__(self, other):
-        q = self.as_fraction() / (other.as_fraction()
-                                  if isinstance(other, Dyadic) else other)
-        return q
-
-    def __rtruediv__(self, other):
-        return other / self.as_fraction()
 
     def __floor__(self):
         return self.num >> self.exp
@@ -452,10 +444,10 @@ def clamp_unit(a, b):
     return GridPoint(Dyadic(av), m), GridPoint(Dyadic(bv), m)
 
 
-def minimal_cover(a, b, m=None):
+def minimal_cover(a, b, m):
     """Prefix-minimal words w with interval(w) inside [a, b], left to right.
 
-    a and b must be on the 2^-m grid with 0 <= a <= b <= 1.  The greedy
+    a and b are Dyadics on the 2^-m grid with 0 <= a <= b <= 1.  The greedy
     prefix-minimal cover -- at each position the shortest word that starts
     there and stays inside [a, b] -- is exactly the maximal aligned-block
     decomposition of the grid-index range [a 2^m, b 2^m).  The result S
@@ -463,15 +455,6 @@ def minimal_cover(a, b, m=None):
     length is <= m, no length occurs more than twice, |S| <= 2m+1, and
     sum(2^-|w|) == b - a.
     """
-    if isinstance(a, GridPoint):
-        if m is None:
-            m = a.grid
-        a = a.value
-    if isinstance(b, GridPoint):
-        b = b.value
-    if m is None:
-        raise ValueError("grid exponent required")
-    a, b = Dyadic(a), Dyadic(b)
     if not (ZERO <= a <= b <= ONE):
         raise ValueError(f"need 0 <= {a} <= {b} <= 1")
     if a.exp > m or b.exp > m:

@@ -6,8 +6,8 @@ Two roles appear throughout the package:
   when available, an exact value at 1).  Used as the ground truth for
   interval shifts, patching and measure bridging.
 - :class:`WeakFn` -- the approximation contract ``query(w, r)`` returning a
-  rational within 2^-r of f(0.(anchor w)).  No continuity is implied; the
-  contract speaks only about dyadic points.
+  rational within 2^-r of f(0.w).  No continuity is implied; the contract
+  speaks only about dyadic points.
 """
 
 from __future__ import annotations
@@ -157,11 +157,10 @@ class QuotientFn(FnOracle):
 
 
 class WeakFn:
-    """Approximation contract |query(w, r) - f(0.(anchor w))| <= 2^-r."""
+    """Approximation contract |query(w, r) - f(0.w)| <= 2^-r."""
 
-    def __init__(self, name, query_fn, anchor=None, query_one_fn=None):
+    def __init__(self, name, query_fn, query_one_fn=None):
         self.name = name
-        self.anchor = anchor if anchor is not None else Word(0, 0)
         self._query = query_fn
         self._query_one = query_one_fn
 
@@ -179,7 +178,7 @@ class WeakFn:
         return Fraction(self._query_one(r))
 
 
-def as_weak(oracle, anchor=None):
+def as_weak(oracle):
     """Exact-backed approximator: returns the true value at any precision.
 
     At 1 it answers with the exact value when the oracle has one, else
@@ -189,4 +188,4 @@ def as_weak(oracle, anchor=None):
     query_one = (lambda r: oracle.at_one()) if oracle.has_one else \
         getattr(oracle, "approx_at_one", None)
     return WeakFn(oracle.name, lambda w, r: oracle.at_word(w),
-                  anchor=anchor, query_one_fn=query_one)
+                  query_one_fn=query_one)

@@ -23,34 +23,22 @@ THREE_HALVES = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
-class ConservativeCert:
-    """Witness that single-step bet ratios stay within [lower, upper]."""
-
-    lower: Fraction = HALF
-    upper: Fraction = THREE_HALVES
-    source: str = ""
-
-
-@dataclass(frozen=True)
 class ProductForm:
     """Finite-state product description of a martingale with d(λ) = 1.
 
     ``edges[state][cls][bit] = (num, dexp, next_state)`` gives the per-step
     capital factor num/2**dexp; ``classes_fn(i)`` tags position i (pattern
-    phase, insertion-set membership).  The kernel validates that the two
-    factors at every (state, class) average to one.
+    phase, insertion-set membership).  Construction validates, once, that
+    the two factors at every (state, class) average to one; the kernels
+    take the form itself.
     """
 
     edges: tuple
     start: int = 0
     classes_fn: object = staticmethod(lambda i: 0)
 
-    def descriptor(self):
-        max_num = max(f[0] for st in self.edges for c in st for f in c)
-        max_dexp = max(f[1] for st in self.edges for c in st for f in c)
-        desc = (len(self.edges), self.start, self.edges, max_num, max_dexp)
-        kernels.validate(desc)
-        return desc
+    def __post_init__(self):
+        kernels.validate(self)
 
     def classes(self, n):
         fn = self.classes_fn
@@ -77,17 +65,19 @@ def _dyadic_factor(num, dexp, nxt):
 
 
 class ExactMartingale:
-    """Total exact-valued strategy; the oracle role in every check."""
+    """Total exact-valued strategy; the oracle role in every check.
 
-    def __init__(self, name, fn=None, *, product_form=None, initial=None,
-                 conservative=None):
+    ``conservative`` is True when every single-step bet ratio is certified
+    to lie in [1/2, 3/2], the hypothesis of the pullback gap bound.
+    """
+
+    def __init__(self, name, fn=None, *, product_form=None,
+                 conservative=False):
         self.name = name
         self._fn = fn
         self.product_form = product_form
-        self._cursor = (kernels.PathCursor(product_form.descriptor(),
-                                           product_form.classes)
+        self._cursor = (kernels.PathCursor(product_form)
                         if product_form else None)
-        self.initial = Fraction(1) if initial is None else Fraction(initial)
         self.conservative = conservative
         self._cache = {}
 
@@ -103,7 +93,7 @@ class ExactMartingale:
         if self._cursor is not None:
             num, dexp = self._cursor.value(w.k, len(w))
             # a Dyadic is already in lowest terms: no gcd on big integers
-            val = self.initial * Fraction(Dyadic(num, dexp))
+            val = Fraction(Dyadic(num, dexp))
         else:
             val = Fraction(self._fn(w))
         if len(self._cache) < 1 << 18:
@@ -116,8 +106,7 @@ class ExactMartingale:
 
 def uniform():
     pf = ProductForm(((((1, 0, 0), (1, 0, 0)),),))
-    return ExactMartingale("uniform", product_form=pf,
-                           conservative=ConservativeCert(source="uniform"))
+    return ExactMartingale("uniform", product_form=pf, conservative=True)
 
 
 def allin_zeros():
@@ -141,7 +130,7 @@ def pattern_bettor(pattern):
         for b in bits)
     pf = ProductForm((per_state,), classes_fn=lambda i: i % len(bits))
     return ExactMartingale(f"pattern:{pattern}", product_form=pf,
-                           conservative=ConservativeCert(source="pattern"))
+                           conservative=True)
 
 
 def conservative_transform(mart):
@@ -151,11 +140,10 @@ def conservative_transform(mart):
     Output ratios live in [1/2, 3/2]; moreover d'(w)^2 >= d(w) d(λ) while
     capital is positive (AM-GM on the step factors).
     """
-    cert = ConservativeCert(source=f"transform({mart.name})")
     if mart.product_form is not None:
         return ExactMartingale(f"conservative:{mart.name}",
                                product_form=mart.product_form.transformed(),
-                               initial=mart.initial, conservative=cert)
+                               conservative=True)
 
     def value(w):
         v = mart.at(Word(0, 0))
@@ -168,7 +156,7 @@ def conservative_transform(mart):
         return v
 
     return ExactMartingale(f"conservative:{mart.name}", value,
-                           conservative=cert)
+                           conservative=True)
 
 
 def savings_wrapper(mart):
@@ -242,7 +230,7 @@ def verify_martingale(mart, depth):
     checked = 0
     root = mart.at(Word(0, 0))
     if root > 1:
-        violations.append(Violation("λ", "initial",
+        violations.append(Violation("λ", "root",
                                     f"d(λ) = {root} exceeds 1"))
     for n in range(depth + 1):
         for k in range(1 << n):
@@ -288,7 +276,7 @@ def verify_conservative(mart, depth):
 class ApproxMartingale:
     """Approximation contract: query(w, r) is within 2^-r of the true d(w)."""
 
-    def __init__(self, name, query_fn, *, conservative=None):
+    def __init__(self, name, query_fn, *, conservative=False):
         self.name = name
         self._query = query_fn
         self.conservative = conservative

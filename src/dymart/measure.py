@@ -4,8 +4,8 @@ A measure assigns mass(w) in [0, 1] to every word with mass(λ) = 1 and
 mass(w) = mass(w0) + mass(w1).  Its cumulative function at a dyadic point
 q sums the mass strictly to the left of q at q's own resolution; by
 additivity this telescopes along the path (one sibling-subtree per 1-bit),
-which is how it is computed here.  In the other direction, a monotone
-function f with f(0) = 0 and f(1) = 1 induces the increment measure
+which is how it is computed here.  Conversely, a monotone function f
+with f(0) = 0 and f(1) = 1 induces the increment measure
 mass_f(w) = f(0.w + 2^-|w|) - f(0.w).  The two constructions invert each
 other exactly, word by word, which the round-trip checks verify.
 """

@@ -104,11 +104,11 @@ def shift_stats(d, f, x, n):
 
     pf = d.product_form
     if pf is not None:
-        desc, classes = pf.descriptor(), pf.classes(n)
+        classes = pf.classes(n)
 
         def block_sum(a, b):
-            num, dexp = kernels.subtree_sum(desc, classes, n, a, b)
-            return Fraction(num, 1 << dexp) * d.initial
+            num, dexp = kernels.subtree_sum(pf, classes, n, a, b)
+            return Fraction(num, 1 << dexp)
     else:
         def block_sum(a, b):
             total = Fraction(0)
@@ -141,9 +141,8 @@ def inner_max(d, f, x, n):
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, _, _ = _cell_ranges(lo, hi, n)
     _, _, m_num, m_dexp = kernels.range_sum_max(
-        pf.descriptor(), pf.classes(n), n, inner_a, inner_b)
-    return Fraction(m_num, 1 << m_dexp) * d.initial * \
-        Fraction(1 << len(x), 1 << n)
+        pf, pf.classes(n), n, inner_a, inner_b)
+    return Fraction(m_num << len(x), 1 << (m_dexp + n))
 
 
 def squeeze_bound(x_len, n):
@@ -160,7 +159,7 @@ def pullback_approx(d_hat, f_hat, x, r):
     reply is impossible for the declared contract (f values must lie
     within 2^-(m+2) of [0, 1], d values within 2^-m of [0, inf)).
     """
-    if d_hat.conservative is None:
+    if not d_hat.conservative:
         raise ValueError(f"{d_hat.name} carries no conservative certificate; "
                          "the pullback gap bound needs one")
     n = len(x)
@@ -193,7 +192,7 @@ def pullback_approx(d_hat, f_hat, x, r):
     # remainder for replies that are not dyadic
     num, exp = 0, 0
     rest = Fraction(0)
-    for w in minimal_cover(a, b, m):
+    for w in minimal_cover(a.value, b.value, m):
         q = d_hat.query(w, m)
         den = q.denominator
         if den & (den - 1):
@@ -211,8 +210,7 @@ def pullback_martingale(d_hat, f_hat, name=None):
     """The pullback as an approximation-contract martingale."""
     name = name or f"pullback({d_hat.name};{f_hat.name})"
     return ApproxMartingale(
-        name, lambda w, r: pullback_approx(d_hat, f_hat, w, r),
-        conservative=None)
+        name, lambda w, r: pullback_approx(d_hat, f_hat, w, r))
 
 
 def certify_bracket(d, f, x, r, value):
@@ -227,31 +225,33 @@ def certify_bracket(d, f, x, r, value):
 
 @dataclass(frozen=True)
 class StrongVariationCert:
-    """Certified anti-Lipschitz data: difference quotients through
-    ``center`` stay >= C (increasing) on the neighborhood."""
+    """Certified anti-Lipschitz data for an increasing function: difference
+    quotients through ``center`` stay >= C on the neighborhood."""
 
     center: Fraction
     neighborhood: tuple
     C: Fraction
-    direction: str = "increasing"
     ell: int = field(init=False)
 
     def __post_init__(self):
         if self.C <= 0:
             raise ValueError("C must be positive")
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be increasing or decreasing")
         object.__setattr__(
             self, "ell", max(0, exact_ceil_lg(Fraction(1) / Fraction(self.C))))
 
 
-def transfer_witness(d, f, cert, x, y, sample_exp=7):
+# the witness samples difference quotients on the 2^-SAMPLE_EXP grid
+SAMPLE_EXP = 7
+
+
+def transfer_witness(d, f, cert, x, y):
     """Finite witness of the capital-transfer step behind the pullback.
 
     Hypothesis checks (reported with kind "hypothesis"):
       - the certified center lies strictly inside the interval of x01;
       - its image lies in the (closed) interval of y;
-      - sampled difference quotients through the center meet the constant C.
+      - difference quotients through the center, sampled on the
+        2^-SAMPLE_EXP grid of the neighborhood, meet the constant C.
     Conclusion checks (kind "conclusion"):
       - interval of y is contained in D_x;
       - lower(x; |y|) >= 2^-(ell+2) * d(y).
@@ -260,11 +260,8 @@ def transfer_witness(d, f, cert, x, y, sample_exp=7):
     a dyadic stand-in center is checked at one scale only, so hypothesis
     records here certify the sampled grid, not the full neighborhood.
     """
-    if d.conservative is None:
+    if not d.conservative:
         raise ValueError("transfer witness requires a conservative strategy")
-    if cert.direction != "increasing":
-        raise ValueError("witness covers the increasing case; flip the "
-                         "function for the decreasing one")
     ell = cert.ell
     if len(y) != len(x) + ell + 2:
         raise ValueError(f"need |y| = |x| + {ell + 2}, got {len(y)}")
@@ -292,7 +289,7 @@ def transfer_witness(d, f, cert, x, y, sample_exp=7):
 
     n_lo, n_hi = (Fraction(q) for q in cert.neighborhood)
     C = Fraction(cert.C)
-    step = Fraction(1, 1 << sample_exp)
+    step = Fraction(1, 1 << SAMPLE_EXP)
     z = max(n_lo, Fraction(0))
     top = min(n_hi, Fraction(1))
     while z <= top:

@@ -78,7 +78,7 @@ def _chk_martingale_identity(depth):
 def _chk_conservative_bounds(depth):
     return _merged("bet-ratio bounds for certified strategies",
                    (verify_conservative(d, depth) for d in _martingale_zoo()
-                    if d.conservative is not None))
+                    if d.conservative))
 
 
 def _chk_domination(depth):
@@ -150,13 +150,14 @@ def _chk_chain(depth):
 def _scan_cells(d, f, x, n):
     """(lower, upper, inner max) at depth n from every cell in order, by
     integers scaled to 2^-(n * max_dexp) and a fresh path cursor: the
-    literal counterpart of the block walk, for product forms."""
+    literal counterpart of the block walk, for product forms.  max_dexp is
+    the largest factor exponent, so every cell value is an integer there."""
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
     pf = d.product_form
-    desc = pf.descriptor()
-    cursor = kernels.PathCursor(desc, pf.classes)
-    top = n * desc[4]
+    cursor = kernels.PathCursor(pf)
+    top = n * max(dexp for per_state in pf.edges for pair in per_state
+                  for _, dexp, _ in pair)
     inner = boundary = best = 0
     for k in range(touch_a, touch_b):
         num, dexp = cursor.value(k, n)
@@ -166,7 +167,7 @@ def _scan_cells(d, f, x, n):
             best = max(best, v)
         else:
             boundary += v
-    unit = d.initial * F(1 << len(x), 1 << (n + top))
+    unit = F(1 << len(x), 1 << (n + top))
     return inner * unit, (inner + boundary) * unit, best * unit
 
 

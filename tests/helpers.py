@@ -7,9 +7,13 @@ and reference constants come from plain partial sums with explicit
 remainder bounds.
 """
 
+import dataclasses
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from dymart.dyadic import Dyadic, Word, all_words, gamma
+from dymart.martingale import ProductForm
 
 
 def greedy_cover(a, b, m):
@@ -66,7 +70,7 @@ def brute_force_shift(d, lo, hi, x_len, n, inner):
         total * Fraction(1, 2 ** (n - x_len))
 
 
-def scan_sum_max(desc, classes, n, a, b):
+def scan_sum_max(pf, classes, n, a, b):
     """Sum and maximum of a product form over cells [a, b) at depth n, by
     a literal in-order scan; same (sum_num, sum_dexp, max_num, max_dexp)
     convention as ``kernels.range_sum_max``.
@@ -76,8 +80,8 @@ def scan_sum_max(desc, classes, n, a, b):
     """
     if a >= b:
         return 0, 0, 0, 0
-    _, start, edges, _, _ = desc
-    states = [start] * (n + 1)
+    edges = pf.edges
+    states = [pf.start] * (n + 1)
     nums = [1] * (n + 1)
     dexps = [0] * (n + 1)
 
@@ -109,6 +113,37 @@ def scan_sum_max(desc, classes, n, a, b):
     return s_num, s_dexp, m_num, m_dexp
 
 
+def fair_factor_pairs():
+    """Dyadic (f0, f1) with f0 + f1 == 2, factors in [0, 2]."""
+    def build(num, dexp):
+        # f0 = num / 2^dexp <= 2, f1 = 2 - f0
+        f0 = (num, dexp)
+        f1 = ((2 << dexp) - num, dexp)
+        return f0, f1
+    return st.tuples(st.integers(0, 8), st.just(2)).map(
+        lambda t: build(min(t[0], 8), t[1]))
+
+
+@st.composite
+def random_product_forms(draw):
+    """Fair product forms: 1-3 states, 1-2 classes with a period of at
+    most 4, factors k/4 in [0, 2] (zero factors included)."""
+    n_states = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(1, 2))
+    edges = []
+    for _ in range(n_states):
+        per_state = []
+        for _ in range(n_classes):
+            (n0, d0), (n1, d1) = draw(fair_factor_pairs())
+            nxt0 = draw(st.integers(0, n_states - 1))
+            nxt1 = draw(st.integers(0, n_states - 1))
+            per_state.append(((n0, d0, nxt0), (n1, d1, nxt1)))
+        edges.append(tuple(per_state))
+    period = draw(st.integers(1, 4))
+    cls_of = lambda i: (i % period) % n_classes
+    return ProductForm(tuple(edges), 0, cls_of)
+
+
 class NoisyWeakFn:
     """Adversarial weak approximator: exact value +/- exactly 2^-r.
 
@@ -117,9 +152,8 @@ class NoisyWeakFn:
 
     has_one = True
 
-    def __init__(self, oracle, anchor=None):
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.anchor = anchor
         self.name = f"noisy({oracle.name})"
 
     def _sign(self, w, r):
@@ -149,6 +183,28 @@ class NoisyApproxMartingale:
         exact = Fraction(self.mart.at(w))
         sign = 1 if (w.k + w.n + r) % 2 == 0 else -1
         return exact + sign * Fraction(1, 1 << r)
+
+
+def _hashed_sign(*key):
+    """A deterministic +1/-1 from a tuple of nonnegative ints."""
+    h = 0x9E3779B97F4A7C15
+    for part in key:
+        h = ((h ^ part) * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
+        h ^= h >> 31
+    return 1 if h & 1 else -1
+
+
+def noisy_spec(spec):
+    """The series spec with every coefficient and center reply at
+    precision e off by exactly 2^-e, the sign hashed from the query: the
+    extreme replies the 2^-e contracts allow."""
+    coeff, center = spec.coeff_approx, spec.center_approx
+    return dataclasses.replace(
+        spec, name=f"noisy({spec.name})",
+        coeff_approx=lambda n, e: Fraction(coeff(n, e)) +
+        Fraction(_hashed_sign(1, n, e), 1 << e),
+        center_approx=lambda e: Fraction(center(e)) +
+        Fraction(_hashed_sign(2, e), 1 << e))
 
 
 def exp_interval(t, terms=60):

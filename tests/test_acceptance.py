@@ -65,7 +65,7 @@ def test_criterion_02_conservative_bounds():
     certified = [uniform(), pattern_bettor("01"), pattern_bettor("110")]
     certified += [conservative_transform(d) for d in builtin_zoo()]
     for d in certified:
-        assert d.conservative is not None
+        assert d.conservative
         rep = verify_conservative(d, 10)
         assert rep.ok, (d.name, rep.violations[:3])
     accept(2, "bet ratios in [1/2,3/2] and (3/2)^|w| cap", t0, 30)

@@ -10,10 +10,28 @@ from dymart.dyadic import Dyadic, Word
 from dymart.errors import AnchorError, SignUndecidableError
 
 from helpers import (cos_interval, exp_interval, in_interval, ln1p_interval,
-                     sin_interval)
+                     noisy_spec, sin_interval)
 
 W = Word.parse
 F = Fraction
+
+
+def _noisy(name):
+    return noisy_spec(builtin_spec(name))
+
+
+# name -> (spec whose approximators sit at the edge of their contracts,
+# interval oracle of the true function)
+ADVERSARIAL = {
+    "exp": (lambda: _noisy("exp"), exp_interval),
+    "sin": (lambda: _noisy("sin"), sin_interval),
+    "cos": (lambda: _noisy("cos"), cos_interval),
+    "ln1p": (lambda: _noisy("ln1p"), ln1p_interval),
+    "geom": (lambda: _noisy("geom"), lambda t: (1 / (1 - t),) * 2),
+    "exp-3/2": (lambda: _noisy("exp").shifted(F(3, 2)),
+                lambda t: tuple(v - F(3, 2) for v in exp_interval(t))),
+    "sin'": (lambda: derivative_spec(_noisy("sin")), cos_interval),
+}
 
 
 class TestTailConstants:
@@ -105,12 +123,19 @@ class TestEval:
         with pytest.raises(AnchorError):
             eval_point(builtin_spec("geom"), F(3, 4), 8)
 
-    def test_diagnostic_mode(self):
-        for name in ("exp", "sin", "geom"):
-            spec = builtin_spec(name)
-            a = W("01")
-            assert eval_approx(spec, a, 10, diagnostic=True) == \
-                eval_approx(spec, a, 10)
+    @pytest.mark.parametrize("name", list(ADVERSARIAL))
+    def test_adversarial_approximators(self, name):
+        # every coefficient and center reply off by exactly 2^-e, signs
+        # hashed from the query: still within 2^-s of the oracle
+        make_spec, oracle = ADVERSARIAL[name]
+        spec = make_spec()
+        shift = len(spec.anchor)
+        for s in (4, 8, 12):
+            for k in range(0, 16, 3):
+                t = F(k, 1 << (4 + shift))
+                v = eval_approx(spec, Word(k, 4), s)
+                lo, hi = oracle(t)
+                assert in_interval(v, lo, hi, F(1, 1 << s)), (name, k, s)
 
     def test_schedule_shape(self):
         spec = builtin_spec("exp")
@@ -187,5 +212,4 @@ class TestRoots:
 
     def test_flat_instance_reported(self):
         with pytest.raises(SignUndecidableError):
-            find_root(builtin_spec("poly:0"), (Dyadic(0), Dyadic(1)), 6,
-                      doublings=2)
+            find_root(builtin_spec("poly:0"), (Dyadic(0), Dyadic(1)), 6)

@@ -211,6 +211,44 @@ class TestErrors:
         assert err.startswith("error: --") and err.count("\n") == 1
         assert ("nonnegative" in err) == argv[-1].startswith("-")
 
+    @pytest.mark.parametrize("argv", [
+        ("pullback", "--martingale", "uniform", "--function", "identity",
+         "--word", "0", "--precision", "-1"),
+        ("pullback", "--martingale", "uniform", "--function", "identity",
+         "--word", "0", "--trace", "--precision", "-1"),
+        ("analytic", "eval", "--spec", "exp", "--word", "1", "--precision",
+         "-2"),
+        ("analytic", "root", "--spec", "poly:-1/2,1", "--interval", "0,1",
+         "--precision", "-1"),
+        ("patch", "--function", "identity", "--word", "01", "--precision",
+         "-1"),
+        ("trace", "--martingale", "uniform", "--word", "01", "--precision",
+         "-1"),
+        ("analytic", "eval", "--spec", "exp", "--word", "1", "--precision",
+         "4", "--decimal", "-3"),
+    ], ids=" ".join)
+    def test_negative_precision_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        flag, value = argv[-2:]
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be nonnegative, got {value}\n"
+
+    def test_decimal_from_config(self, capsys, tmp_path):
+        # a config value arrives as text and goes through the same guard
+        conf = tmp_path / "dec.cfg"
+        conf.write_text("decimal = 3\n")
+        code, out, _ = run(capsys, "analytic", "eval", "--spec", "exp",
+                           "--word", "1", "--precision", "8", "--config",
+                           str(conf))
+        assert code == 0
+        assert out.splitlines()[1] == "# approx 1.648 (3 digits, truncated)"
+        conf.write_text("decimal = -1\n")
+        code, out, err = run(capsys, "analytic", "eval", "--spec", "exp",
+                             "--word", "1", "--precision", "8", "--config",
+                             str(conf))
+        assert code == 2 and out == ""
+        assert err == "error: --decimal must be nonnegative, got -1\n"
+
     def test_depth_zero_is_accepted(self, capsys):
         code, out, _ = run(capsys, "measure", "roundtrip", "--measure",
                            "uniform", "--depth", "0")

@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
 from dymart.funcs import AffineFn, IdentityFn, TableStepFn, as_weak
-from dymart.martingale import (ApproxMartingale, allin_zeros, as_approx,
+from dymart.martingale import (ApproxMartingale, ExactMartingale,
+                               allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
                                uniform)
 from dymart.pullback import (StrongVariationCert, bracket_depth,
@@ -17,7 +20,7 @@ from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
-    scan_sum_max
+    random_product_forms, scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -97,14 +100,13 @@ class TestShiftAgainstBruteForce:
         # block sums and block maxima against the literal in-order scan of
         # the inside cells, and the upper shift against the brute force
         pf = d.product_form
-        desc = pf.descriptor()
         for x in [W("λ"), W("1"), W("001")]:
             lo, hi = image_interval(f, x)
             for n in (0, 3, 9, 12):
                 a = max(0, math.ceil(lo * (1 << n)))
                 b = max(a, min(1 << n, math.floor(hi * (1 << n))))
-                sn, sd, mn, md = scan_sum_max(desc, pf.classes(n), n, a, b)
-                unit = d.initial * F(1 << len(x), 1 << n)
+                sn, sd, mn, md = scan_sum_max(pf, pf.classes(n), n, a, b)
+                unit = F(1 << len(x), 1 << n)
                 s = shift_stats(d, f, x, n)
                 assert s.lower == F(sn, 1 << sd) * unit
                 assert inner_max(d, f, x, n) == F(mn, 1 << md) * unit
@@ -171,7 +173,7 @@ class TestShiftAgainstBruteForce:
                     shift_stats(d, f, x, n)
                 r = 6
                 v = pullback_approx(as_approx(d), as_weak(f), x, r) \
-                    if d.conservative is not None else d.at(x)
+                    if d.conservative else d.at(x)
                 certify_bracket(d, f, x, r, v)
 
 
@@ -193,7 +195,7 @@ class TestChainAndSqueeze:
     @pytest.mark.parametrize("d,f", SHIFT_PAIRS,
                              ids=lambda p: getattr(p, "name", ""))
     def test_squeeze_for_conservative(self, d, f):
-        if d.conservative is None and not d.name.startswith("zbettor:1"):
+        if not d.conservative and not d.name.startswith("zbettor:1"):
             pytest.skip("squeeze needs conservative bet ratios")
         for x in all_words(3):
             for n in range(len(x) + 7):
@@ -306,6 +308,36 @@ class TestPullbackApprox:
     def test_grid_exponent_formula(self):
         assert grid_exponent(3, 4) == 36
         assert bracket_depth(3, 4) == 44
+
+
+@st.composite
+def monotone_tables(draw):
+    """Nondecreasing step tables into [0, 1] on a 2^-grid grid, grid <= 3,
+    values with denominators up to 12 (most of them not dyadic)."""
+    grid = draw(st.integers(0, 3))
+    values = draw(st.lists(st.fractions(0, 1, max_denominator=12),
+                           min_size=(1 << grid) + 1,
+                           max_size=(1 << grid) + 1))
+    return TableStepFn(grid, sorted(values), name="random_table")
+
+
+class TestPullbackContract:
+    @settings(max_examples=100, deadline=None)
+    @given(random_product_forms(), monotone_tables(), st.integers(0, 3),
+           st.integers(0, 8), st.booleans(), st.booleans(), st.data())
+    def test_value_inside_bracket(self, pf, f, x_len, r, noisy_d, noisy_f,
+                                  data):
+        # exact or adversarial (+-2^-r) approximators of a random damped
+        # strategy and a random monotone table: the value lies in the exact
+        # bracket at depth m + 8
+        d = conservative_transform(ExactMartingale("random",
+                                                   product_form=pf))
+        x = Word(data.draw(st.integers(0, (1 << x_len) - 1)), x_len)
+        d_hat = NoisyApproxMartingale(d) if noisy_d else as_approx(d)
+        f_hat = NoisyWeakFn(f) if noisy_f else as_weak(f)
+        v = pullback_approx(d_hat, f_hat, x, r)
+        ok, lo, hi = certify_bracket(d, f, x, r, v)
+        assert ok, (str(x), r, v, lo, hi)
 
 
 class TestPullbackMartingale:

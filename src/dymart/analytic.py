@@ -63,9 +63,9 @@ class PowerSeriesSpec:
     """Center/coefficient approximators plus certified convergence data.
 
     ``coeff_approx(n, r)`` and ``center_approx(r)`` obey the usual 2^-r
-    contracts; evaluation uses nothing else.  ``exact_coeff`` and
-    ``exact_center``, when present, feed only the startup validation.
-    ``anchor`` is the word whose interval holds every evaluation point.
+    contracts.  ``exact_coeff`` and ``exact_center``, when present, feed
+    only the startup validation; evaluation never reads them.  ``anchor``
+    is the word whose interval holds every evaluation point.
     """
 
     name: str

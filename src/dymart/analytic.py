@@ -15,10 +15,19 @@ e(n, s) = s + b_s n + 2 m_s + 1, where 2^b_s dominates every factor
 magnitude; a telescoping bound puts each term's error below
 (n+1) 2^(-s - 2 m_s - 1), so the grand total stays within 2^-s.
 
-Root finding brackets a certified sign change and bisects; signs come from
-evaluations at escalating precision (|value| > 2 * 2^-s certifies the
-sign), with quarter-point probes when the midpoint sits too close to the
-root to call.
+Root finding brackets a certified sign change and bisects, with
+quarter-point probes when the midpoint sits too close to the root to call.
+Signs come from their own evaluator, not from ``eval_point``:
+
+- a finitely supported spec (a ``poly:`` spec, an explicit coefficient
+  list, and their shifts and derivatives) carries its exact coefficients
+  and is evaluated exactly at the dyadic probe by Horner's rule; an exact
+  quotient evaluator answers exactly too.  The sign of that value is the
+  answer, and an exact 0 is a root: no precision is escalated;
+- every other series is summed in integer fixed point on ``eval_point``'s
+  schedule (same m_s, b_s and term precisions), as one integer N over
+  2^(s+g) with g = bit_length(m_s) + 2 guard bits.  |N / 2^(s+g)| > 2 * 2^-s
+  certifies the sign; otherwise s doubles, from p + 2, DOUBLINGS times.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ ONE = Fraction(1)
 EXPLICIT_TO = 64
 WINDOW = 64
 
-# ``certified_sign`` escalates the evaluation precision DOUBLINGS times
+# ``certified_sign`` doubles the precision of an approximated series'
+# fixed-point sum DOUBLINGS times
 DOUBLINGS = 8
 
 
@@ -63,9 +73,19 @@ class PowerSeriesSpec:
     """Center/coefficient approximators plus certified convergence data.
 
     ``coeff_approx(n, r)`` and ``center_approx(r)`` obey the usual 2^-r
-    contracts.  ``exact_coeff`` and ``exact_center``, when present, feed
-    only the startup validation; evaluation never reads them.  ``anchor``
-    is the word whose interval holds every evaluation point.
+    contracts.  ``anchor`` is the word whose interval holds every
+    evaluation point.  Which fields each reader uses:
+
+    - ``eval_point`` and the fixed-point sign sum: ``coeff_approx``,
+      ``center_approx``, ``anchor`` and the tail constants from
+      ``term_bound``, ``radius`` and ``margin``;
+    - ``certified_sign`` on a spec with ``polynomial`` set: ``polynomial``
+      (the exact coefficients (c_0, ..., c_d) of f(t) = sum c_i t^i) and
+      ``anchor`` only.  Only the polynomial builders set it; ``shifted``
+      and ``derivative_spec`` derive it;
+    - ``validate``: ``exact_coeff``, ``exact_center`` and
+      ``tail_monotone_from`` beside the constants.  These three feed only
+      the startup validation; no evaluator reads them.
     """
 
     name: str
@@ -78,6 +98,7 @@ class PowerSeriesSpec:
     exact_coeff: object = None
     exact_center: Fraction = None
     tail_monotone_from: int = 0
+    polynomial: tuple = None
 
     @property
     def constants(self):
@@ -122,7 +143,8 @@ class PowerSeriesSpec:
         inner_e = self.exact_coeff
         return PowerSeriesSpec(
             name=f"{self.name}-{q}",
-            coeff_approx=lambda n, r: inner_c(n, r) - (q if n == 0 else 0),
+            coeff_approx=lambda n, r: inner_c(n, r) - q if n == 0 else
+            inner_c(n, r),
             center_approx=self.center_approx,
             term_bound=max(self.term_bound,
                            abs(Fraction(inner_e(0)) - q) if inner_e else
@@ -134,6 +156,8 @@ class PowerSeriesSpec:
             if inner_e else None,
             exact_center=self.exact_center,
             tail_monotone_from=max(self.tail_monotone_from, 2),
+            polynomial=(self.polynomial[0] - q,) + self.polynomial[1:]
+            if self.polynomial else None,
         )
 
 
@@ -143,15 +167,21 @@ def eval_schedule(spec, s):
     return ell * (s + k + 1), k, ell
 
 
-def eval_point(spec, t, s):
-    """Approximate the series at the rational point t within 2^-s.
-
-    t must lie in the spec's anchor interval.
-    """
-    t = Fraction(t)
+def _check_anchor(spec, t):
     lo, hi = spec.anchor_interval()
     if not lo <= t <= hi:
         raise AnchorError(f"{t} outside anchor [{lo}, {hi}] of {spec.name}")
+
+
+def _term_queries(spec, t, s):
+    """The anchor check, schedule and coefficient queries of both series
+    evaluators, ``eval_point`` and ``_fixed_point_sum``.
+
+    Returns (m_s, e_max, terms): ``terms`` yields (n, e, c_n) for every
+    n < m_s whose reply c_n = coeff_approx(n, e) is nonzero, queried at
+    e = e(n, s) = s + b_s n + 2 m_s + 1, and e_max = e(m_s - 1, s).
+    """
+    _check_anchor(spec, t)
     m_s, k, ell = eval_schedule(spec, s)
 
     mag = abs(t - Fraction(spec.center_approx(0)))
@@ -159,15 +189,64 @@ def eval_point(spec, t, s):
         mag = max(mag, abs(Fraction(spec.coeff_approx(n, 0))))
     b_s = exact_ceil_lg(2 + mag)
 
+    def terms():
+        for n in range(m_s):
+            e = s + b_s * n + 2 * m_s + 1
+            c = Fraction(spec.coeff_approx(n, e))
+            if c:
+                yield n, e, c
+    return m_s, s + b_s * (m_s - 1) + 2 * m_s + 1, terms()
+
+
+def eval_point(spec, t, s):
+    """Approximate the series at the rational point t within 2^-s.
+
+    t must lie in the spec's anchor interval.
+    """
+    t = Fraction(t)
+    _, _, terms = _term_queries(spec, t, s)
     total = Fraction(0)
-    for n in range(m_s):
-        e = s + b_s * n + 2 * m_s + 1
-        c = Fraction(spec.coeff_approx(n, e))
-        if c == 0:
-            continue
+    for n, e, c in terms:
         z = t - Fraction(spec.center_approx(e))
         total += c * z ** n
     return total
+
+
+def _fixed_point_sum(spec, t, s):
+    """(N, s + g): N / 2^(s+g) is within 2^-s of the series at t.
+
+    The replies c_n and their precisions e_n = e(n, s) are ``eval_point``'s;
+    the center is queried once, at e_max = e(m_s - 1, s), and z = t - center
+    is kept as floor(z 2^w) with w = e_max + 1.  The powers z^n are
+    products of these, each rounded down to a multiple of 2^-w, and each
+    term c_n z^n is rounded down to a multiple of 2^-(s+g), with
+    g = bit_length(m_s) + 2 guard bits, so 2^g > 4 m_s.  With B = 2^b_s
+    bounding |z| and every |c_n|, the error budget is:
+
+    - tail past m_s terms: at most 2^-(s+1) (the schedule);
+    - approximation: the replies cost (n+1) B^n 2^-e_n = (n+1) 2^(-s-2m_s-1)
+      per term (the telescoping bound of ``eval_point``, which a more
+      precise center only tightens); the rounded powers are within
+      2n B^(n-1) 2^-w of z^n, which costs at most n 2^(-s-2m_s-1) more.
+      Summed over n < m_s, this is at most 2^-(s+2);
+    - rounding the terms: below m_s 2^-(s+g) < 2^-(s+2);
+
+    in all below 2^-s.
+    """
+    t = Fraction(t)
+    m_s, e_max, terms = _term_queries(spec, t, s)
+    sg = s + m_s.bit_length() + 2
+    w = e_max + 1
+    z = t - Fraction(spec.center_approx(e_max))
+    z_w = (z.numerator << w) // z.denominator
+    total = 0
+    at, power = 0, 1 << w           # power = z^at in units of 2^-w
+    for n, _, c in terms:
+        while at < n:
+            power = power * z_w >> w
+            at += 1
+        total += (c.numerator * power >> (w - sg)) // c.denominator
+    return total, sg
 
 
 def eval_approx(spec, a, s):
@@ -175,24 +254,38 @@ def eval_approx(spec, a, s):
     return eval_point(spec, word_value(spec.anchor + a), s)
 
 
-def _approx_value(evaluator, t, s):
-    """Series specs go through the schedule; exact oracles answer directly."""
-    if isinstance(evaluator, PowerSeriesSpec):
-        return eval_point(evaluator, t, s)
-    return Fraction(evaluator.at(t))
+def _exact_value(evaluator, t):
+    """The exact value at the dyadic t, or None for a series that must be
+    approximated: polynomials by Horner's rule, quotients by ``at``."""
+    if not isinstance(evaluator, PowerSeriesSpec):
+        return Fraction(evaluator.at(t))
+    if evaluator.polynomial is None:
+        return None
+    t = Fraction(t)
+    _check_anchor(evaluator, t)
+    acc = Fraction(0)
+    for c in reversed(evaluator.polynomial):
+        acc = acc * t + c
+    return acc
 
 
 def certified_sign(evaluator, t, p):
-    """+1/-1 once |value| > 2 * 2^-s at some escalation level, else 0.
+    """The sign of f(t) (+1/-1), or 0 when it cannot be certified.
 
-    Levels are s = (p+2) * 2^i for i = 0..DOUBLINGS; a certified nonzero
+    An evaluator with an exact value at t (a polynomial spec or a quotient)
+    is evaluated once; its sign is the answer, and an exact zero gives 0.
+    Any other series is summed in fixed point at the levels
+    s = (p+2) * 2^i for i = 0..DOUBLINGS until |value| > 2 * 2^-s; such a
     reply pins the sign of the true value since |f(t) - v| <= 2^-s.
     """
+    exact = _exact_value(evaluator, t)
+    if exact is not None:
+        return (exact > 0) - (exact < 0)
     for i in range(DOUBLINGS + 1):
         s = (p + 2) << i
-        v = _approx_value(evaluator, t, s)
-        if abs(v) > 2 * Fraction(1, 1 << s):
-            return 1 if v > 0 else -1
+        total, sg = _fixed_point_sum(evaluator, t, s)
+        if abs(total) > 2 << (sg - s):      # |total / 2^sg| > 2 * 2^-s
+            return 1 if total > 0 else -1
     return 0
 
 
@@ -291,10 +384,13 @@ def derivative_spec(spec):
         if inner_e else None,
         exact_center=spec.exact_center,
         tail_monotone_from=max(spec.tail_monotone_from, peak_n) + 2,
+        polynomial=(tuple(n * c for n, c in enumerate(spec.polynomial))[1:]
+                    or (Fraction(0),)) if spec.polynomial else None,
     )
 
 
-def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0):
+def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0,
+            polynomial=None):
     return PowerSeriesSpec(
         name=name,
         coeff_approx=lambda n, r: exact_coeff(n),
@@ -306,6 +402,7 @@ def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0):
         exact_coeff=exact_coeff,
         exact_center=Fraction(0),
         tail_monotone_from=tail_from,
+        polynomial=polynomial,
     )
 
 
@@ -360,7 +457,8 @@ def builtin_spec(name):
         bound = max([ONE] + [abs(c) * (1 << i)
                              for i, c in enumerate(coeffs)])
         exact = lambda n: coeffs[n] if n < len(coeffs) else Fraction(0)
-        spec = _series(name, exact, bound, 1, 1, tail_from=len(coeffs))
+        spec = _series(name, exact, bound, 1, 1, tail_from=len(coeffs),
+                       polynomial=tuple(coeffs))
     else:
         raise ValueError(f"unknown series spec {name!r}")
     spec.validate()

@@ -127,10 +127,10 @@ def _evaluator_from_file(path):
         if "," in coeffs or coeffs.lstrip("-").split("/")[0].isdigit():
             explicit = _rat_list(coeffs)
             exact = lambda n: explicit[n] if n < len(explicit) else Fraction(0)
-            base = None
+            base, polynomial = None, tuple(explicit)
         else:
             base = builtin_spec(coeffs)
-            exact = base.exact_coeff
+            exact, polynomial = base.exact_coeff, base.polynomial
         center = parse_rational(cfg.get("center", "0"))
         if center != 0:
             raise ParseError(f"{path}: only center=0 series are shipped")
@@ -153,6 +153,7 @@ def _evaluator_from_file(path):
             exact_center=Fraction(0),
             tail_monotone_from=inherit("tail_from",
                                        lambda b: b.tail_monotone_from, int),
+            polynomial=polynomial,
         )
         spec.validate()
         return spec

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,8 +262,18 @@ def parse_rational(text):
 
 def fmt_rational(q):
     """Render an exact rational (Fraction, Dyadic or int) as "p/q" in
-    lowest terms (denominator always shown)."""
-    return f"{q.numerator}/{q.denominator}"
+    lowest terms (denominator always shown), at any size: Python's limit on
+    integer-to-decimal conversion (4300 digits by default, on the Pythons
+    with ``sys.set_int_max_str_digits``) is lifted while formatting."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{q.numerator}/{q.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class Word:

@@ -1,13 +1,17 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from dymart.analytic import (builtin_spec, certified_sign, derivative_spec,
-                             eval_approx, eval_point, eval_schedule,
-                             find_root, tail_constants)
+from dymart import config
+from dymart.analytic import (_fixed_point_sum, builtin_spec, certified_sign,
+                             derivative_spec, eval_approx, eval_point,
+                             eval_schedule, find_root, tail_constants)
 from dymart.dyadic import Dyadic, Word
 from dymart.errors import AnchorError, SignUndecidableError
+from dymart.funcs import QuotientFn
 
 from helpers import (cos_interval, exp_interval, in_interval, ln1p_interval,
                      noisy_spec, sin_interval)
@@ -32,6 +36,31 @@ ADVERSARIAL = {
                 lambda t: tuple(v - F(3, 2) for v in exp_interval(t))),
     "sin'": (lambda: derivative_spec(_noisy("sin")), cos_interval),
 }
+
+
+# name -> (spec, interval oracle taking (t, terms)) for the fixed-point
+# sum; every spec also runs through noisy_spec
+FIXED_POINT = {
+    "exp": (lambda: builtin_spec("exp"), exp_interval),
+    "sin": (lambda: builtin_spec("sin"), sin_interval),
+    "cos": (lambda: builtin_spec("cos"), cos_interval),
+    "ln1p": (lambda: builtin_spec("ln1p"), ln1p_interval),
+    "geom": (lambda: builtin_spec("geom"), lambda t, _: (1 / (1 - t),) * 2),
+    "exp-3/2": (lambda: builtin_spec("exp").shifted(F(3, 2)),
+                lambda t, terms: tuple(v - F(3, 2)
+                                       for v in exp_interval(t, terms))),
+    "sin'": (lambda: derivative_spec(builtin_spec("sin")), cos_interval),
+}
+
+
+def _counting(spec, log):
+    """The spec with every coefficient query (n, r) appended to log."""
+    inner = spec.coeff_approx
+
+    def coeff(n, r):
+        log.append((n, r))
+        return inner(n, r)
+    return dataclasses.replace(spec, coeff_approx=coeff)
 
 
 class TestTailConstants:
@@ -142,6 +171,61 @@ class TestEval:
         m_s, k, ell = eval_schedule(spec, 10)
         assert (k, ell) == (3, 1)
         assert m_s == 14
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("name", list(FIXED_POINT))
+    def test_within_2_pow_minus_s_of_oracle(self, name, noisy):
+        make_spec, oracle = FIXED_POINT[name]
+        spec = noisy_spec(make_spec()) if noisy else make_spec()
+        lo, hi = spec.anchor_interval()
+        rng = random.Random(f"fixed-point:{name}:{noisy}")
+        for s in (4, 8, 12, 64, 256):
+            for _ in range(3):
+                bits = rng.randint(1, min(s, 48))
+                t = lo + (hi - lo) * F(rng.randint(0, 1 << bits), 1 << bits)
+                total, sg = _fixed_point_sum(spec, t, s)
+                # oracle intervals far narrower than 2^-s
+                lo_f, hi_f = oracle(t, s + 80)
+                assert in_interval(F(total, 1 << sg), lo_f, hi_f,
+                                   F(1, 1 << s)), (name, noisy, s, t)
+
+    def test_term_count_is_the_schedule(self):
+        spec = builtin_spec("exp").shifted(F(3, 2))
+        for s in (6, 18, 34, 136):
+            for t in (F(0), F(5, 16), F(405, 1024), F(1)):
+                log = []
+                _fixed_point_sum(_counting(spec, log), t, s)
+                terms = {n for n, r in log if r > 0}
+                assert len(terms) == eval_schedule(spec, s)[0], (s, t)
+
+    def test_exact_specs_query_no_coefficient(self, tmp_path):
+        cfg_file = tmp_path / "half.cfg"
+        cfg_file.write_text("kind = series\ncoeffs = -1/2,1\nC = 2\n"
+                            "r = 1\neps = 1\nanchor = λ\ntail_from = 2\n")
+        specs = {
+            "poly:-1/2,1": builtin_spec("poly:-1/2,1"),
+            "shifted poly": builtin_spec("poly:0,1").shifted(F(1, 2)),
+            "poly'": derivative_spec(builtin_spec("poly:0,-1/2,1/2")),
+            "config file": config.parse_series(f"@{cfg_file}"),
+        }
+        for name, spec in specs.items():
+            log = []
+            root = find_root(_counting(spec, log), (Dyadic(0), Dyadic(1)), 16)
+            assert root == Dyadic(1, 1), name
+            assert log == [], name
+
+    def test_quotient_answers_once_at_a_zero(self):
+        calls = []
+
+        class Counted(QuotientFn):
+            def at(self, q):
+                calls.append(q)
+                return super().at(q)
+        f = Counted([F(-1, 2), 1], [1], 1)          # t - 1/2
+        assert certified_sign(f, Dyadic(1, 1), 12) == 0
+        assert len(calls) == 1
 
 
 class TestDerivative:

@@ -105,7 +105,35 @@ class TestScalarCommands:
         assert caps == ["1/1", "1/1", "2/1", "2/1", "2/1", "2/1"]
 
 
+def _big_int(text):
+    """int(text) for a decimal string of any length, 1000 digits at a time
+    (int() refuses more than 4300 digits on recent Pythons)."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class TestOutputModes:
+    def test_value_beyond_int_digit_limit(self, capsys):
+        # an exact value whose denominator has more decimal digits than
+        # Python's default integer-to-string limit of 4300
+        from dymart.funcs import as_weak
+        from dymart.martingale import as_approx
+        from dymart.pullback import pullback_approx
+        argv = ("pullback", "--martingale", "conservative:pattern:011",
+                "--function", "fz_norm:0,2,4", "--word", "0110",
+                "--precision", "2048")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        num, den = out.strip().split("/")
+        assert len(den) > 4300
+        want = pullback_approx(as_approx(cfg.parse_martingale(argv[2])),
+                               as_weak(cfg.parse_function(argv[4])),
+                               cfg.parse_word(argv[6]), 2048)
+        assert F(_big_int(num), _big_int(den)) == want
+
     def test_decimal_is_labeled(self, capsys):
         code, out, _ = run(capsys, "measure", "cumulative", "--measure",
                            "uniform", "--word", "101", "--decimal", "4")

@@ -7,6 +7,14 @@ nonnegative exact rationals obeying the fair-bet identity
 factors driven by a tiny state machine, which is what the kernels in
 :mod:`dymart.kernels` exploit.  Values of derived strategies (conservative
 transform, savings wrapper) may be general rationals.
+
+A derived strategy without a product form is a fold over its input's
+values along the prefixes of w: a state from d(λ), one ``step`` per longer
+prefix, and a result read off the last state.  One ``PrefixFold`` per
+instance keeps the states along the last word asked and steps forward only
+below the prefix the next word shares with it, as ``kernels.PathCursor``
+does for factors.  A cover's words lie on its two end paths, so a cover
+costs O(m) inner ``at()`` calls in all: O(1) amortized per cover word.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import Dyadic, Word
+from .dyadic import EMPTY, Dyadic, Word
 from .errors import PrecisionContractError
 
 HALF = Fraction(1, 2)
@@ -45,11 +53,33 @@ class ProductForm:
         return tuple(fn(i) for i in range(n))
 
     def transformed(self):
-        """Factor map f -> (1+f)/2; implements the half-bet damping."""
-        new_edges = tuple(
-            tuple(tuple(_halfbet(f) for f in per_cls) for per_cls in per_state)
-            for per_state in self.edges)
-        return ProductForm(new_edges, self.start, self.classes_fn)
+        """Factor map f -> (1+f)/2; implements the half-bet damping.
+
+        Once capital is 0 the damped strategy stops betting (ρ := 1), so a
+        zero factor leads to a state whose factors are all 1: its own
+        target when that already is one, else one added state.
+        """
+        edges = self.edges
+        dead = len(edges)
+
+        def flat(state):
+            return all(f == (1, 0, state)
+                       for per_cls in edges[state] for f in per_cls)
+
+        def damp(factor):
+            num, dexp, nxt = factor
+            if not num and not flat(nxt):
+                nxt = dead
+            return _halfbet((num, dexp, nxt))
+
+        new_edges = [
+            tuple(tuple(damp(f) for f in per_cls) for per_cls in per_state)
+            for per_state in edges]
+        if any(f[2] == dead for per_state in new_edges
+               for per_cls in per_state for f in per_cls):
+            new_edges.append(tuple(((1, 0, dead), (1, 0, dead))
+                                   for _ in edges[0]))
+        return ProductForm(tuple(new_edges), self.start, self.classes_fn)
 
 
 def _halfbet(factor):
@@ -84,8 +114,10 @@ class ExactMartingale:
     def at(self, w):
         """Exact d(w) as a Fraction.
 
-        Product-form values come from a per-instance path cursor, so words
-        asked in left-to-right order (a cover) share their walks.
+        Product-form values come from a per-instance path cursor, and the
+        derived wrappers pass a ``PrefixFold`` as ``fn``, so words asked in
+        left-to-right order (a cover) share their walks.  Answers are
+        memoized per instance.
         """
         hit = self._cache.get(w)
         if hit is not None:
@@ -133,30 +165,78 @@ def pattern_bettor(pattern):
                            conservative=True)
 
 
+class PrefixFold:
+    """d(w) as a fold over the inner strategy's values along the prefixes
+    of w: ``state = start(d(λ))``, then ``state = step(state, d(w[:i]))``
+    for i = 1..|w|, and the answer ``result(state)``.
+
+    Keeps the fold state after each prefix of the last word.  A new word
+    pops back to the prefix it shares with the last one (the XOR /
+    ``bit_length`` test of ``kernels.PathCursor``) and steps forward only
+    below it, so words asked in left-to-right order (a cover) cost O(1)
+    amortized inner ``at()`` calls each.  If the inner ``at()`` raises
+    partway down a word, the stack keeps the states it finished and runs
+    along that prefix of the word.
+    """
+
+    def __init__(self, inner, start, step, result):
+        self._at = inner.at
+        self._start, self._step, self._result = start, step, result
+        self._k = 0          # the word the stack runs along, by its bits
+        self._states = []    # fold state after each of its prefixes
+
+    def __call__(self, w):
+        k, n = w.k, w.n
+        states = self._states
+        if not states:
+            states.append(self._start(self._at(EMPTY)))
+        depth = len(states) - 1
+        common = min(depth, n)
+        common -= ((self._k >> (depth - common))
+                   ^ (k >> (n - common))).bit_length()
+        del states[common + 1:]
+        at, step = self._at, self._step
+        state = states[common]
+        try:
+            for i in range(common + 1, n + 1):
+                state = step(state, at(Word(k >> (n - i), i)))
+                states.append(state)
+        finally:
+            self._k = k >> (n + 1 - len(states))
+        return self._result(state)
+
+
 def conservative_transform(mart):
     """Half-bet damping: d'(λ) = d(λ), d'(wb) = d'(w) (1 + ρ(wb)) / 2
     with ρ(wb) = d(wb)/d(w), and ρ := 1 once capital hits zero.
 
     Output ratios live in [1/2, 3/2]; moreover d'(w)^2 >= d(w) d(λ) while
-    capital is positive (AM-GM on the step factors).
+    capital is positive (AM-GM on the step factors).  A product form is
+    damped factor by factor; any other strategy is folded over its prefix
+    values with the state (d'(w), d(w)), through a ``PrefixFold``.
     """
     if mart.product_form is not None:
         return ExactMartingale(f"conservative:{mart.name}",
                                product_form=mart.product_form.transformed(),
                                conservative=True)
 
-    def value(w):
-        v = mart.at(Word(0, 0))
-        prev = v
-        for i in range(1, len(w) + 1):
-            cur = mart.at(w.prefix(i))
-            rho = cur / prev if prev > 0 else Fraction(1)
-            v *= (1 + rho) / 2
-            prev = cur
-        return v
+    def step(state, cur):
+        v, prev = state
+        rho = cur / prev if prev > 0 else Fraction(1)
+        return v * ((1 + rho) / 2), cur
 
-    return ExactMartingale(f"conservative:{mart.name}", value,
+    fold = PrefixFold(mart, lambda v: (v, v), step, lambda state: state[0])
+    return ExactMartingale(f"conservative:{mart.name}", fold,
                            conservative=True)
+
+
+def _savings_step(state, v):
+    level, reserve, mult, _ = state
+    while v >= 1 << (level + 1):
+        reserve += mult * v / 2
+        mult /= 2
+        level += 1
+    return level, reserve, mult, v
 
 
 def savings_wrapper(mart):
@@ -168,25 +248,16 @@ def savings_wrapper(mart):
     hard floor of half the running peak is unattainable for any martingale
     (averaging pulls the off-branch down), so the guarantee is the classic
     one-unit-per-doubling reserve.
+
+    The value is a fold over d along the prefixes of w, with the state
+    (level, reserve, mult, d(prefix)) and the answer reserve + mult d(w),
+    through a ``PrefixFold``.
     """
-
-    def value(w):
-        level = 0
-        reserve = Fraction(0)
-        mult = Fraction(1)
-        v = mart.at(Word(0, 0))
-        for i in range(len(w) + 1):
-            if i > 0:
-                v = mart.at(w.prefix(i))
-            while v >= 1 << (level + 1):
-                reserve += mult * v / 2
-                mult /= 2
-                level += 1
-        return reserve + mult * v
-
-    out = ExactMartingale(f"savings:{mart.name}", value,
-                          conservative=mart.conservative)
-    return out
+    start = (0, Fraction(0), Fraction(1), None)
+    fold = PrefixFold(mart, lambda v: _savings_step(start, v), _savings_step,
+                      lambda state: state[1] + state[2] * state[3])
+    return ExactMartingale(f"savings:{mart.name}", fold,
+                           conservative=mart.conservative)
 
 
 @dataclass(frozen=True)

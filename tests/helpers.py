@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
-and reference constants come from plain partial sums with explicit
-remainder bounds.
+derived strategies by recomputing every prefix of the word, and reference
+constants come from plain partial sums with explicit remainder bounds.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words, gamma
-from dymart.martingale import ProductForm
+from dymart.martingale import ExactMartingale, ProductForm
 
 
 def greedy_cover(a, b, m):
@@ -111,6 +111,66 @@ def scan_sum_max(pf, classes, n, a, b):
             break
         descend(n - ((k ^ (k - 1)).bit_length()), k)
     return s_num, s_dexp, m_num, m_dexp
+
+
+def savings_by_prefixes(mart, w):
+    """The savings wrapper of ``mart`` at w, recomputed from all |w| + 1
+    prefixes."""
+    level = 0
+    reserve = Fraction(0)
+    mult = Fraction(1)
+    v = mart.at(Word(0, 0))
+    for i in range(len(w) + 1):
+        if i > 0:
+            v = mart.at(w.prefix(i))
+        while v >= 1 << (level + 1):
+            reserve += mult * v / 2
+            mult /= 2
+            level += 1
+    return reserve + mult * v
+
+
+def conservative_by_prefixes(mart, w):
+    """The half-bet damping of ``mart`` at w, recomputed from all |w| + 1
+    prefixes (product forms included: no factor-wise shortcut)."""
+    v = mart.at(Word(0, 0))
+    prev = v
+    for i in range(1, len(w) + 1):
+        cur = mart.at(w.prefix(i))
+        rho = cur / prev if prev > 0 else Fraction(1)
+        v *= (1 + rho) / 2
+        prev = cur
+    return v
+
+
+def by_prefixes(wrappers, inner):
+    """The oracle for ``wrappers`` (outermost first, each "savings" or
+    "conservative") applied to ``inner``, every layer by prefix loops."""
+    oracles = {"savings": savings_by_prefixes,
+               "conservative": conservative_by_prefixes}
+    mart = inner
+    for kind in reversed(wrappers):
+        mart = ExactMartingale(
+            f"{kind}:{mart.name}",
+            lambda w, fn=oracles[kind], below=mart: fn(below, w))
+    return mart
+
+
+def nondyadic_bettor(name="thirds"):
+    """A function-backed fair strategy whose values leave the dyadics:
+    factors (1/3, 5/3) at positions 0 mod 3, (3/2, 1/2) at 1 mod 3 and
+    (0, 2) at 2 mod 3, so capital also hits zero."""
+    factors = ((Fraction(1, 3), Fraction(5, 3)),
+               (Fraction(3, 2), Fraction(1, 2)),
+               (Fraction(0), Fraction(2)))
+
+    def value(w):
+        v = Fraction(1)
+        for i, bit in enumerate(w):
+            v *= factors[i % 3][bit]
+        return v
+
+    return ExactMartingale(name, value)
 
 
 def fair_factor_pairs():

@@ -54,6 +54,10 @@ COMMANDS = {
     "pullback_savings_fz_norm_trace":
         "pullback --martingale savings:pattern:01 --function fz_norm:1,2 "
         "--word 101 --precision 8 --trace",
+    # a savings wrapper answered by its prefix fold at m = 536
+    "pullback_savings_conservative_zbettor_r128":
+        "pullback --martingale savings:conservative:zbettor:1,3 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 128",
     "pullback_uniform_fz_pow2":
         "pullback --martingale uniform --function fz:pow2 --word 11 "
         "--precision 8",

@@ -15,7 +15,7 @@ from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
 from dymart.funcs import as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, conservative_transform, pattern_bettor, \
-    uniform
+    savings_wrapper, uniform
 from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
 from dymart.tightness import z_bettor
 
@@ -247,6 +247,37 @@ class TestWorkCounts:
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
         assert edges.steps <= 4 * (m + 8)
+
+    @pytest.mark.parametrize("r", [32, 128, 512])
+    @pytest.mark.parametrize("inner", ["pattern:011",
+                                       "conservative:zbettor:1,3"])
+    def test_savings_fold_linear_in_m(self, inner, r):
+        # inner at() calls of a savings wrapper: the fold steps once per
+        # prefix below the one shared with the last word asked, so the
+        # cover and the bracket's blocks cost O(1) amortized each
+        base = parse_martingale(inner)
+        plain, calls = base.at, []
+
+        def counted(w):
+            calls.append(w)
+            return plain(w)
+
+        base.at = counted       # before the wrapper binds it
+        mart = savings_wrapper(base)
+        fn = parse_function("fz_norm:0,2,4")
+        x = Word.parse("0110")
+        m = grid_exponent(len(x), r)
+        queries = []
+        d_hat = ApproxMartingale(
+            "counting", lambda w, p: queries.append(w) or mart.at(w),
+            conservative=mart.conservative)
+        value = pullback_approx(d_hat, as_weak(fn), x, r)
+        assert m // 2 <= len(queries) <= 2 * m + 1
+        assert len(calls) <= 4 * m
+        del calls[:]
+        ok, _, _ = certify_bracket(mart, fn, x, r, value)
+        assert ok
+        assert len(calls) <= 5 * (m + 8)
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])

@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dymart.dyadic import Word
 from dymart.errors import PrecisionContractError
-from dymart.martingale import (ApproxMartingale, ExactMartingale, allin_zeros,
-                               as_approx, by_name, capital_trace,
+from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
+                               allin_zeros, as_approx, by_name, capital_trace,
                                conservative_transform, pattern_bettor,
                                savings_wrapper, uniform, verify_conservative,
                                verify_martingale)
 from dymart.tightness import z_bettor
+
+from helpers import by_prefixes, nondyadic_bettor, random_product_forms
 
 W = Word.parse
 
@@ -106,6 +110,24 @@ class TestConservativeTransform:
         assert verify_martingale(d, 4).ok
 
 
+    def test_stops_betting_at_zero(self):
+        # the inner strategy keeps betting after its capital is gone; the
+        # damped one bets nothing from there on, as a product form too
+        pf = ProductForm(((((0, 0, 0), (2, 0, 0)), ((1, 1, 0), (3, 1, 0))),),
+                         classes_fn=lambda i: i % 2)
+        base = ExactMartingale("revive", product_form=pf)
+        via_pf = conservative_transform(base)
+        generic = conservative_transform(ExactMartingale(base.name, base.at))
+        assert via_pf.at(W("0")) == F(1, 2)
+        for n in range(8):
+            for k in range(1 << n):
+                assert via_pf.at(Word(k, n)) == generic.at(Word(k, n))
+                if n and k >> (n - 1) == 0:
+                    assert via_pf.at(Word(k, n)) == F(1, 2)
+        assert verify_martingale(via_pf, 8).ok
+        assert verify_conservative(via_pf, 8).ok
+
+
 class TestSavings:
     def test_uniform_unchanged(self):
         d = savings_wrapper(uniform())
@@ -127,6 +149,105 @@ class TestSavings:
     def test_is_martingale(self):
         assert verify_martingale(savings_wrapper(allin_zeros()), 10).ok
         assert verify_martingale(savings_wrapper(z_bettor("0,1,2")), 8).ok
+
+
+# wrapper chains, outermost first; the cursor sits in every savings layer
+# and in every conservative layer over a strategy without a product form
+CHAINS = (("savings",), ("conservative",), ("savings", "savings"),
+          ("savings", "conservative"), ("conservative", "savings"))
+
+
+def words_up_to(depth):
+    return st.integers(0, depth).flatmap(
+        lambda n: st.builds(Word, st.integers(0, (1 << n) - 1), st.just(n)))
+
+
+def inner_strategies():
+    named = st.sampled_from(("pattern:011", "zbettor:1,3", "allin_zeros"))
+    return st.one_of(
+        random_product_forms().map(
+            lambda pf: ExactMartingale("random", product_form=pf)),
+        st.just("thirds").map(nondyadic_bettor),
+        named.map(by_name))
+
+
+def wrap(chain, inner):
+    build = {"savings": savings_wrapper,
+             "conservative": conservative_transform}
+    mart = inner
+    for kind in reversed(chain):
+        mart = build[kind](mart)
+    return mart
+
+
+class Flaky:
+    """Exact values of ``mart``, except that the first query of ``bad``
+    raises."""
+
+    def __init__(self, mart, bad):
+        self.mart, self.bad, self.raised = mart, bad, False
+        self.name = f"flaky({mart.name})"
+        self.product_form = None
+        self.conservative = mart.conservative
+
+    def at(self, w):
+        if w == self.bad and not self.raised:
+            self.raised = True
+            raise ArithmeticError(f"no value at {w}")
+        return self.mart.at(w)
+
+
+class TestPrefixFold:
+    """Cursor-backed wrappers against the prefix-loop oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=st.sampled_from(CHAINS), inner=inner_strategies(),
+           words=st.lists(words_up_to(14), min_size=1, max_size=12),
+           data=st.data())
+    def test_matches_oracle_in_shuffled_order(self, chain, inner, words,
+                                              data):
+        # the words, plus prefixes of them, asked in a shuffled order
+        cuts = data.draw(st.lists(st.integers(0, 14), min_size=len(words),
+                                  max_size=len(words)))
+        asked = words + [w.prefix(min(c, len(w)))
+                         for w, c in zip(words, cuts)]
+        asked = data.draw(st.permutations(asked))
+        mart, oracle = wrap(chain, inner), by_prefixes(chain, inner)
+        for w in asked:
+            assert mart.at(w) == oracle.at(w), (chain, inner.name, w)
+
+    def test_nested_names(self):
+        for name in ("savings:savings:pattern:011",
+                     "savings:conservative:zbettor:1,3",
+                     "conservative:savings:zbettor:1,3",
+                     "conservative:savings:allin_zeros"):
+            chain = tuple(name.split(":")[:2])
+            inner = by_name(name.split(":", 2)[2])
+            mart, oracle = by_name(name), by_prefixes(chain, inner)
+            for n in (14, 3, 9, 0, 14):
+                for k in (0, (1 << n) - 1, (5 << n) // 7):
+                    w = Word(k, n)
+                    assert mart.at(w) == oracle.at(w), (name, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain=st.sampled_from(CHAINS[:2]),
+           words=st.lists(words_up_to(10), min_size=2, max_size=10),
+           pick=st.integers(0, 9), cut=st.integers(0, 10))
+    def test_inner_error_leaves_cursor_consistent(self, chain, words, pick,
+                                                  cut):
+        inner = nondyadic_bettor()
+        target = words[pick % len(words)]
+        bad = target.prefix(min(cut, len(target)))
+        flaky = Flaky(inner, bad)
+        mart, oracle = wrap(chain, flaky), by_prefixes(chain, inner)
+        for w in words + words[::-1]:
+            try:
+                got = mart.at(w)
+            except ArithmeticError:
+                assert bad.is_prefix_of(w)
+                continue
+            assert got == oracle.at(w), (chain, bad, w)
+        assert flaky.raised
 
 
 class TestTrace:

@@ -109,7 +109,6 @@ class TestConservativeTransform:
         assert d.at(W("00")) == F(25, 24)
         assert verify_martingale(d, 4).ok
 
-
     def test_stops_betting_at_zero(self):
         # the inner strategy keeps betting after its capital is gone; the
         # damped one bets nothing from there on, as a product form too

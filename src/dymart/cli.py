@@ -32,8 +32,7 @@ from .martingale import as_approx, capital_trace
 from .measure import cumulative, differential, roundtrip_check
 from .patch import patch_approx
 from .pullback import certify_bracket, pullback_approx
-from .tightness import insert_zeros, verify_ratio, verify_strong_ratio, \
-    z_bettor
+from .tightness import GridImage, insert_zeros, z_bettor
 from .verify import run_suite
 
 
@@ -198,29 +197,24 @@ def cmd_tightness(args, out):
 
     ok = True
     out.line("# step bounds: image increment over 2^-n steps vs census floor")
+    grid = GridImage(zset, step_exp)
     rows = []
-    for n in range(1, step_exp + 1):
-        for k in range(1 << step_exp):
-            x = Dyadic(k, step_exp)
-            if not x + Dyadic(1, n) < Dyadic(1):
-                continue
-            chk = verify_strong_ratio(zset, x, n)
-            ok = ok and chk.ok
-            rows.append((fmt_rational(x), str(n), fmt_rational(chk.lhs),
-                         fmt_rational(chk.rhs), str(chk.ok)))
+    for k, n, good in grid.steps():
+        ok = ok and good
+        lhs, rhs = grid.step_sides(k, n)
+        rows.append((fmt_rational(Fraction(k, 1 << step_exp)), str(n),
+                     fmt_rational(lhs), fmt_rational(rhs), str(good)))
     out.csv("x,n,lhs,rhs,ok", rows)
 
     out.line("# slope bounds: difference quotients vs census floor")
+    grid = GridImage(zset, slope_exp)
     rows = []
     denom = 1 << slope_exp
-    for ka in range(denom):
-        for kb in range(ka + 1, denom):
-            chk = verify_ratio(zset, Dyadic(ka, slope_exp),
-                               Dyadic(kb, slope_exp))
-            ok = ok and chk.ok
-            rows.append((f"{ka}/{denom}", f"{kb}/{denom}",
-                         fmt_rational(chk.lhs), fmt_rational(chk.rhs),
-                         str(chk.ok)))
+    for ka, kb, good in grid.slopes():
+        ok = ok and good
+        lhs, rhs = grid.slope_sides(ka, kb)
+        rows.append((f"{ka}/{denom}", f"{kb}/{denom}", fmt_rational(lhs),
+                     fmt_rational(rhs), str(good)))
     out.csv("x,y,lhs,rhs,ok", rows)
     return 0 if ok else 1
 

@@ -12,6 +12,12 @@ controlled by the census:
     fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n)                (step bound)
     (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1),  n = ⌈-lg(y-x)⌉   (slope bound)
 
+``verify_strong_ratio`` and ``verify_ratio`` check one instance each, in
+rationals.  The exhaustive grid sweeps (``verify``'s tightness suite and
+``tightness bounds``) go through ``GridImage``: one ``fz`` per grid point,
+kept as integer numerators over a common power of two, so every step and
+slope check is an integer comparison.
+
 A closely related stretching operation on raw bit streams (``insert_zeros``)
 writes a 0 at every position in Z and the source bits elsewhere.  For the
 empty set and singletons the two views coincide (bit i lands at position
@@ -259,6 +265,68 @@ def verify_ratio(zset, x, y):
     rhs = Fraction(1, 1 << (zset.census(n) + 1))
     return BoundCheck(lhs > rhs, lhs, rhs,
                       f"slope bound z={zset.name} x={x} y={y}")
+
+
+class GridImage:
+    """fz on the 2^-exp grid of [0, 1), one ``insertion_value`` per point,
+    as integer numerators ``nums[k]`` over the common denominator 2^top.
+
+    ``steps`` and ``slopes`` sweep every step and slope bound on the grid
+    by integer comparisons; ``step_sides`` and ``slope_sides`` give one
+    entry's two sides as the rationals of ``verify_strong_ratio`` and
+    ``verify_ratio``.
+    """
+
+    def __init__(self, zset, exp):
+        if not isinstance(zset, CensusSet):
+            zset = CensusSet.parse(zset)
+        self.zset = zset
+        self.exp = exp
+        values = [insertion_value(Word(k, exp), zset)
+                  for k in range(1 << exp)]
+        # exp + c(exp-1) for exp >= 1: the weight of the last input bit
+        self.top = max(v.exp for v in values)
+        self.nums = [v.num << (self.top - v.exp) for v in values]
+
+    def steps(self):
+        """(k, n, ok) for x = k/2^exp, n = 1..exp and x + 2^-n < 1, n-major;
+        ok is the step bound fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n)."""
+        nums, one = self.nums, 1 << self.top
+        for n in range(1, self.exp + 1):
+            s = 1 << (self.exp - n)
+            sh = self.zset.census(n) + n
+            for k in range(len(nums) - s):
+                yield k, n, (nums[k + s] - nums[k]) << sh >= one
+
+    def step_sides(self, k, n):
+        """(lhs, rhs) of the step bound at x = k/2^exp."""
+        s = 1 << (self.exp - n)
+        return (Fraction(self.nums[k + s] - self.nums[k], 1 << self.top),
+                Fraction(1, 1 << (self.zset.census(n) + n)))
+
+    def _slope_shift(self, gap):
+        """exp + c(n) + 1 for a gap of ``gap`` grid steps, where
+        n = ⌈-lg(gap/2^exp)⌉ = exp - ⌊lg gap⌋."""
+        return self.exp + self.zset.census(
+            self.exp - gap.bit_length() + 1) + 1
+
+    def slopes(self):
+        """(ka, kb, ok) for 0 <= ka < kb < 2^exp, ka-major; ok is the slope
+        bound (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1) at x = ka/2^exp,
+        y = kb/2^exp, n = ⌈-lg(y-x)⌉, cleared of denominators."""
+        nums, top = self.nums, self.top
+        shifts = [0] + [self._slope_shift(g) for g in range(1, len(nums))]
+        for ka, lo in enumerate(nums):
+            for kb in range(ka + 1, len(nums)):
+                gap = kb - ka
+                yield ka, kb, (nums[kb] - lo) << shifts[gap] > gap << top
+
+    def slope_sides(self, ka, kb):
+        """(lhs, rhs) of the slope bound at x = ka/2^exp, y = kb/2^exp."""
+        gap = kb - ka
+        return (Fraction((self.nums[kb] - self.nums[ka]) << self.exp,
+                         gap << self.top),
+                Fraction(1, 1 << (self._slope_shift(gap) - self.exp)))
 
 
 ZOO_SPECS = ("empty", "1", "0,1,2", "0,2,4", "pow2", "tower")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import kernels
 from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
-from .dyadic import Dyadic, Word, all_words, gamma, minimal_cover
+from .dyadic import Dyadic, Word, all_words, minimal_cover
 from .funcs import IdentityFn, TableStepFn, as_weak
 from .martingale import (Report, Violation, allin_zeros, as_approx,
                          conservative_transform, pattern_bettor,
@@ -24,8 +24,8 @@ from .patch import patch_approx, patch_reference, patch_table, \
 from .pullback import (_cell_ranges, _delta_interval, certify_bracket,
                        inner_max, pullback_approx, shift_stats,
                        squeeze_bound)
-from .tightness import (NormalizedInsertionFn, ZeroInsertionFn, z_bettor,
-                        verify_ratio, verify_strong_ratio, zoo)
+from .tightness import (GridImage, NormalizedInsertionFn, ZeroInsertionFn,
+                        verify_ratio, verify_strong_ratio, z_bettor, zoo)
 
 F = Fraction
 
@@ -109,15 +109,18 @@ def _chk_cover(depth):
             a, b = Dyadic(ka, m), Dyadic(kb, m)
             cover = minimal_cover(a, b, m)
             checked += 1
-            total = sum((F(1, 1 << len(w)) for w in cover), F(0))
-            if total != F(b) - F(a) or len(cover) > 2 * m + 1:
+            # tiles and total as integers at scale 2^s; s = m unless a
+            # word is longer than m, which the tiling test flags
+            s = max([m] + [len(w) for w in cover])
+            total = sum(1 << (s - len(w)) for w in cover)
+            if total != (kb - ka) << (s - m) or len(cover) > 2 * m + 1:
                 violations.append(Violation(f"[{a},{b}]", "cover", "shape"))
-            pos = F(a)
+            pos = ka << (s - m)
             for w in cover:
-                lo, hi = gamma(w)
-                if F(lo) != pos or len(w) > m:
+                lo = w.k << (s - len(w))
+                if lo != pos or len(w) > m:
                     violations.append(Violation(str(w), "cover", "tiling"))
-                pos = F(hi)
+                pos = lo + (1 << (s - len(w)))
     return Report("greedy cover tiles exactly", checked, violations)
 
 
@@ -339,16 +342,13 @@ def _chk_step_bound(depth):
     violations = []
     checked = 0
     for z in zoo():
-        for n in range(1, exp + 1):
-            for k in range(1 << exp):
+        for k, n, ok in GridImage(z, exp).steps():
+            checked += 1
+            if not ok:
                 x = Dyadic(k, exp)
-                if not x + Dyadic(1, n) < Dyadic(1):
-                    continue
-                checked += 1
-                chk = verify_strong_ratio(z, x, n)
-                if not chk.ok:
-                    violations.append(Violation(f"z={z.name} x={x} n={n}",
-                                                "step", chk.line()))
+                violations.append(Violation(
+                    f"z={z.name} x={x} n={n}", "step",
+                    verify_strong_ratio(z, x, n).line()))
     return Report("insertion-map step bound, exhaustive grid", checked,
                   violations)
 
@@ -358,16 +358,12 @@ def _chk_slope_bound(depth):
     violations = []
     checked = 0
     for z in zoo():
-        for ka in range(1 << exp):
-            for kb in range(ka + 1, (1 << exp) + 1):
-                if kb == 1 << exp:
-                    continue
-                checked += 1
-                chk = verify_ratio(z, Dyadic(ka, exp), Dyadic(kb, exp))
-                if not chk.ok:
-                    violations.append(Violation(
-                        f"z={z.name} {ka}/{1 << exp},{kb}/{1 << exp}",
-                        "slope", chk.line()))
+        for ka, kb, ok in GridImage(z, exp).slopes():
+            checked += 1
+            if not ok:
+                violations.append(Violation(
+                    f"z={z.name} {ka}/{1 << exp},{kb}/{1 << exp}", "slope",
+                    verify_ratio(z, Dyadic(ka, exp), Dyadic(kb, exp)).line()))
     return Report("insertion-map slope bound, exhaustive pairs", checked,
                   violations)
 

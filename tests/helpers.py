@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
-derived strategies by recomputing every prefix of the word, and reference
-constants come from plain partial sums with explicit remainder bounds.
+derived strategies by recomputing every prefix of the word, measure round
+trips word by word with no shared grid values, and reference constants
+come from plain partial sums with explicit remainder bounds.
 """
 
 import dataclasses
@@ -13,7 +14,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words, gamma
-from dymart.martingale import ExactMartingale, ProductForm
+from dymart.martingale import ExactMartingale, ProductForm, Report, Violation
+from dymart.measure import (CumulativeFn, DifferentialMeasure,
+                            cumulative_point, differential)
 
 
 def greedy_cover(a, b, m):
@@ -154,6 +157,43 @@ def by_prefixes(wrappers, inner):
             f"{kind}:{mart.name}",
             lambda w, fn=oracles[kind], below=mart: fn(below, w))
     return mart
+
+
+def roundtrip_by_words(nu, depth):
+    """``measure.roundtrip_check`` word by word: both ends of each word's
+    interval telescoped afresh, every mass asked of ``nu`` again."""
+    f = CumulativeFn(nu)
+    violations = []
+    checked = 0
+    for n in range(depth + 1):
+        for k in range(1 << n):
+            w = Word(k, n)
+            checked += 1
+            back = differential(f, w)
+            want = Fraction(nu.mass(w))
+            if back != want:
+                violations.append(Violation(str(w), "roundtrip",
+                                            f"{back} != {want}"))
+    return Report(f"measure round trip for {nu.name} (depth {depth})",
+                  checked, violations)
+
+
+def dual_roundtrip_by_points(fn, exp):
+    """``measure.dual_roundtrip_check`` point by point, every increment
+    mass computed again wherever the telescoping asks for it."""
+    nu = DifferentialMeasure(fn)
+    violations = []
+    checked = 0
+    for k in range((1 << exp) + 1):
+        q = Dyadic(k, exp)
+        checked += 1
+        back = cumulative_point(nu, q)
+        want = Fraction(fn.at_one() if q == Dyadic(1) else fn.at(q))
+        if back != want:
+            violations.append(Violation(str(q), "roundtrip",
+                                        f"{back} != {want}"))
+    return Report(f"function round trip for {fn.name} (grid 2^-{exp})",
+                  checked, violations)
 
 
 def nondyadic_bettor(name="thirds"):

@@ -205,6 +205,42 @@ class TestDeterminism:
         assert "FAIL pullback.greedy_cover" in out
         assert "FAIL pullback.bracket" in out
 
+    def test_injected_fz_fault_fails_tightness(self, capsys, monkeypatch):
+        # fz(1/2) := 0 wherever fz is evaluated; the failing points are
+        # reported in the single-point checks' BoundCheck text
+        import dymart.tightness
+        from dymart.dyadic import Dyadic
+        real = dymart.tightness.insertion_value
+
+        def broken(x, zset):
+            return Dyadic(0) if x.value() == Dyadic(1, 1) else real(x, zset)
+
+        monkeypatch.setattr(dymart.tightness, "insertion_value", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "tightness")
+        assert code == 1
+        lines = out.splitlines()
+        step = lines.index("FAIL tightness.step_bound: insertion-map step "
+                           "bound, exhaustive grid [10758 checks]")
+        assert lines[step + 1:step + 3] == [
+            "    step at z=empty x=0/1 n=1: step bound z=empty x=0/1 n=1: "
+            "0 < 1/2",
+            "    step at z=empty x=1/4 n=2: step bound z=empty x=1/4 n=2: "
+            "-1/4 < 1/4"]
+        slope = lines.index("FAIL tightness.slope_bound: insertion-map slope "
+                            "bound, exhaustive pairs [12096 checks]")
+        assert lines[slope + 1:slope + 3] == [
+            "    slope at z=empty 0/64,32/64: slope bound z=empty x=0/1 "
+            "y=1/2: 0 < 1/2",
+            "    slope at z=empty 1/64,32/64: slope bound z=empty x=1/64 "
+            "y=1/2: -1/31 < 1/2"]
+        assert "PASS tightness.capital" in out
+
+        code, out, _ = run(capsys, "tightness", "bounds", "--zset", "1",
+                           "--step-exp", "2", "--slope-exp", "2")
+        assert code == 1
+        assert "0/1,1,0/1,1/4,False" in out.splitlines()
+        assert "0/4,2/4,0/1,1/4,False" in out.splitlines()
+
 
 class TestErrors:
     @pytest.mark.parametrize("exc", [RecursionError("too deep"),

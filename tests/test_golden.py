@@ -43,6 +43,9 @@ COMMANDS = {
     "readme_tightness_demo": "tightness demo --zset 1 --depth 5",
     "readme_tightness_bounds":
         "tightness bounds --zset pow2 --step-exp 6 --slope-exp 5",
+    # a finite set whose top exponent differs from pow2's
+    "tightness_bounds_012":
+        "tightness bounds --zset 0,1,2 --step-exp 7 --slope-exp 6",
     "readme_measure_cumulative":
         "measure cumulative --measure product:2/3 --word 1",
     "readme_measure_roundtrip":

@@ -5,12 +5,14 @@ import pytest
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.funcs import IdentityFn, TableStepFn
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
-                            ProductMeasure, UniformMeasure, cumulative,
-                            cumulative_point, differential,
-                            dual_roundtrip_check, roundtrip_check,
-                            verify_measure)
+                            ProbabilityMeasure, ProductMeasure,
+                            UniformMeasure, cumulative, cumulative_point,
+                            differential, dual_roundtrip_check,
+                            roundtrip_check, verify_measure)
 from dymart.tightness import NormalizedInsertionFn as NormalizedInsertion
 from dymart.tightness import ZeroInsertionFn
+
+from helpers import dual_roundtrip_by_points, roundtrip_by_words
 
 W = Word.parse
 F = Fraction
@@ -26,6 +28,18 @@ def fn_zoo():
                            F(5, 8), F(3, 4), F(7, 8), F(1)], name="ramp")
     return [IdentityFn(), NormalizedInsertion("1"),
             NormalizedInsertion("0,2,4"), ramp]
+
+
+class MisweighedUniform(ProbabilityMeasure):
+    """The uniform measure with one word's mass off by 1/1000."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.name = f"misweighed:{bad}"
+
+    def mass(self, w):
+        v = F(1, 1 << len(w))
+        return v + F(1, 1000) if w == self.bad else v
 
 
 class TestMeasures:
@@ -114,3 +128,49 @@ class TestRoundTrips:
         assert f.monotone and f.at_one() == 1
         grid = [f.at(Dyadic(k, 6)) for k in range(65)]
         assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+
+class TestRoundTripOracles:
+    """The grid-sharing round trips against the word-by-word loops."""
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_measure_side_matches_oracle(self, depth):
+        for nu in measure_zoo() + [ProductMeasure(F(1, 3)),
+                                   MisweighedUniform(W("10")),
+                                   MisweighedUniform(W("0111"))]:
+            assert roundtrip_check(nu, depth) == \
+                roundtrip_by_words(nu, depth), nu.name
+
+    @pytest.mark.parametrize("exp", range(7))
+    def test_function_side_matches_oracle(self, exp):
+        fns = fn_zoo() + [CumulativeFn(nu) for nu in measure_zoo()] + \
+            [CumulativeFn(ProductMeasure(F(1, 3)))]
+        for f in fns:
+            assert dual_roundtrip_check(f, exp) == \
+                dual_roundtrip_by_points(f, exp), f.name
+
+    @pytest.mark.parametrize("bad", [w for w in all_words(4, 1)], ids=str)
+    def test_misweighed_word_is_reported(self, bad):
+        # a word ending in 1 is caught at itself; one ending in 0 at its
+        # sibling, because the cumulative at the sibling's left end is
+        # the telescoped sum that holds the wrong mass
+        rep = roundtrip_check(MisweighedUniform(bad), 6)
+        where = {v.where for v in rep.violations}
+        flagged = bad if bad.k & 1 else Word(bad.k + 1, len(bad))
+        assert str(flagged) in where
+        assert rep == roundtrip_by_words(MisweighedUniform(bad), 6)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_cumulative_once_per_grid_point(self, monkeypatch, depth):
+        plain, points = CumulativeFn.at, []
+
+        def counting(self, q):
+            points.append(q)
+            return plain(self, q)
+
+        monkeypatch.setattr(CumulativeFn, "at", counting)
+        assert roundtrip_check(ProductMeasure(F(2, 3)), depth).ok
+        # 2^n + 1 grid points per level n = 0..depth, each asked once
+        assert len(points) == sum((1 << n) + 1 for n in range(depth + 1))

@@ -6,9 +6,11 @@ from dymart.dyadic import Dyadic, Word, all_words, word_value
 from dymart.errors import InsufficientBitsError
 from dymart.funcs import as_weak
 from dymart.martingale import verify_martingale
-from dymart.tightness import (CensusSet, ZeroInsertionFn, ceil_neg_lg,
-                              insert_zeros, insertion_value, verify_ratio,
-                              verify_strong_ratio, z_bettor, zoo)
+from dymart.tightness import (CensusSet, GridImage, ZeroInsertionFn,
+                              ceil_neg_lg, insert_zeros, insertion_value,
+                              verify_ratio, verify_strong_ratio, z_bettor,
+                              zoo)
+from dymart.verify import _chk_slope_bound, _chk_step_bound
 
 W = Word.parse
 F = Fraction
@@ -194,3 +196,117 @@ class TestSlopeBound:
                 for kb in range(ka + 1, 64, 5):
                     chk = verify_ratio(z, Dyadic(ka, 6), Dyadic(kb, 6))
                     assert chk.ok and chk.rhs >= floor
+
+
+def step_oracle(z, exp):
+    """(k, n, ok, lhs, rhs) of every step bound on the 2^-exp grid, one
+    ``verify_strong_ratio`` each, in the sweep's order."""
+    out = []
+    for n in range(1, exp + 1):
+        for k in range(1 << exp):
+            x = Dyadic(k, exp)
+            if x + Dyadic(1, n) < Dyadic(1):
+                chk = verify_strong_ratio(z, x, n)
+                out.append((k, n, chk.ok, chk.lhs, chk.rhs))
+    return out
+
+
+def slope_oracle(z, exp):
+    """(ka, kb, ok, lhs, rhs) of every slope bound on the 2^-exp grid, one
+    ``verify_ratio`` each, in the sweep's order."""
+    out = []
+    for ka in range(1 << exp):
+        for kb in range(ka + 1, 1 << exp):
+            chk = verify_ratio(z, Dyadic(ka, exp), Dyadic(kb, exp))
+            out.append((ka, kb, chk.ok, chk.lhs, chk.rhs))
+    return out
+
+
+def swept_steps(z, exp):
+    grid = GridImage(z, exp)
+    return [(k, n, ok) + grid.step_sides(k, n) for k, n, ok in grid.steps()]
+
+
+def swept_slopes(z, exp):
+    grid = GridImage(z, exp)
+    return [(ka, kb, ok) + grid.slope_sides(ka, kb)
+            for ka, kb, ok in grid.slopes()]
+
+
+def halve_fz_at_half(monkeypatch):
+    """fz(1/2) := fz(1/2) / 2 wherever it is evaluated: the grid sweeps
+    and the single-point checks alike."""
+    import dymart.tightness
+    plain = dymart.tightness.insertion_value
+
+    def planted(x, zset):
+        v = plain(x, zset)
+        return v * Dyadic(1, 1) if x.value() == Dyadic(1, 1) else v
+
+    monkeypatch.setattr(dymart.tightness, "insertion_value", planted)
+
+
+class TestGridImage:
+    """The integer grid sweeps against the single-point rational checks."""
+
+    @pytest.mark.parametrize("exp", range(7))
+    @pytest.mark.parametrize("spec", ["empty", "1", "0,1,2", "0,2,4",
+                                      "pow2", "tower"])
+    def test_steps_match_single_point_checks(self, spec, exp):
+        z = CensusSet.parse(spec)
+        assert swept_steps(z, exp) == step_oracle(z, exp)
+
+    @pytest.mark.parametrize("exp", range(6))
+    @pytest.mark.parametrize("spec", ["empty", "1", "0,1,2", "0,2,4",
+                                      "pow2", "tower"])
+    def test_slopes_match_single_point_checks(self, spec, exp):
+        z = CensusSet.parse(spec)
+        assert swept_slopes(z, exp) == slope_oracle(z, exp)
+
+    def test_zoo_is_the_tested_family(self):
+        assert [z.name for z in zoo()] == ["empty", "1", "0,1,2", "0,2,4",
+                                           "pow2", "tower"]
+
+    def test_common_denominator(self):
+        # the weight 2^-(exp + c(exp-1)) of the last input bit
+        for z in zoo():
+            for exp in range(1, 9):
+                assert GridImage(z, exp).top == exp + z.census(exp - 1)
+
+    @pytest.mark.parametrize("exp", range(1, 5))
+    def test_planted_fault_at_equality(self, monkeypatch, exp):
+        # halving fz(1/2) puts the empty set's slope over [0, 1/2] exactly
+        # on its floor 1/2, where the strict bound fails
+        halve_fz_at_half(monkeypatch)
+        for z in zoo():
+            steps, slopes = swept_steps(z, exp), swept_slopes(z, exp)
+            assert steps == step_oracle(z, exp)
+            assert slopes == slope_oracle(z, exp)
+        grid = GridImage("empty", exp)
+        half = 1 << (exp - 1)
+        assert grid.slope_sides(0, half) == (F(1, 2), F(1, 2))
+        assert (0, half, False) in grid.slopes()
+
+
+class TestWorkCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import dymart.tightness
+        plain, calls = dymart.tightness.insertion_value, []
+
+        def counting(x, zset):
+            calls.append(x)
+            return plain(x, zset)
+
+        monkeypatch.setattr(dymart.tightness, "insertion_value", counting)
+        return calls
+
+    def test_step_bound_one_fz_per_grid_point(self, calls):
+        # six sets, 2^8 grid points each; the single-point checks made
+        # two evaluations per bound (21,516 at depth 8)
+        assert _chk_step_bound(8).ok
+        assert len(calls) == 6 * (1 << 8)
+
+    def test_slope_bound_one_fz_per_grid_point(self, calls):
+        assert _chk_slope_bound(8).ok
+        assert len(calls) == 6 * (1 << 6)

@@ -149,7 +149,7 @@ class TestRoundTripOracles:
             assert dual_roundtrip_check(f, exp) == \
                 dual_roundtrip_by_points(f, exp), f.name
 
-    @pytest.mark.parametrize("bad", [w for w in all_words(4, 1)], ids=str)
+    @pytest.mark.parametrize("bad", list(all_words(4, 1)), ids=str)
     def test_misweighed_word_is_reported(self, bad):
         # a word ending in 1 is caught at itself; one ending in 0 at its
         # sibling, because the cumulative at the sibling's left end is

@@ -26,11 +26,9 @@ All arithmetic is exact integer arithmetic.
 covers, block sums, block maxima and the pullback all tile a range with
 it.  Every block hangs off one of the two root-to-leaf paths to the ends
 of the range, so two walks give all block values in O(n) factor steps
-(``subtree_sum``), and a ``PathCursor`` fed the blocks left to right
-reuses the prefix it shares with the previous path, so a whole cover costs
-about 3n steps instead of n per word.  The largest cell below a block is
-its value times the best product of the factors still to come, read from a
-table built once per call in O(n * n_states) steps (``range_sum_max``).
+(``subtree_sum``).  The largest cell below a block is its value times the
+best product of the factors still to come, read from a table built once
+per call in O(n * n_states) steps (``range_sum_max``).
 """
 
 
@@ -201,63 +199,3 @@ def range_sum_max(pf, classes, n, a, b):
         if (num << m_dexp) > (m_num << dexp):
             m_num, m_dexp = num, dexp
     return _block_total(values) + (m_num, m_dexp)
-
-
-class PathCursor:
-    """d(w) one word at a time, re-walking only below the prefix w shares
-    with the previous word.
-
-    Keeps the product along the last path and, per level, the state and
-    the factor taken there; moving up a level divides that factor back out
-    (exactly: the product is a multiple of it), so no per-level big
-    integers are held.  Fed the words of a cover left to right, each word
-    shares all but O(1) levels of its path with the one before, apart from
-    the first word on each side of the split, so the cover costs about 3n
-    factor steps in all.  The class tags come from ``pf.classes(n)``.
-    """
-
-    def __init__(self, pf):
-        self._edges = pf.edges
-        self._classes_of = pf.classes
-        self._classes = ()
-        self._k = 0
-        self._states = [pf.start]  # state at each depth of the last path
-        self._factors = []       # (num, dexp) of the step into each depth
-        self._num = 1            # product of the factors before the first 0
-        self._dexp = 0
-        self._zero = None        # depth of the first zero factor, if any
-
-    def value(self, k, n):
-        """d of the depth-n word with index k, as (num, dexp) like
-        ``cell_value``."""
-        states, factors = self._states, self._factors
-        depth = len(factors)
-        common = min(depth, n)
-        common -= ((self._k >> (depth - common))
-                   ^ (k >> (n - common))).bit_length()
-        num, dexp, zero = self._num, self._dexp, self._zero
-        for i in range(depth, common, -1):
-            fnum, fdexp = factors[i - 1]
-            if zero is None or i < zero:
-                num //= fnum
-            dexp -= fdexp
-        if zero is not None and zero > common:
-            zero = None
-        del states[common + 1:], factors[common:]
-        if n > len(self._classes):
-            self._classes = self._classes_of(max(n, 2 * len(self._classes)))
-        edges, classes = self._edges, self._classes
-        state = states[common]
-        for i in range(common, n):
-            fnum, fdexp, state = \
-                edges[state][classes[i]][(k >> (n - 1 - i)) & 1]
-            if not fnum:
-                if zero is None:
-                    zero = i + 1
-            elif zero is None:
-                num *= fnum
-            dexp += fdexp
-            states.append(state)
-            factors.append((fnum, fdexp))
-        self._k, self._num, self._dexp, self._zero = k, num, dexp, zero
-        return (num, dexp) if zero is None else (0, 0)

@@ -33,6 +33,11 @@ from .measure import (CumulativeFn, DifferentialMeasure, ProductMeasure,
 from .tightness import (CensusSet, NormalizedInsertionFn, ZeroInsertionFn)
 
 
+# largest |j| in affine:<j>,<a>: the values 2^j x + a carry about |j| bits,
+# and the work of every command that takes a function grows with them
+AFFINE_MAX_EXP = 4096
+
+
 def load_config(path):
     """Flat key=value file -> dict; reports the offending line on errors."""
     out = {}
@@ -76,6 +81,10 @@ def parse_function(text):
         if len(parts) != 2:
             raise ParseError(f"affine needs j,a: {text!r}")
         j = int(parts[0])
+        if abs(j) > AFFINE_MAX_EXP:
+            raise ParseError(f"affine exponent must be between "
+                             f"-{AFFINE_MAX_EXP} and {AFFINE_MAX_EXP}, "
+                             f"got {j}")
         return AffineFn(j, Dyadic.parse(parts[1]))
     if text.startswith("fz:"):
         return ZeroInsertionFn(parse_zset(text.split(":", 1)[1]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word
+from .dyadic import Dyadic, Word, parse_rational
 from .errors import ParseError
 
 
@@ -91,7 +91,9 @@ class TableStepFn(FnOracle):
     def load(path):
         """Text format: one "word p/q" pair per line, '#' comments; every
         word of one fixed length must be present; an optional "1 p/q" line
-        sets the value at the right endpoint (defaults to the last cell)."""
+        sets the value at the right endpoint (defaults to the last cell).
+        Values parse as ``parse_rational``: a bad one is a ParseError
+        naming its line."""
         entries = {}
         at_one = None
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,7 +105,10 @@ class TableStepFn(FnOracle):
                 if len(parts) != 2:
                     raise ParseError("expected 'word p/q'", line=lineno)
                 word_text, value_text = parts
-                value = Fraction(value_text.replace("−", "-"))
+                try:
+                    value = parse_rational(value_text.replace("−", "-"))
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
                 if word_text == "1":
                     at_one = value
                     continue

@@ -8,13 +8,14 @@ factors driven by a tiny state machine, which is what the kernels in
 :mod:`dymart.kernels` exploit.  Values of derived strategies (conservative
 transform, savings wrapper) may be general rationals.
 
-A derived strategy without a product form is a fold over its input's
-values along the prefixes of w: a state from d(λ), one ``step`` per longer
-prefix, and a result read off the last state.  One ``PrefixFold`` per
-instance keeps the states along the last word asked and steps forward only
-below the prefix the next word shares with it, as ``kernels.PathCursor``
-does for factors.  A cover's words lie on its two end paths, so a cover
-costs O(m) inner ``at()`` calls in all: O(1) amortized per cover word.
+Every exact strategy answers ``at`` through one ``PrefixFold``: a state
+for λ, one ``step`` per longer prefix of w, and the value read off the
+last state.  A product form folds (num, dexp, machine state), one factor
+per step; a derived strategy without a product form folds its input's
+values.  The fold keeps the states along the last word asked and steps
+forward only below the prefix the next word shares with it.  A cover's
+words lie on its two end paths, so a cover costs O(m) steps in all: O(1)
+amortized per cover word.
 """
 
 from __future__ import annotations
@@ -104,30 +105,29 @@ class ExactMartingale:
     def __init__(self, name, fn=None, *, product_form=None,
                  conservative=False):
         self.name = name
+        if fn is None:
+            value = product_fold(product_form)
+
+            def fn(w):
+                # a Dyadic is already in lowest terms: no gcd on big integers
+                return Dyadic(*value(w.k, w.n))
         self._fn = fn
         self.product_form = product_form
-        self._cursor = (kernels.PathCursor(product_form)
-                        if product_form else None)
         self.conservative = conservative
         self._cache = {}
 
     def at(self, w):
         """Exact d(w) as a Fraction.
 
-        Product-form values come from a per-instance path cursor, and the
-        derived wrappers pass a ``PrefixFold`` as ``fn``, so words asked in
+        Product forms (``product_fold``) and the derived wrappers answer
+        through a per-instance ``PrefixFold``, so words asked in
         left-to-right order (a cover) share their walks.  Answers are
         memoized per instance.
         """
         hit = self._cache.get(w)
         if hit is not None:
             return hit
-        if self._cursor is not None:
-            num, dexp = self._cursor.value(w.k, len(w))
-            # a Dyadic is already in lowest terms: no gcd on big integers
-            val = Fraction(Dyadic(num, dexp))
-        else:
-            val = Fraction(self._fn(w))
+        val = Fraction(self._fn(w))
         if len(self._cache) < 1 << 18:
             self._cache[w] = val
         return val
@@ -166,44 +166,77 @@ def pattern_bettor(pattern):
 
 
 class PrefixFold:
-    """d(w) as a fold over the inner strategy's values along the prefixes
-    of w: ``state = start(d(λ))``, then ``state = step(state, d(w[:i]))``
-    for i = 1..|w|, and the answer ``result(state)``.
+    """A fold along the prefixes of a word, one word at a time.
 
-    Keeps the fold state after each prefix of the last word.  A new word
-    pops back to the prefix it shares with the last one (the XOR /
-    ``bit_length`` test of ``kernels.PathCursor``) and steps forward only
+    ``fold(k, n)`` is the state after the depth-n word with index k: the
+    state of λ is ``start()``, and the prefix p of length i gets
+    ``step(state of p[:-1], bits of p, i)``.  ``start`` runs on the first
+    call, not on construction.
+
+    Keeps the state after each prefix of the last word.  A new word pops
+    back to the prefix it shares with the last one and steps forward only
     below it, so words asked in left-to-right order (a cover) cost O(1)
-    amortized inner ``at()`` calls each.  If the inner ``at()`` raises
-    partway down a word, the stack keeps the states it finished and runs
-    along that prefix of the word.
+    amortized steps each.  If a step raises partway down a word, the stack
+    keeps the states it finished and runs along that prefix of the word.
     """
 
-    def __init__(self, inner, start, step, result):
-        self._at = inner.at
-        self._start, self._step, self._result = start, step, result
+    def __init__(self, start, step):
+        self._start, self._step = start, step
         self._k = 0          # the word the stack runs along, by its bits
         self._states = []    # fold state after each of its prefixes
 
-    def __call__(self, w):
-        k, n = w.k, w.n
+    def __call__(self, k, n):
         states = self._states
         if not states:
-            states.append(self._start(self._at(EMPTY)))
+            states.append(self._start())
         depth = len(states) - 1
         common = min(depth, n)
         common -= ((self._k >> (depth - common))
                    ^ (k >> (n - common))).bit_length()
         del states[common + 1:]
-        at, step = self._at, self._step
+        step = self._step
         state = states[common]
         try:
             for i in range(common + 1, n + 1):
-                state = step(state, at(Word(k >> (n - i), i)))
+                state = step(state, k >> (n - i), i)
                 states.append(state)
         finally:
             self._k = k >> (n + 1 - len(states))
-        return self._result(state)
+        return state
+
+
+def product_fold(pf):
+    """d of the product form ``pf`` as ``value(k, n)``: the depth-n word
+    with index k as (num, dexp), the pair ``kernels.cell_value`` gives.
+
+    A ``PrefixFold`` whose state is (num, dexp, machine state): one factor
+    lookup and one multiply per step.  The class tags grow once per query,
+    not per step.
+    """
+    edges, classes = pf.edges, []
+
+    def step(state, bits, i):
+        num, dexp, at = state
+        fnum, fdexp, at = edges[at][classes[i - 1]][bits & 1]
+        return num * fnum, dexp + fdexp, at
+
+    fold = PrefixFold(lambda: (1, 0, pf.start), step)
+
+    def value(k, n):
+        if n > len(classes):
+            classes[:] = pf.classes(max(n, 2 * len(classes)))
+        num, dexp, _ = fold(k, n)
+        return (num, dexp) if num else (0, 0)
+
+    return value
+
+
+def _value_fold(mart, start, step):
+    """A ``PrefixFold`` over mart's values: ``start(d(λ))``, then
+    ``step(state, d(p))`` per longer prefix p."""
+    at = mart.at
+    return PrefixFold(lambda: start(at(EMPTY)),
+                      lambda state, bits, i: step(state, at(Word(bits, i))))
 
 
 def conservative_transform(mart):
@@ -225,9 +258,9 @@ def conservative_transform(mart):
         rho = cur / prev if prev > 0 else Fraction(1)
         return v * ((1 + rho) / 2), cur
 
-    fold = PrefixFold(mart, lambda v: (v, v), step, lambda state: state[0])
-    return ExactMartingale(f"conservative:{mart.name}", fold,
-                           conservative=True)
+    fold = _value_fold(mart, lambda v: (v, v), step)
+    return ExactMartingale(f"conservative:{mart.name}",
+                           lambda w: fold(w.k, w.n)[0], conservative=True)
 
 
 def _savings_step(state, v):
@@ -254,9 +287,13 @@ def savings_wrapper(mart):
     through a ``PrefixFold``.
     """
     start = (0, Fraction(0), Fraction(1), None)
-    fold = PrefixFold(mart, lambda v: _savings_step(start, v), _savings_step,
-                      lambda state: state[1] + state[2] * state[3])
-    return ExactMartingale(f"savings:{mart.name}", fold,
+    fold = _value_fold(mart, lambda v: _savings_step(start, v), _savings_step)
+
+    def value(w):
+        _, reserve, mult, v = fold(w.k, w.n)
+        return reserve + mult * v
+
+    return ExactMartingale(f"savings:{mart.name}", value,
                            conservative=mart.conservative)
 
 

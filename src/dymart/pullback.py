@@ -20,13 +20,14 @@ and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
 Covers, block sums and block maxima share one aligned-block decomposition
 (``kernels.aligned_blocks``).  The cover is queried left to right, one
-d-query per word, so an exact product-form strategy answers the whole
-cover through its path cursor in about 3m factor steps.  ``shift_stats``
-has one block sum per strategy kind and takes all three of its ranges from
-it: the inside cells, and each boundary cell as a one-cell range, so the
-bracket at depth m + 8 costs O(m) steps.  ``inner_max`` reads the largest
-inside cell from the same walk plus a max-product table, so the chain
-checks need no cell enumeration.
+d-query per word, so an exact strategy answers the whole cover through its
+prefix fold (``martingale.PrefixFold``) in O(m) steps; a product form takes
+about 3m factor steps.  ``shift_stats`` has one block sum per strategy kind
+and takes all three of its ranges from it: the inside cells, and each
+boundary cell as a one-cell range, so the bracket at depth m + 8 costs
+O(m) steps.  ``inner_max`` reads the largest inside cell from the same
+walk plus a max-product table, so the chain checks need no cell
+enumeration.
 """
 
 from __future__ import annotations
@@ -92,10 +93,14 @@ def shift_stats(d, f, x, n):
 
     Every sum is one aligned-block collapse, which needs only the fair-bet
     identity and so works at any depth: lower sums the inside cells
-    [inner_a, inner_b), upper adds the at most two boundary cells as
-    one-cell ranges.  Product forms sum through ``kernels.subtree_sum``
-    (a one-cell range is one root-to-leaf walk, n factor steps), other
-    strategies through ``d.at`` per aligned block.
+    [inner_a, inner_b), upper adds the at most two boundary cells
+    [touch_a, inner_a) and [inner_b, touch_b) as one-cell ranges; the
+    three ranges tile [touch_a, touch_b).  Product forms sum through
+    ``kernels.subtree_sum`` (a one-cell range is one root-to-leaf walk, n
+    factor steps), other strategies through ``d.at`` per aligned block.
+    Summing [touch_a, touch_b) as one range instead would take two fewer
+    factor steps but value all of its blocks again: about n more
+    big-integer products and additions than the two one-cell walks.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -117,8 +122,7 @@ def shift_stats(d, f, x, n):
             return total
 
     inner = block_sum(inner_a, inner_b)
-    boundary = block_sum(touch_a, inner_a) + \
-        block_sum(max(inner_b, touch_a), touch_b)
+    boundary = block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
     scale = Fraction(1 << len(x), 1 << n)
     return ShiftStats(lower=inner * scale, upper=(inner + boundary) * scale)
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import kernels
 from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
 from .dyadic import Dyadic, Word, all_words, minimal_cover
 from .funcs import IdentityFn, TableStepFn, as_weak
 from .martingale import (Report, Violation, allin_zeros, as_approx,
                          conservative_transform, pattern_bettor,
-                         savings_wrapper, uniform, verify_conservative,
-                         verify_martingale)
+                         product_fold, savings_wrapper, uniform,
+                         verify_conservative, verify_martingale)
 from .measure import (DifferentialMeasure, ProductMeasure, UniformMeasure,
                       dual_roundtrip_check, roundtrip_check, verify_measure)
 from .patch import patch_approx, patch_reference, patch_table, \
@@ -152,18 +151,18 @@ def _chk_chain(depth):
 
 def _scan_cells(d, f, x, n):
     """(lower, upper, inner max) at depth n from every cell in order, by
-    integers scaled to 2^-(n * max_dexp) and a fresh path cursor: the
+    integers scaled to 2^-(n * max_dexp) and a fresh product fold: the
     literal counterpart of the block walk, for product forms.  max_dexp is
     the largest factor exponent, so every cell value is an integer there."""
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
     pf = d.product_form
-    cursor = kernels.PathCursor(pf)
+    value = product_fold(pf)
     top = n * max(dexp for per_state in pf.edges for pair in per_state
                   for _, dexp, _ in pair)
     inner = boundary = best = 0
     for k in range(touch_a, touch_b):
-        num, dexp = cursor.value(k, n)
+        num, dexp = value(k, n)
         v = num << (top - dexp)
         if inner_a <= k < inner_b:
             inner += v

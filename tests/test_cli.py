@@ -360,6 +360,29 @@ class TestErrors:
                            f"@{spec}", "--word", "1", "--precision", "10")
         assert code == 0 and out.strip() == "2/3"
 
+    @pytest.mark.parametrize("j", [4097, -4097])
+    def test_affine_exponent_out_of_range_exit_2(self, capsys, j):
+        code, out, err = run(capsys, "measure", "differential", "--function",
+                             f"affine:{j},0", "--word", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: affine exponent must be between -4096 and "
+                       f"4096, got {j}\n")
+
+    def test_affine_exponent_at_bound_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "measure", "differential", "--function",
+                           "affine:-4096,0", "--word", "1")
+        assert code == 0 and parse_rational(out.strip()) == F(1, 1 << 4097)
+
+    @pytest.mark.parametrize("value", ["0.75", "75e-2", "1e3"])
+    def test_table_value_outside_grammar_exit_2(self, capsys, tmp_path,
+                                                value):
+        table = tmp_path / "dec.tbl"
+        table.write_text(f"00 0/1\n01 1/4\n10 {value}\n11 3/4\n1 1/1\n")
+        code, out, err = run(capsys, "measure", "differential", "--function",
+                             f"table:{table}", "--word", "01")
+        assert code == 2 and out == ""
+        assert err == f"error: line 3: cannot parse rational {value!r}\n"
+
     def test_table_file_loads(self, capsys, tmp_path):
         table = tmp_path / "mono.tbl"
         table.write_text("# grid 2^-2\n00 0/1\n01 1/4\n10 1/2\n11 3/4\n"

@@ -61,6 +61,14 @@ COMMANDS = {
     "pullback_savings_conservative_zbettor_r128":
         "pullback --martingale savings:conservative:zbettor:1,3 --function "
         "fz_norm:0,2,4 --word 0110 --precision 128",
+    # a fold over a fold: the conservative transform of a savings wrapper
+    "pullback_conservative_savings_fz_norm_trace":
+        "pullback --martingale conservative:savings:pattern:011 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 16 --trace",
+    # a product fold at m = 1048
+    "pullback_conservative_pattern_r256":
+        "pullback --martingale conservative:pattern:011 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 256",
     "pullback_uniform_fz_pow2":
         "pullback --martingale uniform --function fz:pow2 --word 11 "
         "--precision 8",

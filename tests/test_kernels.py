@@ -1,4 +1,4 @@
-"""Kernel checks: the block walk (sums and maxima) and the path cursor
+"""Kernel checks: the block walk (sums and maxima) and the product fold
 against the literal cell scan and brute force, and the walk's factor-step
 counts linear in the depth."""
 
@@ -15,7 +15,7 @@ from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
 from dymart.funcs import as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, conservative_transform, pattern_bettor, \
-    savings_wrapper, uniform
+    product_fold, savings_wrapper, uniform
 from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
 from dymart.tightness import z_bettor
 
@@ -115,7 +115,7 @@ class TestDispatch:
     def test_dispatch_matches_pure(self):
         # kernels re-exports the one implementation under the same names
         for name in ("cell_value", "range_sum_max", "subtree_sum",
-                     "aligned_blocks", "PathCursor", "validate"):
+                     "aligned_blocks", "validate"):
             assert getattr(kernels, name) is getattr(pure, name)
         mart = conservative_transform(allin_zeros())
         pf = mart.product_form
@@ -176,10 +176,10 @@ class TestBlockWalk:
             minimal_cover(Dyadic(a, m), Dyadic(b, m), m)
         words = data.draw(st.permutations(words + words[::3]))
         mart = ExactMartingale("random", product_form=pf)
-        cursor = kernels.PathCursor(pf)
+        value = product_fold(pf)
         for w in words:
             want = pure.cell_value(pf, pf.classes(len(w)), len(w), w.k)
-            assert cursor.value(w.k, len(w)) == want, w
+            assert value(w.k, len(w)) == want, w
             assert mart.at(w) == Fraction(want[0], 1 << want[1]), w
 
     @settings(max_examples=40, deadline=None)

@@ -1,16 +1,23 @@
 """dymart: exact dyadic-rational martingale machinery.
 
-Subpackages follow the functional split:
+Modules follow the functional split:
 
 - ``dyadic``     exact numbers, words, intervals, grid rounding, covers
-- ``martingale`` betting strategies, conservative transform, traces
+- ``martingale`` betting strategies, conservative transform, traces,
+                 verification reports
+- ``kernels``    the product-form block walk (block sums and maxima)
 - ``funcs``      exact/approximate real-function contracts
 - ``tightness``  zero-insertion functions and their betting strategies
 - ``pullback``   interval shifts and the pullback martingale approximation
 - ``patch``      monotonization of non-monotone functions
 - ``analytic``   certified power-series evaluation and root finding
 - ``measure``    probability measures on words vs. cumulative functions
+- ``verify``     the invariant suites behind ``dymart verify``
+- ``config``     textual specs of named objects and config files
+- ``errors``     the package's exception types
 - ``cli``        command-line front end
+
+Importing the package loads only ``dyadic`` and the modules it imports.
 """
 
 from .dyadic import (Dyadic, Word, GridPoint, word_value, gamma,

@@ -5,6 +5,12 @@ opt-in (--decimal D) and labeled approximate.  Given identical inputs the
 output is byte-identical across runs: no clocks, no randomness, fixed
 iteration orders.
 
+Each command is one fresh interpreter, so start-up is part of its cost:
+a handler imports the modules it runs inside its body, and the module
+itself loads only ``argparse``, ``fractions``, ``dyadic`` and ``errors``.
+``analytic`` and ``verify`` are the only commands that load
+``dataclasses`` (through ``PowerSeriesSpec``).
+
 Commands:
   verify                invariant suites (martingale, pullback, patch,
                         analytic, tightness, measure, all)
@@ -23,17 +29,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import config as cfg
-from .analytic import PowerSeriesSpec, eval_approx, find_root
 from .dyadic import Dyadic, Word, fmt_rational, parse_rational
 from .errors import DepthGuardError, DymartError
-from .funcs import as_weak
-from .martingale import as_approx, capital_trace
-from .measure import cumulative, differential, roundtrip_check
-from .patch import patch_approx
-from .pullback import certify_bracket, pullback_approx
-from .tightness import GridImage, insert_zeros, z_bettor
-from .verify import run_suite
 
 
 def decimal_str(q, digits):
@@ -84,6 +81,7 @@ def _merge_config(args):
     path = getattr(args, "config", None)
     if not path:
         return args
+    from . import config as cfg
     defaults = cfg.load_config(path)
     for key, value in defaults.items():
         attr = key.replace("-", "_")
@@ -119,6 +117,7 @@ def _precision(args):
 
 
 def cmd_verify(args, out):
+    from .verify import run_suite
     ok, lines = run_suite(args.suite, _depth(args.depth, "--depth", 12))
     for line in lines:
         out.line(line)
@@ -126,6 +125,10 @@ def cmd_verify(args, out):
 
 
 def cmd_pullback(args, out):
+    from . import config as cfg
+    from .funcs import as_weak
+    from .martingale import as_approx
+    from .pullback import certify_bracket, pullback_approx
     mart = cfg.parse_martingale(_need(args, "martingale"))
     fn = cfg.parse_function(_need(args, "function"))
     if not fn.monotone:
@@ -149,6 +152,9 @@ def cmd_pullback(args, out):
 
 
 def cmd_patch(args, out):
+    from . import config as cfg
+    from .funcs import as_weak
+    from .patch import patch_approx
     fn = cfg.parse_function(_need(args, "function"))
     word = cfg.parse_word(_need(args, "word"))
     out.value(patch_approx(as_weak(fn), word, _precision(args)))
@@ -156,6 +162,8 @@ def cmd_patch(args, out):
 
 
 def cmd_analytic(args, out):
+    from . import config as cfg
+    from .analytic import PowerSeriesSpec, eval_approx, find_root
     spec = cfg.parse_series(_need(args, "spec"))
     if args.action == "eval":
         word = cfg.parse_word(_need(args, "word"))
@@ -179,6 +187,8 @@ def cmd_analytic(args, out):
 
 
 def cmd_tightness(args, out):
+    from . import config as cfg
+    from .tightness import GridImage, insert_zeros, z_bettor
     zset = cfg.parse_zset(_need(args, "zset"))
     if args.action == "demo":
         depth = _depth(args.depth, "--depth", 4096,
@@ -220,6 +230,8 @@ def cmd_tightness(args, out):
 
 
 def cmd_measure(args, out):
+    from . import config as cfg
+    from .measure import cumulative, differential, roundtrip_check
     if args.action == "cumulative":
         nu = cfg.parse_measure(_need(args, "measure"))
         out.value(cumulative(nu, cfg.parse_word(_need(args, "word"))))
@@ -236,6 +248,8 @@ def cmd_measure(args, out):
 
 
 def cmd_trace(args, out):
+    from . import config as cfg
+    from .martingale import as_approx, capital_trace
     mart = cfg.parse_martingale(_need(args, "martingale"))
     word = cfg.parse_word(_need(args, "word"))
     values = capital_trace(as_approx(mart), word, _precision(args))

@@ -17,20 +17,17 @@ Spec grammars (all ASCII, deterministic):
 Config files are flat "key = value" text, UTF-8, '#' comments; keys match
 the CLI's long option names and provide defaults the command line
 overrides.
+
+Each spec family imports the module that owns it where the family is
+resolved, so a command loads only the modules its specs name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .analytic import PowerSeriesSpec, builtin_spec
 from .dyadic import Dyadic, Word, parse_rational
 from .errors import ParseError
-from .funcs import AffineFn, IdentityFn, QuotientFn, TableStepFn
-from .martingale import by_name as martingale_by_name
-from .measure import (CumulativeFn, DifferentialMeasure, ProductMeasure,
-                      UniformMeasure)
-from .tightness import (CensusSet, NormalizedInsertionFn, ZeroInsertionFn)
 
 
 # largest |j| in affine:<j>,<a>: the values 2^j x + a carry about |j| bits,
@@ -65,18 +62,22 @@ def parse_word(text):
 
 
 def parse_zset(text):
+    from .tightness import CensusSet
     return CensusSet.parse(text)
 
 
 def parse_martingale(text):
-    return martingale_by_name(text)
+    from .martingale import by_name
+    return by_name(text)
 
 
 def parse_function(text):
     """Resolve a function spec to an exact oracle."""
     if text == "identity":
+        from .funcs import IdentityFn
         return IdentityFn()
     if text.startswith("affine:"):
+        from .funcs import AffineFn
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ParseError(f"affine needs j,a: {text!r}")
@@ -86,15 +87,18 @@ def parse_function(text):
                              f"-{AFFINE_MAX_EXP} and {AFFINE_MAX_EXP}, "
                              f"got {j}")
         return AffineFn(j, Dyadic.parse(parts[1]))
-    if text.startswith("fz:"):
-        return ZeroInsertionFn(parse_zset(text.split(":", 1)[1]))
-    if text.startswith("fz_scaled:"):
-        return ZeroInsertionFn(parse_zset(text.split(":", 1)[1]), scaled=True)
-    if text.startswith("fz_norm:"):
-        return NormalizedInsertionFn(parse_zset(text.split(":", 1)[1]))
+    if text.startswith(("fz:", "fz_scaled:", "fz_norm:")):
+        from .tightness import NormalizedInsertionFn, ZeroInsertionFn
+        family, _, zset = text.partition(":")
+        zset = parse_zset(zset)
+        if family == "fz_norm":
+            return NormalizedInsertionFn(zset)
+        return ZeroInsertionFn(zset, scaled=family == "fz_scaled")
     if text.startswith("table:"):
+        from .funcs import TableStepFn
         return TableStepFn.load(text.split(":", 1)[1])
     if text.startswith("cumulative:"):
+        from .measure import CumulativeFn
         return CumulativeFn(parse_measure(text.split(":", 1)[1]))
     if text.startswith("@"):
         return _function_from_file(text[1:])
@@ -105,10 +109,12 @@ def parse_series(text):
     """Resolve an evaluator spec: a PowerSeriesSpec or an exact quotient."""
     if text.startswith("@"):
         return _evaluator_from_file(text[1:])
+    from .analytic import builtin_spec
     return builtin_spec(text)
 
 
 def parse_measure(text):
+    from .measure import DifferentialMeasure, ProductMeasure, UniformMeasure
     if text == "uniform":
         return UniformMeasure()
     if text.startswith("product:"):
@@ -132,6 +138,7 @@ def _evaluator_from_file(path):
     cfg = load_config(path)
     kind = _require(cfg, "kind", path)
     if kind == "series":
+        from .analytic import PowerSeriesSpec, builtin_spec
         coeffs = _require(cfg, "coeffs", path)
         if "," in coeffs or coeffs.lstrip("-").split("/")[0].isdigit():
             explicit = _rat_list(coeffs)
@@ -175,12 +182,15 @@ def _function_from_file(path):
     cfg = load_config(path)
     kind = _require(cfg, "kind", path)
     if kind == "table":
+        from .funcs import TableStepFn
         return TableStepFn.load(_require(cfg, "file", path))
     if kind == "f_Z":
+        from .tightness import ZeroInsertionFn
         zset = parse_zset(_require(cfg, "zset", path))
         scaled = cfg.get("scaled", "0") not in ("0", "false", "no")
         return ZeroInsertionFn(zset, scaled=scaled)
     if kind == "quotient":
+        from .funcs import QuotientFn
         return QuotientFn(_rat_list(_require(cfg, "num", path)),
                           _rat_list(_require(cfg, "den", path)),
                           parse_rational(_require(cfg, "den_floor", path)),

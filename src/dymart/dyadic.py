@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ._shiftcore_py import aligned_blocks
@@ -21,6 +21,18 @@ from .errors import ParseError
 
 _WORD_RE = re.compile(r"[01]*\Z")
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+
+
+def _decimal_int(digits):
+    """int(digits) for a decimal digit string, as a ParseError when it is
+    longer than Python's str->int digit limit.  The limit stays: the
+    conversion is quadratic in the digit count."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits.lstrip('-'))} digits is "
+                         f"above the limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class Dyadic:
@@ -78,8 +90,8 @@ class Dyadic:
         m = _RAT_RE.match(text)
         if not m:
             raise ParseError(f"cannot parse rational {text!r}")
-        p = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) else 1
+        p = _decimal_int(m.group(1))
+        q = _decimal_int(m.group(2)) if m.group(2) else 1
         if q == 0 or q & (q - 1):
             raise ParseError(f"{text!r} is not a dyadic rational "
                              "(denominator must be a positive power of two)")
@@ -254,10 +266,10 @@ def parse_rational(text):
     m = _RAT_RE.match(text.strip())
     if not m:
         raise ParseError(f"cannot parse rational {text!r}")
-    q = int(m.group(2)) if m.group(2) else 1
+    q = _decimal_int(m.group(2)) if m.group(2) else 1
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(int(m.group(1)), q)
+    return Fraction(_decimal_int(m.group(1)), q)
 
 
 def fmt_rational(q):
@@ -409,18 +421,17 @@ def lex_successor(w):
     return Word(w.k + 1, w.n)
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(namedtuple("GridPoint", "value grid")):
     """A dyadic rational on the 2^-grid grid (value * 2**grid is integral)."""
 
-    value: Dyadic
-    grid: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.grid < 0:
+    def __new__(cls, value, grid):
+        if grid < 0:
             raise ValueError("grid exponent must be nonnegative")
-        if self.value.exp > self.grid:
-            raise ValueError(f"{self.value} is not on the 2^-{self.grid} grid")
+        if value.exp > grid:
+            raise ValueError(f"{value} is not on the 2^-{grid} grid")
+        return super().__new__(cls, value, grid)
 
     @property
     def index(self):

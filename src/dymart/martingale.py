@@ -20,7 +20,7 @@ amortized per cover word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
@@ -31,8 +31,11 @@ HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
 
 
-@dataclass(frozen=True)
-class ProductForm:
+def _one_class(i):
+    return 0
+
+
+class ProductForm(namedtuple("ProductForm", "edges start classes_fn")):
     """Finite-state product description of a martingale with d(λ) = 1.
 
     ``edges[state][cls][bit] = (num, dexp, next_state)`` gives the per-step
@@ -42,12 +45,12 @@ class ProductForm:
     take the form itself.
     """
 
-    edges: tuple
-    start: int = 0
-    classes_fn: object = staticmethod(lambda i: 0)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, edges, start=0, classes_fn=_one_class):
+        self = super().__new__(cls, edges, start, classes_fn)
         kernels.validate(self)
+        return self
 
     def classes(self, n):
         fn = self.classes_fn
@@ -297,21 +300,15 @@ def savings_wrapper(mart):
                            conservative=mart.conservative)
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str
-    kind: str
-    detail: str
+class Violation(namedtuple("Violation", "where kind detail")):
+    __slots__ = ()
 
     def line(self):
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-@dataclass
-class Report:
-    title: str
-    checked: int
-    violations: list
+class Report(namedtuple("Report", "title checked violations")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -33,7 +33,7 @@ enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
@@ -82,10 +82,7 @@ def _cell_ranges(lo, hi, n):
     return inner_a, max(inner_a, inner_b), touch_a, touch_b
 
 
-@dataclass(frozen=True)
-class ShiftStats:
-    lower: Fraction
-    upper: Fraction
+ShiftStats = namedtuple("ShiftStats", "lower upper")
 
 
 def shift_stats(d, f, x, n):
@@ -227,21 +224,19 @@ def certify_bracket(d, f, x, r, value):
     return lo <= value <= hi, lo, hi
 
 
-@dataclass(frozen=True)
-class StrongVariationCert:
+class StrongVariationCert(namedtuple("StrongVariationCert",
+                                     "center neighborhood C ell")):
     """Certified anti-Lipschitz data for an increasing function: difference
-    quotients through ``center`` stay >= C on the neighborhood."""
+    quotients through ``center`` stay >= C on the neighborhood; ``ell`` is
+    derived from C."""
 
-    center: Fraction
-    neighborhood: tuple
-    C: Fraction
-    ell: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.C <= 0:
+    def __new__(cls, center, neighborhood, C):
+        if C <= 0:
             raise ValueError("C must be positive")
-        object.__setattr__(
-            self, "ell", max(0, exact_ceil_lg(Fraction(1) / Fraction(self.C))))
+        ell = max(0, exact_ceil_lg(Fraction(1) / Fraction(C)))
+        return super().__new__(cls, center, neighborhood, C, ell)
 
 
 # the witness samples difference quotients on the 2^-SAMPLE_EXP grid

@@ -32,7 +32,7 @@ sequence is 2**c(n-1) after n bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .dyadic import Dyadic, Word, exact_ceil_lg
@@ -212,14 +212,10 @@ def z_bettor(zset):
     return ExactMartingale(f"zbettor:{zset.name}", product_form=pf)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(namedtuple("BoundCheck", "ok lhs rhs label")):
     """Outcome of one exact inequality check, both sides included."""
 
-    ok: bool
-    lhs: Fraction
-    rhs: Fraction
-    label: str
+    __slots__ = ()
 
     def line(self):
         rel = ">=" if self.ok else "<"

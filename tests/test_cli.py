@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from dymart import cli
 from dymart.dyadic import parse_rational
 from dymart.errors import ParseError
 from dymart import config as cfg
+from test_golden import COMMANDS, GOLDEN, STEP_TABLE
 
 F = Fraction
 
@@ -390,3 +395,91 @@ class TestErrors:
         code, out, _ = run(capsys, "measure", "differential", "--function",
                            f"table:{table}", "--word", "01")
         assert code == 0 and out.strip() == "1/4"
+
+    # 5000 digits: above Python's default str->int limit of 4300
+    LONG = "1" + "0" * 4999
+
+    def _limit_error(self):
+        return (f"integer of 5000 digits is above the limit of "
+                f"{sys.get_int_max_str_digits()} digits\n")
+
+    def test_table_value_above_digit_limit_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "long.tbl"
+        table.write_text(f"00 0/1\n01 1/4\n10 {self.LONG}/1\n11 3/4\n"
+                         "1 1/1\n")
+        code, out, err = run(capsys, "measure", "differential", "--function",
+                             f"table:{table}", "--word", "01")
+        assert code == 2 and out == ""
+        assert err == "error: line 3: " + self._limit_error()
+
+    def test_product_value_above_digit_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "measure", "cumulative", "--measure",
+                             f"product:1/{self.LONG}", "--word", "1")
+        assert code == 2 and out == ""
+        assert err == "error: " + self._limit_error()
+
+
+# Runs one command in a fresh interpreter and writes the names of the
+# modules the command added to sys.modules to the file named by argv[1].
+STARTUP_CHILD = """
+import sys
+before = set(sys.modules)
+from dymart import cli
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+# modules only the analytic and verify commands may load
+HEAVY = {"dymart.verify", "dymart.analytic", "dataclasses"}
+
+
+class TestStartup:
+    """Each command in a fresh interpreter that compiles every module from
+    source: what it prints, its exit code, and which modules it loads.
+    In-process tests see neither the loaded set nor an import cycle that
+    only a fresh interpreter meets."""
+
+    @pytest.mark.parametrize("argv, code, golden", [
+        (COMMANDS["readme_pullback_trace"], 0, "readme_pullback_trace"),
+        (COMMANDS["readme_patch_table"], 0, "readme_patch_table"),
+        (COMMANDS["readme_trace"], 0, "readme_trace"),
+        (COMMANDS["readme_measure_cumulative"], 0,
+         "readme_measure_cumulative"),
+        (COMMANDS["readme_tightness_bounds"], 0, "readme_tightness_bounds"),
+        (COMMANDS["readme_analytic_eval_exp"], 0,
+         "readme_analytic_eval_exp"),
+        ("verify --suite patch", 0, None),
+        ("frobnicate --word 0", 2, None),
+    ], ids=["pullback", "patch", "trace", "measure-cumulative",
+            "tightness-bounds", "analytic-eval", "verify-patch", "malformed"])
+    def test_fresh_interpreter(self, tmp_path, argv, code, golden):
+        table = tmp_path / "step.tbl"
+        table.write_text(STEP_TABLE, encoding="utf-8")
+        loaded = tmp_path / "modules.txt"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD, str(loaded),
+             *argv.format(table=table).split()],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        err = proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode == code, err
+        assert "Traceback" not in err
+        if golden is not None:
+            assert proc.stdout == (GOLDEN / f"{golden}.txt").read_bytes()
+        modules = set(loaded.read_text(encoding="utf-8").split())
+        command = argv.split()[0]
+        if command not in ("analytic", "verify"):
+            assert not modules & HEAVY, sorted(modules & HEAVY)
+        if command == "pullback":
+            assert not modules & {"dymart.measure", "dymart.patch"}

@@ -8,14 +8,16 @@ factors driven by a tiny state machine, which is what the kernels in
 :mod:`dymart.kernels` exploit.  Values of derived strategies (conservative
 transform, savings wrapper) may be general rationals.
 
-Every exact strategy answers ``at`` through one ``PrefixFold``: a state
-for λ, one ``step`` per longer prefix of w, and the value read off the
-last state.  A product form folds (num, dexp, machine state), one factor
-per step; a derived strategy without a product form folds its input's
-values.  The fold keeps the states along the last word asked and steps
-forward only below the prefix the next word shares with it.  A cover's
-words lie on its two end paths, so a cover costs O(m) steps in all: O(1)
-amortized per cover word.
+Every exact strategy answers ``exact`` through one ``PrefixFold``: a
+state for λ, one ``step`` per longer prefix of w, and the value read off
+the last state.  ``at`` is the memoized ``Fraction`` view of it; the
+approximation wrapper ``as_approx`` replies from ``exact`` itself.  A
+product form folds (num, dexp, machine state), one factor per step; a
+derived strategy without a product form folds its input's values.  The
+fold keeps the states along the last word asked and steps forward only
+below the prefix the next word shares with it.  A cover's words lie on
+its two end paths, so a cover costs O(m) steps in all: O(1) amortized
+per cover word.
 """
 
 from __future__ import annotations
@@ -119,18 +121,23 @@ class ExactMartingale:
         self.conservative = conservative
         self._cache = {}
 
-    def at(self, w):
-        """Exact d(w) as a Fraction.
+    def exact(self, w):
+        """Exact d(w), not memoized: the fold's ``Dyadic`` for a product
+        form, else what ``fn`` returns (a Fraction for the derived
+        wrappers).
 
         Product forms (``product_fold``) and the derived wrappers answer
         through a per-instance ``PrefixFold``, so words asked in
-        left-to-right order (a cover) share their walks.  Answers are
-        memoized per instance.
+        left-to-right order (a cover) share their walks.
         """
+        return self._fn(w)
+
+    def at(self, w):
+        """Exact d(w) as a Fraction: ``exact(w)``, memoized per instance."""
         hit = self._cache.get(w)
         if hit is not None:
             return hit
-        val = Fraction(self._fn(w))
+        val = Fraction(self.exact(w))
         if len(self._cache) < 1 << 18:
             self._cache[w] = val
         return val
@@ -379,7 +386,11 @@ def verify_conservative(mart, depth):
 
 
 class ApproxMartingale:
-    """Approximation contract: query(w, r) is within 2^-r of the true d(w)."""
+    """Approximation contract: query(w, r) is within 2^-r of the true d(w).
+
+    A reply is a ``Fraction`` or a ``Dyadic``, passed through as it came;
+    any other rational (an int) becomes a ``Fraction``.
+    """
 
     def __init__(self, name, query_fn, *, conservative=False):
         self.name = name
@@ -387,17 +398,22 @@ class ApproxMartingale:
         self.conservative = conservative
 
     def query(self, w, r):
-        v = Fraction(self._query(w, r))
-        if v < -Fraction(1, 1 << r):
-            # a true martingale is nonnegative, so this is detectable
+        v = self._query(w, r)
+        if not isinstance(v, (Fraction, Dyadic)):
+            v = Fraction(v)
+        # a true martingale is nonnegative, so a reply below -2^-r is
+        # detectable; the sign settles every nonnegative one
+        if v.numerator < 0 and v < -Fraction(1, 1 << r):
             raise PrecisionContractError(
-                f"{self.name}: query({w}, {r}) = {v} is below -2^-{r}")
+                f"{self.name}: query({w}, {r}) = {Fraction(v)} "
+                f"is below -2^-{r}")
         return v
 
 
 def as_approx(mart):
-    """Trivial wrapper: exact values at every precision."""
-    return ApproxMartingale(mart.name, lambda w, r: mart.at(w),
+    """Trivial wrapper: exact values at every precision, from
+    ``mart.exact`` (a ``Dyadic`` for a product form), without the memo."""
+    return ApproxMartingale(mart.name, lambda w, r: mart.exact(w),
                             conservative=mart.conservative)
 
 

@@ -14,8 +14,8 @@ from dymart.config import parse_function, parse_martingale
 from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
 from dymart.funcs import as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
-    ProductForm, allin_zeros, conservative_transform, pattern_bettor, \
-    product_fold, savings_wrapper, uniform
+    ProductForm, allin_zeros, as_approx, conservative_transform, \
+    pattern_bettor, product_fold, savings_wrapper, uniform
 from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
 from dymart.tightness import z_bettor
 
@@ -247,6 +247,41 @@ class TestWorkCounts:
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
         assert edges.steps <= 4 * (m + 8)
+
+    @pytest.mark.parametrize("name", ["conservative:pattern:011",
+                                      "conservative:zbettor:1,3"])
+    def test_cli_path_replies_from_the_fold(self, name):
+        # the CLI's d-queries: as_approx on the product form, one fold
+        # reply per cover word and nothing left in the at() memo
+        base = parse_martingale(name)
+        pf = base.product_form
+        edges = CountingEdges(pf.edges)
+        mart = ExactMartingale(
+            name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            conservative=base.conservative)
+        plain, replies = mart.exact, []
+
+        def counted(w):
+            replies.append(w)
+            return plain(w)
+
+        mart.exact = counted
+        fn = parse_function("fz_norm:0,2,4")
+        x, r = Word.parse("0110"), 512
+        m = grid_exponent(len(x), r)
+        edges.steps = 0
+        value = pullback_approx(as_approx(mart), as_weak(fn), x, r)
+        assert edges.steps <= 4 * m
+        assert not mart._cache
+        # the words and the value of the at()-backed path, each word once
+        oracle, queries = parse_martingale(name), []
+        backed = ApproxMartingale(
+            "at-backed", lambda w, p: queries.append(w) or oracle.at(w),
+            conservative=oracle.conservative)
+        assert value == pullback_approx(backed, as_weak(fn), x, r)
+        assert replies == queries
+        assert len(set(replies)) == len(replies)
+        assert m // 2 <= len(replies) <= 2 * m + 1
 
     @pytest.mark.parametrize("r", [32, 128, 512])
     @pytest.mark.parametrize("inner", ["pattern:011",

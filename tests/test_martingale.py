@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dymart.dyadic import Word
+from dymart.config import parse_function
+from dymart.dyadic import Dyadic, Word
 from dymart.errors import PrecisionContractError
+from dymart.funcs import as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
                                allin_zeros, as_approx, by_name, capital_trace,
                                conservative_transform, pattern_bettor,
                                savings_wrapper, uniform, verify_conservative,
                                verify_martingale)
+from dymart.pullback import pullback_approx
 from dymart.tightness import z_bettor
 
 from helpers import by_prefixes, nondyadic_bettor, random_product_forms
@@ -274,6 +277,94 @@ class TestTrace:
         bad = ApproxMartingale("bad", lambda w, r: F(-1, 1 << (r - 1)))
         with pytest.raises(PrecisionContractError):
             bad.query(W("0"), 8)
+
+
+def at_backed(d):
+    """``as_approx`` as it was: every reply through the memoized ``at``."""
+    return ApproxMartingale(d.name, lambda w, r: d.at(w),
+                            conservative=d.conservative)
+
+
+BASES = ("uniform", "allin_zeros", "pattern:011", "zbettor:1,3",
+         "zbettor:pow2")
+REPLY_NAMES = (BASES + tuple(f"conservative:{b}" for b in BASES)
+               + tuple(f"{chain}:{b}"
+                       for chain in ("savings", "savings:conservative",
+                                     "conservative:savings")
+                       for b in ("pattern:011", "zbettor:1,3",
+                                 "allin_zeros")))
+
+
+class TestReplyGuard:
+    """``ApproxMartingale.query`` at the -2^-r boundary, for int, Fraction
+    and Dyadic replies."""
+
+    @pytest.mark.parametrize("r", [0, 1, 8, 70])
+    @pytest.mark.parametrize("kind", [F, Dyadic.from_fraction])
+    def test_exactly_minus_two_to_the_minus_r_passes(self, kind, r):
+        reply = kind(F(-1, 1 << r))
+        got = ApproxMartingale("edge", lambda w, p: reply).query(W("01"), r)
+        assert got is reply
+
+    def test_int_at_the_boundary_passes(self):
+        got = ApproxMartingale("edge", lambda w, p: -1).query(W("01"), 0)
+        assert got == -1 and type(got) is F
+
+    @pytest.mark.parametrize("kind", [F, Dyadic.from_fraction])
+    def test_just_below_raises_the_same_text(self, kind):
+        reply = kind(F(-1, 1 << 8) - F(1, 1 << 11))
+        bad = ApproxMartingale("bad", lambda w, p: reply)
+        with pytest.raises(PrecisionContractError) as err:
+            bad.query(W("01"), 8)
+        assert str(err.value) == "bad: query(01, 8) = -9/2048 is below -2^-8"
+
+    @pytest.mark.parametrize("reply", [-2, F(-2), Dyadic(-2)])
+    def test_integral_reply_prints_as_a_fraction(self, reply):
+        # str(Dyadic(-2)) is "-2/1"; the message keeps the Fraction's "-2"
+        bad = ApproxMartingale("bad", lambda w, p: reply)
+        with pytest.raises(PrecisionContractError) as err:
+            bad.query(W("λ"), 0)
+        assert str(err.value) == "bad: query(λ, 0) = -2 is below -2^-0"
+
+    @pytest.mark.parametrize("reply", [0, 3, F(0), F(5, 3), F(1, 1 << 90),
+                                       Dyadic(0), Dyadic(3),
+                                       Dyadic(7, 200)])
+    def test_nonnegative_replies_come_back_equal(self, reply):
+        approx = ApproxMartingale("ok", lambda w, p: reply)
+        for r in (0, 1, 64):
+            got = approx.query(W("1"), r)
+            assert got == reply
+            if isinstance(reply, (F, Dyadic)):
+                assert got is reply
+
+
+class TestExactReplies:
+    """``as_approx`` replies from ``exact``, not the ``at()`` memo, with the
+    same values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(REPLY_NAMES),
+           words=st.lists(words_up_to(16), min_size=1, max_size=16),
+           r=st.integers(0, 40), data=st.data())
+    def test_query_equals_at_in_shuffled_order(self, name, words, r, data):
+        d, oracle = by_name(name), by_name(name)
+        approx = as_approx(d)
+        for w in data.draw(st.permutations(words)):
+            got = approx.query(w, r)
+            assert got == oracle.at(w), (name, w)
+            assert isinstance(got, Dyadic) == (d.product_form is not None)
+        assert not d._cache
+
+    @pytest.mark.parametrize(
+        "name", [n for n in REPLY_NAMES if by_name(n).conservative])
+    def test_pullback_equals_at_backed(self, name):
+        weak = as_weak(parse_function("fz_norm:0,2,4"))
+        d, oracle = by_name(name), by_name(name)
+        approx, backed = as_approx(d), at_backed(oracle)
+        for r in range(17):
+            for x in (W("0110"), W("1"), W("λ")):
+                assert pullback_approx(approx, weak, x, r) == \
+                    pullback_approx(backed, weak, x, r), (name, x, r)
 
 
 class TestNames:

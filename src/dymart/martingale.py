@@ -12,12 +12,14 @@ Every exact strategy answers ``exact`` through one ``PrefixFold``: a
 state for λ, one ``step`` per longer prefix of w, and the value read off
 the last state.  ``at`` is the memoized ``Fraction`` view of it; the
 approximation wrapper ``as_approx`` replies from ``exact`` itself.  A
-product form folds (num, dexp, machine state), one factor per step; a
-derived strategy without a product form folds its input's values.  The
-fold keeps the states along the last word asked and steps forward only
-below the prefix the next word shares with it.  A cover's words lie on
-its two end paths, so a cover costs O(m) steps in all: O(1) amortized
-per cover word.
+product form folds (num, dexp, machine state), one factor per step, and
+the savings wrapper of a product form folds the same factors with its
+level and reserve in integers: both answer ``exact`` with a ``Dyadic``.
+Every other derived strategy folds its input's ``at`` values in
+``Fraction``s.  The fold keeps the states along the last word asked and
+steps forward only below the prefix the next word shares with it.  A
+cover's words lie on its two end paths, so a cover costs O(m) steps in
+all: O(1) amortized per cover word.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class ExactMartingale:
 
     def exact(self, w):
         """Exact d(w), not memoized: the fold's ``Dyadic`` for a product
-        form, else what ``fn`` returns (a Fraction for the derived
+        form, else what ``fn`` returns (a ``Dyadic`` for the savings
+        wrapper of a product form, a Fraction for the other derived
         wrappers).
 
         Product forms (``product_fold``) and the derived wrappers answer
@@ -282,6 +285,50 @@ def _savings_step(state, v):
     return level, reserve, mult, v
 
 
+def _sum_pow2(a, i, b, j):
+    """a / 2^i + b / 2^j as (num, max(i, j)) for num / 2^max(i, j)."""
+    if j > i:
+        return (a << (j - i)) + b, j
+    return a + (b << (i - j)), i
+
+
+def savings_fold(pf):
+    """The savings wrapper of the product form ``pf`` as ``value(k, n)``,
+    a (num, exp) pair for num / 2^exp, in integers throughout.
+
+    A ``PrefixFold`` whose state is (num, dexp, machine state, level,
+    rnum, rexp): the input's capital num / 2^dexp as in ``product_fold``,
+    the level reached, and the reserve rnum / 2^rexp, kept over the
+    largest exponent it has been added at.  A step is one factor lookup
+    and one multiply; capital at or above 2^(level+1), that is
+    ``num >> (dexp + level + 1) != 0``, crosses a level and adds
+    capital / 2^level, at the new level, to the reserve.  The value is
+    reserve + capital / 2^level.
+    """
+    edges, classes = pf.edges, []
+
+    def step(state, bits, i):
+        num, dexp, at, level, rnum, rexp = state
+        fnum, fdexp, at = edges[at][classes[i - 1]][bits & 1]
+        num *= fnum
+        dexp += fdexp
+        while num >> (dexp + level + 1):
+            level += 1
+            rnum, rexp = _sum_pow2(rnum, rexp, num, dexp + level)
+        return num, dexp, at, level, rnum, rexp
+
+    # d(λ) = 1 crosses no level
+    fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0), step)
+
+    def value(k, n):
+        if n > len(classes):
+            classes[:] = pf.classes(max(n, 2 * len(classes)))
+        num, dexp, _, level, rnum, rexp = fold(k, n)
+        return _sum_pow2(rnum, rexp, num, dexp + level)
+
+    return value
+
+
 def savings_wrapper(mart):
     """Moves half the live stake into a frozen reserve each time the input's
     capital crosses the next power of two.
@@ -292,16 +339,26 @@ def savings_wrapper(mart):
     (averaging pulls the off-branch down), so the guarantee is the classic
     one-unit-per-doubling reserve.
 
-    The value is a fold over d along the prefixes of w, with the state
-    (level, reserve, mult, d(prefix)) and the answer reserve + mult d(w),
-    through a ``PrefixFold``.
+    The value is a fold along the prefixes of w through a ``PrefixFold``.
+    Over a product form it is ``savings_fold``, in integers, and ``exact``
+    is a ``Dyadic``; over any other strategy it folds the input's ``at``
+    values with the state (level, reserve, mult, d(prefix)) and the
+    answer reserve + mult d(w), in ``Fraction``s.
     """
-    start = (0, Fraction(0), Fraction(1), None)
-    fold = _value_fold(mart, lambda v: _savings_step(start, v), _savings_step)
+    pf = mart.product_form
+    if pf is not None:
+        pair = savings_fold(pf)
 
-    def value(w):
-        _, reserve, mult, v = fold(w.k, w.n)
-        return reserve + mult * v
+        def value(w):
+            return Dyadic(*pair(w.k, w.n))
+    else:
+        start = (0, Fraction(0), Fraction(1), None)
+        fold = _value_fold(mart, lambda v: _savings_step(start, v),
+                           _savings_step)
+
+        def value(w):
+            _, reserve, mult, v = fold(w.k, w.n)
+            return reserve + mult * v
 
     return ExactMartingale(f"savings:{mart.name}", value,
                            conservative=mart.conservative)

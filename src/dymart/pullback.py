@@ -82,6 +82,29 @@ def _cell_ranges(lo, hi, n):
     return inner_a, max(inner_a, inner_b), touch_a, touch_b
 
 
+def exact_total(terms):
+    """The exact sum of q * 2^s over the (q, s) pairs, as a Fraction.
+
+    The dyadic q (a ``Dyadic``, an int, a ``Fraction`` with a power-of-two
+    denominator) are totalled as one integer numerator over 2^exp, with
+    no gcd; the others add to a ``Fraction`` remainder.
+    """
+    num, exp = 0, 0
+    rest = Fraction(0)
+    for q, s in terms:
+        den = q.denominator
+        if den & (den - 1):
+            rest += q * (1 << s) if s >= 0 else q / (1 << -s)
+            continue
+        e = den.bit_length() - 1 - s
+        if e > exp:
+            num <<= e - exp
+            exp = e
+        num += q.numerator << (exp - e)
+    total = Fraction(Dyadic(num, exp))
+    return total + rest if rest else total
+
+
 ShiftStats = namedtuple("ShiftStats", "lower upper")
 
 
@@ -94,7 +117,10 @@ def shift_stats(d, f, x, n):
     [touch_a, inner_a) and [inner_b, touch_b) as one-cell ranges; the
     three ranges tile [touch_a, touch_b).  Product forms sum through
     ``kernels.subtree_sum`` (a one-cell range is one root-to-leaf walk, n
-    factor steps), other strategies through ``d.at`` per aligned block.
+    factor steps).  Other strategies total ``d.exact`` per aligned block
+    through ``exact_total``: one integer numerator over 2^e for the
+    dyadic values (a savings wrapper of a product form has only those),
+    a ``Fraction`` for the rest.
     Summing [touch_a, touch_b) as one range instead would take two fewer
     factor steps but value all of its blocks again: about n more
     big-integer products and additions than the two one-cell walks.
@@ -112,11 +138,11 @@ def shift_stats(d, f, x, n):
             num, dexp = kernels.subtree_sum(pf, classes, n, a, b)
             return Fraction(num, 1 << dexp)
     else:
+        exact = d.exact
+
         def block_sum(a, b):
-            total = Fraction(0)
-            for lev, idx in kernels.aligned_blocks(a, b):
-                total += d.at(Word(idx, n - lev)) * (1 << lev)
-            return total
+            return exact_total((exact(Word(idx, n - lev)), lev)
+                               for lev, idx in kernels.aligned_blocks(a, b))
 
     inner = block_sum(inner_a, inner_b)
     boundary = block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
@@ -189,22 +215,8 @@ def pullback_approx(d_hat, f_hat, x, r):
     else:
         b = GridPoint(Dyadic(1), m)
     a, b = clamp_unit(a, b)
-    # the total as one integer numerator over 2^exp, plus a Fraction
-    # remainder for replies that are not dyadic
-    num, exp = 0, 0
-    rest = Fraction(0)
-    for w in minimal_cover(a.value, b.value, m):
-        q = d_hat.query(w, m)
-        den = q.denominator
-        if den & (den - 1):
-            rest += q / (1 << len(w))
-            continue
-        e = den.bit_length() - 1 + len(w)
-        if e > exp:
-            num <<= e - exp
-            exp = e
-        num += q.numerator << (exp - e)
-    return (Fraction(Dyadic(num, exp)) + rest) * (1 << n)
+    return exact_total((d_hat.query(w, m), n - len(w))
+                       for w in minimal_cover(a.value, b.value, m))
 
 
 def pullback_martingale(d_hat, f_hat, name=None):

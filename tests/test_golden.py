@@ -61,6 +61,11 @@ COMMANDS = {
     "pullback_savings_conservative_zbettor_r128":
         "pullback --martingale savings:conservative:zbettor:1,3 --function "
         "fz_norm:0,2,4 --word 0110 --precision 128",
+    # the savings wrapper's integer fold at m = 2072: the reserve is
+    # realigned to a deeper exponent at each crossing
+    "pullback_savings_conservative_pattern_r512":
+        "pullback --martingale savings:conservative:pattern:011 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 512",
     # a fold over a fold: the conservative transform of a savings wrapper
     "pullback_conservative_savings_fz_norm_trace":
         "pullback --martingale conservative:savings:pattern:011 --function "

@@ -287,18 +287,17 @@ class TestWorkCounts:
     @pytest.mark.parametrize("inner", ["pattern:011",
                                        "conservative:zbettor:1,3"])
     def test_savings_fold_linear_in_m(self, inner, r):
-        # inner at() calls of a savings wrapper: the fold steps once per
-        # prefix below the one shared with the last word asked, so the
-        # cover and the bracket's blocks cost O(1) amortized each
+        # a savings wrapper of a product form folds the input's factors:
+        # one lookup per prefix below the one shared with the last word
+        # asked, so the cover and the bracket's blocks cost O(1) amortized
+        # steps each, and the input's at() memo is never filled
         base = parse_martingale(inner)
-        plain, calls = base.at, []
-
-        def counted(w):
-            calls.append(w)
-            return plain(w)
-
-        base.at = counted       # before the wrapper binds it
-        mart = savings_wrapper(base)
+        pf = base.product_form
+        edges = CountingEdges(pf.edges)
+        counted = ExactMartingale(
+            inner, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            conservative=base.conservative)
+        mart = savings_wrapper(counted)
         fn = parse_function("fz_norm:0,2,4")
         x = Word.parse("0110")
         m = grid_exponent(len(x), r)
@@ -306,13 +305,15 @@ class TestWorkCounts:
         d_hat = ApproxMartingale(
             "counting", lambda w, p: queries.append(w) or mart.at(w),
             conservative=mart.conservative)
+        edges.steps = 0
         value = pullback_approx(d_hat, as_weak(fn), x, r)
         assert m // 2 <= len(queries) <= 2 * m + 1
-        assert len(calls) <= 4 * m
-        del calls[:]
+        assert edges.steps <= 4 * m
+        edges.steps = 0
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
-        assert len(calls) <= 5 * (m + 8)
+        assert edges.steps <= 5 * (m + 8)
+        assert not counted._cache
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])

@@ -11,16 +11,17 @@ from dymart.funcs import AffineFn, IdentityFn, TableStepFn, as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
-                               uniform)
+                               savings_wrapper, uniform)
 from dymart.pullback import (StrongVariationCert, bracket_depth,
-                             certify_bracket, grid_exponent, inner_max,
-                             pullback_approx, pullback_martingale,
-                             shift_stats, squeeze_bound, transfer_witness)
+                             certify_bracket, exact_total, grid_exponent,
+                             inner_max, pullback_approx,
+                             pullback_martingale, shift_stats,
+                             squeeze_bound, transfer_witness)
 from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
-    random_product_forms, scan_sum_max
+    nondyadic_bettor, random_product_forms, scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -114,30 +115,32 @@ class TestShiftAgainstBruteForce:
                                                     inner=False)
 
     def test_subtree_works_for_generic_martingales(self):
-        from dymart.martingale import savings_wrapper
-        d = savings_wrapper(allin_zeros())
-        assert d.product_form is None
+        # Dyadic block values (the savings wrappers of product forms) and
+        # Fraction ones off the dyadics, totalled through exact_total
         f = IdentityFn()
-        for x in [W("0"), W("01")]:
-            lo, hi = image_interval(f, x)
-            for n in (2, 6, 9):
-                s = shift_stats(d, f, x, n)
-                assert s.lower == brute_force_shift(d, lo, hi, len(x), n,
-                                                    inner=True)
-                assert s.upper == brute_force_shift(d, lo, hi, len(x), n,
-                                                    inner=False)
-            with pytest.raises(ValueError):
-                inner_max(d, f, x, 2)
-        # and it reaches depths no cell scan could
-        deep = shift_stats(d, f, W("0"), 40)
-        assert deep.lower <= deep.upper
-
+        for d in (savings_wrapper(allin_zeros()),
+                  savings_wrapper(pattern_bettor("011")),
+                  nondyadic_bettor(),
+                  conservative_transform(nondyadic_bettor())):
+            assert d.product_form is None
+            for x in [W("0"), W("01")]:
+                lo, hi = image_interval(f, x)
+                for n in (2, 6, 9):
+                    s = shift_stats(d, f, x, n)
+                    assert s.lower == brute_force_shift(
+                        d, lo, hi, len(x), n, inner=True), d.name
+                    assert s.upper == brute_force_shift(
+                        d, lo, hi, len(x), n, inner=False), d.name
+                with pytest.raises(ValueError):
+                    inner_max(d, f, x, 2)
+            # and it reaches depths no cell scan could
+            deep = shift_stats(d, f, W("0"), 40)
+            assert deep.lower <= deep.upper
 
     def test_flat_steps_and_empty_inner_range(self):
         # a monotone table with flat steps: D_x collapses to a point on the
         # grid (1/4, 5/8) or off every grid (1/3), so the inside range is
         # empty and upper holds only the one or two cells touching it
-        from dymart.martingale import savings_wrapper
         f = TableStepFn(3, [F(0), F(1, 4), F(1, 4), F(1, 3), F(1, 3),
                             F(5, 8), F(5, 8), F(5, 8), F(1)], name="flat")
         assert f.monotone
@@ -249,6 +252,29 @@ class TestPullbackApprox:
             v = pullback_approx(as_approx(d), as_weak(f), x, r)
             ok, lo, hi = certify_bracket(d, f, x, r, v)
             assert ok, (x, v, lo, hi)
+
+    def test_non_dyadic_replies_bracketed(self):
+        # replies off the dyadics go to exact_total's Fraction remainder,
+        # in the cover total and in the bracket's block sums alike
+        d = conservative_transform(nondyadic_bettor())
+        f = ZeroInsertionFn("1", scaled=True)
+        for x in [W("λ"), W("1"), W("10"), W("011")]:
+            for r in (2, 6):
+                v = pullback_approx(as_approx(d), as_weak(f), x, r)
+                ok, lo, hi = certify_bracket(d, f, x, r, v)
+                assert ok, (x, r, v, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(-5, 1 << 70),
+                  st.builds(Dyadic, st.integers(-(1 << 70), 1 << 70),
+                            st.integers(0, 90)),
+                  st.fractions(max_denominator=1 << 40)),
+        st.integers(-70, 70)), max_size=12))
+    def test_exact_total_equals_fraction_sum(self, terms):
+        want = sum((F(q) * F(2) ** s for q, s in terms), F(0))
+        got = exact_total(iter(terms))
+        assert got == want and type(got) is F
 
     def test_sandwich_with_exact_values(self):
         # with exact d-queries the cover total sits exactly between the

@@ -487,8 +487,8 @@ class TestStartup:
 
 # Runs one command in a fresh interpreter, then writes its peak resident
 # set size in kB to stderr: VmHWM, the high-water mark of the process's
-# own memory since exec.  ru_maxrss would also count the parent's pages at
-# the fork, which here are the whole test session's.
+# own memory since exec.  ru_maxrss would also count the pages of the
+# process that forked it, under pytest those of the whole test run.
 RSS_CHILD = """
 import sys
 from dymart import cli
@@ -506,9 +506,10 @@ class TestMemory:
                         reason="reads VmHWM from /proc")
     def test_savings_pullback_r2048_peak_rss(self, tmp_path):
         # a savings wrapper of a product form at m = 8200: its integer
-        # fold fills no at() memo, inner or outer.  Folding the input's
-        # at() Fractions instead peaked at about 94 MB here, against 31 MB
-        # now and 15 MB for the same command at r = 8 (Python 3.11, Linux)
+        # fold fills no at() memo, inner or outer.  A Fraction fold over
+        # the input's at() values peaks at about 94 MB on this command,
+        # the integer fold at about 31 MB, and the same command at r = 8
+        # at 15 MB (Python 3.11, Linux)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -10,10 +10,18 @@ the margin eps.  These give a computable tail bound
 with k = ceil(lg(C (r+eps) / eps)) and l = ceil(1 / lg((r+eps)/r)), both
 found by exact integer power comparisons.  Evaluation at target precision
 s then truncates at m_s = l (s + k + 1) terms -- killing the tail to
-2^-(s+1) -- and queries each coefficient and the center at precision
+2^-(s+1) -- and queries each coefficient at precision
 e(n, s) = s + b_s n + 2 m_s + 1, where 2^b_s dominates every factor
-magnitude; a telescoping bound puts each term's error below
-(n+1) 2^(-s - 2 m_s - 1), so the grand total stays within 2^-s.
+magnitude, and the center once, at e_max = e(m_s - 1, s); a telescoping
+bound puts each term's error below (n+1) 2^(-s - 2 m_s - 1), so the grand
+total stays within 2^-s.
+
+Both series evaluators, ``eval_point`` and the fixed-point sign sum, read
+these replies through a level table (``_LevelTable``): per level (s, b_s)
+it queries the magnitude pass, the center at e_max and every coefficient
+once.  An evaluation builds a fresh table; ``find_root`` keeps one for all
+its probes, so a root queries each coefficient once per level it reaches,
+not once per probe.
 
 Root finding brackets a certified sign change and bisects, with
 quarter-point probes when the midpoint sits too close to the root to call.
@@ -21,9 +29,11 @@ Signs come from their own evaluator, not from ``eval_point``:
 
 - a finitely supported spec (a ``poly:`` spec, an explicit coefficient
   list, and their shifts and derivatives) carries its exact coefficients
-  and is evaluated exactly at the dyadic probe by Horner's rule; an exact
-  quotient evaluator answers exactly too.  The sign of that value is the
-  answer, and an exact 0 is a root: no precision is escalated;
+  c_0, ..., c_d.  Over their common denominator D > 0, the sign at the
+  probe t = a/b (b > 0) is the sign of the integer
+  sum_i (c_i D) a^i b^(d-i), summed by Horner's rule; an exact quotient
+  evaluator answers exactly too.  That sign is the answer, and an exact 0
+  is a root: no precision is escalated;
 - every other series is summed in integer fixed point on ``eval_point``'s
   schedule (same m_s, b_s and term precisions), as one integer N over
   2^(s+g) with g = bit_length(m_s) + 2 guard bits.  |N / 2^(s+g)| > 2 * 2^-s
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
 
 from .dyadic import Dyadic, Word, exact_ceil_lg, word_value
@@ -100,13 +111,27 @@ class PowerSeriesSpec:
     tail_monotone_from: int = 0
     polynomial: tuple = None
 
-    @property
+    # computed once per instance; ``dataclasses.replace`` builds a new
+    # instance, so a derived spec computes its own
+    @cached_property
     def constants(self):
         return tail_constants(self.term_bound, self.radius, self.margin)
 
-    def anchor_interval(self):
+    @cached_property
+    def _anchor_bounds(self):
         lo = Fraction(word_value(self.anchor))
         return lo, lo + Fraction(1, 1 << len(self.anchor))
+
+    def anchor_interval(self):
+        return self._anchor_bounds
+
+    @cached_property
+    def _integer_polynomial(self):
+        """(c_0 D, ..., c_d D) for the common denominator D > 0 of
+        ``polynomial``: integers with the polynomial's signs."""
+        coeffs = [Fraction(c) for c in self.polynomial]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
     def validate(self):
         """Spot-check |c_n|(r+eps)^n <= C for n <= EXPLICIT_TO and the
@@ -115,9 +140,14 @@ class PowerSeriesSpec:
         if self.exact_coeff is None:
             raise ValueError(f"{self.name}: no exact coefficients to check")
         base = self.radius + self.margin
-        t = [abs(Fraction(self.exact_coeff(n))) * base ** n
-             for n in range(max(EXPLICIT_TO, self.tail_monotone_from
-                                + WINDOW) + 3)]
+        t, num, den = [], 1, 1              # base^n = num/den
+        for n in range(max(EXPLICIT_TO, self.tail_monotone_from + WINDOW)
+                       + 3):
+            c = Fraction(self.exact_coeff(n))
+            t.append(Fraction(abs(c.numerator) * num, c.denominator * den)
+                     if c else c)
+            num *= base.numerator
+            den *= base.denominator
         for n in range(EXPLICIT_TO + 1):
             if t[n] > self.term_bound:
                 raise ValueError(f"{self.name}: term bound fails at n={n}: "
@@ -173,29 +203,55 @@ def _check_anchor(spec, t):
         raise AnchorError(f"{t} outside anchor [{lo}, {hi}] of {spec.name}")
 
 
-def _term_queries(spec, t, s):
-    """The anchor check, schedule and coefficient queries of both series
-    evaluators, ``eval_point`` and ``_fixed_point_sum``.
+class _LevelTable:
+    """One spec's approximator replies, queried once per precision level.
 
-    Returns (m_s, e_max, terms): ``terms`` yields (n, e, c_n) for every
-    n < m_s whose reply c_n = coeff_approx(n, e) is nonzero, queried at
-    e = e(n, s) = s + b_s n + 2 m_s + 1, and e_max = e(m_s - 1, s).
+    A level is a target precision s with its factor bound b_s, which
+    depends on the point t only through |t - center|.  Per level the table
+    keeps the center reply at e_max and the nonzero coefficient replies as
+    integer pairs; across levels it keeps the center reply at precision 0
+    and the running maxima of |coeff_approx(n, 0)|, the coefficient part
+    of the magnitude pass.  An evaluation builds a fresh table;
+    ``find_root`` keeps one for all the probes of one root.
     """
-    _check_anchor(spec, t)
-    m_s, k, ell = eval_schedule(spec, s)
 
-    mag = abs(t - Fraction(spec.center_approx(0)))
-    for n in range(m_s):
-        mag = max(mag, abs(Fraction(spec.coeff_approx(n, 0))))
-    b_s = exact_ceil_lg(2 + mag)
+    def __init__(self, spec):
+        self.spec = spec
+        self.center0 = None
+        self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n
+        self.levels = {}        # (s, b_s) -> (m_s, e_max, center, terms)
 
-    def terms():
-        for n in range(m_s):
-            e = s + b_s * n + 2 * m_s + 1
-            c = Fraction(spec.coeff_approx(n, e))
-            if c:
-                yield n, e, c
-    return m_s, s + b_s * (m_s - 1) + 2 * m_s + 1, terms()
+    def level(self, t, s):
+        """(m_s, e_max, center, terms) at target precision s for the
+        rational t, after the anchor check.
+
+        ``terms`` lists (n, num, den) for every n < m_s whose reply
+        num/den = coeff_approx(n, e) is nonzero, queried at
+        e = e(n, s) = s + b_s n + 2 m_s + 1; ``center`` is
+        center_approx(e_max) with e_max = e(m_s - 1, s).
+        """
+        spec = self.spec
+        _check_anchor(spec, t)
+        m_s = eval_schedule(spec, s)[0]
+        if self.center0 is None:
+            self.center0 = Fraction(spec.center_approx(0))
+        mags = self.mags
+        for n in range(len(mags), m_s):
+            c = abs(Fraction(spec.coeff_approx(n, 0)))
+            mags.append(max(mags[-1], c) if mags else c)
+        b_s = exact_ceil_lg(2 + max(abs(t - self.center0), mags[m_s - 1]))
+        key = (s, b_s)
+        found = self.levels.get(key)
+        if found is None:
+            terms = []
+            for n in range(m_s):
+                c = Fraction(spec.coeff_approx(n, s + b_s * n + 2 * m_s + 1))
+                if c:
+                    terms.append((n, c.numerator, c.denominator))
+            e_max = s + b_s * (m_s - 1) + 2 * m_s + 1
+            found = self.levels[key] = (
+                m_s, e_max, Fraction(spec.center_approx(e_max)), terms)
+        return found
 
 
 def eval_point(spec, t, s):
@@ -204,22 +260,23 @@ def eval_point(spec, t, s):
     t must lie in the spec's anchor interval.
     """
     t = Fraction(t)
-    _, _, terms = _term_queries(spec, t, s)
+    _, _, center, terms = _LevelTable(spec).level(t, s)
+    z = t - center
     total = Fraction(0)
-    for n, e, c in terms:
-        z = t - Fraction(spec.center_approx(e))
-        total += c * z ** n
+    for n, num, den in terms:
+        total += Fraction(num, den) * z ** n
     return total
 
 
-def _fixed_point_sum(spec, t, s):
+def _fixed_point_sum(spec, t, s, table=None):
     """(N, s + g): N / 2^(s+g) is within 2^-s of the series at t.
 
-    The replies c_n and their precisions e_n = e(n, s) are ``eval_point``'s;
-    the center is queried once, at e_max = e(m_s - 1, s), and z = t - center
-    is kept as floor(z 2^w) with w = e_max + 1.  The powers z^n are
-    products of these, each rounded down to a multiple of 2^-w, and each
-    term c_n z^n is rounded down to a multiple of 2^-(s+g), with
+    The replies c_n, their precisions e_n = e(n, s) and the center reply
+    at e_max = e(m_s - 1, s) are ``eval_point``'s, read from ``table`` (a
+    fresh one when none is given).  z = t - center is kept as
+    floor(z 2^w) with w = e_max + 1.  The powers z^n are products of
+    these, each rounded down to a multiple of 2^-w, and each term
+    c_n z^n is rounded down to a multiple of 2^-(s+g), with
     g = bit_length(m_s) + 2 guard bits, so 2^g > 4 m_s.  With B = 2^b_s
     bounding |z| and every |c_n|, the error budget is:
 
@@ -234,18 +291,20 @@ def _fixed_point_sum(spec, t, s):
     in all below 2^-s.
     """
     t = Fraction(t)
-    m_s, e_max, terms = _term_queries(spec, t, s)
+    if table is None:
+        table = _LevelTable(spec)
+    m_s, e_max, center, terms = table.level(t, s)
     sg = s + m_s.bit_length() + 2
     w = e_max + 1
-    z = t - Fraction(spec.center_approx(e_max))
+    z = t - center
     z_w = (z.numerator << w) // z.denominator
     total = 0
     at, power = 0, 1 << w           # power = z^at in units of 2^-w
-    for n, _, c in terms:
+    for n, num, den in terms:
         while at < n:
             power = power * z_w >> w
             at += 1
-        total += (c.numerator * power >> (w - sg)) // c.denominator
+        total += (num * power >> (w - sg)) // den
     return total, sg
 
 
@@ -254,36 +313,44 @@ def eval_approx(spec, a, s):
     return eval_point(spec, word_value(spec.anchor + a), s)
 
 
-def _exact_value(evaluator, t):
-    """The exact value at the dyadic t, or None for a series that must be
-    approximated: polynomials by Horner's rule, quotients by ``at``."""
+def _exact_sign(evaluator, t):
+    """The sign of the exact value at the dyadic t (0 at a root), or None
+    for a series that must be approximated: quotients by ``at``,
+    polynomials by integer Horner over their common denominator."""
     if not isinstance(evaluator, PowerSeriesSpec):
-        return Fraction(evaluator.at(t))
+        value = Fraction(evaluator.at(t))
+        return (value > 0) - (value < 0)
     if evaluator.polynomial is None:
         return None
     t = Fraction(t)
     _check_anchor(evaluator, t)
-    acc = Fraction(0)
-    for c in reversed(evaluator.polynomial):
-        acc = acc * t + c
-    return acc
+    a, b = t.numerator, t.denominator
+    # after c_i: acc = sum_{j >= i} (c_j D) a^(j-i) b^(d-j)
+    acc, b_power = 0, 1                 # b_power = b^(d-i) before c_i
+    for c in reversed(evaluator._integer_polynomial):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return (acc > 0) - (acc < 0)
 
 
-def certified_sign(evaluator, t, p):
+def certified_sign(evaluator, t, p, *, _table=None):
     """The sign of f(t) (+1/-1), or 0 when it cannot be certified.
 
     An evaluator with an exact value at t (a polynomial spec or a quotient)
     is evaluated once; its sign is the answer, and an exact zero gives 0.
     Any other series is summed in fixed point at the levels
     s = (p+2) * 2^i for i = 0..DOUBLINGS until |value| > 2 * 2^-s; such a
-    reply pins the sign of the true value since |f(t) - v| <= 2^-s.
+    reply pins the sign of the true value since |f(t) - v| <= 2^-s.  Each
+    call queries the coefficients afresh at every level it sums, except
+    for ``find_root``'s probes, which share one level table (``_table``).
     """
-    exact = _exact_value(evaluator, t)
-    if exact is not None:
-        return (exact > 0) - (exact < 0)
+    sign = _exact_sign(evaluator, t)
+    if sign is not None:
+        return sign
+    table = _LevelTable(evaluator) if _table is None else _table
     for i in range(DOUBLINGS + 1):
         s = (p + 2) << i
-        total, sg = _fixed_point_sum(evaluator, t, s)
+        total, sg = _fixed_point_sum(evaluator, t, s, table)
         if abs(total) > 2 << (sg - s):      # |total / 2^sg| > 2 * 2^-s
             return 1 if total > 0 else -1
     return 0
@@ -297,13 +364,22 @@ def find_root(spec, interval, p):
     reveal a sign (the root may be exactly there) are bypassed with
     quarter-point probes; if no probe can be certified either, the
     instance is reported as sign-undecidable.
+
+    Every probe is a ``certified_sign`` call at the same p, and all of
+    them share one level table: a root queries each coefficient once per
+    level (s, b_s) it reaches, not once per probe.
     """
     lo, hi = (q if isinstance(q, Dyadic) else Dyadic.parse(str(q))
               for q in interval)
     if not lo < hi:
         raise ValueError("empty interval")
-    s_lo = certified_sign(spec, lo, p)
-    s_hi = certified_sign(spec, hi, p)
+    table = _LevelTable(spec)
+
+    def sign(t):
+        return certified_sign(spec, t, p, _table=table)
+
+    s_lo = sign(lo)
+    s_hi = sign(hi)
     if s_lo == 0 or s_hi == 0:
         raise SignUndecidableError(
             f"sign-undecidable at an endpoint of [{lo}, {hi}]")
@@ -317,7 +393,7 @@ def find_root(spec, interval, p):
         if rounds > 8 * p + 64:
             raise SignUndecidableError("bisection failed to converge")
         mid = (lo + hi).half()
-        s_mid = certified_sign(spec, mid, p)
+        s_mid = sign(mid)
         if s_mid == s_lo:
             lo = mid
             continue
@@ -327,8 +403,8 @@ def find_root(spec, interval, p):
         quarter = (hi - lo).half().half()
         q1 = lo + quarter
         q2 = hi - quarter
-        s1 = certified_sign(spec, q1, p)
-        s2 = certified_sign(spec, q2, p)
+        s1 = sign(q1)
+        s2 = sign(q2)
         if s1 == s_hi:
             hi = q1
         elif s2 == s_lo:
@@ -406,22 +482,48 @@ def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0,
     )
 
 
-def _exp_coeff(n):
-    return Fraction(1, math.factorial(n))
+class _RunningFactorial:
+    """n! from the last (n, n!) pair: one multiply when the next query is
+    n + 1, ``math.factorial`` otherwise.  The state stays one pair."""
 
+    def __init__(self):
+        self.n, self.value = 0, 1
+
+    def __call__(self, n):
+        if n == self.n + 1:
+            self.value *= n
+        elif n != self.n:
+            self.value = math.factorial(n)
+        self.n = n
+        return self.value
+
+
+_EXP_FACTORIAL = _RunningFactorial()
+_SIN_FACTORIAL = _RunningFactorial()
+_COS_FACTORIAL = _RunningFactorial()
+
+
+def _exp_coeff(n):
+    return Fraction(1, _EXP_FACTORIAL(n))
+
+
+# sin and cos step their factorial at the zero coefficients too, so that
+# ascending queries n, n+1, n+2, ... stay one multiply each
 
 def _sin_coeff(n):
+    factorial = _SIN_FACTORIAL(n)
     if n % 2 == 0:
         return Fraction(0)
     sign = 1 if (n // 2) % 2 == 0 else -1
-    return Fraction(sign, math.factorial(n))
+    return Fraction(sign, factorial)
 
 
 def _cos_coeff(n):
+    factorial = _COS_FACTORIAL(n)
     if n % 2 == 1:
         return Fraction(0)
     sign = 1 if (n // 2) % 2 == 0 else -1
-    return Fraction(sign, math.factorial(n))
+    return Fraction(sign, factorial)
 
 
 def _ln1p_coeff(n):
@@ -430,36 +532,45 @@ def _ln1p_coeff(n):
     return Fraction(1 if n % 2 == 1 else -1, n)
 
 
+_NAMED = {
+    "exp": lambda: _series("exp", _exp_coeff, 4, 1, 1, tail_from=2),
+    "sin": lambda: _series("sin", _sin_coeff, 2, 1, 1, tail_from=1),
+    "cos": lambda: _series("cos", _cos_coeff, 2, 1, 1, tail_from=2),
+    "ln1p": lambda: _series("ln1p", _ln1p_coeff, 1, Fraction(1, 2),
+                            Fraction(1, 4), anchor="0", tail_from=1),
+    "geom": lambda: _series("geom", lambda n: Fraction(1), 1,
+                            Fraction(1, 2), Fraction(1, 4), anchor="0",
+                            tail_from=0),
+}
+
+
+@cache
+def _named_spec(name):
+    spec = _NAMED[name]()
+    spec.validate()
+    return spec
+
+
 def builtin_spec(name):
     """Named series: exp | sin | cos | ln1p | geom | poly:<c0,c1,...>.
 
     exp/sin/cos anchor the whole unit interval about 0 with (r, eps) =
     (1, 1); geom (coefficients all 1) and ln1p only converge with margin
     on [0, 1/2], anchored on the left half with (r, eps) = (1/2, 1/4).
-    All constants are validated on construction.
+    All constants are validated on construction.  A named spec is built
+    and validated once per process, on first use; a ``poly:`` spec on
+    every call.
     """
-    if name == "exp":
-        spec = _series("exp", _exp_coeff, 4, 1, 1, tail_from=2)
-    elif name == "sin":
-        spec = _series("sin", _sin_coeff, 2, 1, 1, tail_from=1)
-    elif name == "cos":
-        spec = _series("cos", _cos_coeff, 2, 1, 1, tail_from=2)
-    elif name == "ln1p":
-        spec = _series("ln1p", _ln1p_coeff, 1, Fraction(1, 2),
-                       Fraction(1, 4), anchor="0", tail_from=1)
-    elif name == "geom":
-        spec = _series("geom", lambda n: Fraction(1), 1, Fraction(1, 2),
-                       Fraction(1, 4), anchor="0", tail_from=0)
-    elif name.startswith("poly:"):
-        coeffs = [parse_rational(c) for c in name.split(":", 1)[1].split(",")]
-        if not coeffs:
-            raise ParseError("empty coefficient list")
-        bound = max([ONE] + [abs(c) * (1 << i)
-                             for i, c in enumerate(coeffs)])
-        exact = lambda n: coeffs[n] if n < len(coeffs) else Fraction(0)
-        spec = _series(name, exact, bound, 1, 1, tail_from=len(coeffs),
-                       polynomial=tuple(coeffs))
-    else:
+    if name in _NAMED:
+        return _named_spec(name)
+    if not name.startswith("poly:"):
         raise ValueError(f"unknown series spec {name!r}")
+    coeffs = [parse_rational(c) for c in name.split(":", 1)[1].split(",")]
+    if not coeffs:
+        raise ParseError("empty coefficient list")
+    bound = max([ONE] + [abs(c) * (1 << i) for i, c in enumerate(coeffs)])
+    exact = lambda n: coeffs[n] if n < len(coeffs) else Fraction(0)
+    spec = _series(name, exact, bound, 1, 1, tail_from=len(coeffs),
+                   polynomial=tuple(coeffs))
     spec.validate()
     return spec

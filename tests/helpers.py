@@ -4,8 +4,9 @@ Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
 derived strategies by recomputing every prefix of the word, measure round
-trips word by word with no shared grid values, and reference constants
-come from plain partial sums with explicit remainder bounds.
+trips word by word with no shared grid values, reference constants
+come from plain partial sums with explicit remainder bounds, and
+polynomial values from Horner's rule over Fractions.
 """
 
 import dataclasses
@@ -356,6 +357,14 @@ def ln1p_interval(t, terms=80):
         term = -term * t
     lo, hi = sorted((s, s + term / (terms + 1)))
     return lo, hi
+
+
+def horner(coeffs, t):
+    """sum c_i t^i, exactly: Horner's rule over Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 def in_interval(v, lo, hi, slack):

@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dymart import config
-from dymart.analytic import (_fixed_point_sum, builtin_spec, certified_sign,
-                             derivative_spec, eval_approx, eval_point,
-                             eval_schedule, find_root, tail_constants)
+from dymart.analytic import (DOUBLINGS, _cos_coeff, _exp_coeff,
+                             _fixed_point_sum, _sin_coeff, builtin_spec,
+                             certified_sign, derivative_spec, eval_approx,
+                             eval_point, eval_schedule, find_root,
+                             tail_constants)
 from dymart.dyadic import Dyadic, Word
 from dymart.errors import AnchorError, SignUndecidableError
 from dymart.funcs import QuotientFn
 
-from helpers import (cos_interval, exp_interval, in_interval, ln1p_interval,
-                     noisy_spec, sin_interval)
+from helpers import (cos_interval, exp_interval, horner, in_interval,
+                     ln1p_interval, noisy_spec, sin_interval)
 
 W = Word.parse
 F = Fraction
@@ -53,14 +57,20 @@ FIXED_POINT = {
 }
 
 
-def _counting(spec, log):
-    """The spec with every coefficient query (n, r) appended to log."""
-    inner = spec.coeff_approx
+def _counting(spec, log, centers=None):
+    """The spec with every coefficient query (n, r) appended to log, and
+    every center query r to centers when it is given."""
+    inner, inner_center = spec.coeff_approx, spec.center_approx
 
     def coeff(n, r):
         log.append((n, r))
         return inner(n, r)
-    return dataclasses.replace(spec, coeff_approx=coeff)
+
+    def center(r):
+        if centers is not None:
+            centers.append(r)
+        return inner_center(r)
+    return dataclasses.replace(spec, coeff_approx=coeff, center_approx=center)
 
 
 class TestTailConstants:
@@ -99,6 +109,55 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_spec("zeta")
+
+    def test_named_specs_are_built_once(self):
+        for name in ("exp", "sin", "cos", "ln1p", "geom"):
+            assert builtin_spec(name) is builtin_spec(name)
+        assert builtin_spec("poly:1,2") is not builtin_spec("poly:1,2")
+
+    @pytest.mark.parametrize("order", ["increasing", "shuffled"])
+    def test_running_factorial_replies(self, order):
+        # the builtin oracles step their last (n, n!) pair; the replies are
+        # those of a fresh math.factorial in any query order
+        ns = list(range(601))
+        if order == "shuffled":
+            random.Random("factorial").shuffle(ns)
+        for n in ns:
+            exact = F(1 if (n // 2) % 2 == 0 else -1, math.factorial(n))
+            assert _exp_coeff(n) == F(1, math.factorial(n)), n
+            assert _sin_coeff(n) == (exact if n % 2 == 1 else 0), n
+            assert _cos_coeff(n) == (exact if n % 2 == 0 else 0), n
+
+
+class TestValidate:
+    """Each failed check names the spec and the first failing term."""
+
+    def test_term_bound(self):
+        spec = dataclasses.replace(builtin_spec("exp"), term_bound=F(3, 2))
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        assert str(err.value) == "exp: term bound fails at n=1: 2 > 3/2"
+
+    def test_tail_monotone(self):
+        # t^2 with the monotone tail declared from n = 0: t_2 = 4 > t_0 = 0
+        spec = dataclasses.replace(builtin_spec("poly:0,0,1"),
+                                   tail_monotone_from=0)
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        assert str(err.value) == \
+            "poly:0,0,1: tail not two-step monotone at n=0"
+
+    def test_anchor_reach(self):
+        spec = dataclasses.replace(builtin_spec("geom"), anchor=W(""))
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        assert str(err.value) == "geom: anchor reaches 1 beyond radius 1/2"
+
+    def test_no_exact_coefficients(self):
+        spec = dataclasses.replace(builtin_spec("sin"), exact_coeff=None)
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        assert str(err.value) == "sin: no exact coefficients to check"
 
 
 class TestEval:
@@ -216,6 +275,26 @@ class TestFixedPoint:
             assert root == Dyadic(1, 1), name
             assert log == [], name
 
+    @pytest.mark.parametrize("p", [16, 64])
+    def test_root_queries_each_level_once(self, p):
+        spec = builtin_spec("exp").shifted(F(3, 2))
+        log, centers = [], []
+        find_root(_counting(spec, log, centers), (Dyadic(0), Dyadic(1)), p)
+
+        def e_max(s):
+            # b_s = ceil(lg(2 + 1)) = 2: |t| <= 1 and max |c_n(0)| = 1
+            m_s = eval_schedule(spec, s)[0]
+            return s + 2 * (m_s - 1) + 2 * m_s + 1
+        levels = [s for s in ((p + 2) << i for i in range(DOUBLINGS + 1))
+                  if e_max(s) in centers]
+        assert levels[0] == p + 2
+        # the center once per level at e_max, and once at precision 0
+        assert sorted(centers) == [0] + [e_max(s) for s in levels]
+        queried = [(n, r) for n, r in log if r > 0]
+        assert len(set(queried)) == len(queried)
+        assert len(queried) == sum(eval_schedule(spec, s)[0]
+                                   for s in levels)
+
     def test_quotient_answers_once_at_a_zero(self):
         calls = []
 
@@ -261,6 +340,30 @@ class TestDerivative:
             t = F(k, 16)
             lo, hi = sin_interval(t)
             assert in_interval(-eval_point(d2, t, 10), lo, hi, F(1, 1 << 10))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
+
+
+class TestPolynomialSigns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=6), unit_points,
+           st.booleans())
+    def test_sign_is_the_oracle_sign(self, coeffs, t, root_at_t):
+        if root_at_t:
+            # times (x - t): t is an exact root
+            coeffs = [a - t * b for a, b in zip([F(0)] + coeffs,
+                                                coeffs + [F(0)])]
+        spec = builtin_spec("poly:" + ",".join(map(str, coeffs)))
+        value = horner(coeffs, t)
+        want = (value > 0) - (value < 0)
+        assert certified_sign(spec, t, 8) == want
+        if root_at_t:
+            assert want == 0
+        dspec = derivative_spec(spec)
+        slope = horner([i * c for i, c in enumerate(coeffs)][1:], t)
+        assert certified_sign(dspec, t, 8) == (slope > 0) - (slope < 0)
 
 
 class TestRoots:

@@ -40,6 +40,13 @@ COMMANDS = {
     "readme_analytic_root_exp":
         "analytic root --spec exp --offset 3/2 --interval 0,1 "
         "--precision 16",
+    # roots whose probes share precision levels: exp - 3/2 at p = 256
+    # sums a fixed-point series at each probe, the quadratic signs exactly
+    "analytic_root_exp_p256":
+        "analytic root --spec exp --offset 3/2 --interval 0,1 "
+        "--precision 256",
+    "analytic_root_poly_p64":
+        "analytic root --spec poly:-1/2,0,1 --interval 0,1 --precision 64",
     "readme_tightness_demo": "tightness demo --zset 1 --depth 5",
     "readme_tightness_bounds":
         "tightness bounds --zset pow2 --step-exp 6 --slope-exp 5",

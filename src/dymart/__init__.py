@@ -2,11 +2,13 @@
 
 Modules follow the functional split:
 
-- ``dyadic``     exact numbers, words, intervals, grid rounding, covers
+- ``dyadic``     exact numbers, words, the interval of a word (``gamma``),
+                 grid rounding, covers
 - ``martingale`` betting strategies, conservative transform, traces,
                  verification reports
 - ``kernels``    the product-form block walk (block sums and maxima)
-- ``funcs``      exact/approximate real-function contracts
+- ``funcs``      exact/approximate real-function contracts and the image
+                 of a word's interval (``word_image``)
 - ``tightness``  zero-insertion functions and their betting strategies
 - ``pullback``   interval shifts and the pullback martingale approximation
 - ``patch``      monotonization of non-monotone functions
@@ -20,14 +22,14 @@ Modules follow the functional split:
 Importing the package loads only ``dyadic`` and the modules it imports.
 """
 
-from .dyadic import (Dyadic, Word, GridPoint, word_value, gamma,
-                     lex_successor, round_to_grid, clamp_unit, minimal_cover,
-                     affine_transform, parse_rational, fmt_rational)
+from .dyadic import (Dyadic, Word, GridPoint, gamma, lex_successor,
+                     round_to_grid, clamp_unit, minimal_cover,
+                     parse_rational, fmt_rational)
 
 __all__ = [
-    "Dyadic", "Word", "GridPoint", "word_value", "gamma", "lex_successor",
-    "round_to_grid", "clamp_unit", "minimal_cover", "affine_transform",
-    "parse_rational", "fmt_rational",
+    "Dyadic", "Word", "GridPoint", "gamma", "lex_successor",
+    "round_to_grid", "clamp_unit", "minimal_cover", "parse_rational",
+    "fmt_rational",
 ]
 
 __version__ = "0.1.0"

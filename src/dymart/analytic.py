@@ -43,13 +43,12 @@ Signs come from their own evaluator, not from ``eval_point``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word, exact_ceil_lg, word_value
+from .dyadic import EMPTY, Dyadic, Word, exact_ceil_lg, gamma, parse_rational
 from .errors import AnchorError, ParseError, SignUndecidableError
-from .dyadic import parse_rational
 
 ONE = Fraction(1)
 
@@ -105,7 +104,7 @@ class PowerSeriesSpec:
     term_bound: Fraction
     radius: Fraction
     margin: Fraction
-    anchor: Word = field(default_factory=lambda: Word(0, 0))
+    anchor: Word = EMPTY
     exact_coeff: object = None
     exact_center: Fraction = None
     tail_monotone_from: int = 0
@@ -118,12 +117,9 @@ class PowerSeriesSpec:
         return tail_constants(self.term_bound, self.radius, self.margin)
 
     @cached_property
-    def _anchor_bounds(self):
-        lo = Fraction(word_value(self.anchor))
-        return lo, lo + Fraction(1, 1 << len(self.anchor))
-
     def anchor_interval(self):
-        return self._anchor_bounds
+        """The interval of ``anchor`` as a pair of Fractions."""
+        return tuple(Fraction(q) for q in gamma(self.anchor))
 
     @cached_property
     def _integer_polynomial(self):
@@ -158,7 +154,7 @@ class PowerSeriesSpec:
                 raise ValueError(f"{self.name}: tail not two-step monotone "
                                  f"at n={n}")
         if self.exact_center is not None:
-            lo, hi = self.anchor_interval()
+            lo, hi = self.anchor_interval
             reach = max(abs(lo - self.exact_center),
                         abs(hi - self.exact_center))
             if reach > self.radius:
@@ -198,7 +194,7 @@ def eval_schedule(spec, s):
 
 
 def _check_anchor(spec, t):
-    lo, hi = spec.anchor_interval()
+    lo, hi = spec.anchor_interval
     if not lo <= t <= hi:
         raise AnchorError(f"{t} outside anchor [{lo}, {hi}] of {spec.name}")
 
@@ -310,7 +306,7 @@ def _fixed_point_sum(spec, t, s, table=None):
 
 def eval_approx(spec, a, s):
     """Evaluate at the dyadic point 0.(anchor a), within 2^-s."""
-    return eval_point(spec, word_value(spec.anchor + a), s)
+    return eval_point(spec, (spec.anchor + a).value(), s)
 
 
 def _exact_sign(evaluator, t):
@@ -465,8 +461,15 @@ def derivative_spec(spec):
     )
 
 
-def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0,
-            polynomial=None):
+def series(name, exact_coeff, C, radius, margin, anchor=EMPTY, tail_from=0,
+           polynomial=None):
+    """A series about 0 with exact coefficients ``exact_coeff``, or with
+    those of ``polynomial`` (zero past its end) when that is None.  The
+    one builder of the named specs, ``poly:`` and ``kind = series``
+    files."""
+    if exact_coeff is None:
+        exact_coeff = lambda n: (polynomial[n] if n < len(polynomial)
+                                 else Fraction(0))
     return PowerSeriesSpec(
         name=name,
         coeff_approx=lambda n, r: exact_coeff(n),
@@ -474,7 +477,7 @@ def _series(name, exact_coeff, C, radius, margin, anchor="", tail_from=0,
         term_bound=Fraction(C),
         radius=Fraction(radius),
         margin=Fraction(margin),
-        anchor=Word.parse(anchor),
+        anchor=anchor,
         exact_coeff=exact_coeff,
         exact_center=Fraction(0),
         tail_monotone_from=tail_from,
@@ -533,14 +536,13 @@ def _ln1p_coeff(n):
 
 
 _NAMED = {
-    "exp": lambda: _series("exp", _exp_coeff, 4, 1, 1, tail_from=2),
-    "sin": lambda: _series("sin", _sin_coeff, 2, 1, 1, tail_from=1),
-    "cos": lambda: _series("cos", _cos_coeff, 2, 1, 1, tail_from=2),
-    "ln1p": lambda: _series("ln1p", _ln1p_coeff, 1, Fraction(1, 2),
-                            Fraction(1, 4), anchor="0", tail_from=1),
-    "geom": lambda: _series("geom", lambda n: Fraction(1), 1,
-                            Fraction(1, 2), Fraction(1, 4), anchor="0",
-                            tail_from=0),
+    "exp": lambda: series("exp", _exp_coeff, 4, 1, 1, tail_from=2),
+    "sin": lambda: series("sin", _sin_coeff, 2, 1, 1, tail_from=1),
+    "cos": lambda: series("cos", _cos_coeff, 2, 1, 1, tail_from=2),
+    "ln1p": lambda: series("ln1p", _ln1p_coeff, 1, Fraction(1, 2),
+                           Fraction(1, 4), anchor=Word(0, 1), tail_from=1),
+    "geom": lambda: series("geom", lambda n: Fraction(1), 1, Fraction(1, 2),
+                           Fraction(1, 4), anchor=Word(0, 1), tail_from=0),
 }
 
 
@@ -569,8 +571,7 @@ def builtin_spec(name):
     if not coeffs:
         raise ParseError("empty coefficient list")
     bound = max([ONE] + [abs(c) * (1 << i) for i, c in enumerate(coeffs)])
-    exact = lambda n: coeffs[n] if n < len(coeffs) else Fraction(0)
-    spec = _series(name, exact, bound, 1, 1, tail_from=len(coeffs),
-                   polynomial=tuple(coeffs))
+    spec = series(name, None, bound, 1, 1, tail_from=len(coeffs),
+                  polynomial=tuple(coeffs))
     spec.validate()
     return spec

@@ -24,8 +24,6 @@ resolved, so a command loads only the modules its specs name.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dyadic import Dyadic, Word, parse_rational
 from .errors import ParseError
 
@@ -138,12 +136,10 @@ def _evaluator_from_file(path):
     cfg = load_config(path)
     kind = _require(cfg, "kind", path)
     if kind == "series":
-        from .analytic import PowerSeriesSpec, builtin_spec
+        from .analytic import builtin_spec, series
         coeffs = _require(cfg, "coeffs", path)
         if "," in coeffs or coeffs.lstrip("-").split("/")[0].isdigit():
-            explicit = _rat_list(coeffs)
-            exact = lambda n: explicit[n] if n < len(explicit) else Fraction(0)
-            base, polynomial = None, tuple(explicit)
+            base, exact, polynomial = None, None, tuple(_rat_list(coeffs))
         else:
             base = builtin_spec(coeffs)
             exact, polynomial = base.exact_coeff, base.polynomial
@@ -157,18 +153,14 @@ def _evaluator_from_file(path):
                 return fallback(base)
             raise ParseError(f"{path}: explicit coefficients need {key!r}")
 
-        spec = PowerSeriesSpec(
-            name=f"series[{path}]",
-            coeff_approx=lambda n, r: exact(n),
-            center_approx=lambda r: Fraction(0),
-            term_bound=inherit("C", lambda b: b.term_bound),
-            radius=inherit("r", lambda b: b.radius),
-            margin=inherit("eps", lambda b: b.margin),
+        spec = series(
+            f"series[{path}]", exact,
+            inherit("C", lambda b: b.term_bound),
+            inherit("r", lambda b: b.radius),
+            inherit("eps", lambda b: b.margin),
             anchor=inherit("anchor", lambda b: b.anchor, parse_word),
-            exact_coeff=exact,
-            exact_center=Fraction(0),
-            tail_monotone_from=inherit("tail_from",
-                                       lambda b: b.tail_monotone_from, int),
+            tail_from=inherit("tail_from", lambda b: b.tail_monotone_from,
+                              int),
             polynomial=polynomial,
         )
         spec.validate()

@@ -41,10 +41,14 @@ class Dyadic:
     Canonical form: ``exp >= 0`` and ``gcd(num, 2**exp) == 1``, i.e. the
     numerator is odd whenever ``exp > 0``; zero is ``(0, 0)``.  Equality is
     therefore structural and hashing cheap.  Addition, subtraction,
-    multiplication, comparison, min/max and scaling by powers of two are
-    closed and exact.  There is no true division: a quotient leaves the
-    dyadics, so ``Dyadic`` defines no ``/`` and a caller that genuinely
-    needs one converts to ``Fraction`` first.
+    negation, halving, comparison and min/max are closed and exact.  There
+    is no ``*``, ``**`` or ``/`` of its own (with a ``Fraction`` on the
+    right, ``Fraction``'s reflected operators answer with a ``Fraction``):
+    a caller that needs a product or a quotient converts to ``Fraction``
+    first.  The class defines no ``__float__``, ``__index__``,
+    ``__round__`` or ``__floor__``, so ``float()``, ``round()`` and
+    ``math.floor``/``ceil``/``trunc`` raise ``TypeError``: the core stays
+    float-free.
     """
 
     __slots__ = ("num", "exp")
@@ -139,61 +143,11 @@ class Dyadic:
         e = max(self.exp, o.exp)
         return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Fraction):
-                return other - self.as_fraction()
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() * other
-            return NotImplemented
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return Dyadic(-self.num, self.exp)
 
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return Dyadic(abs(self.num), self.exp)
-
-    def scale_pow2(self, j):
-        """Exact multiplication by 2**j (j may be negative)."""
-        return Dyadic(self.num, self.exp - j)
-
     def half(self):
         return Dyadic(self.num, self.exp + 1)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return Dyadic(self.num ** n, self.exp * n)
-
-    def __floor__(self):
-        return self.num >> self.exp
-
-    def __ceil__(self):
-        return -((-self.num) >> self.exp)
-
-    def __trunc__(self):
-        n = self.__floor__()
-        return n if self >= 0 else self.__ceil__()
-
-    def __round__(self, ndigits=None):
-        raise TypeError("round() is ambiguous for Dyadic; use round_to_grid")
-
-    def __float__(self):
-        raise TypeError("Dyadic refuses float conversion; the core is "
-                        "float-free by design")
 
     # -- comparisons -------------------------------------------------------
 
@@ -316,15 +270,6 @@ class Word:
         return Word(int(text, 2), len(text))
 
     @staticmethod
-    def from_bits(bits):
-        k = 0
-        n = 0
-        for b in bits:
-            k = (k << 1) | (1 if b else 0)
-            n += 1
-        return Word(k, n)
-
-    @staticmethod
     def from_point(q, length=None):
         """The word w with 0.w == q; shortest one unless a length is given."""
         d = q if isinstance(q, Dyadic) else Dyadic.from_fraction(Fraction(q))
@@ -376,9 +321,6 @@ class Word:
         """All prefixes from λ up to the word itself, in order."""
         return [self.prefix(i) for i in range(self.n + 1)]
 
-    def is_prefix_of(self, other):
-        return other.n >= self.n and (other.k >> (other.n - self.n)) == self.k
-
     def is_all_ones(self):
         return self.k == (1 << self.n) - 1
 
@@ -404,13 +346,10 @@ def all_words(max_len, min_len=0):
             yield Word(k, n)
 
 
-def word_value(w):
-    """The rational 0.w, exactly."""
-    return w.value()
-
-
 def gamma(w):
-    """The closed dyadic interval [0.w, 0.w + 2^-|w|] as a (lo, hi) pair."""
+    """The closed dyadic interval [0.w, 0.w + 2^-|w|] of the word w as a
+    (lo, hi) pair of Dyadics: the package's one derivation of it (series
+    anchors, ``funcs.word_image``, the transfer witness)."""
     return Dyadic(w.k, w.n), Dyadic(w.k + 1, w.n)
 
 
@@ -432,11 +371,6 @@ class GridPoint(namedtuple("GridPoint", "value grid")):
         if value.exp > grid:
             raise ValueError(f"{value} is not on the 2^-{grid} grid")
         return super().__new__(cls, value, grid)
-
-    @property
-    def index(self):
-        """value * 2**grid as an integer."""
-        return self.value.num << (self.grid - self.value.exp)
 
 
 def round_to_grid(q, m):
@@ -483,11 +417,6 @@ def minimal_cover(a, b, m):
         raise ValueError("endpoints must lie on the 2^-m grid")
     return [Word(idx, m - lev) for lev, idx in
             aligned_blocks(a.num << (m - a.exp), b.num << (m - b.exp))]
-
-
-def affine_transform(x, j, a):
-    """Exact 2**j * x + a for dyadic x and a and integer j."""
-    return x.scale_pow2(j) + a
 
 
 def exact_ceil_lg(q):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word, parse_rational
+from .dyadic import Dyadic, Word, gamma, parse_rational
 from .errors import ParseError
 
 
@@ -38,6 +38,14 @@ class FnOracle:
 
     def at_word(self, w):
         return self.at(w.value())
+
+
+def word_image(f, w):
+    """Exact (f(0.w), f(0.w + 2^-|w|)) as Fractions: f at the ends of the
+    interval of w, through ``at_one()`` for w = 1^n.  No monotone check."""
+    lo, hi = gamma(w)
+    return (Fraction(f.at(lo)),
+            Fraction(f.at_one() if w.is_all_ones() else f.at(hi)))
 
 
 class IdentityFn(FnOracle):

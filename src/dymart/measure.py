@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word, lex_successor
-from .funcs import FnOracle
+from .dyadic import Dyadic, Word
+from .funcs import FnOracle, word_image
 from .martingale import Report, Violation
 
 
@@ -66,12 +66,9 @@ class DifferentialMeasure(ProbabilityMeasure):
 
 
 def differential(fn, w):
-    """Exact increment of fn across the interval of w."""
-    lo = Fraction(fn.at(w.value()))
-    if w.is_all_ones():
-        hi = Fraction(fn.at_one())
-    else:
-        hi = Fraction(fn.at(lex_successor(w).value()))
+    """Exact increment of fn across the interval of w; fn need not be
+    monotone."""
+    lo, hi = word_image(fn, w)
     return hi - lo
 
 

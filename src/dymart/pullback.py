@@ -38,8 +38,9 @@ from fractions import Fraction
 
 from . import kernels
 from .dyadic import (Dyadic, GridPoint, Word, clamp_unit, exact_ceil_lg,
-                     lex_successor, minimal_cover, round_to_grid)
+                     gamma, lex_successor, minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
+from .funcs import word_image
 from .martingale import ApproxMartingale, Report, Violation
 
 
@@ -57,12 +58,7 @@ def _delta_interval(f, x):
     """Exact endpoints of D_x = f(interval of x) for a monotone oracle."""
     if not f.monotone:
         raise ValueError(f"{f.name} is not flagged monotone")
-    lo = Fraction(f.at(x.value()))
-    if x.is_all_ones():
-        hi = Fraction(f.at_one())
-    else:
-        hi = Fraction(f.at(lex_successor(x).value()))
-    return lo, hi
+    return word_image(f, x)
 
 
 def _cell_ranges(lo, hi, n):
@@ -281,8 +277,7 @@ def transfer_witness(d, f, cert, x, y):
 
     center = Fraction(cert.center)
     x01 = x.append(0).append(1)
-    g_lo = Fraction(x01.value())
-    g_hi = g_lo + Fraction(1, 1 << len(x01))
+    g_lo, g_hi = gamma(x01)
     checked += 1
     if not g_lo < center < g_hi:
         violations.append(Violation(
@@ -290,8 +285,7 @@ def transfer_witness(d, f, cert, x, y):
             f"center not interior to the interval of {x01}"))
 
     image = Fraction(f.at(center))
-    y_lo = Fraction(y.value())
-    y_hi = y_lo + Fraction(1, 1 << len(y))
+    y_lo, y_hi = gamma(y)
     checked += 1
     if not y_lo <= image <= y_hi:
         violations.append(Violation(

@@ -40,6 +40,11 @@ from .errors import InsufficientBitsError, ParseError
 from .funcs import FnOracle
 from .martingale import ExactMartingale, ProductForm
 
+# bound on the members of an explicit position set, the largest member of
+# "tower": the value at 1 of a finite set's map sums every position up to
+# its largest member, in time quadratic in that member
+MAX_POSITION = 65536
+
 
 class CensusSet:
     """A decidable set of insertion positions with its census function."""
@@ -84,6 +89,10 @@ class CensusSet:
             raise ParseError(f"cannot parse position set {spec!r}") from None
         if any(m < 0 for m in members):
             raise ParseError("positions must be nonnegative")
+        if members and max(members) > MAX_POSITION:
+            raise ParseError(f"positions must be at most {MAX_POSITION} "
+                             f"(the largest member of tower), got "
+                             f"{max(members)}")
         return CensusSet(lambda i: i in members,
                          ",".join(str(m) for m in sorted(members)),
                          finite_members=tuple(sorted(members)))

@@ -20,6 +20,19 @@ from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
 
 
+def word_from_bits(bits):
+    """The word with the given bits (any iterable of truthy/falsy)."""
+    k = n = 0
+    for b in bits:
+        k, n = (k << 1) | (1 if b else 0), n + 1
+    return Word(k, n)
+
+
+def is_prefix(p, w):
+    """Whether the word p is a prefix of the word w."""
+    return w.n >= p.n and w.k >> (w.n - p.n) == p.k
+
+
 def greedy_cover(a, b, m):
     """Greedy prefix-minimal cover of [a, b] on the 2^-m grid, by Dyadics.
 
@@ -48,7 +61,7 @@ def brute_force_cover(a, b, m):
     inside = [w for w in all_words(m)
               if af <= Fraction(gamma(w)[0]) and Fraction(gamma(w)[1]) <= bf]
     minimal = [w for w in inside
-               if not any(p is not w and p.is_prefix_of(w) for p in inside)]
+               if not any(p is not w and is_prefix(p, w) for p in inside)]
     return sorted(minimal, key=lambda w: (Fraction(w.value()), len(w)))
 
 

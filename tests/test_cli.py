@@ -318,6 +318,26 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "error: --decimal must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("pullback", "--martingale", "conservative:zbettor:1", "--function",
+         "fz_norm:0,65537", "--word", "0110", "--precision", "8"),
+        ("trace", "--martingale", "zbettor:65537", "--word", "10100",
+         "--precision", "5"),
+    ], ids=" ".join)
+    def test_position_above_bound_exit_2(self, capsys, argv):
+        # the value at 1 of fz_norm sums every position up to the largest
+        # member, so an unbounded member would run for unbounded time
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: positions must be at most 65536 (the largest "
+                       "member of tower), got 65537\n")
+
+    @pytest.mark.parametrize("zset", ["tower", "0,65536"])
+    def test_position_at_bound_is_accepted(self, capsys, zset):
+        code, out, _ = run(capsys, "tightness", "demo", "--zset", zset,
+                           "--depth", "3")
+        assert code == 0 and out.startswith("# capital trace")
+
     def test_depth_zero_is_accepted(self, capsys):
         code, out, _ = run(capsys, "measure", "roundtrip", "--measure",
                            "uniform", "--depth", "0")
@@ -355,6 +375,45 @@ class TestErrors:
                            "12")
         assert code == 0
         assert parse_rational(out.splitlines()[0]) == F(1, 2)
+
+    @pytest.mark.parametrize("word", ["λ", "1", "0101"])
+    def test_series_file_with_named_base_matches_spec(self, capsys, tmp_path,
+                                                      word):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text("kind = series\ncoeffs = exp\n")
+        argv = ("analytic", "eval", "--word", word, "--precision", "24")
+        assert run(capsys, *argv, "--spec", f"@{spec}") == \
+            run(capsys, *argv, "--spec", "exp")
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("C", "2", "term_bound"),
+        ("eps", "1/8", "margin"),
+        ("anchor", "01", "anchor"),
+    ])
+    def test_series_file_overrides_a_named_field(self, capsys, tmp_path,
+                                                 key, value, field):
+        import dataclasses
+        from dymart.analytic import builtin_spec, eval_approx
+        from dymart.dyadic import Word, fmt_rational
+        spec = tmp_path / "ln1p.cfg"
+        spec.write_text(f"kind = series\ncoeffs = ln1p\n{key} = {value}\n")
+        code, out, _ = run(capsys, "analytic", "eval", "--spec", f"@{spec}",
+                           "--word", "011", "--precision", "20")
+        parsed = Word.parse(value) if field == "anchor" else F(value)
+        changed = dataclasses.replace(builtin_spec("ln1p"),
+                                      **{field: parsed})
+        assert code == 0
+        assert out == fmt_rational(
+            eval_approx(changed, Word.parse("011"), 20)) + "\n"
+
+    def test_series_file_explicit_coefficients_need_C(self, capsys,
+                                                      tmp_path):
+        spec = tmp_path / "noc.cfg"
+        spec.write_text("kind = series\ncoeffs = -1/2,1\nr = 1\neps = 1\n")
+        code, out, err = run(capsys, "analytic", "eval", "--spec",
+                             f"@{spec}", "--word", "1", "--precision", "8")
+        assert code == 2 and out == ""
+        assert err == f"error: {spec}: explicit coefficients need 'C'\n"
 
     def test_quotient_config_file(self, capsys, tmp_path):
         spec = tmp_path / "quot.cfg"

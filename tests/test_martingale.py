@@ -16,7 +16,8 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
 from dymart.pullback import pullback_approx
 from dymart.tightness import z_bettor
 
-from helpers import by_prefixes, nondyadic_bettor, random_product_forms
+from helpers import (by_prefixes, is_prefix, nondyadic_bettor,
+                     random_product_forms)
 
 W = Word.parse
 
@@ -103,7 +104,7 @@ class TestConservativeTransform:
         def fn(w):
             if w in table:
                 return table[w]
-            if W("00").is_prefix_of(w) or W("01").is_prefix_of(w):
+            if is_prefix(W("00"), w) or is_prefix(W("01"), w):
                 return table[w.prefix(2)]
             return table[w.prefix(1)]
 
@@ -246,7 +247,7 @@ class TestPrefixFold:
             try:
                 got = mart.at(w)
             except ArithmeticError:
-                assert bad.is_prefix_of(w)
+                assert is_prefix(bad, w)
                 continue
             assert got == oracle.at(w), (chain, bad, w)
         assert flaky.raised

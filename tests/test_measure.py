@@ -12,7 +12,8 @@ from dymart.measure import (CumulativeFn, DifferentialMeasure,
 from dymart.tightness import NormalizedInsertionFn as NormalizedInsertion
 from dymart.tightness import ZeroInsertionFn
 
-from helpers import dual_roundtrip_by_points, roundtrip_by_words
+from helpers import (dual_roundtrip_by_points, roundtrip_by_words,
+                     word_from_bits)
 
 W = Word.parse
 F = Fraction
@@ -73,7 +74,7 @@ class TestCumulative:
         # padding with zeros refines the grid but not the value
         for nu in measure_zoo():
             for x in all_words(6):
-                padded = Word.from_bits(list(x) + [0] * 3)
+                padded = word_from_bits(list(x) + [0] * 3)
                 assert cumulative(nu, x) == cumulative(nu, padded)
 
     def test_monotone_in_the_point(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dymart.dyadic import Dyadic, Word, all_words, word_value
+from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import InsufficientBitsError
 from dymart.funcs import as_weak
 from dymart.martingale import verify_martingale
@@ -11,6 +11,8 @@ from dymart.tightness import (ZOO_SPECS, CensusSet, GridImage,
                               insertion_value, verify_ratio,
                               verify_strong_ratio, z_bettor, zoo)
 from dymart.verify import _chk_slope_bound, _chk_step_bound
+
+from helpers import word_from_bits
 
 W = Word.parse
 F = Fraction
@@ -53,7 +55,7 @@ class TestInsertionValue:
         assert insertion_value(W("1"), CensusSet.parse("0")) == Dyadic(1, 2)
         for w in ["λ", "1", "0110", "111"]:
             assert insertion_value(W(w), CensusSet.parse("empty")) == \
-                word_value(W(w))
+                W(w).value()
 
     def test_agrees_with_streamed_insertion_when_spread(self):
         # weight formula == bit-stream landing whenever no insertion
@@ -61,9 +63,9 @@ class TestInsertionValue:
         for spec in ("empty", "0", "1", "5"):
             z = CensusSet.parse(spec)
             for w in all_words(6):
-                pad = Word.from_bits(list(w) + [0] * 12)
+                pad = word_from_bits(list(w) + [0] * 12)
                 t = len(pad) + z.census(len(pad) - 1)
-                streamed = word_value(insert_zeros(pad, z, t))
+                streamed = insert_zeros(pad, z, t).value()
                 assert insertion_value(w, z) == streamed, (z.name, w)
 
     def test_diverges_from_stream_on_bunched_sets(self):
@@ -71,8 +73,8 @@ class TestInsertionValue:
         # position 3 for Z = {0,2}, the weight formula keeps it at 2
         z = CensusSet.parse("0,2")
         w = W("01")
-        pad = Word.from_bits(list(w) + [0] * 8)
-        streamed = word_value(insert_zeros(pad, z, 8))
+        pad = word_from_bits(list(w) + [0] * 8)
+        streamed = insert_zeros(pad, z, 8).value()
         assert insertion_value(w, z) == Dyadic(1, 3)
         assert streamed == Dyadic(1, 4)
 
@@ -89,7 +91,7 @@ class TestZeroInsertionFn:
     def test_empty_is_identity(self):
         fn = ZeroInsertionFn(CensusSet.parse("empty"))
         for w in all_words(6):
-            assert fn.at(word_value(w)) == F(word_value(w))
+            assert fn.at(w.value()) == F(w.value())
         assert fn.at_one() == 1
 
     def test_at_one_finite(self):
@@ -241,7 +243,7 @@ def halve_fz_at_half(monkeypatch):
 
     def planted(x, zset):
         v = plain(x, zset)
-        return v * Dyadic(1, 1) if x.value() == Dyadic(1, 1) else v
+        return v.half() if x.value() == Dyadic(1, 1) else v
 
     monkeypatch.setattr(dymart.tightness, "insertion_value", planted)
 

@@ -22,12 +22,12 @@ Modules follow the functional split:
 Importing the package loads only ``dyadic`` and the modules it imports.
 """
 
-from .dyadic import (Dyadic, Word, GridPoint, gamma, lex_successor,
+from .dyadic import (Dyadic, Word, gamma, lex_successor,
                      round_to_grid, clamp_unit, minimal_cover,
                      parse_rational, fmt_rational)
 
 __all__ = [
-    "Dyadic", "Word", "GridPoint", "gamma", "lex_successor",
+    "Dyadic", "Word", "gamma", "lex_successor",
     "round_to_grid", "clamp_unit", "minimal_cover", "parse_rational",
     "fmt_rational",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numbers
 import re
 import sys
-from collections import namedtuple
 from fractions import Fraction
 
 from ._shiftcore_py import aligned_blocks
@@ -360,19 +359,6 @@ def lex_successor(w):
     return Word(w.k + 1, w.n)
 
 
-class GridPoint(namedtuple("GridPoint", "value grid")):
-    """A dyadic rational on the 2^-grid grid (value * 2**grid is integral)."""
-
-    __slots__ = ()
-
-    def __new__(cls, value, grid):
-        if grid < 0:
-            raise ValueError("grid exponent must be nonnegative")
-        if value.exp > grid:
-            raise ValueError(f"{value} is not on the 2^-{grid} grid")
-        return super().__new__(cls, value, grid)
-
-
 def round_to_grid(q, m):
     """Nearest multiple of 2^-m to the exact rational q, ties toward +inf.
 
@@ -384,20 +370,17 @@ def round_to_grid(q, m):
         q = q.as_fraction()
     scaled = q * (1 << m) + Fraction(1, 2)
     k = scaled.numerator // scaled.denominator  # floor
-    return GridPoint(Dyadic(k, m), m)
+    return Dyadic(k, m)
 
 
 def clamp_unit(a, b):
-    """Force grid points into 0 <= a <= b <= 1, first a then b.
+    """Force Dyadics into 0 <= a <= b <= 1, first a then b.
 
-    Order matters: b is clamped below by the already-clamped a.
+    Order matters: b is clamped below by the already-clamped a.  Both
+    stay on any grid they share, since 0 and 1 lie on every grid.
     """
-    if a.grid != b.grid:
-        raise ValueError("clamp_unit needs a shared grid exponent")
-    m = a.grid
-    av = min(max(a.value, ZERO), ONE)
-    bv = min(max(av, b.value), ONE)
-    return GridPoint(Dyadic(av), m), GridPoint(Dyadic(bv), m)
+    a = min(max(a, ZERO), ONE)
+    return a, min(max(a, b), ONE)
 
 
 def minimal_cover(a, b, m):

@@ -63,7 +63,7 @@ class AffineFn(FnOracle):
 
     def __init__(self, j, a):
         self.j = j
-        self.a = Dyadic(a) if not isinstance(a, Dyadic) else a
+        self.a = Dyadic(a)
         self.name = f"affine:{j},{self.a}"
 
     def at(self, q):

@@ -10,7 +10,7 @@ transform, savings wrapper) may be general rationals.
 
 Every exact strategy answers ``exact`` through one ``PrefixFold``: a
 state for λ, one ``step`` per longer prefix of w, and the value read off
-the last state.  ``at`` is the memoized ``Fraction`` view of it; the
+the last state.  ``at`` is the same value as a ``Fraction``; the
 approximation wrapper ``as_approx`` replies from ``exact`` itself.  A
 product form folds (num, dexp, machine state), one factor per step, and
 the savings wrapper of a product form folds the same factors with its
@@ -121,13 +121,11 @@ class ExactMartingale:
         self._fn = fn
         self.product_form = product_form
         self.conservative = conservative
-        self._cache = {}
 
     def exact(self, w):
-        """Exact d(w), not memoized: the fold's ``Dyadic`` for a product
-        form, else what ``fn`` returns (a ``Dyadic`` for the savings
-        wrapper of a product form, a Fraction for the other derived
-        wrappers).
+        """Exact d(w): the fold's ``Dyadic`` for a product form, else what
+        ``fn`` returns (a ``Dyadic`` for the savings wrapper of a product
+        form, a Fraction for the other derived wrappers).
 
         Product forms (``product_fold``) and the derived wrappers answer
         through a per-instance ``PrefixFold``, so words asked in
@@ -136,14 +134,8 @@ class ExactMartingale:
         return self._fn(w)
 
     def at(self, w):
-        """Exact d(w) as a Fraction: ``exact(w)``, memoized per instance."""
-        hit = self._cache.get(w)
-        if hit is not None:
-            return hit
-        val = Fraction(self.exact(w))
-        if len(self._cache) < 1 << 18:
-            self._cache[w] = val
-        return val
+        """Exact d(w) as a Fraction: ``Fraction(exact(w))``."""
+        return Fraction(self.exact(w))
 
     def __repr__(self):
         return f"ExactMartingale({self.name!r})"
@@ -393,51 +385,57 @@ class Report(namedtuple("Report", "title checked violations")):
 def verify_martingale(mart, depth):
     """Exact averaging identity and nonnegativity on all |w| <= depth.
 
-    Reports violations instead of raising; also flags d(λ) > 1.
+    Reports violations instead of raising; also flags d(λ) > 1.  Values
+    are swept level by level, one ``at`` per word: the children of the
+    word with index k are entries 2k and 2k + 1 of the next level.
     """
     violations = []
     checked = 0
-    root = mart.at(Word(0, 0))
-    if root > 1:
+    level = [mart.at(EMPTY)]
+    if level[0] > 1:
         violations.append(Violation("λ", "root",
-                                    f"d(λ) = {root} exceeds 1"))
+                                    f"d(λ) = {level[0]} exceeds 1"))
     for n in range(depth + 1):
-        for k in range(1 << n):
-            w = Word(k, n)
-            v = mart.at(w)
-            checked += 1
+        below = [mart.at(Word(k, n + 1)) for k in range(2 << n)]
+        checked += len(level)
+        for k, v in enumerate(level):
             if v < 0:
-                violations.append(Violation(str(w), "nonneg", f"d = {v}"))
-            if 2 * v != mart.at(w.append(0)) + mart.at(w.append(1)):
+                violations.append(Violation(str(Word(k, n)), "nonneg",
+                                            f"d = {v}"))
+            total = below[2 * k] + below[2 * k + 1]
+            if 2 * v != total:
                 violations.append(Violation(
-                    str(w), "identity",
-                    f"d = {v}, children average "
-                    f"{(mart.at(w.append(0)) + mart.at(w.append(1))) / 2}"))
+                    str(Word(k, n)), "identity",
+                    f"d = {v}, children average {total / 2}"))
+        level = below
     return Report(f"martingale identity for {mart.name} (depth {depth})",
                   checked, violations)
 
 
 def verify_conservative(mart, depth):
     """Exact ratio bounds d(w)/2 <= d(wb) <= 3 d(w)/2 and the derived cap
-    d(w) <= (3/2)^|w| on all |w| <= depth."""
+    d(w) <= (3/2)^|w| on all |w| <= depth, swept level by level with one
+    ``at`` per word."""
     violations = []
     checked = 0
+    level = [mart.at(EMPTY)]
     for n in range(depth + 1):
         cap = THREE_HALVES ** n
-        for k in range(1 << n):
-            w = Word(k, n)
-            v = mart.at(w)
-            checked += 1
+        below = [mart.at(Word(k, n + 1)) for k in range(2 << n)] \
+            if n < depth else []
+        checked += len(level)
+        for k, v in enumerate(level):
             if v > cap:
-                violations.append(Violation(str(w), "cap",
+                violations.append(Violation(str(Word(k, n)), "cap",
                                             f"d = {v} > (3/2)^{n}"))
-            if n < depth:
-                for bit in (0, 1):
-                    child = mart.at(w.append(bit))
-                    if not (v * HALF <= child <= v * THREE_HALVES):
-                        violations.append(Violation(
-                            str(w.append(bit)), "ratio",
-                            f"parent {v}, child {child}"))
+            if not below:
+                continue
+            for j in (2 * k, 2 * k + 1):
+                if not (v * HALF <= below[j] <= v * THREE_HALVES):
+                    violations.append(Violation(
+                        str(Word(j, n + 1)), "ratio",
+                        f"parent {v}, child {below[j]}"))
+        level = below
     return Report(f"conservative bounds for {mart.name} (depth {depth})",
                   checked, violations)
 
@@ -469,7 +467,7 @@ class ApproxMartingale:
 
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision, from
-    ``mart.exact`` (a ``Dyadic`` for a product form), without the memo."""
+    ``mart.exact`` (a ``Dyadic`` for a product form)."""
     return ApproxMartingale(mart.name, lambda w, r: mart.exact(w),
                             conservative=mart.conservative)
 

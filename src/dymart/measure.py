@@ -87,7 +87,7 @@ def cumulative(nu, x):
 
 def cumulative_point(nu, q):
     """The cumulative function at a dyadic point of [0, 1]."""
-    q = Dyadic(q) if not isinstance(q, Dyadic) else q
+    q = Dyadic(q)
     if q == Dyadic(1):
         return Fraction(nu.mass(Word(0, 0)))
     return cumulative(nu, Word.from_point(q))
@@ -110,24 +110,29 @@ class CumulativeFn(FnOracle):
 
 
 def verify_measure(nu, depth):
-    """Exact additivity and total-mass checks down to the given depth."""
+    """Exact additivity and total-mass checks down to the given depth.
+
+    Masses are swept level by level, one ``mass`` per word: the children
+    of the word with index k are entries 2k and 2k + 1 of the next level.
+    """
     violations = []
     checked = 1
-    if Fraction(nu.mass(Word(0, 0))) != 1:
-        violations.append(Violation("λ", "total",
-                                    f"mass(λ) = {nu.mass(Word(0, 0))}"))
+    root = nu.mass(Word(0, 0))
+    level = [Fraction(root)]
+    if level[0] != 1:
+        violations.append(Violation("λ", "total", f"mass(λ) = {root}"))
     for n in range(depth):
-        for k in range(1 << n):
-            w = Word(k, n)
-            checked += 1
-            lhs = Fraction(nu.mass(w))
-            rhs = Fraction(nu.mass(w.append(0))) + \
-                Fraction(nu.mass(w.append(1)))
+        below = [Fraction(nu.mass(Word(k, n + 1))) for k in range(2 << n)]
+        checked += len(level)
+        for k, lhs in enumerate(level):
+            rhs = below[2 * k] + below[2 * k + 1]
             if lhs != rhs:
-                violations.append(Violation(str(w), "additivity",
+                violations.append(Violation(str(Word(k, n)), "additivity",
                                             f"{lhs} != {rhs}"))
             if not 0 <= lhs <= 1:
-                violations.append(Violation(str(w), "range", f"{lhs}"))
+                violations.append(Violation(str(Word(k, n)), "range",
+                                            f"{lhs}"))
+        level = below
     return Report(f"measure axioms for {nu.name} (depth {depth})", checked,
                   violations)
 

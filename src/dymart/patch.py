@@ -35,7 +35,7 @@ def exponent_pred_succ(q):
     q = 0.y1: pred = 0.y, and succ = 1 when y is all ones, else 0.z1 where
     y = z 0 1^k.
     """
-    q = Dyadic(q) if not isinstance(q, Dyadic) else q
+    q = Dyadic(q)
     if not Dyadic(0) <= q <= Dyadic(1):
         raise ValueError(f"{q} outside [0, 1]")
     if q == Dyadic(0) or q == Dyadic(1):
@@ -62,7 +62,7 @@ def patch_reference(f, q, _memo=None):
     Evaluates the defining recursion with an explicit stack, so the depth
     of Python calls does not grow with e_q.
     """
-    q = Dyadic(q) if not isinstance(q, Dyadic) else q
+    q = Dyadic(q)
     memo = {} if _memo is None else _memo
     stack = [q]
     while stack:
@@ -129,7 +129,7 @@ def patch_approx(f_weak, x, r, reference=None):
 def strong_increase_check(f, g_at, x0, C, exp):
     """Exact two-sided check of (g(x) - f(x0)) / (x - x0) >= C on the whole
     2^-exp grid (x != x0); lists every violating grid point."""
-    x0 = Dyadic(x0) if not isinstance(x0, Dyadic) else x0
+    x0 = Dyadic(x0)
     C = Fraction(C)
     base = Fraction(f.at_one() if x0 == Dyadic(1) else f.at(x0))
     violations = []

@@ -37,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (Dyadic, GridPoint, Word, clamp_unit, exact_ceil_lg,
+from .dyadic import (Dyadic, Word, clamp_unit, exact_ceil_lg,
                      gamma, lex_successor, minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
 from .funcs import word_image
@@ -209,10 +209,10 @@ def pullback_approx(d_hat, f_hat, x, r):
         # one is declared, else the f(1) = 1 normalization
         b = endpoint(None)
     else:
-        b = GridPoint(Dyadic(1), m)
+        b = Dyadic(1)
     a, b = clamp_unit(a, b)
     return exact_total((d_hat.query(w, m), n - len(w))
-                       for w in minimal_cover(a.value, b.value, m))
+                       for w in minimal_cover(a, b, m))
 
 
 def pullback_martingale(d_hat, f_hat, name=None):

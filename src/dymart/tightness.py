@@ -127,19 +127,6 @@ def insertion_value(x, zset):
     return Dyadic(num, max_exp)
 
 
-def limit_at_one(zset, horizon):
-    """Partial sum of the all-ones image: sum over input bits i < horizon of
-    2^-(i + census(i) + 1).  The tail beyond the horizon is below
-    2^-(horizon + census(horizon-1))."""
-    if horizon == 0:
-        return Dyadic(0)
-    max_exp = horizon + zset.census(horizon - 1) + 1
-    num = 0
-    for i in range(horizon):
-        num += 1 << (max_exp - (i + zset.census(i) + 1))
-    return Dyadic(num, max_exp)
-
-
 class ZeroInsertionFn(FnOracle):
     """The point map fz on [0, 1), exact at dyadics, monotone ascending.
 
@@ -175,13 +162,16 @@ class ZeroInsertionFn(FnOracle):
             # beyond the last member the census is constant, so the tail
             # is an exact geometric sum
             tail = Dyadic(1, horizon + len(members))
-            return Fraction(limit_at_one(self.zset, horizon) + tail)
+            ones = Word((1 << horizon) - 1, horizon)
+            return Fraction(insertion_value(ones, self.zset) + tail)
         raise ValueError(f"{self.name}: no exact value at 1 for an "
                          "infinite insertion set")
 
     def approx_at_one(self, r):
-        """Truncated limit, within 2^-r (monotone from below)."""
-        return Fraction(limit_at_one(self.zset, r + 1))
+        """Truncated limit, within 2^-r (monotone from below): the image
+        of 0.1^(r+1), whose tail beyond is below 2^-(r + 1 + census(r))."""
+        return Fraction(insertion_value(Word((2 << r) - 1, r + 1),
+                                        self.zset))
 
 
 class NormalizedInsertionFn(FnOracle):
@@ -235,7 +225,7 @@ def verify_strong_ratio(zset, x, n):
     """Exact check of fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n) for dyadic x."""
     if not isinstance(zset, CensusSet):
         zset = CensusSet.parse(zset)
-    x = Dyadic(x) if not isinstance(x, Dyadic) else x
+    x = Dyadic(x)
     step = Dyadic(1, n)
     if not (Dyadic(0) <= x and x + step < Dyadic(1)):
         raise ValueError("need x and x + 2^-n inside [0, 1)")
@@ -259,8 +249,8 @@ def verify_ratio(zset, x, y):
     (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1) with n = ⌈-lg(y-x)⌉."""
     if not isinstance(zset, CensusSet):
         zset = CensusSet.parse(zset)
-    x = Dyadic(x) if not isinstance(x, Dyadic) else x
-    y = Dyadic(y) if not isinstance(y, Dyadic) else y
+    x = Dyadic(x)
+    y = Dyadic(y)
     if not Dyadic(0) <= x < y < Dyadic(1):
         raise ValueError("need 0 <= x < y < 1")
     fn = ZeroInsertionFn(zset)

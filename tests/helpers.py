@@ -4,7 +4,8 @@ Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
 derived strategies by recomputing every prefix of the word, measure round
-trips word by word with no shared grid values, reference constants
+trips and the exhaustive martingale and measure checks word by word with
+no shared values, reference constants
 come from plain partial sums with explicit remainder bounds, and
 polynomial values from Horner's rule over Fractions.
 """
@@ -208,6 +209,69 @@ def dual_roundtrip_by_points(fn, exp):
                                         f"{back} != {want}"))
     return Report(f"function round trip for {fn.name} (grid 2^-{exp})",
                   checked, violations)
+
+
+def verify_martingale_by_words(mart, depth):
+    """``martingale.verify_martingale`` word by word: a word's value is
+    asked of ``mart.at`` again as a child and as a parent."""
+    violations = []
+    checked = 0
+    root = mart.at(Word(0, 0))
+    if root > 1:
+        violations.append(Violation("λ", "root",
+                                    f"d(λ) = {root} exceeds 1"))
+    for w in all_words(depth):
+        v = mart.at(w)
+        checked += 1
+        if v < 0:
+            violations.append(Violation(str(w), "nonneg", f"d = {v}"))
+        pair = mart.at(w.append(0)) + mart.at(w.append(1))
+        if 2 * v != pair:
+            violations.append(Violation(
+                str(w), "identity", f"d = {v}, children average {pair / 2}"))
+    return Report(f"martingale identity for {mart.name} (depth {depth})",
+                  checked, violations)
+
+
+def verify_conservative_by_words(mart, depth):
+    """``martingale.verify_conservative`` word by word."""
+    violations = []
+    checked = 0
+    for w in all_words(depth):
+        v = mart.at(w)
+        checked += 1
+        if v > Fraction(3, 2) ** len(w):
+            violations.append(Violation(str(w), "cap",
+                                        f"d = {v} > (3/2)^{len(w)}"))
+        if len(w) < depth:
+            for bit in (0, 1):
+                child = mart.at(w.append(bit))
+                if not v / 2 <= child <= v * Fraction(3, 2):
+                    violations.append(Violation(
+                        str(w.append(bit)), "ratio",
+                        f"parent {v}, child {child}"))
+    return Report(f"conservative bounds for {mart.name} (depth {depth})",
+                  checked, violations)
+
+
+def verify_measure_by_words(nu, depth):
+    """``measure.verify_measure`` word by word: each word's children asked
+    of ``nu.mass`` again."""
+    root = nu.mass(Word(0, 0))
+    violations = [] if Fraction(root) == 1 else [
+        Violation("λ", "total", f"mass(λ) = {root}")]
+    checked = 1
+    for w in all_words(depth - 1):
+        checked += 1
+        lhs = Fraction(nu.mass(w))
+        rhs = Fraction(nu.mass(w.append(0))) + Fraction(nu.mass(w.append(1)))
+        if lhs != rhs:
+            violations.append(Violation(str(w), "additivity",
+                                        f"{lhs} != {rhs}"))
+        if not 0 <= lhs <= 1:
+            violations.append(Violation(str(w), "range", f"{lhs}"))
+    return Report(f"measure axioms for {nu.name} (depth {depth})", checked,
+                  violations)
 
 
 def nondyadic_bettor(name="thirds"):

@@ -560,25 +560,43 @@ sys.exit(code)
 """
 
 
+def peak_rss_mb(tmp_path, *argv):
+    """Run one command through ``RSS_CHILD``; (stdout, VmHWM in MB)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", RSS_CHILD, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 0, err
+    return proc.stdout.decode(), int(err.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
 class TestMemory:
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                        reason="reads VmHWM from /proc")
     def test_savings_pullback_r2048_peak_rss(self, tmp_path):
         # a savings wrapper of a product form at m = 8200: its integer
-        # fold fills no at() memo, inner or outer.  A Fraction fold over
-        # the input's at() values peaks at about 94 MB on this command,
-        # the integer fold at about 31 MB, and the same command at r = 8
-        # at 15 MB (Python 3.11, Linux)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c", RSS_CHILD, "pullback", "--martingale",
-             "savings:conservative:pattern:011", "--function",
-             "fz_norm:0,2,4", "--word", "0110", "--precision", "2048"],
-            cwd=tmp_path, env=env, capture_output=True, timeout=120)
-        err = proc.stderr.decode("utf-8", "replace")
-        assert proc.returncode == 0, err
-        assert RAT.fullmatch(proc.stdout.decode().strip())
-        peak_mb = int(err.split()[-1]) / 1024
+        # fold keeps one path of states, inner or outer.  A Fraction fold
+        # over the input's at() values peaks at about 94 MB on this
+        # command, the integer fold at about 31 MB, and the same command
+        # at r = 8 at 15 MB (Python 3.11, Linux)
+        out, peak_mb = peak_rss_mb(
+            tmp_path, "pullback", "--martingale",
+            "savings:conservative:pattern:011", "--function",
+            "fz_norm:0,2,4", "--word", "0110", "--precision", "2048")
+        assert RAT.fullmatch(out.strip())
         assert peak_mb < 60, peak_mb
+
+    def test_verify_martingale_depth10_peak_rss(self, tmp_path):
+        # the exhaustive checks hold two levels of values at a time, so
+        # depth 10 (4095 words per strategy and check) peaks within a few
+        # MB of depth 2.  Kept in a per-strategy memo of every word's
+        # Fraction, it peaked at about 28 MB against 18 MB (Python 3.11,
+        # Linux)
+        argv = ("verify", "--suite", "martingale", "--depth")
+        _, small = peak_rss_mb(tmp_path, *argv, "2")
+        out, large = peak_rss_mb(tmp_path, *argv, "10")
+        assert "FAIL" not in out
+        assert large - small < 4, (small, large)

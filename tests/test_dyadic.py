@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dymart.dyadic import (Dyadic, GridPoint, Word, all_words, clamp_unit,
+from dymart.dyadic import (Dyadic, Word, all_words, clamp_unit,
                            fmt_rational, gamma, lex_successor, minimal_cover,
                            parse_rational, round_to_grid)
 from dymart.errors import ParseError
@@ -118,12 +118,12 @@ class TestWord:
 
 class TestRounding:
     def test_examples(self):
-        assert round_to_grid(Fraction(3, 10), 2).value == Dyadic(1, 2)
+        assert round_to_grid(Fraction(3, 10), 2) == Dyadic(1, 2)
         # tie at distance exactly 2^-(m+1) resolves upward
         g = round_to_grid(Fraction(3, 8), 2)
-        assert g.value == Dyadic(1, 1)
-        assert abs(Fraction(3, 8) - F(g.value)) == Fraction(1, 8)
-        assert round_to_grid(Fraction(1), 5).value == Dyadic(1)
+        assert g == Dyadic(1, 1)
+        assert abs(Fraction(3, 8) - F(g)) == Fraction(1, 8)
+        assert round_to_grid(Fraction(1), 5) == Dyadic(1)
 
     def test_exhaustive_error_bound(self):
         for q_den in range(1, 65):
@@ -131,25 +131,20 @@ class TestRounding:
                 q = Fraction(p, q_den)
                 for m in range(0, 9):
                     g = round_to_grid(q, m)
-                    assert abs(q - F(g.value)) <= Fraction(1, 1 << (m + 1))
+                    assert abs(q - F(g)) <= Fraction(1, 1 << (m + 1))
 
     @given(st.fractions(), st.integers(0, 12))
     def test_grid_membership(self, q, m):
         g = round_to_grid(q, m)
-        assert g.grid == m and g.value.exp <= m
+        assert isinstance(g, Dyadic) and g.exp <= m
 
 
 class TestClamp:
     def test_examples(self):
-        def gp(s, m):
-            return GridPoint(Dyadic.parse(s), m)
-
-        a, b = clamp_unit(gp("-1/8", 3), gp("9/8", 3))
-        assert (a.value, b.value) == (Dyadic(0), Dyadic(1))
-        a, b = clamp_unit(gp("1/4", 2), gp("3/4", 2))
-        assert (a.value, b.value) == (Dyadic(1, 2), Dyadic(3, 2))
-        a, b = clamp_unit(gp("3/4", 2), gp("1/4", 2))
-        assert (a.value, b.value) == (Dyadic(3, 2), Dyadic(3, 2))
+        D = Dyadic.parse
+        assert clamp_unit(D("-1/8"), D("9/8")) == (Dyadic(0), Dyadic(1))
+        assert clamp_unit(D("1/4"), D("3/4")) == (Dyadic(1, 2), Dyadic(3, 2))
+        assert clamp_unit(D("3/4"), D("1/4")) == (Dyadic(3, 2), Dyadic(3, 2))
 
 
 class TestCover:

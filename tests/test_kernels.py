@@ -252,7 +252,7 @@ class TestWorkCounts:
                                       "conservative:zbettor:1,3"])
     def test_cli_path_replies_from_the_fold(self, name):
         # the CLI's d-queries: as_approx on the product form, one fold
-        # reply per cover word and nothing left in the at() memo
+        # reply per cover word
         base = parse_martingale(name)
         pf = base.product_form
         edges = CountingEdges(pf.edges)
@@ -272,7 +272,6 @@ class TestWorkCounts:
         edges.steps = 0
         value = pullback_approx(as_approx(mart), as_weak(fn), x, r)
         assert edges.steps <= 4 * m
-        assert not mart._cache
         # the words and the value of the at()-backed path, each word once
         oracle, queries = parse_martingale(name), []
         backed = ApproxMartingale(
@@ -290,7 +289,7 @@ class TestWorkCounts:
         # a savings wrapper of a product form folds the input's factors:
         # one lookup per prefix below the one shared with the last word
         # asked, so the cover and the bracket's blocks cost O(1) amortized
-        # steps each, and the input's at() memo is never filled
+        # steps each
         base = parse_martingale(inner)
         pf = base.product_form
         edges = CountingEdges(pf.edges)
@@ -313,7 +312,6 @@ class TestWorkCounts:
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
         assert edges.steps <= 5 * (m + 8)
-        assert not counted._cache
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart.config import parse_function
-from dymart.dyadic import Dyadic, Word
+from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
 from dymart.funcs import as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
@@ -17,7 +17,8 @@ from dymart.pullback import pullback_approx
 from dymart.tightness import z_bettor
 
 from helpers import (by_prefixes, is_prefix, nondyadic_bettor,
-                     random_product_forms)
+                     random_product_forms, verify_conservative_by_words,
+                     verify_martingale_by_words)
 
 W = Word.parse
 
@@ -54,6 +55,40 @@ class TestVerify:
     def test_zoo_passes_depth_8(self):
         for d in zoo():
             assert verify_martingale(d, 8).ok, d.name
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    @pytest.mark.parametrize("reply", [Fraction, Dyadic.from_fraction],
+                             ids=["Fraction", "Dyadic"])
+    def test_reports_match_word_by_word(self, reply, depth):
+        # values in [-1/4, 7/4] and d(λ) = 9/8: every kind of violation
+        # (root, nonneg, identity, cap, ratio) occurs, in the same order,
+        # with the same text and check counts as the word-by-word checks
+        def scrambled(w):
+            return reply(F((5 * w.k + 3 * w.n) % 9 - 1, 4) if w.n
+                         else F(9, 8))
+
+        d = ExactMartingale("scrambled", scrambled)
+        assert verify_martingale(d, depth) == \
+            verify_martingale_by_words(d, depth)
+        assert verify_conservative(d, depth) == \
+            verify_conservative_by_words(d, depth)
+        if depth == 5:
+            kinds = {v.kind for v in verify_martingale(d, depth).violations
+                     + verify_conservative(d, depth).violations}
+            assert kinds == {"root", "nonneg", "identity", "cap", "ratio"}
+
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_one_at_per_word(self, depth):
+        # each check sweeps its levels once: every word it looks at is
+        # asked of at() exactly once, a word's children included
+        for check, longest in ((verify_martingale, depth + 1),
+                               (verify_conservative, depth)):
+            d, asked = conservative_transform(pattern_bettor("01")), []
+            plain = d.at
+            d.at = lambda w: asked.append(w) or plain(w)
+            assert check(d, depth).ok
+            assert len(asked) == len(set(asked))
+            assert set(asked) == set(all_words(longest)), check.__name__
 
 
 class TestConservativeTransform:
@@ -281,7 +316,7 @@ class TestTrace:
 
 
 def at_backed(d):
-    """``as_approx`` as it was: every reply through the memoized ``at``."""
+    """``as_approx`` through ``at``: every reply as a ``Fraction``."""
     return ApproxMartingale(d.name, lambda w, r: d.at(w),
                             conservative=d.conservative)
 
@@ -348,7 +383,7 @@ def dyadic_replies(name):
 
 
 class TestExactReplies:
-    """``as_approx`` replies from ``exact``, not the ``at()`` memo, with the
+    """``as_approx`` replies from ``exact``, not through ``at()``, with the
     same values."""
 
     @settings(max_examples=60, deadline=None)
@@ -362,7 +397,6 @@ class TestExactReplies:
             got = approx.query(w, r)
             assert got == oracle.at(w), (name, w)
             assert isinstance(got, Dyadic) == dyadic_replies(name), name
-        assert not d._cache
 
     @pytest.mark.parametrize(
         "name", [n for n in REPLY_NAMES if by_name(n).conservative])

@@ -13,7 +13,7 @@ from dymart.tightness import NormalizedInsertionFn as NormalizedInsertion
 from dymart.tightness import ZeroInsertionFn
 
 from helpers import (dual_roundtrip_by_points, roundtrip_by_words,
-                     word_from_bits)
+                     verify_measure_by_words, word_from_bits)
 
 W = Word.parse
 F = Fraction
@@ -162,7 +162,38 @@ class TestRoundTripOracles:
         assert rep == roundtrip_by_words(MisweighedUniform(bad), 6)
 
 
+class ScrambledMeasure(ProbabilityMeasure):
+    """Masses in [-1/4, 7/4], mass(λ) = 2 as a Dyadic: not a measure."""
+
+    name = "scrambled"
+
+    def mass(self, w):
+        if not w.n:
+            return Dyadic(2)
+        return F((5 * w.k + 3 * w.n) % 9 - 1, 4)
+
+
 class TestWorkCounts:
+    @pytest.mark.parametrize("depth", [0, 1, 3, 8])
+    def test_axioms_mass_once_per_word(self, depth):
+        nu, words = ProductMeasure(F(2, 3)), []
+        plain = nu.mass
+        nu.mass = lambda w: words.append(w) or plain(w)
+        assert verify_measure(nu, depth).ok
+        # one level after another: every word of length <= depth, once
+        assert len(words) == len(set(words)) == (2 << depth) - 1
+        assert set(words) == set(all_words(depth))
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    def test_axioms_report_matches_word_by_word(self, depth):
+        nu = ScrambledMeasure()
+        rep = verify_measure(nu, depth)
+        assert rep == verify_measure_by_words(nu, depth)
+        assert rep.violations[0].line() == "total at λ: mass(λ) = 2/1"
+        if depth == 5:
+            assert {v.kind for v in rep.violations} == \
+                {"total", "additivity", "range"}
+
     @pytest.mark.parametrize("depth", [0, 3, 8])
     def test_cumulative_once_per_grid_point(self, monkeypatch, depth):
         plain, points = CumulativeFn.at, []

@@ -264,12 +264,12 @@ def eval_point(spec, t, s):
     return total
 
 
-def _fixed_point_sum(spec, t, s, table=None):
+def _fixed_point_sum(spec, t, s, table):
     """(N, s + g): N / 2^(s+g) is within 2^-s of the series at t.
 
     The replies c_n, their precisions e_n = e(n, s) and the center reply
-    at e_max = e(m_s - 1, s) are ``eval_point``'s, read from ``table`` (a
-    fresh one when none is given).  z = t - center is kept as
+    at e_max = e(m_s - 1, s) are ``eval_point``'s, read from ``table``,
+    the spec's ``_LevelTable``.  z = t - center is kept as
     floor(z 2^w) with w = e_max + 1.  The powers z^n are products of
     these, each rounded down to a multiple of 2^-w, and each term
     c_n z^n is rounded down to a multiple of 2^-(s+g), with
@@ -287,8 +287,6 @@ def _fixed_point_sum(spec, t, s, table=None):
     in all below 2^-s.
     """
     t = Fraction(t)
-    if table is None:
-        table = _LevelTable(spec)
     m_s, e_max, center, terms = table.level(t, s)
     sg = s + m_s.bit_length() + 2
     w = e_max + 1

@@ -165,6 +165,10 @@ def cmd_analytic(args, out):
     from . import config as cfg
     from .analytic import PowerSeriesSpec, eval_approx, find_root
     spec = cfg.parse_series(_need(args, "spec"))
+    if args.offset is not None:
+        if not isinstance(spec, PowerSeriesSpec):
+            raise DymartError("--offset applies to series specs only")
+        spec = spec.shifted(parse_rational(args.offset))
     if args.action == "eval":
         word = cfg.parse_word(_need(args, "word"))
         r = _precision(args)
@@ -173,11 +177,6 @@ def cmd_analytic(args, out):
         else:
             out.value(spec.at(word.value()))
         return 0
-    # root
-    if args.offset is not None:
-        if not isinstance(spec, PowerSeriesSpec):
-            raise DymartError("--offset applies to series specs only")
-        spec = spec.shifted(parse_rational(args.offset))
     lo_text, _, hi_text = _need(args, "interval").partition(",")
     lo, hi = Dyadic.parse(lo_text), Dyadic.parse(hi_text)
     root = find_root(spec, (lo, hi), _precision(args))
@@ -300,7 +299,7 @@ def build_parser():
     p.add_argument("--word", help="word relative to the spec's anchor")
     p.add_argument("--interval", help="root bracket, e.g. 0,1")
     p.add_argument("--precision")
-    p.add_argument("--offset", help="find a root of f - offset")
+    p.add_argument("--offset", help="evaluate, or find a root of, f - offset")
 
     p = sub_parser("tightness", help="insertion-family demos and bounds")
     p.add_argument("action", choices=("demo", "bounds"))

@@ -99,7 +99,7 @@ def parse_function(text):
         from .measure import CumulativeFn
         return CumulativeFn(parse_measure(text.split(":", 1)[1]))
     if text.startswith("@"):
-        return _function_from_file(text[1:])
+        return _function_from_config(load_config(text[1:]), text[1:])
     raise ParseError(f"unknown function spec {text!r}")
 
 
@@ -166,12 +166,12 @@ def _evaluator_from_file(path):
         spec.validate()
         return spec
     if kind in ("table", "f_Z", "quotient"):
-        return _function_from_file(path)
+        return _function_from_config(cfg, path)
     raise ParseError(f"{path}: unknown kind {kind!r}")
 
 
-def _function_from_file(path):
-    cfg = load_config(path)
+def _function_from_config(cfg, path):
+    """The point function of the parsed config file at ``path``."""
     kind = _require(cfg, "kind", path)
     if kind == "table":
         from .funcs import TableStepFn

@@ -40,10 +40,13 @@ class Dyadic:
     Canonical form: ``exp >= 0`` and ``gcd(num, 2**exp) == 1``, i.e. the
     numerator is odd whenever ``exp > 0``; zero is ``(0, 0)``.  Equality is
     therefore structural and hashing cheap.  Addition, subtraction,
-    negation, halving, comparison and min/max are closed and exact.  There
-    is no ``*``, ``**`` or ``/`` of its own (with a ``Fraction`` on the
-    right, ``Fraction``'s reflected operators answer with a ``Fraction``):
-    a caller that needs a product or a quotient converts to ``Fraction``
+    negation, halving, comparison and min/max are closed and exact.  The
+    operand rule is the same in both orders: ``+`` and ``-`` take an
+    ``int``, a ``Dyadic`` or a ``Fraction`` (a ``Dyadic`` with the first
+    two, a ``Fraction`` with the last); ``*``, ``/``, ``//``, ``%``,
+    ``divmod`` and ``**`` raise ``TypeError`` (except ``Fraction **
+    Dyadic``, which ``Fraction`` answers itself for an integral exponent).
+    A caller that needs a product or a quotient converts to ``Fraction``
     first.  The class defines no ``__float__``, ``__index__``,
     ``__round__`` or ``__floor__``, so ``float()``, ``round()`` and
     ``math.floor``/``ceil``/``trunc`` raise ``TypeError``: the core stays
@@ -141,6 +144,24 @@ class Dyadic:
             return NotImplemented
         e = max(self.exp, o.exp)
         return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, Fraction):
+                return other - self.as_fraction()
+            return NotImplemented
+        return o - self
+
+    def _no_product(self, *other):
+        raise TypeError("Dyadic has no product, quotient or power; "
+                        "convert to Fraction first")
+
+    # raising, not NotImplemented: Fraction's reflected operators would
+    # answer for a registered Rational
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _no_product
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _no_product
+    __divmod__ = __rdivmod__ = __pow__ = __rpow__ = _no_product
 
     def __neg__(self):
         return Dyadic(-self.num, self.exp)
@@ -269,16 +290,12 @@ class Word:
         return Word(int(text, 2), len(text))
 
     @staticmethod
-    def from_point(q, length=None):
-        """The word w with 0.w == q; shortest one unless a length is given."""
+    def from_point(q):
+        """The shortest word w with 0.w == q."""
         d = q if isinstance(q, Dyadic) else Dyadic.from_fraction(Fraction(q))
         if not (ZERO <= d < ONE):
             raise ValueError(f"no word has value {d}")
-        if length is None:
-            length = d.exp
-        if length < d.exp:
-            raise ValueError(f"{d} needs at least {d.exp} bits")
-        return Word(d.num << (length - d.exp), length)
+        return Word(d.num, d.exp)
 
     def __len__(self):
         return self.n
@@ -338,9 +355,9 @@ class Word:
 EMPTY = Word(0, 0)
 
 
-def all_words(max_len, min_len=0):
-    """Every word with min_len <= |w| <= max_len, in (length, value) order."""
-    for n in range(min_len, max_len + 1):
+def all_words(max_len):
+    """Every word with |w| <= max_len, in (length, value) order."""
+    for n in range(max_len + 1):
         for k in range(1 << n):
             yield Word(k, n)
 

@@ -39,26 +39,34 @@ def _one_class(i):
     return 0
 
 
-class ProductForm(namedtuple("ProductForm", "edges start classes_fn")):
+class ProductForm(namedtuple("ProductForm",
+                             "edges start classes_fn tags")):
     """Finite-state product description of a martingale with d(λ) = 1.
 
     ``edges[state][cls][bit] = (num, dexp, next_state)`` gives the per-step
     capital factor num/2**dexp; ``classes_fn(i)`` tags position i (pattern
     phase, insertion-set membership).  Construction validates, once, that
     the two factors at every (state, class) average to one; the kernels
-    take the form itself.
+    take the form itself.  ``tags`` is the form's one grow-only list of
+    ``classes_fn`` values, shared with its transformed form.
     """
 
     __slots__ = ()
 
     def __new__(cls, edges, start=0, classes_fn=_one_class):
-        self = super().__new__(cls, edges, start, classes_fn)
+        self = super().__new__(cls, edges, start, classes_fn, [])
         kernels.validate(self)
         return self
 
     def classes(self, n):
-        fn = self.classes_fn
-        return tuple(fn(i) for i in range(n))
+        """``tags``, grown to cover positions 0..n-1: each position's tag
+        is computed once, and a growing list at least doubles."""
+        tags = self.tags
+        if n > len(tags):
+            fn = self.classes_fn
+            tags.extend(fn(i) for i in range(len(tags),
+                                             max(n, 2 * len(tags))))
+        return tags
 
     def transformed(self):
         """Factor map f -> (1+f)/2; implements the half-bet damping.
@@ -87,7 +95,10 @@ class ProductForm(namedtuple("ProductForm", "edges start classes_fn")):
                for per_cls in per_state for f in per_cls):
             new_edges.append(tuple(((1, 0, dead), (1, 0, dead))
                                    for _ in edges[0]))
-        return ProductForm(tuple(new_edges), self.start, self.classes_fn)
+        # _replace builds the tuple directly, so the tag list is shared
+        damped = self._replace(edges=tuple(new_edges))
+        kernels.validate(damped)
+        return damped
 
 
 def _halfbet(factor):
@@ -215,21 +226,20 @@ def product_fold(pf):
     with index k as (num, dexp), the pair ``kernels.cell_value`` gives.
 
     A ``PrefixFold`` whose state is (num, dexp, machine state): one factor
-    lookup and one multiply per step.  The class tags grow once per query,
-    not per step.
+    lookup and one multiply per step.  The class tags are ``pf.tags``,
+    grown once per query, not per step.
     """
-    edges, classes = pf.edges, []
+    edges, tags = pf.edges, pf.tags
 
     def step(state, bits, i):
         num, dexp, at = state
-        fnum, fdexp, at = edges[at][classes[i - 1]][bits & 1]
+        fnum, fdexp, at = edges[at][tags[i - 1]][bits & 1]
         return num * fnum, dexp + fdexp, at
 
     fold = PrefixFold(lambda: (1, 0, pf.start), step)
 
     def value(k, n):
-        if n > len(classes):
-            classes[:] = pf.classes(max(n, 2 * len(classes)))
+        pf.classes(n)
         num, dexp, _ = fold(k, n)
         return (num, dexp) if num else (0, 0)
 
@@ -297,11 +307,11 @@ def savings_fold(pf):
     capital / 2^level, at the new level, to the reserve.  The value is
     reserve + capital / 2^level.
     """
-    edges, classes = pf.edges, []
+    edges, tags = pf.edges, pf.tags
 
     def step(state, bits, i):
         num, dexp, at, level, rnum, rexp = state
-        fnum, fdexp, at = edges[at][classes[i - 1]][bits & 1]
+        fnum, fdexp, at = edges[at][tags[i - 1]][bits & 1]
         num *= fnum
         dexp += fdexp
         while num >> (dexp + level + 1):
@@ -313,8 +323,7 @@ def savings_fold(pf):
     fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0), step)
 
     def value(k, n):
-        if n > len(classes):
-            classes[:] = pf.classes(max(n, 2 * len(classes)))
+        pf.classes(n)
         num, dexp, _, level, rnum, rexp = fold(k, n)
         return _sum_pow2(rnum, rexp, num, dexp + level)
 

@@ -215,11 +215,11 @@ def pullback_approx(d_hat, f_hat, x, r):
                        for w in minimal_cover(a, b, m))
 
 
-def pullback_martingale(d_hat, f_hat, name=None):
+def pullback_martingale(d_hat, f_hat):
     """The pullback as an approximation-contract martingale."""
-    name = name or f"pullback({d_hat.name};{f_hat.name})"
     return ApproxMartingale(
-        name, lambda w, r: pullback_approx(d_hat, f_hat, w, r))
+        f"pullback({d_hat.name};{f_hat.name})",
+        lambda w, r: pullback_approx(d_hat, f_hat, w, r))
 
 
 def certify_bracket(d, f, x, r, value):

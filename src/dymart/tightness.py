@@ -12,11 +12,10 @@ controlled by the census:
     fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n)                (step bound)
     (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1),  n = ⌈-lg(y-x)⌉   (slope bound)
 
-``verify_strong_ratio`` and ``verify_ratio`` check one instance each, in
-rationals.  The exhaustive grid sweeps (``verify``'s tightness suite and
-``tightness bounds``) go through ``GridImage``: one ``fz`` per grid point,
-kept as integer numerators over a common power of two, so every step and
-slope check is an integer comparison.
+Both are checked through ``GridImage`` (``verify``'s tightness suite and
+``tightness bounds``): one ``fz`` per grid point, kept as integer
+numerators over a common power of two, so every step and slope check is
+an integer comparison, and each entry's two sides are exact rationals.
 
 A closely related stretching operation on raw bit streams (``insert_zeros``)
 writes a 0 at every position in Z and the source bits elsewhere.  For the
@@ -32,10 +31,9 @@ sequence is 2**c(n-1) after n bits.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word, exact_ceil_lg
+from .dyadic import Dyadic, Word
 from .errors import InsufficientBitsError, ParseError
 from .funcs import FnOracle
 from .martingale import ExactMartingale, ProductForm
@@ -211,65 +209,13 @@ def z_bettor(zset):
     return ExactMartingale(f"zbettor:{zset.name}", product_form=pf)
 
 
-class BoundCheck(namedtuple("BoundCheck", "ok lhs rhs label")):
-    """Outcome of one exact inequality check, both sides included."""
-
-    __slots__ = ()
-
-    def line(self):
-        rel = ">=" if self.ok else "<"
-        return f"{self.label}: {self.lhs} {rel} {self.rhs}"
-
-
-def verify_strong_ratio(zset, x, n):
-    """Exact check of fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n) for dyadic x."""
-    if not isinstance(zset, CensusSet):
-        zset = CensusSet.parse(zset)
-    x = Dyadic(x)
-    step = Dyadic(1, n)
-    if not (Dyadic(0) <= x and x + step < Dyadic(1)):
-        raise ValueError("need x and x + 2^-n inside [0, 1)")
-    fn = ZeroInsertionFn(zset)
-    lhs = fn.at(x + step) - fn.at(x)
-    rhs = Fraction(1, 1 << (zset.census(n) + n))
-    return BoundCheck(lhs >= rhs, lhs, rhs,
-                      f"step bound z={zset.name} x={x} n={n}")
-
-
-def ceil_neg_lg(t):
-    """Smallest integer n with 2^-n <= t, for rational t in (0, 1]."""
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise ValueError("need 0 < t <= 1")
-    return exact_ceil_lg(1 / t)
-
-
-def verify_ratio(zset, x, y):
-    """Exact check of the slope bound for dyadic 0 <= x < y < 1:
-    (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1) with n = ⌈-lg(y-x)⌉."""
-    if not isinstance(zset, CensusSet):
-        zset = CensusSet.parse(zset)
-    x = Dyadic(x)
-    y = Dyadic(y)
-    if not Dyadic(0) <= x < y < Dyadic(1):
-        raise ValueError("need 0 <= x < y < 1")
-    fn = ZeroInsertionFn(zset)
-    gap = Fraction(y - x)
-    n = ceil_neg_lg(gap)
-    lhs = (fn.at(y) - fn.at(x)) / gap
-    rhs = Fraction(1, 1 << (zset.census(n) + 1))
-    return BoundCheck(lhs > rhs, lhs, rhs,
-                      f"slope bound z={zset.name} x={x} y={y}")
-
-
 class GridImage:
     """fz on the 2^-exp grid of [0, 1), one ``insertion_value`` per point,
     as integer numerators ``nums[k]`` over the common denominator 2^top.
 
     ``steps`` and ``slopes`` sweep every step and slope bound on the grid
     by integer comparisons; ``step_sides`` and ``slope_sides`` give one
-    entry's two sides as the rationals of ``verify_strong_ratio`` and
-    ``verify_ratio``.
+    entry's two sides as exact rationals.
     """
 
     def __init__(self, zset, exp):

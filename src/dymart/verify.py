@@ -24,7 +24,7 @@ from .pullback import (_cell_ranges, _delta_interval, certify_bracket,
                        inner_max, pullback_approx, shift_stats,
                        squeeze_bound)
 from .tightness import (GridImage, NormalizedInsertionFn, ZeroInsertionFn,
-                        verify_ratio, verify_strong_ratio, z_bettor, zoo)
+                        z_bettor, zoo)
 
 F = Fraction
 
@@ -341,13 +341,14 @@ def _chk_step_bound(depth):
     violations = []
     checked = 0
     for z in zoo():
-        for k, n, ok in GridImage(z, exp).steps():
+        grid = GridImage(z, exp)
+        for k, n, ok in grid.steps():
             checked += 1
             if not ok:
-                x = Dyadic(k, exp)
+                where = f"z={z.name} x={Dyadic(k, exp)} n={n}"
+                lhs, rhs = grid.step_sides(k, n)
                 violations.append(Violation(
-                    f"z={z.name} x={x} n={n}", "step",
-                    verify_strong_ratio(z, x, n).line()))
+                    where, "step", f"step bound {where}: {lhs} < {rhs}"))
     return Report("insertion-map step bound, exhaustive grid", checked,
                   violations)
 
@@ -357,12 +358,15 @@ def _chk_slope_bound(depth):
     violations = []
     checked = 0
     for z in zoo():
-        for ka, kb, ok in GridImage(z, exp).slopes():
+        grid = GridImage(z, exp)
+        for ka, kb, ok in grid.slopes():
             checked += 1
             if not ok:
+                lhs, rhs = grid.slope_sides(ka, kb)
                 violations.append(Violation(
                     f"z={z.name} {ka}/{1 << exp},{kb}/{1 << exp}", "slope",
-                    verify_ratio(z, Dyadic(ka, exp), Dyadic(kb, exp)).line()))
+                    f"slope bound z={z.name} x={Dyadic(ka, exp)} "
+                    f"y={Dyadic(kb, exp)}: {lhs} < {rhs}"))
     return Report("insertion-map slope bound, exhaustive pairs", checked,
                   violations)
 

@@ -5,20 +5,23 @@ checks: covers are found by exhaustive enumeration, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
 derived strategies by recomputing every prefix of the word, measure round
 trips and the exhaustive martingale and measure checks word by word with
-no shared values, reference constants
-come from plain partial sums with explicit remainder bounds, and
-polynomial values from Horner's rule over Fractions.
+no shared values, the census bounds of the insertion maps one point at a
+time in rationals, reference constants come from plain partial sums with
+explicit remainder bounds, and polynomial values from Horner's rule over
+Fractions.
 """
 
 import dataclasses
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from dymart.dyadic import Dyadic, Word, all_words, gamma
+from dymart.dyadic import Dyadic, Word, all_words, exact_ceil_lg, gamma
 from dymart.martingale import ExactMartingale, ProductForm, Report, Violation
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
+from dymart.tightness import CensusSet, ZeroInsertionFn
 
 
 def word_from_bits(bits):
@@ -272,6 +275,59 @@ def verify_measure_by_words(nu, depth):
             violations.append(Violation(str(w), "range", f"{lhs}"))
     return Report(f"measure axioms for {nu.name} (depth {depth})", checked,
                   violations)
+
+
+class BoundCheck(namedtuple("BoundCheck", "ok lhs rhs label")):
+    """Outcome of one exact inequality check, both sides included."""
+
+    __slots__ = ()
+
+    def line(self):
+        rel = ">=" if self.ok else "<"
+        return f"{self.label}: {self.lhs} {rel} {self.rhs}"
+
+
+def verify_strong_ratio(zset, x, n):
+    """Single-point check of the step bound
+    fz(x + 2^-n) - fz(x) >= 2^(-c(n)-n) for dyadic x, in rationals."""
+    if not isinstance(zset, CensusSet):
+        zset = CensusSet.parse(zset)
+    x = Dyadic(x)
+    step = Dyadic(1, n)
+    if not (Dyadic(0) <= x and x + step < Dyadic(1)):
+        raise ValueError("need x and x + 2^-n inside [0, 1)")
+    fn = ZeroInsertionFn(zset)
+    lhs = fn.at(x + step) - fn.at(x)
+    rhs = Fraction(1, 1 << (zset.census(n) + n))
+    return BoundCheck(lhs >= rhs, lhs, rhs,
+                      f"step bound z={zset.name} x={x} n={n}")
+
+
+def ceil_neg_lg(t):
+    """Smallest integer n with 2^-n <= t, for rational t in (0, 1]."""
+    t = Fraction(t)
+    if not 0 < t <= 1:
+        raise ValueError("need 0 < t <= 1")
+    return exact_ceil_lg(1 / t)
+
+
+def verify_ratio(zset, x, y):
+    """Single-point check of the slope bound for dyadic 0 <= x < y < 1:
+    (fz(y) - fz(x)) / (y - x) > 2^(-c(n)-1) with n = ⌈-lg(y-x)⌉, in
+    rationals."""
+    if not isinstance(zset, CensusSet):
+        zset = CensusSet.parse(zset)
+    x = Dyadic(x)
+    y = Dyadic(y)
+    if not Dyadic(0) <= x < y < Dyadic(1):
+        raise ValueError("need 0 <= x < y < 1")
+    fn = ZeroInsertionFn(zset)
+    gap = Fraction(y - x)
+    n = ceil_neg_lg(gap)
+    lhs = (fn.at(y) - fn.at(x)) / gap
+    rhs = Fraction(1, 1 << (zset.census(n) + 1))
+    return BoundCheck(lhs > rhs, lhs, rhs,
+                      f"slope bound z={zset.name} x={x} y={y}")
 
 
 def nondyadic_bettor(name="thirds"):

@@ -27,11 +27,11 @@ from dymart.patch import (patch_approx, patch_reference, patch_table,
 from dymart.pullback import (certify_bracket, inner_max, pullback_approx,
                              shift_stats, squeeze_bound)
 from dymart.tightness import (NormalizedInsertionFn, ZeroInsertionFn,
-                              insert_zeros, verify_strong_ratio, z_bettor,
-                              zoo)
+                              insert_zeros, z_bettor, zoo)
 
 from helpers import (NoisyWeakFn, brute_force_cover, cos_interval,
-                     exp_interval, in_interval, ln1p_interval, sin_interval)
+                     exp_interval, in_interval, ln1p_interval, sin_interval,
+                     verify_strong_ratio)
 
 F = Fraction
 W = Word.parse

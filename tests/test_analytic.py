@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from dymart import config
 from dymart.analytic import (DOUBLINGS, _cos_coeff, _exp_coeff,
-                             _fixed_point_sum, _sin_coeff, builtin_spec,
-                             certified_sign, derivative_spec, eval_approx,
-                             eval_point, eval_schedule, find_root,
-                             tail_constants)
+                             _fixed_point_sum, _LevelTable, _sin_coeff,
+                             builtin_spec, certified_sign, derivative_spec,
+                             eval_approx, eval_point, eval_schedule,
+                             find_root, tail_constants)
 from dymart.dyadic import Dyadic, Word
 from dymart.errors import AnchorError, SignUndecidableError
 from dymart.funcs import QuotientFn
@@ -243,7 +243,7 @@ class TestFixedPoint:
             for _ in range(3):
                 bits = rng.randint(1, min(s, 48))
                 t = lo + (hi - lo) * F(rng.randint(0, 1 << bits), 1 << bits)
-                total, sg = _fixed_point_sum(spec, t, s)
+                total, sg = _fixed_point_sum(spec, t, s, _LevelTable(spec))
                 # oracle intervals far narrower than 2^-s
                 lo_f, hi_f = oracle(t, s + 80)
                 assert in_interval(F(total, 1 << sg), lo_f, hi_f,
@@ -254,7 +254,8 @@ class TestFixedPoint:
         for s in (6, 18, 34, 136):
             for t in (F(0), F(5, 16), F(405, 1024), F(1)):
                 log = []
-                _fixed_point_sum(_counting(spec, log), t, s)
+                counted = _counting(spec, log)
+                _fixed_point_sum(counted, t, s, _LevelTable(counted))
                 terms = {n for n, r in log if r > 0}
                 assert len(terms) == eval_schedule(spec, s)[0], (s, t)
 

@@ -12,6 +12,7 @@ from dymart import cli
 from dymart.dyadic import parse_rational
 from dymart.errors import ParseError
 from dymart import config as cfg
+from helpers import exp_interval, in_interval
 from test_golden import COMMANDS, GOLDEN, STEP_TABLE
 
 F = Fraction
@@ -76,6 +77,20 @@ class TestScalarCommands:
         assert code == 0
         v = parse_rational(out.strip().splitlines()[0])
         assert abs(v - F(405465, 10 ** 6)) < F(1, 1000)  # ln(3/2) ballpark
+
+    @pytest.mark.parametrize("word,p", [("1", 10), ("011", 40), ("λ", 64)])
+    def test_analytic_eval_with_offset(self, capsys, word, p):
+        # the value of f - offset, within 2^-p of exp's interval minus 3/2
+        from dymart.analytic import builtin_spec
+        from dymart.dyadic import Word
+        code, out, _ = run(capsys, "analytic", "eval", "--spec", "exp",
+                           "--word", word, "--precision", str(p),
+                           "--offset", "3/2")
+        assert code == 0
+        t = (builtin_spec("exp").anchor + Word.parse(word)).value()
+        lo, hi = exp_interval(t, terms=80)
+        assert in_interval(parse_rational(out.strip()), lo - F(3, 2),
+                           hi - F(3, 2), F(1, 1 << p))
 
     def test_measure_cumulative(self, capsys):
         code, out, _ = run(capsys, "measure", "cumulative", "--measure",
@@ -211,8 +226,8 @@ class TestDeterminism:
         assert "FAIL pullback.bracket" in out
 
     def test_injected_fz_fault_fails_tightness(self, capsys, monkeypatch):
-        # fz(1/2) := 0 wherever fz is evaluated; the failing points are
-        # reported in the single-point checks' BoundCheck text
+        # fz(1/2) := 0 wherever fz is evaluated; each failing point is
+        # reported with both sides of its bound, as the sweep compared them
         import dymart.tightness
         from dymart.dyadic import Dyadic
         real = dymart.tightness.insertion_value
@@ -423,6 +438,37 @@ class TestErrors:
         code, out, _ = run(capsys, "analytic", "eval", "--spec",
                            f"@{spec}", "--word", "1", "--precision", "10")
         assert code == 0 and out.strip() == "2/3"
+
+    @pytest.mark.parametrize("parse,kind", [
+        ("parse_series", "quotient"), ("parse_series", "f_Z"),
+        ("parse_series", "series"), ("parse_function", "quotient"),
+        ("parse_function", "f_Z")])
+    def test_config_file_read_once(self, monkeypatch, tmp_path, parse,
+                                   kind):
+        fields = {"quotient": "num = 1\nden = 1,1\nden_floor = 1\n",
+                  "f_Z": "zset = 1\n", "series": "coeffs = exp\n"}
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"kind = {kind}\n{fields[kind]}")
+        real, reads = cfg.load_config, []
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cfg, "load_config", counting)
+        getattr(cfg, parse)(f"@{spec}")
+        assert reads == [str(spec)]
+
+    @pytest.mark.parametrize("action", ["eval", "root"])
+    def test_offset_with_quotient_exit_2(self, capsys, tmp_path, action):
+        spec = tmp_path / "quot.cfg"
+        spec.write_text("kind = quotient\nnum = 1\nden = 1,1\n"
+                        "den_floor = 1\n")
+        code, out, err = run(capsys, "analytic", action, "--spec",
+                             f"@{spec}", "--word", "1", "--interval", "0,1",
+                             "--precision", "10", "--offset", "1/2")
+        assert code == 2 and out == ""
+        assert err == "error: --offset applies to series specs only\n"
 
     @pytest.mark.parametrize("j", [4097, -4097])
     def test_affine_exponent_out_of_range_exit_2(self, capsys, j):

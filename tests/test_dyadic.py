@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,25 @@ class TestDyadic:
         assert Fraction(1, 2) == Dyadic(1, 1)
         assert Dyadic(1, 1) < Fraction(2, 3)
         assert hash(Dyadic(3, 2)) == hash(Fraction(3, 4))
+
+    @pytest.mark.parametrize("other", [3, Dyadic(5, 3), Fraction(2, 3)],
+                             ids=["int", "Dyadic", "Fraction"])
+    def test_operand_rule_both_orders(self, other):
+        # + and - answer in both orders, exactly: a Dyadic with an int or a
+        # Dyadic, a Fraction with a Fraction
+        d = Dyadic(3, 2)
+        kind = Fraction if isinstance(other, Fraction) else Dyadic
+        for got, want in ((d + other, F(d) + F(other)),
+                          (other + d, F(other) + F(d)),
+                          (d - other, F(d) - F(other)),
+                          (other - d, F(other) - F(d))):
+            assert type(got) is kind and got == want
+        # products, quotients and remainders raise in both orders
+        for op in (operator.mul, operator.truediv, operator.floordiv,
+                   operator.mod):
+            for a, b in ((d, other), (other, d)):
+                with pytest.raises(TypeError):
+                    op(a, b)
 
     def test_no_floats(self):
         # refused without any explicit method: Dyadic defines none of
@@ -112,8 +132,10 @@ class TestWord:
 
     def test_from_point(self):
         assert Word.from_point(Dyadic(5, 3)) == W("101")
-        assert Word.from_point(Dyadic(5, 3), 5) == W("10100")
+        assert Word.from_point(Fraction(3, 4)) == W("11")
         assert Word.from_point(Dyadic(0)) == W("λ")
+        with pytest.raises(ValueError):
+            Word.from_point(Dyadic(1))
 
 
 class TestRounding:

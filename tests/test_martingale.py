@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from dymart.config import parse_function
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
-from dymart.funcs import as_weak
+from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
                                allin_zeros, as_approx, by_name, capital_trace,
                                conservative_transform, pattern_bettor,
                                savings_wrapper, uniform, verify_conservative,
                                verify_martingale)
-from dymart.pullback import pullback_approx
+from dymart.pullback import inner_max, pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
 from helpers import (by_prefixes, is_prefix, nondyadic_bettor,
@@ -216,6 +216,35 @@ def wrap(chain, inner):
     for kind in reversed(chain):
         mart = build[kind](mart)
     return mart
+
+
+class TestClassTags:
+    def test_each_tag_computed_once_per_form(self):
+        # one grow-only tag list per product form, shared by its damped
+        # form: the folds, the savings folds, the block sums and the block
+        # maxima all read it, so no position is tagged twice
+        calls = []
+
+        def tag(i):
+            calls.append(i)
+            return i % 2
+
+        pf = ProductForm(((((1, 1, 0), (3, 1, 0)), ((3, 1, 0), (1, 1, 0))),),
+                         classes_fn=tag)
+        base = ExactMartingale("tagged", product_form=pf)
+        damped = conservative_transform(base)
+        assert damped.product_form.tags is pf.tags
+        for d in (base, damped, savings_wrapper(base),
+                  savings_wrapper(damped)):
+            for n in (3, 17, 40, 9, 41):
+                d.exact(Word((1 << n) - 1, n))
+                d.exact(Word(0, n))
+        for d in (base, damped):
+            for n in (5, 30, 90, 12):
+                shift_stats(d, IdentityFn(), W("01"), n)
+                inner_max(d, IdentityFn(), W("01"), n)
+        assert len(pf.tags) >= 90
+        assert sorted(calls) == list(range(len(pf.tags)))
 
 
 class Flaky:

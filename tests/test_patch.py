@@ -176,13 +176,20 @@ class TestPatchApprox:
             assert counter.queries == len(stripped) + 1
             assert counter.one_queries == 1
 
-    def test_loop_invariant_runtime_check(self):
+    def test_loop_invariant_through_shorter_words(self):
+        # at prefix s the walk holds lo = patch_approx(s) and hi =
+        # patch_approx(z1) for s = z01^k, or query_one at 1 for s = 1^k:
+        # accuracy on every word of length <= 7 and at 1 is the invariant
+        # for every x of length <= 6
         f = wiggle_table()
         memo = {}
-        ref = lambda q: patch_reference(f, q, memo)
-        for x in all_words(6):
-            patch_approx(as_weak(f), x, 9, reference=ref)
-            patch_approx(NoisyWeakFn(f), x, 9, reference=ref)
+        tol = F(1, 1 << 9)
+        for weak in (as_weak(f), NoisyWeakFn(f)):
+            assert abs(weak.query_one(9) -
+                       patch_reference(f, Dyadic(1), memo)) <= tol
+            for x in all_words(7):
+                want = patch_reference(f, x.value(), memo)
+                assert abs(patch_approx(weak, x, 9) - want) <= tol, x
 
 
 def certified_dip_instance():

@@ -7,12 +7,12 @@ from dymart.errors import InsufficientBitsError
 from dymart.funcs import as_weak
 from dymart.martingale import verify_martingale
 from dymart.tightness import (ZOO_SPECS, CensusSet, GridImage,
-                              ZeroInsertionFn, ceil_neg_lg, insert_zeros,
-                              insertion_value, verify_ratio,
-                              verify_strong_ratio, z_bettor, zoo)
+                              ZeroInsertionFn, insert_zeros,
+                              insertion_value, z_bettor, zoo)
 from dymart.verify import _chk_slope_bound, _chk_step_bound
 
-from helpers import word_from_bits
+from helpers import (ceil_neg_lg, verify_ratio, verify_strong_ratio,
+                     word_from_bits)
 
 W = Word.parse
 F = Fraction
@@ -282,6 +282,20 @@ class TestGridImage:
         half = 1 << (exp - 1)
         assert grid.slope_sides(0, half) == (F(1, 2), F(1, 2))
         assert (0, half, False) in grid.slopes()
+
+    @pytest.mark.parametrize("exp", [2, 6])
+    def test_violation_text_is_the_single_point_line(self, monkeypatch, exp):
+        # verify reports a failing bound in the single-point checks' words
+        halve_fz_at_half(monkeypatch)
+        steps = [verify_strong_ratio(z, Dyadic(k, exp), n).line()
+                 for z in zoo() for k, n, ok, _, _ in step_oracle(z, exp)
+                 if not ok]
+        slopes = [verify_ratio(z, Dyadic(ka, exp), Dyadic(kb, exp)).line()
+                  for z in zoo() for ka, kb, ok, _, _ in slope_oracle(z, exp)
+                  if not ok]
+        assert steps and slopes
+        assert [v.detail for v in _chk_step_bound(exp).violations] == steps
+        assert [v.detail for v in _chk_slope_bound(exp).violations] == slopes
 
 
 class TestWorkCounts:

@@ -43,7 +43,7 @@ Signs come from their own evaluator, not from ``eval_point``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
@@ -167,20 +167,16 @@ class PowerSeriesSpec:
         q = Fraction(q)
         inner_c = self.coeff_approx
         inner_e = self.exact_coeff
-        return PowerSeriesSpec(
+        return replace(
+            self,
             name=f"{self.name}-{q}",
             coeff_approx=lambda n, r: inner_c(n, r) - q if n == 0 else
             inner_c(n, r),
-            center_approx=self.center_approx,
             term_bound=max(self.term_bound,
                            abs(Fraction(inner_e(0)) - q) if inner_e else
                            self.term_bound + abs(q)),
-            radius=self.radius,
-            margin=self.margin,
-            anchor=self.anchor,
             exact_coeff=(lambda n: inner_e(n) - (q if n == 0 else 0))
             if inner_e else None,
-            exact_center=self.exact_center,
             tail_monotone_from=max(self.tail_monotone_from, 2),
             polynomial=(self.polynomial[0] - q,) + self.polynomial[1:]
             if self.polynomial else None,
@@ -357,7 +353,9 @@ def find_root(spec, interval, p):
     quotients bounded away from zero near it.  Midpoints that refuse to
     reveal a sign (the root may be exactly there) are bypassed with
     quarter-point probes; if no probe can be certified either, the
-    instance is reported as sign-undecidable.
+    instance is reported as sign-undecidable.  Each round halves the
+    bracket, or moves at least one end in by a quarter of it, or raises,
+    so the loop ends after at most ceil(log_{4/3}(width 2^(p-1))) rounds.
 
     Every probe is a ``certified_sign`` call at the same p, and all of
     them share one level table: a root queries each coefficient once per
@@ -381,11 +379,7 @@ def find_root(spec, interval, p):
         raise ValueError(f"no certified sign change on [{lo}, {hi}]")
 
     width_goal = Dyadic(1, p - 1) if p >= 1 else Dyadic(2 << -p)
-    rounds = 0
     while hi - lo > width_goal:
-        rounds += 1
-        if rounds > 8 * p + 64:
-            raise SignUndecidableError("bisection failed to converge")
         mid = (lo + hi).half()
         s_mid = sign(mid)
         if s_mid == s_lo:
@@ -442,17 +436,14 @@ def derivative_spec(spec):
         extra = exact_ceil_lg(m + 1)
         return (m + 1) * Fraction(inner_c(m + 1, r + extra))
 
-    return PowerSeriesSpec(
+    return replace(
+        spec,
         name=f"{spec.name}'",
         coeff_approx=coeff,
-        center_approx=spec.center_approx,
         term_bound=new_bound,
-        radius=spec.radius,
         margin=spec.margin / 2,
-        anchor=spec.anchor,
         exact_coeff=(lambda m: (m + 1) * Fraction(inner_e(m + 1)))
         if inner_e else None,
-        exact_center=spec.exact_center,
         tail_monotone_from=max(spec.tail_monotone_from, peak_n) + 2,
         polynomial=(tuple(n * c for n, c in enumerate(spec.polynomial))[1:]
                     or (Fraction(0),)) if spec.polynomial else None,
@@ -464,7 +455,8 @@ def series(name, exact_coeff, C, radius, margin, anchor=EMPTY, tail_from=0,
     """A series about 0 with exact coefficients ``exact_coeff``, or with
     those of ``polynomial`` (zero past its end) when that is None.  The
     one builder of the named specs, ``poly:`` and ``kind = series``
-    files."""
+    files, and the one constructor call: shifts and derivatives replace
+    only the fields they change."""
     if exact_coeff is None:
         exact_coeff = lambda n: (polynomial[n] if n < len(polynomial)
                                  else Fraction(0))
@@ -483,48 +475,26 @@ def series(name, exact_coeff, C, radius, margin, anchor=EMPTY, tail_from=0,
     )
 
 
-class _RunningFactorial:
-    """n! from the last (n, n!) pair: one multiply when the next query is
-    n + 1, ``math.factorial`` otherwise.  The state stays one pair."""
+def _factorial_series(signs):
+    """The coefficients n -> signs[n % 4] / n!.  n! is stepped from the
+    last query: one multiply when the next query is n + 1 (a zero
+    coefficient steps it too), ``math.factorial`` otherwise."""
+    last_n, factorial = 0, 1
 
-    def __init__(self):
-        self.n, self.value = 0, 1
-
-    def __call__(self, n):
-        if n == self.n + 1:
-            self.value *= n
-        elif n != self.n:
-            self.value = math.factorial(n)
-        self.n = n
-        return self.value
-
-
-_EXP_FACTORIAL = _RunningFactorial()
-_SIN_FACTORIAL = _RunningFactorial()
-_COS_FACTORIAL = _RunningFactorial()
+    def coeff(n):
+        nonlocal last_n, factorial
+        if n == last_n + 1:
+            factorial *= n
+        elif n != last_n:
+            factorial = math.factorial(n)
+        last_n = n
+        return Fraction(signs[n % 4], factorial)
+    return coeff
 
 
-def _exp_coeff(n):
-    return Fraction(1, _EXP_FACTORIAL(n))
-
-
-# sin and cos step their factorial at the zero coefficients too, so that
-# ascending queries n, n+1, n+2, ... stay one multiply each
-
-def _sin_coeff(n):
-    factorial = _SIN_FACTORIAL(n)
-    if n % 2 == 0:
-        return Fraction(0)
-    sign = 1 if (n // 2) % 2 == 0 else -1
-    return Fraction(sign, factorial)
-
-
-def _cos_coeff(n):
-    factorial = _COS_FACTORIAL(n)
-    if n % 2 == 1:
-        return Fraction(0)
-    sign = 1 if (n // 2) % 2 == 0 else -1
-    return Fraction(sign, factorial)
+_exp_coeff = _factorial_series((1, 1, 1, 1))
+_sin_coeff = _factorial_series((0, 1, 0, -1))
+_cos_coeff = _factorial_series((1, 0, -1, 0))
 
 
 def _ln1p_coeff(n):

@@ -77,16 +77,52 @@ class Output:
             sys.stdout.write(text)
 
 
-def _merge_config(args):
+# the spellings of a flag's value in a config file
+BOOLEANS = {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}
+
+
+def _merge_config(args, argv, parser, command):
+    """``args`` with the ``--config`` file's keys as the command's defaults.
+
+    A key names a long option of the command, with ``-`` and ``_`` alike; a
+    flag's key reads true|false|yes|no|1|0.  The command line beats the
+    file and the file beats a built-in default: the file's keys become
+    ``command``'s defaults and argv is parsed again.  The options common to
+    every command have no default, so a key for one of them fills it only
+    when argv left it out.  File values stay text and pass the same guards
+    as the command line's.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
     from . import config as cfg
-    defaults = cfg.load_config(path)
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+    options = {opt[2:].replace("-", "_"): action
+               for opt, action in command._option_string_actions.items()
+               if opt.startswith("--") and opt != "--help"}
+    defaults, common = {}, {}
+    for key, value in cfg.load_config(path).items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise DymartError(f"{path}: {key!r} is not a long option of "
+                              f"{args.command}")
+        if action.dest in defaults or action.dest in common:
+            raise DymartError(f"{path}: {key!r} sets "
+                              f"{action.option_strings[0]} a second time")
+        if action.nargs == 0:
+            if value.lower() not in BOOLEANS:
+                raise DymartError(f"{path}: {key!r} must be one of "
+                                  f"true|false|yes|no|1|0, got {value!r}")
+            value = BOOLEANS[value.lower()]
+        if action.default is argparse.SUPPRESS:
+            common[action.dest] = value
+        else:
+            defaults[action.dest] = value
+    command.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    for dest, value in common.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
     return args
 
 
@@ -259,6 +295,7 @@ def cmd_trace(args, out):
 
 
 def build_parser():
+    """The ``dymart`` parser and its command parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file")
@@ -320,7 +357,7 @@ def build_parser():
     p.add_argument("--martingale")
     p.add_argument("--word")
     p.add_argument("--precision", default="10")
-    return parser
+    return parser, sub.choices
 
 
 HANDLERS = {
@@ -335,10 +372,10 @@ HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, argv, parser, commands[args.command])
         decimal = getattr(args, "decimal", None)
         out = Output(getattr(args, "output", None),
                      None if decimal is None else _depth(decimal, "--decimal"))

@@ -400,3 +400,42 @@ class TestRoots:
     def test_flat_instance_reported(self):
         with pytest.raises(SignUndecidableError):
             find_root(builtin_spec("poly:0"), (Dyadic(0), Dyadic(1)), 6)
+
+    def _probes(self, monkeypatch):
+        """The points of every ``certified_sign`` call, in order."""
+        import dymart.analytic
+        real, probes = dymart.analytic.certified_sign, []
+
+        def recording(evaluator, t, p, **kw):
+            probes.append(Fraction(t))
+            return real(evaluator, t, p, **kw)
+
+        monkeypatch.setattr(dymart.analytic, "certified_sign", recording)
+        return probes
+
+    @pytest.mark.parametrize("coeffs, root, sixth", [
+        # (t - 1/2)^2 (t - 1/8): the quarter 1/4 takes the upper sign, so
+        # hi = 1/4 and the next midpoint is the root
+        ("-1/32,3/8,-9/8,1", F(1, 8), F(1, 8)),
+        # (t - 1/2)^2 (t - 7/8): the quarter 3/4 takes the lower sign, so
+        # lo = 3/4 and the next midpoint is the root
+        ("-7/32,9/8,-15/8,1", F(7, 8), F(7, 8)),
+    ])
+    def test_quarter_probe_moves_one_end(self, monkeypatch, coeffs, root,
+                                         sixth):
+        probes = self._probes(monkeypatch)
+        found = find_root(builtin_spec(f"poly:{coeffs}"),
+                          (Dyadic(0), Dyadic(1)), 8)
+        assert Fraction(found) == root
+        assert probes[:6] == [0, 1, F(1, 2), F(1, 4), F(3, 4), sixth]
+
+    def test_undecidable_midpoint_and_quarters_raise(self, monkeypatch):
+        # (t - 1/4)^2 (t - 1/2) (t - 3/4)^2 is exactly 0 at the midpoint
+        # and both quarters, so the bisection refuses the simple root 1/2
+        probes = self._probes(monkeypatch)
+        with pytest.raises(SignUndecidableError) as err:
+            find_root(builtin_spec("poly:-9/512,57/256,-17/16,19/8,-5/2,1"),
+                      (Dyadic(0), Dyadic(1)), 8)
+        assert probes == [0, 1, F(1, 2), F(1, 4), F(3, 4)]
+        assert str(err.value) == ("sign-undecidable near [0/1, 1/1] after "
+                                  "the escalation budget")

@@ -78,6 +78,15 @@ class TestScalarCommands:
         v = parse_rational(out.strip().splitlines()[0])
         assert abs(v - F(405465, 10 ** 6)) < F(1, 1000)  # ln(3/2) ballpark
 
+    def test_analytic_root_wide_bracket(self, capsys, tmp_path):
+        # t - 1 on [0, 2^100]: 103 halvings down to the width 2^-3 of p = 4
+        spec = tmp_path / "line.cfg"
+        spec.write_text("kind = quotient\nnum = -1,1\nden = 1\n"
+                        "den_floor = 1\n")
+        code, out, _ = run(capsys, "analytic", "root", "--spec", f"@{spec}",
+                           "--interval", f"0,{1 << 100}", "--precision", "4")
+        assert code == 0 and out == "1/1\n# binary 1\n"
+
     @pytest.mark.parametrize("word,p", [("1", 10), ("011", 40), ("λ", 64)])
     def test_analytic_eval_with_offset(self, capsys, word, p):
         # the value of f - offset, within 2^-p of exp's interval minus 3/2
@@ -522,6 +531,151 @@ class TestErrors:
                              f"product:1/{self.LONG}", "--word", "1")
         assert code == 2 and out == ""
         assert err == "error: " + self._limit_error()
+
+
+class TestConfigFile:
+    """Every long option of a command reads a ``--config`` key; the command
+    line beats the file and the file beats a built-in default."""
+
+    def _conf(self, tmp_path, text):
+        conf = tmp_path / "run.cfg"
+        conf.write_text(text, encoding="utf-8")
+        return str(conf)
+
+    def test_verify_suite_and_depth_from_file(self, capsys, tmp_path):
+        conf = self._conf(tmp_path, "suite = martingale\ndepth = 1\n")
+        code, out, _ = run(capsys, "verify", "--config", conf)
+        assert code == 0 and len(out.splitlines()) == 3
+        assert (code, out) == run(capsys, "verify", "--suite", "martingale",
+                                  "--depth", "1")[:2]
+
+    def test_command_line_beats_file(self, capsys, tmp_path):
+        conf = self._conf(tmp_path, "suite = martingale\ndepth = 1\n")
+        code, out, _ = run(capsys, "verify", "--depth", "2", "--config", conf)
+        assert code == 0
+        assert out == run(capsys, "verify", "--suite", "martingale",
+                           "--depth", "2")[1]
+
+    @pytest.mark.parametrize("spelling", ["step-exp", "step_exp"])
+    def test_dash_and_underscore_name_one_option(self, capsys, tmp_path,
+                                                 spelling):
+        conf = self._conf(tmp_path, f"zset = 1\n{spelling} = 2\n"
+                                    "slope-exp = 2\n")
+        code, out, _ = run(capsys, "tightness", "bounds", "--config", conf)
+        assert code == 0 and len(out.splitlines()) == 15
+
+    @pytest.mark.parametrize("value, traced", [
+        ("true", True), ("Yes", True), ("1", True),
+        ("false", False), ("no", False), ("0", False)])
+    def test_flag_reads_a_boolean(self, capsys, tmp_path, value, traced):
+        conf = self._conf(tmp_path, "martingale = uniform\nfunction = "
+                                    f"identity\nword = 1\nprecision = 4\n"
+                                    f"trace = {value}\n")
+        code, out, _ = run(capsys, "pullback", "--config", conf)
+        assert code == 0
+        assert out.startswith("word,prefix_len,") == traced
+
+    def test_command_line_decimal_beats_file(self, capsys, tmp_path):
+        conf = self._conf(tmp_path, "decimal = 3\n")
+        code, out, _ = run(capsys, "--decimal", "5", "analytic", "eval",
+                           "--spec", "exp", "--word", "1", "--precision",
+                           "8", "--config", conf)
+        assert code == 0
+        assert out.splitlines()[1] == "# approx 1.64872 (5 digits, truncated)"
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("analytic", "spec = exp\nprecison = 4\n",
+         "'precison' is not a long option of analytic"),
+        ("analytic", "action = eval\n",
+         "'action' is not a long option of analytic"),
+        ("analytic", "trace = true\n",
+         "'trace' is not a long option of analytic"),
+        ("pullback", "trace = maybe\n",
+         "'trace' must be one of true|false|yes|no|1|0, got 'maybe'"),
+    ])
+    def test_bad_key_exit_2(self, capsys, tmp_path, command, text, error):
+        conf = self._conf(tmp_path, text)
+        argv = (command, "eval") if command == "analytic" else (command,)
+        code, out, err = run(capsys, *argv, "--config", conf)
+        assert code == 2 and out == ""
+        assert err == f"error: {conf}: {error}\n"
+
+    def test_repeated_option_exit_2(self, capsys, tmp_path):
+        conf = self._conf(tmp_path, "step-exp = 2\nstep_exp = 3\n")
+        code, out, err = run(capsys, "tightness", "bounds", "--zset", "1",
+                             "--config", conf)
+        assert code == 2 and out == ""
+        assert err == (f"error: {conf}: 'step_exp' sets --step-exp a second "
+                       "time\n")
+
+
+class TestSpecPaths:
+    """Spec and config-file paths of ``config`` and ``cli``, one case each."""
+
+    def test_cumulative_function_spec(self, capsys):
+        code, out, _ = run(capsys, "patch", "--function",
+                           "cumulative:product:1/3", "--word", "0110",
+                           "--precision", "8")
+        assert code == 0 and out == "5/27\n"
+        assert run(capsys, "measure", "cumulative", "--measure",
+                   "product:1/3", "--word", "0110")[:2] == (0, out)
+
+    def test_table_kind_file(self, capsys, tmp_path):
+        table = tmp_path / "step.tbl"
+        table.write_text("00 0/1\n01 1/4\n10 1/2\n11 3/4\n1 1/1\n")
+        conf = tmp_path / "table.cfg"
+        conf.write_text(f"kind = table\nfile = {table}\n")
+        argv = ("patch", "--word", "0110", "--precision", "8")
+        code, out, _ = run(capsys, *argv, "--function", f"@{conf}")
+        assert code == 0 and out == "1/4\n"
+        assert run(capsys, *argv, "--function", f"table:{table}")[:2] == \
+            (0, out)
+
+    @pytest.mark.parametrize("text, error", [
+        ("word = 1\n = 3\n", "line 2: empty key"),
+        ("word = 1\nword = 0\n", "line 2: duplicate key 'word'"),
+    ])
+    def test_bad_config_line_exit_2(self, capsys, tmp_path, text, error):
+        conf = tmp_path / "run.cfg"
+        conf.write_text(text)
+        code, out, err = run(capsys, "trace", "--martingale", "uniform",
+                             "--config", str(conf))
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (("measure", "differential", "--function", "affine:1", "--word",
+          "1"), "affine needs j,a: 'affine:1'"),
+        (("measure", "differential", "--function", "gauss", "--word", "1"),
+         "unknown function spec 'gauss'"),
+        (("measure", "cumulative", "--measure", "poisson", "--word", "1"),
+         "unknown measure spec 'poisson'"),
+        (("patch", "--function", "identity", "--word", "1"),
+         "missing --precision (flag or config key)"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_bad_spec_exit_2(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("option, text, error", [
+        ("--function", "kind = table\n", "missing 'file'"),
+        ("--spec", "kind = series\ncoeffs = exp\ncenter = 1/2\n",
+         "only center=0 series are shipped"),
+        ("--spec", "kind = spline\n", "unknown kind 'spline'"),
+        ("--function", "kind = series\ncoeffs = exp\n",
+         "kind 'series' is not a point-function kind"),
+    ])
+    def test_bad_spec_file_exit_2(self, capsys, tmp_path, option, text,
+                                  error):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(text)
+        command = ("patch",) if option == "--function" else \
+            ("analytic", "eval")
+        code, out, err = run(capsys, *command, option, f"@{spec}", "--word",
+                             "1", "--precision", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: {spec}: {error}\n"
 
 
 # Runs one command in a fresh interpreter and writes the names of the

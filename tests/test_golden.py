@@ -1,7 +1,8 @@
 """Byte-for-byte stdout of fixed CLI commands against tests/golden/*.txt.
 
-Each command runs in process through ``cli.main``.  To regenerate the
-files after a deliberate output change, run
+Each command runs in process through ``cli.main``, once with its options
+on the command line and once with them in a ``--config`` file.  To
+regenerate the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -87,10 +88,28 @@ COMMANDS = {
 }
 
 
-def cli_stdout(name, tmp_dir):
+def config_argv(argv, path):
+    """``argv`` with its options moved into a config file written to
+    ``path``: the command and its action stay, each ``--key value`` becomes
+    ``key = value`` and a bare flag ``--key`` becomes ``key = true``."""
+    first = next(i for i, token in enumerate(argv) if token.startswith("--"))
+    lines = []
+    for token, after in zip(argv[first:], argv[first + 1:] + ["--"]):
+        if token.startswith("--"):
+            value = "true" if after.startswith("--") else after
+            lines.append(f"{token[2:]} = {value}\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return argv[:first] + ["--config", str(path)]
+
+
+def cli_stdout(name, tmp_dir, config=False):
+    """Exit code and stdout of ``COMMANDS[name]``, with its options in a
+    config file when ``config`` is set."""
     table = Path(tmp_dir) / "step.tbl"
     table.write_text(STEP_TABLE, encoding="utf-8")
     argv = COMMANDS[name].format(table=table).split()
+    if config:
+        argv = config_argv(argv, Path(tmp_dir) / "run.cfg")
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.main(argv)
@@ -100,6 +119,14 @@ def cli_stdout(name, tmp_dir):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, tmp_path):
     code, out = cli_stdout(name, tmp_path)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_config_file_matches_golden(name, tmp_path):
+    # the same command with every option read from a --config file
+    code, out = cli_stdout(name, tmp_path, config=True)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 

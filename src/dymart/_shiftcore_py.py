@@ -24,9 +24,9 @@ All arithmetic is exact integer arithmetic.
 
 ``aligned_blocks`` is the one aligned-block decomposition in the package:
 covers, block sums, block maxima and the pullback all tile a range with
-it.  Every block hangs off one of the two root-to-leaf paths to the ends
-of the range, so two walks give all block values in O(n) factor steps
-(``subtree_sum``).  The largest cell below a block is its value times the
+it.  Every block hangs off one of the two root-to-leaf paths to the cells
+just outside the range, so two walks give all block values, and at their
+leaves those two cells, in at most 2n factor steps (``subtree_sum``).  The largest cell below a block is its value times the
 best product of the factors still to come, read from a table built once
 per call in O(n * n_states) steps (``range_sum_max``).
 """
@@ -84,40 +84,50 @@ def aligned_blocks(a, b):
     return left
 
 
-def _hanging_values(edges, start, classes, n, hanging):
-    """Yield (num, dexp, lev, state) per block, for blocks given top-down
-    that all hang off one root-to-leaf path; state is the one below the
-    block's word.
+def _path_values(edges, start, classes, n, end, hanging):
+    """Walk the root-to-leaf path to the depth-n cell ``end``: yield
+    (num, dexp, lev, state) for each block of ``hanging`` (given top-down,
+    all hanging off this path; state is the one below the block's word),
+    then return d(cell end) as (num, dexp), (0, 0) when it is zero.
 
-    Walks the path once holding only the running product; one factor
-    lookup per level serves both the path step and the block beside it.
-    Stops at the first zero product: every deeper block is then zero.
+    Holds only the running product; one factor-pair lookup per level
+    serves both the path step and the block beside it, so the walk costs
+    at most n lookups.  Stops at the first zero product: every deeper
+    block and the leaf are then zero.
     """
-    num, dexp, state, depth = 1, 0, start, 0
-    pair = edges[start][classes[0]]
-    for lev, idx in hanging:
-        parent_depth = n - lev - 1
-        while depth < parent_depth:
-            fnum, fdexp, state = pair[(idx >> (parent_depth - depth)) & 1]
-            num *= fnum
-            dexp += fdexp
-            depth += 1
-            pair = edges[state][classes[depth]]
+    num, dexp, state = 1, 0, start
+    blocks = iter(hanging)
+    lev, idx = next(blocks, (-1, 0))
+    beside = n - 1 - lev    # the depth of the path node the block hangs off
+    for depth in range(n):
+        pair = edges[state][classes[depth]]
+        if depth == beside:
+            fnum, fdexp, below = pair[idx & 1]
+            yield num * fnum, dexp + fdexp, lev, below
+            lev, idx = next(blocks, (-1, 0))
+            beside = n - 1 - lev
+        fnum, fdexp, state = pair[(end >> (n - 1 - depth)) & 1]
+        num *= fnum
         if not num:
-            return
-        fnum, fdexp, below = pair[idx & 1]
-        yield num * fnum, dexp + fdexp, lev, below
+            return 0, 0
+        dexp += fdexp
+    return num, dexp
 
 
-def _block_values(pf, classes, n, a, b):
-    """``_hanging_values`` for every aligned block of a nonempty range
-    [a, b) other than the full one: one walk along each end path."""
+def _block_values(pf, classes, n, a, b, ends):
+    """``_path_values`` for every aligned block of [a, b), short of the
+    full range: one walk along each end path, down to its leaf.  Sets
+    ``ends`` to [d(cell a - 1), d(cell b)], None for a cell that does not
+    exist (a = 0, b = 2**n); there are no blocks on that side then."""
     blocks = aligned_blocks(a, b)
-    for hanging in ([blk for blk in reversed(blocks) if blk[1] & 1],
-                    [blk for blk in blocks if not blk[1] & 1]):
-        if hanging:
-            yield from _hanging_values(pf.edges, pf.start, classes, n,
-                                       hanging)
+    if a > 0:
+        ends[0] = yield from _path_values(
+            pf.edges, pf.start, classes, n, a - 1,
+            [blk for blk in reversed(blocks) if blk[1] & 1])
+    if b < 1 << n:
+        ends[1] = yield from _path_values(
+            pf.edges, pf.start, classes, n, b,
+            [blk for blk in blocks if not blk[1] & 1])
 
 
 def _block_total(values):
@@ -135,18 +145,22 @@ def _block_total(values):
 
 
 def subtree_sum(pf, classes, n, a, b):
-    """Sum of d over cells [a, b) at depth n via aligned-block collapse.
+    """Sum of d over cells [a, b) at depth n via aligned-block collapse,
+    and the cells on either side: (sum_num, sum_dexp, left, right) with
+    left = d(cell a - 1) and right = d(cell b) as (num, dexp) pairs, None
+    where the cell does not exist (a = 0, b = 2**n).
 
     A block of 2**lev cells below the word w contributes 2**lev * d(w) by
     the fairness identity.  The blocks come from ``aligned_blocks`` and are
-    valued by one top-down walk along each of the two paths they hang off:
-    O(n) factor steps and O(1) running products.  Exact for any depth.
+    valued, one at a time, by one top-down walk along each of the two
+    paths they hang off, which ends at the cell beside the range: at most
+    2n factor steps and O(1) running products.  Exact for any depth.
     """
-    if a >= b:
-        return 0, 0
     if b - a == 1 << n:
-        return 1 << n, 0
-    return _block_total(_block_values(pf, classes, n, a, b))
+        return 1 << n, 0, None, None
+    ends = [None, None]
+    total = _block_total(_block_values(pf, classes, n, a, b, ends))
+    return total + tuple(ends)
 
 
 def _max_products(edges, classes, n):
@@ -190,7 +204,7 @@ def range_sum_max(pf, classes, n, a, b):
     best = _max_products(pf.edges, classes, n)
     if b - a == 1 << n:
         return (1 << n, 0) + best[0][pf.start]
-    values = list(_block_values(pf, classes, n, a, b))
+    values = list(_block_values(pf, classes, n, a, b, [None, None]))
     m_num, m_dexp = 0, 0
     for num, dexp, lev, state in values:
         t_num, t_dexp = best[n - lev][state]

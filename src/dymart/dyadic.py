@@ -61,18 +61,18 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        if num == 0:
+        if not num:
             exp = 0
-        else:
-            # strip common factors of two
+        elif exp and not num & 1:
+            # strip common factors of two; an odd numerator (num & 1 reads
+            # one digit) is already in lowest terms
             tz = (num & -num).bit_length() - 1
             if tz > exp:
                 tz = exp
-            if tz:
-                num >>= tz
-                exp -= tz
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+            num >>= tz
+            exp -= tz
+        _set_num(self, num)
+        _set_exp(self, exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -227,6 +227,10 @@ class Dyadic:
         return f"{whole}.{frac:0{self.exp}b}"
 
 
+# the slot setters, past the __setattr__ guard (cheaper than
+# object.__setattr__: values are built once per cover word and per block)
+_set_num, _set_exp = Dyadic.num.__set__, Dyadic.exp.__set__
+
 # Registration (not subclassing) keeps the class free of the ABC's float
 # protocol while letting Fraction compare against Dyadic exactly.
 numbers.Rational.register(Dyadic)
@@ -274,8 +278,8 @@ class Word:
     def __init__(self, k, n):
         if n < 0 or k < 0 or k >> n:
             raise ValueError(f"invalid word ({k}, {n})")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        _set_k(self, k)
+        _set_n(self, n)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -352,6 +356,7 @@ class Word:
         return Dyadic(self.k, self.n)
 
 
+_set_k, _set_n = Word.k.__set__, Word.n.__set__
 EMPTY = Word(0, 0)
 
 

@@ -1,8 +1,9 @@
 """Product-form kernels: the block walk in ``_shiftcore_py``.
 
 ``aligned_blocks`` is the one aligned-block decomposition; ``subtree_sum``
-sums a range in O(n) factor steps, ``range_sum_max`` adds its largest cell
-in O(n * n_states) and ``cell_value`` walks one cell from the root.  There
+sums a range and values the two cells beside it in at most 2n factor
+steps, ``range_sum_max`` adds the range's largest cell in O(n * n_states)
+and ``cell_value`` walks one cell from the root.  There
 is one pure-Python implementation.  Single values for
 ``ExactMartingale.at`` come from ``martingale.product_fold``.
 

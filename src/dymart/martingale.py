@@ -8,18 +8,20 @@ factors driven by a tiny state machine, which is what the kernels in
 :mod:`dymart.kernels` exploit.  Values of derived strategies (conservative
 transform, savings wrapper) may be general rationals.
 
-Every exact strategy answers ``exact`` through one ``PrefixFold``: a
-state for λ, one ``step`` per longer prefix of w, and the value read off
-the last state.  ``at`` is the same value as a ``Fraction``; the
-approximation wrapper ``as_approx`` replies from ``exact`` itself.  A
-product form folds (num, dexp, machine state), one factor per step, and
-the savings wrapper of a product form folds the same factors with its
-level and reserve in integers: both answer ``exact`` with a ``Dyadic``.
-Every other derived strategy folds its input's ``at`` values in
-``Fraction``s.  The fold keeps the states along the last word asked and
-steps forward only below the prefix the next word shares with it.  A
-cover's words lie on its two end paths, so a cover costs O(m) steps in
-all: O(1) amortized per cover word.
+Every exact strategy answers ``exact`` through one ``PrefixFold`` stack:
+a state for λ, one state per longer prefix of the last word asked, and
+the value read off the last state.  ``exact`` is the fold's reply
+function itself, ``at`` is the same value as a ``Fraction``, and the
+approximation wrapper ``as_approx`` binds ``exact`` once and replies from
+it.  A product form folds (num, dexp, machine state), one factor per
+level, and the savings wrapper of a product form folds the same factors
+with its level and reserve in integers: both descend inline, with no call
+per level, and answer ``exact`` with a ``Dyadic``.  Every other derived
+strategy folds its input's ``at`` values in ``Fraction``s.  The fold
+keeps the states along the last word asked and steps forward only below
+the prefix the next word shares with it.  A cover's words lie on its two
+end paths, so a cover costs O(m) steps in all: O(1) amortized per cover
+word.
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ class ProductForm(namedtuple("ProductForm",
 
     def classes(self, n):
         """``tags``, grown to cover positions 0..n-1: each position's tag
-        is computed once, and a growing list at least doubles."""
+        is computed once, and only when a caller reaches it."""
         tags = self.tags
         if n > len(tags):
-            fn = self.classes_fn
-            tags.extend(fn(i) for i in range(len(tags),
-                                             max(n, 2 * len(tags))))
+            tags.extend(map(self.classes_fn, range(len(tags), n)))
         return tags
 
     def transformed(self):
@@ -116,33 +116,29 @@ def _dyadic_factor(num, dexp, nxt):
 class ExactMartingale:
     """Total exact-valued strategy; the oracle role in every check.
 
+    ``exact(w)`` is the exact d(w), and it is the reply function of the
+    strategy's fold itself: ``product_fold`` of ``product_form`` (a
+    ``Dyadic``) when no ``fn`` is given, else ``fn`` (a ``Dyadic`` for the
+    savings wrapper of a product form, a Fraction for the other derived
+    wrappers).  Product forms and the derived wrappers answer through a
+    per-instance ``PrefixFold``, so words asked in left-to-right order (a
+    cover) share their walks.
+
     ``conservative`` is True when every single-step bet ratio is certified
     to lie in [1/2, 3/2], the hypothesis of the pullback gap bound.
     """
 
     def __init__(self, name, fn=None, *, product_form=None,
                  conservative=False):
-        self.name = name
         if fn is None:
-            value = product_fold(product_form)
-
-            def fn(w):
-                # a Dyadic is already in lowest terms: no gcd on big integers
-                return Dyadic(*value(w.k, w.n))
-        self._fn = fn
+            if product_form is None:
+                raise ValueError(f"ExactMartingale({name!r}) needs fn or "
+                                 "product_form")
+            fn = product_fold(product_form)
+        self.name = name
+        self.exact = fn
         self.product_form = product_form
         self.conservative = conservative
-
-    def exact(self, w):
-        """Exact d(w): the fold's ``Dyadic`` for a product form, else what
-        ``fn`` returns (a ``Dyadic`` for the savings wrapper of a product
-        form, a Fraction for the other derived wrappers).
-
-        Product forms (``product_fold``) and the derived wrappers answer
-        through a per-instance ``PrefixFold``, so words asked in
-        left-to-right order (a cover) share their walks.
-        """
-        return self._fn(w)
 
     def at(self, w):
         """Exact d(w) as a Fraction: ``Fraction(exact(w))``."""
@@ -182,76 +178,91 @@ def pattern_bettor(pattern):
 
 
 class PrefixFold:
-    """A fold along the prefixes of a word, one word at a time.
+    """The stack of a fold along the prefixes of a word, one word at a time.
 
-    ``fold(k, n)`` is the state after the depth-n word with index k: the
-    state of λ is ``start()``, and the prefix p of length i gets
-    ``step(state of p[:-1], bits of p, i)``.  ``start`` runs on the first
-    call, not on construction.
-
-    Keeps the state after each prefix of the last word.  A new word pops
-    back to the prefix it shares with the last one and steps forward only
-    below it, so words asked in left-to-right order (a cover) cost O(1)
-    amortized steps each.  If a step raises partway down a word, the stack
-    keeps the states it finished and runs along that prefix of the word.
+    ``states[i]`` is the fold state after the length-i prefix of the word
+    the stack runs along (the last word asked); ``root()`` gives the state
+    of λ, on the first call, not on construction.  Each fold supplies its
+    own descent loop: ``shared(k, n)`` pops the stack back to the longest
+    prefix that the depth-n word with index k shares with that word and
+    returns its length i, and the loop appends the states of the prefixes
+    of lengths i + 1..n.  Words asked in left-to-right order (a cover) so
+    cost O(1) amortized steps each.  If a step raises partway down a word,
+    the stack keeps the states it finished and runs along that prefix of
+    the word.
     """
 
-    def __init__(self, start, step):
-        self._start, self._step = start, step
-        self._k = 0          # the word the stack runs along, by its bits
-        self._states = []    # fold state after each of its prefixes
+    __slots__ = ("states", "_root", "_k", "_n")
 
-    def __call__(self, k, n):
-        states = self._states
+    def __init__(self, root):
+        self.states = []
+        self._root = root
+        self._k = self._n = 0   # the last word asked, by its bits
+
+    def shared(self, k, n):
+        """Pop back to the prefix the depth-n word k shares with the
+        stack's word, and return that prefix's length."""
+        states = self.states
         if not states:
-            states.append(self._start())
+            states.append(self._root())
         depth = len(states) - 1
-        common = min(depth, n)
-        common -= ((self._k >> (depth - common))
+        common = depth if depth < n else n
+        common -= ((self._k >> (self._n - common))
                    ^ (k >> (n - common))).bit_length()
         del states[common + 1:]
-        step = self._step
-        state = states[common]
-        try:
-            for i in range(common + 1, n + 1):
-                state = step(state, k >> (n - i), i)
-                states.append(state)
-        finally:
-            self._k = k >> (n + 1 - len(states))
-        return state
+        self._k, self._n = k, n
+        return common
 
 
 def product_fold(pf):
-    """d of the product form ``pf`` as ``value(k, n)``: the depth-n word
-    with index k as (num, dexp), the pair ``kernels.cell_value`` gives.
+    """d of the product form ``pf`` as a reply function: the ``Dyadic``
+    value of a word.
 
-    A ``PrefixFold`` whose state is (num, dexp, machine state): one factor
-    lookup and one multiply per step.  The class tags are ``pf.tags``,
-    grown once per query, not per step.
+    A ``PrefixFold`` whose states are (num, dexp, machine state) for the
+    product num / 2^dexp.  The descent runs inline, one factor lookup and
+    one multiply per level, and the class tags are ``pf.tags``, grown only
+    when a word is longer than the list.
     """
     edges, tags = pf.edges, pf.tags
+    fold = PrefixFold(lambda: (1, 0, pf.start))
+    states, shared = fold.states, fold.shared
 
-    def step(state, bits, i):
-        num, dexp, at = state
-        fnum, fdexp, at = edges[at][tags[i - 1]][bits & 1]
-        return num * fnum, dexp + fdexp, at
+    def exact(w):
+        k, n = w.k, w.n
+        if n > len(tags):
+            pf.classes(n)
+        i = shared(k, n)
+        num, dexp, at = states[i]
+        while i < n:
+            fnum, fdexp, at = edges[at][tags[i]][(k >> (n - 1 - i)) & 1]
+            num *= fnum
+            dexp += fdexp
+            i += 1
+            states.append((num, dexp, at))
+        return Dyadic(num, dexp)
 
-    fold = PrefixFold(lambda: (1, 0, pf.start), step)
-
-    def value(k, n):
-        pf.classes(n)
-        num, dexp, _ = fold(k, n)
-        return (num, dexp) if num else (0, 0)
-
-    return value
+    return exact
 
 
-def _value_fold(mart, start, step):
-    """A ``PrefixFold`` over mart's values: ``start(d(λ))``, then
-    ``step(state, d(p))`` per longer prefix p."""
+def _value_fold(mart, start, step, answer):
+    """A reply function over mart's values through a ``PrefixFold``:
+    ``answer`` of the state that ``start(d(λ))`` and then
+    ``step(state, d(p))`` per longer prefix p give."""
     at = mart.at
-    return PrefixFold(lambda: start(at(EMPTY)),
-                      lambda state, bits, i: step(state, at(Word(bits, i))))
+    fold = PrefixFold(lambda: start(at(EMPTY)))
+    states, shared = fold.states, fold.shared
+
+    def exact(w):
+        k, n = w.k, w.n
+        i = shared(k, n)
+        state = states[i]
+        while i < n:
+            i += 1
+            state = step(state, at(Word(k >> (n - i), i)))
+            states.append(state)
+        return answer(state)
+
+    return exact
 
 
 def conservative_transform(mart):
@@ -273,9 +284,10 @@ def conservative_transform(mart):
         rho = cur / prev if prev > 0 else Fraction(1)
         return v * ((1 + rho) / 2), cur
 
-    fold = _value_fold(mart, lambda v: (v, v), step)
     return ExactMartingale(f"conservative:{mart.name}",
-                           lambda w: fold(w.k, w.n)[0], conservative=True)
+                           _value_fold(mart, lambda v: (v, v), step,
+                                       lambda state: state[0]),
+                           conservative=True)
 
 
 def _savings_step(state, v):
@@ -287,6 +299,11 @@ def _savings_step(state, v):
     return level, reserve, mult, v
 
 
+def _savings_value(state):
+    _, reserve, mult, v = state
+    return reserve + mult * v
+
+
 def _sum_pow2(a, i, b, j):
     """a / 2^i + b / 2^j as (num, max(i, j)) for num / 2^max(i, j)."""
     if j > i:
@@ -295,39 +312,41 @@ def _sum_pow2(a, i, b, j):
 
 
 def savings_fold(pf):
-    """The savings wrapper of the product form ``pf`` as ``value(k, n)``,
-    a (num, exp) pair for num / 2^exp, in integers throughout.
+    """The savings wrapper of the product form ``pf`` as a reply function:
+    the ``Dyadic`` value of a word, in integers throughout.
 
-    A ``PrefixFold`` whose state is (num, dexp, machine state, level,
+    A ``PrefixFold`` whose states are (num, dexp, machine state, level,
     rnum, rexp): the input's capital num / 2^dexp as in ``product_fold``,
     the level reached, and the reserve rnum / 2^rexp, kept over the
-    largest exponent it has been added at.  A step is one factor lookup
-    and one multiply; capital at or above 2^(level+1), that is
-    ``num >> (dexp + level + 1) != 0``, crosses a level and adds
-    capital / 2^level, at the new level, to the reserve.  The value is
-    reserve + capital / 2^level.
+    largest exponent it has been added at.  The descent runs inline: one
+    factor lookup and one multiply per level; capital at or above
+    2^(level+1), that is ``num >> (dexp + level + 1) != 0``, crosses a
+    level and adds capital / 2^level, at the new level, to the reserve.
+    The value is reserve + capital / 2^level.
     """
     edges, tags = pf.edges, pf.tags
-
-    def step(state, bits, i):
-        num, dexp, at, level, rnum, rexp = state
-        fnum, fdexp, at = edges[at][tags[i - 1]][bits & 1]
-        num *= fnum
-        dexp += fdexp
-        while num >> (dexp + level + 1):
-            level += 1
-            rnum, rexp = _sum_pow2(rnum, rexp, num, dexp + level)
-        return num, dexp, at, level, rnum, rexp
-
     # d(λ) = 1 crosses no level
-    fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0), step)
+    fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0))
+    states, shared = fold.states, fold.shared
 
-    def value(k, n):
-        pf.classes(n)
-        num, dexp, _, level, rnum, rexp = fold(k, n)
-        return _sum_pow2(rnum, rexp, num, dexp + level)
+    def exact(w):
+        k, n = w.k, w.n
+        if n > len(tags):
+            pf.classes(n)
+        i = shared(k, n)
+        num, dexp, at, level, rnum, rexp = states[i]
+        while i < n:
+            fnum, fdexp, at = edges[at][tags[i]][(k >> (n - 1 - i)) & 1]
+            num *= fnum
+            dexp += fdexp
+            while num >> (dexp + level + 1):
+                level += 1
+                rnum, rexp = _sum_pow2(rnum, rexp, num, dexp + level)
+            i += 1
+            states.append((num, dexp, at, level, rnum, rexp))
+        return Dyadic(*_sum_pow2(rnum, rexp, num, dexp + level))
 
-    return value
+    return exact
 
 
 def savings_wrapper(mart):
@@ -348,18 +367,11 @@ def savings_wrapper(mart):
     """
     pf = mart.product_form
     if pf is not None:
-        pair = savings_fold(pf)
-
-        def value(w):
-            return Dyadic(*pair(w.k, w.n))
+        value = savings_fold(pf)
     else:
         start = (0, Fraction(0), Fraction(1), None)
-        fold = _value_fold(mart, lambda v: _savings_step(start, v),
-                           _savings_step)
-
-        def value(w):
-            _, reserve, mult, v = fold(w.k, w.n)
-            return reserve + mult * v
+        value = _value_fold(mart, lambda v: _savings_step(start, v),
+                            _savings_step, _savings_value)
 
     return ExactMartingale(f"savings:{mart.name}", value,
                            conservative=mart.conservative)
@@ -463,7 +475,9 @@ class ApproxMartingale:
 
     def query(self, w, r):
         v = self._query(w, r)
-        if not isinstance(v, (Fraction, Dyadic)):
+        # Dyadic first: a plain type check, where a miss on Fraction runs
+        # ABCMeta's instance check
+        if not isinstance(v, (Dyadic, Fraction)):
             v = Fraction(v)
         # a true martingale is nonnegative, so a reply below -2^-r is
         # detectable; the sign settles every nonnegative one
@@ -476,8 +490,9 @@ class ApproxMartingale:
 
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision, from
-    ``mart.exact`` (a ``Dyadic`` for a product form)."""
-    return ApproxMartingale(mart.name, lambda w, r: mart.exact(w),
+    ``mart.exact`` (a ``Dyadic`` for a product form), bound once."""
+    exact = mart.exact
+    return ApproxMartingale(mart.name, lambda w, r: exact(w),
                             conservative=mart.conservative)
 
 

@@ -22,12 +22,13 @@ Covers, block sums and block maxima share one aligned-block decomposition
 (``kernels.aligned_blocks``).  The cover is queried left to right, one
 d-query per word, so an exact strategy answers the whole cover through its
 prefix fold (``martingale.PrefixFold``) in O(m) steps; a product form takes
-about 3m factor steps.  ``shift_stats`` has one block sum per strategy kind
-and takes all three of its ranges from it: the inside cells, and each
-boundary cell as a one-cell range, so the bracket at depth m + 8 costs
-O(m) steps.  ``inner_max`` reads the largest inside cell from the same
-walk plus a max-product table, so the chain checks need no cell
-enumeration.
+about 3m factor steps, with one fold reply per cover word and no call per
+level, and the total reads each ``Dyadic`` reply's numerator and exponent
+directly.  For a product form, ``shift_stats`` takes the inside cells and
+both boundary cells from one block walk, whose two end paths end at the
+boundary cells: the bracket at depth m + 8 costs exactly 2(m + 8) factor
+steps.  ``inner_max`` reads the largest inside cell from the same walk
+plus a max-product table, so the chain checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -81,22 +82,26 @@ def _cell_ranges(lo, hi, n):
 def exact_total(terms):
     """The exact sum of q * 2^s over the (q, s) pairs, as a Fraction.
 
-    The dyadic q (a ``Dyadic``, an int, a ``Fraction`` with a power-of-two
-    denominator) are totalled as one integer numerator over 2^exp, with
-    no gcd; the others add to a ``Fraction`` remainder.
+    The dyadic q (a ``Dyadic``, read off its num and exp; an int, a
+    ``Fraction`` with a power-of-two denominator) are totalled as one
+    integer numerator over 2^exp, with no gcd; the others add to a
+    ``Fraction`` remainder.
     """
     num, exp = 0, 0
     rest = Fraction(0)
     for q, s in terms:
-        den = q.denominator
-        if den & (den - 1):
-            rest += q * (1 << s) if s >= 0 else q / (1 << -s)
-            continue
-        e = den.bit_length() - 1 - s
+        if isinstance(q, Dyadic):
+            q_num, e = q.num, q.exp - s
+        else:
+            den = q.denominator
+            if den & (den - 1):
+                rest += q * (1 << s) if s >= 0 else q / (1 << -s)
+                continue
+            q_num, e = q.numerator, den.bit_length() - 1 - s
         if e > exp:
             num <<= e - exp
             exp = e
-        num += q.numerator << (exp - e)
+        num += q_num << (exp - e)
     total = Fraction(Dyadic(num, exp))
     return total + rest if rest else total
 
@@ -109,17 +114,15 @@ def shift_stats(d, f, x, n):
 
     Every sum is one aligned-block collapse, which needs only the fair-bet
     identity and so works at any depth: lower sums the inside cells
-    [inner_a, inner_b), upper adds the at most two boundary cells
-    [touch_a, inner_a) and [inner_b, touch_b) as one-cell ranges; the
-    three ranges tile [touch_a, touch_b).  Product forms sum through
-    ``kernels.subtree_sum`` (a one-cell range is one root-to-leaf walk, n
-    factor steps).  Other strategies total ``d.exact`` per aligned block
-    through ``exact_total``: one integer numerator over 2^e for the
-    dyadic values (a savings wrapper of a product form has only those),
-    a ``Fraction`` for the rest.
-    Summing [touch_a, touch_b) as one range instead would take two fewer
-    factor steps but value all of its blocks again: about n more
-    big-integer products and additions than the two one-cell walks.
+    [inner_a, inner_b), and upper adds the at most two boundary cells
+    [touch_a, inner_a) and [inner_b, touch_b), which are the cells
+    inner_a - 1 and inner_b.  Product forms take all three from one
+    ``kernels.subtree_sum``: its two end-path walks value the inside
+    blocks and end at those two cells, at most 2n factor steps.  Other
+    strategies total ``d.exact`` per aligned block of each range through
+    ``exact_total`` (a one-cell range is one block): one integer numerator
+    over 2^e for the dyadic values (a savings wrapper of a product form
+    has only those), a ``Fraction`` for the rest.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -128,22 +131,28 @@ def shift_stats(d, f, x, n):
 
     pf = d.product_form
     if pf is not None:
-        classes = pf.classes(n)
+        s_num, s_dexp, left, right = kernels.subtree_sum(
+            pf, pf.classes(n), n, inner_a, inner_b)
+        inner = upper = Dyadic(s_num, s_dexp)
+        if touch_a < inner_a:
+            upper += Dyadic(*left)
+        if inner_b < touch_b:
+            upper += Dyadic(*right)
+        # times 2^(|x|-n), exactly: a shift of the exponent
+        shift = n - len(x)
+        return ShiftStats(lower=Fraction(Dyadic(inner, shift)),
+                          upper=Fraction(Dyadic(upper, shift)))
 
-        def block_sum(a, b):
-            num, dexp = kernels.subtree_sum(pf, classes, n, a, b)
-            return Fraction(num, 1 << dexp)
-    else:
-        exact = d.exact
+    exact = d.exact
 
-        def block_sum(a, b):
-            return exact_total((exact(Word(idx, n - lev)), lev)
-                               for lev, idx in kernels.aligned_blocks(a, b))
+    def block_sum(a, b):
+        return exact_total((exact(Word(idx, n - lev)), lev)
+                           for lev, idx in kernels.aligned_blocks(a, b))
 
     inner = block_sum(inner_a, inner_b)
-    boundary = block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
+    upper = inner + block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
     scale = Fraction(1 << len(x), 1 << n)
-    return ShiftStats(lower=inner * scale, upper=(inner + boundary) * scale)
+    return ShiftStats(lower=inner * scale, upper=upper * scale)
 
 
 def inner_max(d, f, x, n):
@@ -211,7 +220,7 @@ def pullback_approx(d_hat, f_hat, x, r):
     else:
         b = Dyadic(1)
     a, b = clamp_unit(a, b)
-    return exact_total((d_hat.query(w, m), n - len(w))
+    return exact_total((d_hat.query(w, m), n - w.n)
                        for w in minimal_cover(a, b, m))
 
 

@@ -162,8 +162,8 @@ def _scan_cells(d, f, x, n):
                   for _, dexp, _ in pair)
     inner = boundary = best = 0
     for k in range(touch_a, touch_b):
-        num, dexp = value(k, n)
-        v = num << (top - dexp)
+        cell = value(Word(k, n))
+        v = cell.num << (top - cell.exp)
         if inner_a <= k < inner_b:
             inner += v
             best = max(best, v)

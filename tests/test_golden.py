@@ -82,6 +82,11 @@ COMMANDS = {
     "pullback_conservative_pattern_r256":
         "pullback --martingale conservative:pattern:011 --function "
         "fz_norm:0,2,4 --word 0110 --precision 256",
+    # a product fold at m = 8216 and its bracket at depth 8224: the deep
+    # end of the end-path walks
+    "pullback_conservative_zbettor_r2048":
+        "pullback --martingale conservative:zbettor:1,3 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 2048",
     "pullback_uniform_fz_pow2":
         "pullback --martingale uniform --function fz:pow2 --word 11 "
         "--precision 8",

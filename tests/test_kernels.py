@@ -12,15 +12,16 @@ from dymart import _shiftcore_py as pure
 from dymart import kernels
 from dymart.config import parse_function, parse_martingale
 from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
-from dymart.funcs import as_weak
+from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, as_approx, conservative_transform, \
-    pattern_bettor, product_fold, savings_wrapper, uniform
-from dymart.pullback import certify_bracket, grid_exponent, pullback_approx
+    pattern_bettor, product_fold, savings_fold, savings_wrapper, uniform
+from dymart.pullback import certify_bracket, grid_exponent, \
+    pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
 from helpers import brute_force_cover, brute_force_shift, greedy_cover, \
-    random_product_forms, scan_sum_max
+    random_product_forms, savings_by_prefixes, scan_sum_max
 
 MARTS = [uniform(), allin_zeros(), pattern_bettor("011"), z_bettor("1"),
          z_bettor("0,2,4"), z_bettor("pow2"),
@@ -69,7 +70,7 @@ class TestPureKernel:
             for a, b in [(0, cells), (cells // 3, (2 * cells) // 3 + 1),
                          (1, cells - 1) if cells > 2 else (0, cells)]:
                 sn, sd, _, _ = scan_sum_max(pf, classes, n, a, b)
-                tn, td = pure.subtree_sum(pf, classes, n, a, b)
+                tn, td, _, _ = pure.subtree_sum(pf, classes, n, a, b)
                 assert as_fraction(sn, sd) == as_fraction(tn, td)
 
     def test_subtree_far_beyond_enumeration(self):
@@ -78,8 +79,9 @@ class TestPureKernel:
         pf = mart.product_form
         n = 80
         classes = pf.classes(n)
-        full, dexp = pure.subtree_sum(pf, classes, n, 0, 1 << n)
+        full, dexp, left, right = pure.subtree_sum(pf, classes, n, 0, 1 << n)
         assert as_fraction(full, dexp) == 1 << n  # total mass 2^n * d(λ)
+        assert left is right is None  # no cell on either side
 
 
 class TestRandomDescriptors:
@@ -94,7 +96,7 @@ class TestRandomDescriptors:
         b = data.draw(st.integers(a, cells))
         classes = pf.classes(n)
         sn, sd, mn, md = kernels.range_sum_max(pf, classes, n, a, b)
-        tn, td = pure.subtree_sum(pf, classes, n, a, b)
+        tn, td, _, _ = pure.subtree_sum(pf, classes, n, a, b)
         vals = [mart.at(Word(k, n)) for k in range(a, b)]
         assert Fraction(sn, 1 << sd) == sum(vals, Fraction(0))
         assert Fraction(tn, 1 << td) == sum(vals, Fraction(0))
@@ -143,13 +145,41 @@ def index_range(data, cells):
     return a, data.draw(st.integers(a, cells))
 
 
+def end_range(kind, cells):
+    """A strategy for index ranges [a, b) within [0, cells) of one kind:
+    random, starting at 0, ending at cells, empty, or the full range."""
+    ends = st.integers(0, cells)
+    if kind == "from zero":
+        return st.tuples(st.just(0), ends)
+    if kind == "to the end":
+        return st.tuples(ends, st.just(cells))
+    if kind == "empty":
+        return ends.map(lambda a: (a, a))
+    if kind == "full":
+        return st.just((0, cells))
+    return st.tuples(ends, ends).map(sorted).map(tuple)
+
+
+class LineFn(IdentityFn):
+    """t -> lo + (hi - lo) t: a monotone map of [0, 1] onto the rational
+    interval [lo, hi]."""
+
+    name = "line"
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def at(self, q):
+        return self.lo + (self.hi - self.lo) * Fraction(q)
+
+
 class TestBlockWalk:
     @settings(max_examples=60, deadline=None)
     @given(product_forms(), st.integers(0, 14), st.data())
     def test_walk_sum_matches_scan_and_brute_force(self, pf, n, data):
         classes = pf.classes(n)
         a, b = index_range(data, 1 << n)
-        tn, td = kernels.subtree_sum(pf, classes, n, a, b)
+        tn, td, _, _ = kernels.subtree_sum(pf, classes, n, a, b)
         walk = Fraction(tn, 1 << td)
         sn, sd, _, _ = scan_sum_max(pf, classes, n, a, b)
         assert walk == Fraction(sn, 1 << sd)
@@ -176,11 +206,74 @@ class TestBlockWalk:
             minimal_cover(Dyadic(a, m), Dyadic(b, m), m)
         words = data.draw(st.permutations(words + words[::3]))
         mart = ExactMartingale("random", product_form=pf)
-        value = product_fold(pf)
+        value, saved = product_fold(pf), savings_fold(pf)
+        oracle = ExactMartingale("oracle", product_form=pf)
         for w in words:
             want = pure.cell_value(pf, pf.classes(len(w)), len(w), w.k)
-            assert value(w.k, len(w)) == want, w
+            got = value(w)
+            assert isinstance(got, Dyadic), w
+            assert got == Fraction(want[0], 1 << want[1]), w
             assert mart.at(w) == Fraction(want[0], 1 << want[1]), w
+            # the savings fold, in the same shuffled order, against the
+            # Fraction loop over all prefixes
+            got = saved(w)
+            assert isinstance(got, Dyadic), w
+            assert got == savings_by_prefixes(oracle, w), w
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_forms(), st.integers(0, 14), st.data())
+    def test_walk_end_cells_match_cell_value(self, pf, n, data):
+        # one subtree_sum gives the inside sum and the cells a - 1 and b
+        # beside the range, from the leaves of its two end-path walks
+        classes = pf.classes(n)
+        cells = 1 << n
+        a, b = data.draw(st.sampled_from(
+            ["random", "from zero", "to the end", "empty", "full"]).flatmap(
+                lambda kind: end_range(kind, cells)))
+        tn, td, left, right = kernels.subtree_sum(pf, classes, n, a, b)
+        sn, sd, _, _ = scan_sum_max(pf, classes, n, a, b)
+        assert Fraction(tn, 1 << td) == Fraction(sn, 1 << sd)
+        assert left == (pure.cell_value(pf, classes, n, a - 1)
+                        if a > 0 else None)
+        assert right == (pure.cell_value(pf, classes, n, b)
+                         if b < cells else None)
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (5, 9), (9, 9), (40, 64),
+                                     (1, 2), (0, 0)])
+    def test_end_cells_after_a_zero_factor(self, a, b):
+        # allin_zeros dies at the first 1: every cell but 0 is zero, and
+        # the walks stop at their first zero product
+        pf = allin_zeros().product_form
+        n = 6
+        classes = pf.classes(n)
+        tn, td, left, right = kernels.subtree_sum(pf, classes, n, a, b)
+        assert (tn, td) == ((1 << n, 0) if a == 0 < b else (0, 0))
+        assert left == (None if a == 0 else (1 << n, 0) if a == 1
+                        else (0, 0))
+        assert right == (None if b == 1 << n else (1 << n, 0) if b == 0
+                         else (0, 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_forms(), st.integers(0, 10), st.data())
+    def test_shift_stats_matches_brute_force(self, pf, n, data):
+        # random rational images, a point image (lo == hi) and images with
+        # ends on the depth-n grid, through the one block walk
+        j = data.draw(st.integers(0, n))
+        on_grid = st.integers(0, 1 << j).map(lambda k: Fraction(k, 1 << j))
+        point = st.one_of(st.fractions(0, 1, max_denominator=97), on_grid)
+        lo, hi = sorted(data.draw(st.lists(point, min_size=2, max_size=2)))
+        if data.draw(st.booleans()):
+            hi = lo
+        x = data.draw(st.sampled_from([Word(0, 0), Word(1, 1),
+                                       Word(2, 2)]))
+        f = LineFn(lo, hi)
+        x_lo, x_hi = f.at(x.value()), f.at(Fraction(x.k + 1, 1 << x.n))
+        mart = ExactMartingale("random", product_form=pf)
+        s = shift_stats(mart, f, x, n)
+        assert s.lower == brute_force_shift(mart, x_lo, x_hi, len(x), n,
+                                            inner=True)
+        assert s.upper == brute_force_shift(mart, x_lo, x_hi, len(x), n,
+                                            inner=False)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 8), st.data())
@@ -220,9 +313,10 @@ class CountingEdges(tuple):
 class TestWorkCounts:
     """Deterministic factor-step counts of the walk."""
 
+    @pytest.mark.parametrize("r", [32, 128, 512])
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])
-    def test_value_and_bracket_linear_in_m(self, name):
+    def test_value_and_bracket_linear_in_m(self, name, r):
         base = parse_martingale(name)
         pf = base.product_form
         edges = CountingEdges(pf.edges)
@@ -230,7 +324,7 @@ class TestWorkCounts:
             name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
             conservative=base.conservative)
         fn = parse_function("fz_norm:0,2,4")
-        x, r = Word.parse("0110"), 512
+        x = Word.parse("0110")
         m = grid_exponent(len(x), r)
         queries = []
         d_hat = ApproxMartingale(
@@ -241,12 +335,12 @@ class TestWorkCounts:
         # a full-size cover, so the bound below is not met trivially
         assert m // 2 <= len(queries) <= 2 * m + 1
         assert edges.steps <= 4 * m
-        # at most n lookups per end path of the block walk, and n per
-        # boundary cell (two at most), at n = m + 8
+        # at most n lookups per end path of the block walk, whose leaves
+        # are the boundary cells, at n = m + 8
         edges.steps = 0
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
-        assert edges.steps <= 4 * (m + 8)
+        assert edges.steps <= 2 * (m + 8)
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])

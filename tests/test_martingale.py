@@ -449,3 +449,8 @@ class TestNames:
     def test_unknown(self):
         with pytest.raises(ValueError):
             by_name("martin")
+
+    def test_neither_fn_nor_product_form(self):
+        # a strategy needs a value function or a product form to fold
+        with pytest.raises(ValueError, match="needs fn or product_form"):
+            ExactMartingale("x")

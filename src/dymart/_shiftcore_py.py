@@ -26,9 +26,10 @@ All arithmetic is exact integer arithmetic.
 covers, block sums, block maxima and the pullback all tile a range with
 it.  Every block hangs off one of the two root-to-leaf paths to the cells
 just outside the range, so two walks give all block values, and at their
-leaves those two cells, in at most 2n factor steps (``subtree_sum``).  The largest cell below a block is its value times the
-best product of the factors still to come, read from a table built once
-per call in O(n * n_states) steps (``range_sum_max``).
+leaves those two cells, in at most 2n factor steps (``subtree_sum``).  The
+largest cell below a block is its value times the best product of the
+factors still to come, read from a table built once per call in
+O(n * n_states) steps (``range_sum_max``).
 """
 
 

@@ -19,7 +19,7 @@ Modules follow the functional split:
 - ``errors``     the package's exception types
 - ``cli``        command-line front end
 
-Importing the package loads only ``dyadic`` and the modules it imports.
+Importing the package loads only ``dyadic`` and ``errors``.
 """
 
 from .dyadic import (Dyadic, Word, gamma, lex_successor,

@@ -22,14 +22,13 @@ checks it exactly (``ProductForm`` calls it once, on construction) and
 
 All arithmetic is exact integer arithmetic.
 
-``aligned_blocks`` is the one aligned-block decomposition in the package:
-covers, block sums, block maxima and the pullback all tile a range with
-it.  Every block hangs off one of the two root-to-leaf paths to the cells
-just outside the range, so two walks give all block values, and at their
-leaves those two cells, in at most 2n factor steps (``subtree_sum``).  The
-largest cell below a block is its value times the best product of the
-factors still to come, read from a table built once per call in
-O(n * n_states) steps (``range_sum_max``).
+A range of cells is tiled by maximal aligned blocks, and every block hangs
+off one of the two root-to-leaf paths to the cells just outside the range.
+So one walk down each of those paths finds the blocks from the path's own
+bits and values them, and at its leaf the cell beside the range: at most
+2n factor steps (``subtree_sum``).  The largest cell below a block is its
+value times the best product of the factors still to come, read from a
+table built once per call in O(n * n_states) steps (``range_sum_max``).
 """
 
 
@@ -60,54 +59,25 @@ def cell_value(pf, classes, n, k):
     return num, dexp
 
 
-def aligned_blocks(a, b):
-    """Maximal aligned blocks tiling [a, b), left to right.
-
-    Block (lev, idx) covers [idx << lev, (idx + 1) << lev); no level holds
-    more than two.  A full range [0, 2**n) is the one block (n, 0).
-    Otherwise a block with odd idx is the right child of a node on the path
-    to a - 1, and one with even idx the left child of a node on the path to
-    b.  The odd blocks come bottom-up, then the even ones top-down.
-    """
-    left, right = [], []
-    lev = 0
-    while a < b:
-        if a & 1:
-            left.append((lev, a))
-            a += 1
-        if b & 1:
-            b -= 1
-            right.append((lev, b))
-        a >>= 1
-        b >>= 1
-        lev += 1
-    left.extend(reversed(right))
-    return left
-
-
-def _path_values(edges, start, classes, n, end, hanging):
+def _path_values(pf, classes, n, end, away, top):
     """Walk the root-to-leaf path to the depth-n cell ``end``: yield
-    (num, dexp, lev, state) for each block of ``hanging`` (given top-down,
-    all hanging off this path; state is the one below the block's word),
-    then return d(cell end) as (num, dexp), (0, 0) when it is zero.
+    (num, dexp, lev, state) for the ``away``-child of each node below depth
+    ``top`` where the path steps the other way (state is the one below the
+    block's word), then return d(cell end) as (num, dexp), (0, 0) when it
+    is zero.
 
-    Holds only the running product; one factor-pair lookup per level
-    serves both the path step and the block beside it, so the walk costs
-    at most n lookups.  Stops at the first zero product: every deeper
-    block and the leaf are then zero.
+    One factor-pair lookup per level serves both the path step and the
+    block beside it, so the walk costs at most n lookups.  Stops at the
+    first zero product: every deeper block and the leaf are then zero.
     """
-    num, dexp, state = 1, 0, start
-    blocks = iter(hanging)
-    lev, idx = next(blocks, (-1, 0))
-    beside = n - 1 - lev    # the depth of the path node the block hangs off
+    num, dexp, state, edges = 1, 0, pf.start, pf.edges
     for depth in range(n):
         pair = edges[state][classes[depth]]
-        if depth == beside:
-            fnum, fdexp, below = pair[idx & 1]
-            yield num * fnum, dexp + fdexp, lev, below
-            lev, idx = next(blocks, (-1, 0))
-            beside = n - 1 - lev
-        fnum, fdexp, state = pair[(end >> (n - 1 - depth)) & 1]
+        bit = (end >> (n - 1 - depth)) & 1
+        if bit != away and depth > top:
+            fnum, fdexp, below = pair[away]
+            yield num * fnum, dexp + fdexp, n - 1 - depth, below
+        fnum, fdexp, state = pair[bit]
         num *= fnum
         if not num:
             return 0, 0
@@ -116,19 +86,17 @@ def _path_values(edges, start, classes, n, end, hanging):
 
 
 def _block_values(pf, classes, n, a, b, ends):
-    """``_path_values`` for every aligned block of [a, b), short of the
-    full range: one walk along each end path, down to its leaf.  Sets
-    ``ends`` to [d(cell a - 1), d(cell b)], None for a cell that does not
-    exist (a = 0, b = 2**n); there are no blocks on that side then."""
-    blocks = aligned_blocks(a, b)
+    """``_path_values`` for every maximal aligned block of [a, b), short of
+    the full range: the 1-children off the path to a - 1 where it steps to
+    0 and the 0-children off the path to b where it steps to 1, below the
+    depth where the two paths part (all along the one path when a = 0 or
+    b = 2**n).  Each walk goes down to its leaf: sets ``ends`` to
+    [d(cell a - 1), d(cell b)], None for a cell that does not exist."""
+    top = n - ((a - 1) ^ b).bit_length() if 0 < a and b < 1 << n else -1
     if a > 0:
-        ends[0] = yield from _path_values(
-            pf.edges, pf.start, classes, n, a - 1,
-            [blk for blk in reversed(blocks) if blk[1] & 1])
+        ends[0] = yield from _path_values(pf, classes, n, a - 1, 1, top)
     if b < 1 << n:
-        ends[1] = yield from _path_values(
-            pf.edges, pf.start, classes, n, b,
-            [blk for blk in blocks if not blk[1] & 1])
+        ends[1] = yield from _path_values(pf, classes, n, b, 0, top)
 
 
 def _block_total(values):
@@ -152,10 +120,10 @@ def subtree_sum(pf, classes, n, a, b):
     where the cell does not exist (a = 0, b = 2**n).
 
     A block of 2**lev cells below the word w contributes 2**lev * d(w) by
-    the fairness identity.  The blocks come from ``aligned_blocks`` and are
-    valued, one at a time, by one top-down walk along each of the two
-    paths they hang off, which ends at the cell beside the range: at most
-    2n factor steps and O(1) running products.  Exact for any depth.
+    the fairness identity.  One top-down walk along each path to a cell
+    beside the range finds the blocks hanging off it and values them, one
+    at a time, and ends at that cell: at most 2n factor steps and O(1)
+    running products.  Exact for any depth.
     """
     if b - a == 1 << n:
         return 1 << n, 0, None, None

@@ -77,11 +77,6 @@ class Output:
             sys.stdout.write(text)
 
 
-# the spellings of a flag's value in a config file
-BOOLEANS = {"true": True, "yes": True, "1": True,
-            "false": False, "no": False, "0": False}
-
-
 def _merge_config(args, argv, parser, command):
     """``args`` with the ``--config`` file's keys as the command's defaults.
 
@@ -110,10 +105,7 @@ def _merge_config(args, argv, parser, command):
             raise DymartError(f"{path}: {key!r} sets "
                               f"{action.option_strings[0]} a second time")
         if action.nargs == 0:
-            if value.lower() not in BOOLEANS:
-                raise DymartError(f"{path}: {key!r} must be one of "
-                                  f"true|false|yes|no|1|0, got {value!r}")
-            value = BOOLEANS[value.lower()]
+            value = cfg.parse_flag(value, key, path)
         if action.default is argparse.SUPPRESS:
             common[action.dest] = value
         else:

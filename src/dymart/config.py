@@ -16,7 +16,7 @@ Spec grammars (all ASCII, deterministic):
 
 Config files are flat "key = value" text, UTF-8, '#' comments; keys match
 the CLI's long option names and provide defaults the command line
-overrides.
+overrides.  A flag's value reads true|false|yes|no|1|0, in any case.
 
 Each spec family imports the module that owns it where the family is
 resolved, so a command loads only the modules its specs name.
@@ -31,6 +31,16 @@ from .errors import ParseError
 # largest |j| in affine:<j>,<a>: the values 2^j x + a carry about |j| bits,
 # and the work of every command that takes a function grows with them
 AFFINE_MAX_EXP = 4096
+
+
+def parse_flag(value, key, path):
+    """The flag ``key = value`` of the config file at ``path``."""
+    flag = {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}.get(value.lower())
+    if flag is None:
+        raise ParseError(f"{path}: {key!r} must be one of "
+                         f"true|false|yes|no|1|0, got {value!r}")
+    return flag
 
 
 def load_config(path):
@@ -138,11 +148,12 @@ def _evaluator_from_file(path):
     if kind == "series":
         from .analytic import builtin_spec, series
         coeffs = _require(cfg, "coeffs", path)
-        if "," in coeffs or coeffs.lstrip("-").split("/")[0].isdigit():
-            base, exact, polynomial = None, None, tuple(_rat_list(coeffs))
-        else:
+        # a built-in spec (exp, poly:<c0,c1,...>) or an explicit p/q list
+        if coeffs[:1].isalpha():
             base = builtin_spec(coeffs)
             exact, polynomial = base.exact_coeff, base.polynomial
+        else:
+            base, exact, polynomial = None, None, tuple(_rat_list(coeffs))
         center = parse_rational(cfg.get("center", "0"))
         if center != 0:
             raise ParseError(f"{path}: only center=0 series are shipped")
@@ -179,7 +190,7 @@ def _function_from_config(cfg, path):
     if kind == "f_Z":
         from .tightness import ZeroInsertionFn
         zset = parse_zset(_require(cfg, "zset", path))
-        scaled = cfg.get("scaled", "0") not in ("0", "false", "no")
+        scaled = parse_flag(cfg.get("scaled", "0"), "scaled", path)
         return ZeroInsertionFn(zset, scaled=scaled)
     if kind == "quotient":
         from .funcs import QuotientFn

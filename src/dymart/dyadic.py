@@ -6,6 +6,8 @@ the rational ``0.w`` and for the closed interval ``[0.w, 0.w + 2^-|w|]``, and
 there is no floating point anywhere.  General (non power-of-two denominator)
 rationals are handled by ``fractions.Fraction``; ``Dyadic`` interoperates
 with it transparently.
+A cover of a grid interval is the maximal aligned-block decomposition of
+its index range (``aligned_blocks``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-from ._shiftcore_py import aligned_blocks
 from .errors import ParseError
 
 _WORD_RE = re.compile(r"[01]*\Z")
@@ -403,6 +404,28 @@ def clamp_unit(a, b):
     """
     a = min(max(a, ZERO), ONE)
     return a, min(max(a, b), ONE)
+
+
+def aligned_blocks(a, b):
+    """Maximal aligned blocks tiling the index range [a, b), left to right.
+
+    Block (lev, idx) covers [idx << lev, (idx + 1) << lev); no level holds
+    more than two.  A full range [0, 2**n) is the one block (n, 0).
+    """
+    left, right = [], []
+    lev = 0
+    while a < b:
+        if a & 1:
+            left.append((lev, a))
+            a += 1
+        if b & 1:
+            b -= 1
+            right.append((lev, b))
+        a >>= 1
+        b >>= 1
+        lev += 1
+    left.extend(reversed(right))
+    return left
 
 
 def minimal_cover(a, b, m):

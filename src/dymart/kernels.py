@@ -1,9 +1,9 @@
 """Product-form kernels: the block walk in ``_shiftcore_py``.
 
-``aligned_blocks`` is the one aligned-block decomposition; ``subtree_sum``
-sums a range and values the two cells beside it in at most 2n factor
-steps, ``range_sum_max`` adds the range's largest cell in O(n * n_states)
-and ``cell_value`` walks one cell from the root.  There
+``subtree_sum`` sums a range and values the two cells beside it in at most
+2n factor steps, finding the range's aligned blocks on the two paths to
+those cells; ``range_sum_max`` adds the range's largest cell in
+O(n * n_states) and ``cell_value`` walks one cell from the root.  There
 is one pure-Python implementation.  Single values for
 ``ExactMartingale.at`` come from ``martingale.product_fold``.
 
@@ -13,10 +13,9 @@ both here and in ``_shiftcore_py``, and stamps each result file with
 ``BACKEND``, refusing to compare files stamped differently.
 """
 
-from ._shiftcore_py import (aligned_blocks, cell_value, range_sum_max,
-                            subtree_sum, validate)
+from ._shiftcore_py import cell_value, range_sum_max, subtree_sum, validate
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "aligned_blocks", "cell_value", "range_sum_max",
-           "subtree_sum", "validate"]
+__all__ = ["BACKEND", "cell_value", "range_sum_max", "subtree_sum",
+           "validate"]

@@ -18,17 +18,18 @@ access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
-Covers, block sums and block maxima share one aligned-block decomposition
-(``kernels.aligned_blocks``).  The cover is queried left to right, one
-d-query per word, so an exact strategy answers the whole cover through its
-prefix fold (``martingale.PrefixFold``) in O(m) steps; a product form takes
-about 3m factor steps, with one fold reply per cover word and no call per
-level, and the total reads each ``Dyadic`` reply's numerator and exponent
+A cover is the list of aligned blocks of a grid-index range
+(``dyadic.aligned_blocks``), queried left to right, one d-query per word,
+so an exact strategy answers the whole cover through its prefix fold
+(``martingale.PrefixFold``) in O(m) steps; a product form takes about 3m
+factor steps, with one fold reply per cover word and no call per level,
+and the total reads each ``Dyadic`` reply's numerator and exponent
 directly.  For a product form, ``shift_stats`` takes the inside cells and
-both boundary cells from one block walk, whose two end paths end at the
-boundary cells: the bracket at depth m + 8 costs exactly 2(m + 8) factor
-steps.  ``inner_max`` reads the largest inside cell from the same walk
-plus a max-product table, so the chain checks need no cell enumeration.
+both boundary cells from one walk down the paths to the boundary cells,
+which finds the inside blocks from the paths' own bits: the bracket at
+depth m + 8 costs exactly 2(m + 8) factor steps.  ``inner_max`` reads the
+largest inside cell from the same walk plus a max-product table, so the
+chain checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (Dyadic, Word, clamp_unit, exact_ceil_lg,
-                     gamma, lex_successor, minimal_cover, round_to_grid)
+from .dyadic import (Dyadic, Word, aligned_blocks, clamp_unit,
+                     exact_ceil_lg, gamma, lex_successor, minimal_cover,
+                     round_to_grid)
 from .errors import PrecisionContractError
 from .funcs import word_image
 from .martingale import ApproxMartingale, Report, Violation
@@ -117,12 +119,12 @@ def shift_stats(d, f, x, n):
     [inner_a, inner_b), and upper adds the at most two boundary cells
     [touch_a, inner_a) and [inner_b, touch_b), which are the cells
     inner_a - 1 and inner_b.  Product forms take all three from one
-    ``kernels.subtree_sum``: its two end-path walks value the inside
-    blocks and end at those two cells, at most 2n factor steps.  Other
-    strategies total ``d.exact`` per aligned block of each range through
-    ``exact_total`` (a one-cell range is one block): one integer numerator
-    over 2^e for the dyadic values (a savings wrapper of a product form
-    has only those), a ``Fraction`` for the rest.
+    ``kernels.subtree_sum``: its two end-path walks find and value the
+    inside blocks and end at those two cells, at most 2n factor steps.
+    Other strategies total ``d.exact`` over the ``aligned_blocks`` of each
+    range through ``exact_total`` (a one-cell range is one block): one
+    integer numerator over 2^e for the dyadic values (a savings wrapper of
+    a product form has only those), a ``Fraction`` for the rest.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -147,7 +149,7 @@ def shift_stats(d, f, x, n):
 
     def block_sum(a, b):
         return exact_total((exact(Word(idx, n - lev)), lev)
-                           for lev, idx in kernels.aligned_blocks(a, b))
+                           for lev, idx in aligned_blocks(a, b))
 
     inner = block_sum(inner_a, inner_b)
     upper = inner + block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)

@@ -430,6 +430,43 @@ class TestErrors:
         assert out == fmt_rational(
             eval_approx(changed, Word.parse("011"), 20)) + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--word", "1", "--precision", "4"),
+        ("root", "--interval", "0,1", "--precision", "20"),
+    ], ids=["eval", "root"])
+    def test_series_file_with_poly_base_matches_spec(self, capsys, tmp_path,
+                                                     argv):
+        # a poly: spec with more than one coefficient is a built-in spec,
+        # not an explicit coefficient list
+        spec = tmp_path / "poly.cfg"
+        spec.write_text("kind = series\ncoeffs = poly:-1/2,0,1\n")
+        file_run = run(capsys, "analytic", *argv, "--spec", f"@{spec}")
+        assert file_run[0] == 0
+        assert file_run == run(capsys, "analytic", *argv, "--spec",
+                               "poly:-1/2,0,1")
+
+    @pytest.mark.parametrize("value, scaled", [
+        ("true", True), ("True", True), ("YES", True), ("1", True),
+        ("false", False), ("False", False), ("No", False), ("0", False),
+        ("maybe", None), ("", None),
+    ])
+    def test_f_z_file_scaled_flag(self, capsys, tmp_path, value, scaled):
+        # scaled reads the one table of flag spellings --config uses; the
+        # word 11 reaches the value at 1, where fz and fz_scaled differ
+        spec = tmp_path / "fz.cfg"
+        spec.write_text(f"kind = f_Z\nzset = 1\nscaled = {value}\n")
+        argv = ("pullback", "--martingale", "conservative:zbettor:1",
+                "--word", "11", "--precision", "4")
+        code, out, err = run(capsys, *argv, "--function", f"@{spec}")
+        if scaled is None:
+            assert code == 2 and out == ""
+            assert err == (f"error: {spec}: 'scaled' must be one of "
+                           f"true|false|yes|no|1|0, got {value!r}\n")
+        else:
+            family = "fz_scaled" if scaled else "fz"
+            assert (code, out, err) == run(capsys, *argv, "--function",
+                                           f"{family}:1")
+
     def test_series_file_explicit_coefficients_need_C(self, capsys,
                                                       tmp_path):
         spec = tmp_path / "noc.cfg"
@@ -742,6 +779,9 @@ class TestStartup:
             assert not modules & HEAVY, sorted(modules & HEAVY)
         if command == "pullback":
             assert not modules & {"dymart.measure", "dymart.patch"}
+        if command == "analytic":
+            # series evaluation loads no product-form kernel
+            assert not modules & {"dymart._shiftcore_py", "dymart.kernels"}
 
 
 # Runs one command in a fresh interpreter, then writes its peak resident

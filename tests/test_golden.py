@@ -26,6 +26,8 @@ STEP_TABLE = ("# step function on the 2^-2 grid\n"
 COMMANDS = {
     # also the README's verify command
     "verify_all_depth8": "verify --suite all --depth 8",
+    # 12 is the largest --depth verify accepts
+    "verify_all_depth12": "verify --suite all --depth 12",
     "readme_pullback_uniform_identity":
         "pullback --martingale uniform --function identity --word λ "
         "--precision 10",

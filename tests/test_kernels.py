@@ -2,6 +2,7 @@
 against the literal cell scan and brute force, and the walk's factor-step
 counts linear in the depth."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from dymart import _shiftcore_py as pure
 from dymart import kernels
 from dymart.config import parse_function, parse_martingale
-from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
+from dymart.dyadic import Dyadic, Word, aligned_blocks, all_words, \
+    minimal_cover
 from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, as_approx, conservative_transform, \
@@ -117,7 +119,7 @@ class TestDispatch:
     def test_dispatch_matches_pure(self):
         # kernels re-exports the one implementation under the same names
         for name in ("cell_value", "range_sum_max", "subtree_sum",
-                     "aligned_blocks", "validate"):
+                     "validate"):
             assert getattr(kernels, name) is getattr(pure, name)
         mart = conservative_transform(allin_zeros())
         pf = mart.product_form
@@ -147,7 +149,8 @@ def index_range(data, cells):
 
 def end_range(kind, cells):
     """A strategy for index ranges [a, b) within [0, cells) of one kind:
-    random, starting at 0, ending at cells, empty, or the full range."""
+    random, starting at 0, ending at cells, empty, one cell, or the full
+    range."""
     ends = st.integers(0, cells)
     if kind == "from zero":
         return st.tuples(st.just(0), ends)
@@ -155,6 +158,8 @@ def end_range(kind, cells):
         return st.tuples(ends, st.just(cells))
     if kind == "empty":
         return ends.map(lambda a: (a, a))
+    if kind == "one cell":
+        return st.integers(0, cells - 1).map(lambda a: (a, a + 1))
     if kind == "full":
         return st.just((0, cells))
     return st.tuples(ends, ends).map(sorted).map(tuple)
@@ -289,11 +294,34 @@ class TestBlockWalk:
         a, b = Dyadic(a, m), Dyadic(b, m)
         assert minimal_cover(a, b, m) == greedy_cover(a, b, m)
 
+    @settings(max_examples=120, deadline=None)
+    @given(product_forms(), st.integers(0, 12), st.data())
+    def test_walk_blocks_are_the_aligned_blocks(self, pf, n, data):
+        # the walk's blocks, found on its two end paths, are the blocks of
+        # aligned_blocks, each with the product fold's value of its word;
+        # past a zero product the walk stops, so it may leave out zeros
+        cells = 1 << n
+        a, b = data.draw(st.sampled_from(
+            ["random", "from zero", "to the end", "empty",
+             "one cell"]).flatmap(lambda kind: end_range(kind, cells)))
+        if b - a == cells:
+            return      # the one block; the kernels answer it without a walk
+        classes = pf.classes(n)
+        walk = Counter((lev, Fraction(num, 1 << dexp)) for num, dexp, lev, _
+                       in pure._block_values(pf, classes, n, a, b,
+                                             [None, None]))
+        value = product_fold(pf)
+        want = Counter((lev, Fraction(value(Word(idx, n - lev))))
+                       for lev, idx in aligned_blocks(a, b))
+        assert walk <= want
+        assert {k: c for k, c in walk.items() if k[1]} == \
+            {k: c for k, c in want.items() if k[1]}
+
     def test_blocks_hang_off_the_end_paths(self):
         # odd blocks are right children on the path to a - 1, even blocks
         # left children on the path to b
         a, b = 37, 410
-        for lev, idx in kernels.aligned_blocks(a, b):
+        for lev, idx in aligned_blocks(a, b):
             if idx & 1:
                 assert idx >> 1 == (a - 1) >> (lev + 1)
             else:

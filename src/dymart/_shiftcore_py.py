@@ -67,13 +67,18 @@ def _path_values(pf, classes, n, end, away, top):
     is zero.
 
     One factor-pair lookup per level serves both the path step and the
-    block beside it, so the walk costs at most n lookups.  Stops at the
-    first zero product: every deeper block and the leaf are then zero.
+    block beside it, so the walk costs at most n lookups; the bits come
+    from one binary string of ``end``, not a shift of it per level.  Stops
+    at the first zero product: every deeper block and the leaf are then
+    zero.
     """
     num, dexp, state, edges = 1, 0, pf.start, pf.edges
-    for depth in range(n):
+    # the path's bits, top-down; b"0" and b"1" are bytes 48 and 49, and
+    # format(0, "00b") would be "0", one bit too many
+    bits = format(end, f"0{n}b").encode() if n else b""
+    for depth, byte in enumerate(bits):
         pair = edges[state][classes[depth]]
-        bit = (end >> (n - 1 - depth)) & 1
+        bit = byte & 1
         if bit != away and depth > top:
             fnum, fdexp, below = pair[away]
             yield num * fnum, dexp + fdexp, n - 1 - depth, below

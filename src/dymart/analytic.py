@@ -21,7 +21,9 @@ these replies through a level table (``_LevelTable``): per level (s, b_s)
 it queries the magnitude pass, the center at e_max and every coefficient
 once.  An evaluation builds a fresh table; ``find_root`` keeps one for all
 its probes, so a root queries each coefficient once per level it reaches,
-not once per probe.
+not once per probe.  ``eval_point`` returns the exact rational
+sum_n c_n z^n of the replies, summed as a balanced tree of integer pairs
+and reduced once.
 
 Root finding brackets a certified sign change and bisects, with
 quarter-point probes when the midpoint sits too close to the root to call.
@@ -34,10 +36,14 @@ Signs come from their own evaluator, not from ``eval_point``:
   sum_i (c_i D) a^i b^(d-i), summed by Horner's rule; an exact quotient
   evaluator answers exactly too.  That sign is the answer, and an exact 0
   is a root: no precision is escalated;
-- every other series is summed in integer fixed point on ``eval_point``'s
-  schedule (same m_s, b_s and term precisions), as one integer N over
-  2^(s+g) with g = bit_length(m_s) + 2 guard bits.  |N / 2^(s+g)| > 2 * 2^-s
-  certifies the sign; otherwise s doubles, from p + 2, DOUBLINGS times.
+- every other series is summed on ``eval_point``'s schedule (same m_s,
+  b_s and term precisions) by Horner's rule in W-bit fixed point, with
+  W = s + g + k + a + HORNER_GUARD a few bits past the target: the level
+  table converts each level's replies once into W-bit integers, and a
+  probe reads its dyadic point in integers, with no ``Fraction`` built.
+  The sum is one integer N over 2^(s+g), with g = bit_length(m_s) + 2
+  guard bits.  |N / 2^(s+g)| > 2 * 2^-s certifies the sign; otherwise s
+  doubles, from p + 2, DOUBLINGS times.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import EMPTY, Dyadic, Word, exact_ceil_lg, gamma, parse_rational
+from .dyadic import (EMPTY, Dyadic, Word, ceil_lg_ratio, exact_ceil_lg,
+                     gamma, parse_rational)
 from .errors import AnchorError, ParseError, SignUndecidableError
 
 ONE = Fraction(1)
@@ -60,6 +67,9 @@ WINDOW = 64
 # ``certified_sign`` doubles the precision of an approximated series'
 # fixed-point sum DOUBLINGS times
 DOUBLINGS = 8
+
+# fixed guard bits of the Horner width W (``_fixed_point_sum``)
+HORNER_GUARD = 2
 
 
 def tail_constants(C, radius, margin):
@@ -136,14 +146,19 @@ class PowerSeriesSpec:
         if self.exact_coeff is None:
             raise ValueError(f"{self.name}: no exact coefficients to check")
         base = self.radius + self.margin
+        count = max(EXPLICIT_TO, self.tail_monotone_from + WINDOW) + 3
+        # a polynomial's terms past its degree are 0, which passes both
+        # checks: only the first len(polynomial) are computed
+        top = count if self.polynomial is None else \
+            min(count, len(self.polynomial))
         t, num, den = [], 1, 1              # base^n = num/den
-        for n in range(max(EXPLICIT_TO, self.tail_monotone_from + WINDOW)
-                       + 3):
+        for n in range(top):
             c = Fraction(self.exact_coeff(n))
             t.append(Fraction(abs(c.numerator) * num, c.denominator * den)
                      if c else c)
             num *= base.numerator
             den *= base.denominator
+        t += [0] * (count - top)
         for n in range(EXPLICIT_TO + 1):
             if t[n] > self.term_bound:
                 raise ValueError(f"{self.name}: term bound fails at n={n}: "
@@ -189,10 +204,22 @@ def eval_schedule(spec, s):
     return ell * (s + k + 1), k, ell
 
 
-def _check_anchor(spec, t):
-    lo, hi = spec.anchor_interval
-    if not lo <= t <= hi:
-        raise AnchorError(f"{t} outside anchor [{lo}, {hi}] of {spec.name}")
+def _as_pair(t):
+    """(a, d) with t = a/d and d > 0: a ``Dyadic``'s numerator and 2^exp,
+    read directly; any other rational through ``Fraction``."""
+    if isinstance(t, Dyadic):
+        return t.num, 1 << t.exp
+    t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+def _check_anchor(spec, a, d):
+    """Raise ``AnchorError`` unless a/d lies in the anchor interval."""
+    word = spec.anchor
+    if not word.k * d <= a << word.n <= (word.k + 1) * d:
+        lo, hi = spec.anchor_interval
+        raise AnchorError(f"{Fraction(a, d)} outside anchor [{lo}, {hi}] "
+                          f"of {spec.name}")
 
 
 class _LevelTable:
@@ -201,40 +228,59 @@ class _LevelTable:
     A level is a target precision s with its factor bound b_s, which
     depends on the point t only through |t - center|.  Per level the table
     keeps the center reply at e_max and the nonzero coefficient replies as
-    integer pairs; across levels it keeps the center reply at precision 0
-    and the running maxima of |coeff_approx(n, 0)|, the coefficient part
-    of the magnitude pass.  An evaluation builds a fresh table;
-    ``find_root`` keeps one for all the probes of one root.
+    integer pairs and, once a sign sum asks for it, the same replies as a
+    Horner table of W-bit integers; across levels it keeps the center reply
+    at precision 0 and the running maxima of |coeff_approx(n, 0)|, the
+    coefficient part of the magnitude pass.  A point comes in as an integer
+    pair (a, d) with t = a/d, so a probe builds no ``Fraction``.  An
+    evaluation builds a fresh table; ``find_root`` keeps one for all the
+    probes of one root.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self.center0 = None
+        self.center0 = None     # center_approx(0) as (num, den)
         self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n
+        self.mag_bits = {}      # m_s -> ceil(lg(2 + mags[m_s - 1]))
         self.levels = {}        # (s, b_s) -> (m_s, e_max, center, terms)
+        self.horner = {}        # (s, b_s) -> (W, s + g, cnum, cden, coeffs)
 
-    def level(self, t, s):
-        """(m_s, e_max, center, terms) at target precision s for the
-        rational t, after the anchor check.
+    def key(self, a, d, s):
+        """The level (s, b_s) of the point t = a/d (d > 0) at target
+        precision s, after the anchor check, in integers:
+        b_s = ceil(lg(2 + max(|t - center0|, mags[m_s - 1])))."""
+        spec = self.spec
+        _check_anchor(spec, a, d)
+        m_s = eval_schedule(spec, s)[0]
+        if self.center0 is None:
+            c = Fraction(spec.center_approx(0))
+            self.center0 = c.numerator, c.denominator
+        mag_bits = self.mag_bits.get(m_s)
+        if mag_bits is None:
+            mags = self.mags
+            for n in range(len(mags), m_s):
+                c = abs(Fraction(spec.coeff_approx(n, 0)))
+                mags.append(max(mags[-1], c) if mags else c)
+            mag_bits = self.mag_bits[m_s] = exact_ceil_lg(2 + mags[m_s - 1])
+        # |t - center0| = gap / den, so 2 + |t - center0| = (2 den + gap) / den
+        p0, q0 = self.center0
+        den = d * q0
+        gap = abs(a * q0 - p0 * d)
+        return s, max(mag_bits, ceil_lg_ratio(2 * den + gap, den))
+
+    def level(self, key):
+        """(m_s, e_max, center, terms) of the level key = (s, b_s).
 
         ``terms`` lists (n, num, den) for every n < m_s whose reply
         num/den = coeff_approx(n, e) is nonzero, queried at
         e = e(n, s) = s + b_s n + 2 m_s + 1; ``center`` is
         center_approx(e_max) with e_max = e(m_s - 1, s).
         """
-        spec = self.spec
-        _check_anchor(spec, t)
-        m_s = eval_schedule(spec, s)[0]
-        if self.center0 is None:
-            self.center0 = Fraction(spec.center_approx(0))
-        mags = self.mags
-        for n in range(len(mags), m_s):
-            c = abs(Fraction(spec.coeff_approx(n, 0)))
-            mags.append(max(mags[-1], c) if mags else c)
-        b_s = exact_ceil_lg(2 + max(abs(t - self.center0), mags[m_s - 1]))
-        key = (s, b_s)
         found = self.levels.get(key)
         if found is None:
+            spec = self.spec
+            s, b_s = key
+            m_s = eval_schedule(spec, s)[0]
             terms = []
             for n in range(m_s):
                 c = Fraction(spec.coeff_approx(n, s + b_s * n + 2 * m_s + 1))
@@ -245,57 +291,118 @@ class _LevelTable:
                 m_s, e_max, Fraction(spec.center_approx(e_max)), terms)
         return found
 
+    def horner_table(self, key):
+        """(W, s + g, cnum, cden, coeffs) of the level key = (s, b_s) for
+        ``_fixed_point_sum``: the width W = s + g + k + a + HORNER_GUARD,
+        the center reply cnum/cden, and coeffs[i] = c_n 2^W rounded toward
+        0 for n = m_s - 1 - i, highest degree first, zeros included but for
+        the leading ones, which Horner's rule would pass over with
+        acc = 0: every |c_n| < 2^-W rounds to 0, so the table is no longer
+        than the terms that reach the target precision."""
+        found = self.horner.get(key)
+        if found is None:
+            spec = self.spec
+            m_s, _, center, terms = self.level(key)
+            sg = key[0] + m_s.bit_length() + 2
+            reach = max(0, exact_ceil_lg(1 / (spec.radius + spec.margin)))
+            width = sg + spec.constants[0] + reach + HORNER_GUARD
+            coeffs = [0] * m_s
+            for n, num, den in terms:
+                whole = (abs(num) << width) // den
+                coeffs[m_s - 1 - n] = whole if num > 0 else -whole
+            # Horner keeps acc = 0 through the leading zeros: drop them
+            top = next((i for i, c in enumerate(coeffs) if c), m_s)
+            found = self.horner[key] = (width, sg, center.numerator,
+                                        center.denominator, coeffs[top:])
+        return found
+
+
+def _balanced_sum(pairs):
+    """The sum of the rationals p/q (q > 0) of ``pairs`` as one
+    ``Fraction``, added as a balanced tree of integer pairs.
+
+    Each pair of pairs is added over the least common multiple of its
+    denominators, found by one gcd, so a denominator never outgrows the
+    lcm of the leaves' denominators; the ``Fraction``, built once, reduces
+    the total.
+    """
+    while len(pairs) > 1:
+        summed = []
+        for (p1, q1), (p2, q2) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(q1, q2)
+            q1 //= g
+            summed.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
+        if len(pairs) % 2:
+            summed.append(pairs[-1])
+        pairs = summed
+    return Fraction(*pairs[0]) if pairs else Fraction(0)
+
 
 def eval_point(spec, t, s):
     """Approximate the series at the rational point t within 2^-s.
 
-    t must lie in the spec's anchor interval.
+    t must lie in the spec's anchor interval.  The value is the exact sum
+    of c_n z^n over the replies c_n, with z = t - center: each term is an
+    integer pair, and ``_balanced_sum`` adds them.
     """
     t = Fraction(t)
-    _, _, center, terms = _LevelTable(spec).level(t, s)
+    table = _LevelTable(spec)
+    _, _, center, terms = table.level(
+        table.key(t.numerator, t.denominator, s))
     z = t - center
-    total = Fraction(0)
+    z_num, z_den = z.numerator, z.denominator
+    pairs = []
+    at, p_num, p_den = 0, 1, 1          # z^at = p_num / p_den
     for n, num, den in terms:
-        total += Fraction(num, den) * z ** n
-    return total
+        while at < n:
+            p_num *= z_num
+            p_den *= z_den
+            at += 1
+        pairs.append((num * p_num, den * p_den))
+    return _balanced_sum(pairs)
 
 
 def _fixed_point_sum(spec, t, s, table):
-    """(N, s + g): N / 2^(s+g) is within 2^-s of the series at t.
+    """(N, s + g): N / 2^(s+g) is within 2^-s of the series at the dyadic t.
 
-    The replies c_n, their precisions e_n = e(n, s) and the center reply
-    at e_max = e(m_s - 1, s) are ``eval_point``'s, read from ``table``,
-    the spec's ``_LevelTable``.  z = t - center is kept as
-    floor(z 2^w) with w = e_max + 1.  The powers z^n are products of
-    these, each rounded down to a multiple of 2^-w, and each term
-    c_n z^n is rounded down to a multiple of 2^-(s+g), with
-    g = bit_length(m_s) + 2 guard bits, so 2^g > 4 m_s.  With B = 2^b_s
-    bounding |z| and every |c_n|, the error budget is:
+    The replies c_n, their precisions e_n = e(n, s) and the center reply at
+    e_max = e(m_s - 1, s) are ``eval_point``'s, read from ``table``, the
+    spec's ``_LevelTable``, which keeps them per level as W-bit integers
+    C_n, c_n 2^W rounded toward 0.  With z = t - center and
+    z_W = floor(z 2^W), Horner's rule runs acc = floor(acc z_W / 2^W) + C_n
+    from n = m_s - 1 down to 0, and N = floor(acc / 2^(W-s-g)).  Here
+    g = bit_length(m_s) + 2 guard bits, so 2^g > 4 m_s, and
+    W = s + g + k + a + HORNER_GUARD with k the tail constant and
+    a = max(0, ceil(lg(1 / (r + eps)))).  The error budget:
 
     - tail past m_s terms: at most 2^-(s+1) (the schedule);
-    - approximation: the replies cost (n+1) B^n 2^-e_n = (n+1) 2^(-s-2m_s-1)
-      per term (the telescoping bound of ``eval_point``, which a more
-      precise center only tightens); the rounded powers are within
-      2n B^(n-1) 2^-w of z^n, which costs at most n 2^(-s-2m_s-1) more.
-      Summed over n < m_s, this is at most 2^-(s+2);
-    - rounding the terms: below m_s 2^-(s+g) < 2^-(s+2);
+    - replies: (n+1) 2^(-s-2m_s-1) per term (the telescoping bound of
+      ``eval_point``), below 2^-(s+3) summed over n < m_s;
+    - Horner rounding: step n rounds C_n toward 0 and the product down,
+      each by less than 2^-W, and Z = z_W / 2^W sits below z by less than
+      2^-W, which costs |h_n| 2^-W with h_n = sum_{j>n} c_j z^(j-n-1).
+      Each step's error is scaled by Z^n.  Given |z|, |Z| <= min(1, r),
+      |Z|^n <= 1 and |Z^n h_n| <= sum_{j>=1} |c_j| r^(j-1) <= C / eps
+      <= 2^(k+a), from |c_j| <= C / (r + eps)^j and
+      2^k >= C (r + eps) / eps.  In all at most m_s (2^(k+a) + 2) 2^-W
+      < 2^-(s+3), since k + a >= 1;
+    - the final shift to s + g: below 2^-(s+g) <= 2^-(s+3);
 
-    in all below 2^-s.
+    in all below 2^-s, with room for the replies' own errors in |c_j| and
+    for a center reply off by 2^-e_max, which moves z by that much.
+
+    |z| <= min(1, r) holds for every spec the CLI builds: the center is 0,
+    the anchor lies in [0, 1], and ``validate`` checks that it reaches no
+    farther than r.  A spec whose anchor reached rho > 1 from its center
+    would need ceil(m_s lg rho) more bits, since the Z^n would grow.
     """
-    t = Fraction(t)
-    m_s, e_max, center, terms = table.level(t, s)
-    sg = s + m_s.bit_length() + 2
-    w = e_max + 1
-    z = t - center
-    z_w = (z.numerator << w) // z.denominator
-    total = 0
-    at, power = 0, 1 << w           # power = z^at in units of 2^-w
-    for n, num, den in terms:
-        while at < n:
-            power = power * z_w >> w
-            at += 1
-        total += (num * power >> (w - sg)) // den
-    return total, sg
+    a, d = _as_pair(t)
+    width, sg, cnum, cden, coeffs = table.horner_table(table.key(a, d, s))
+    z = ((a * cden - cnum * d) << width) // (d * cden)
+    acc = 0
+    for c in coeffs:
+        acc = (acc * z >> width) + c
+    return acc >> (width - sg), sg
 
 
 def eval_approx(spec, a, s):
@@ -312,9 +419,8 @@ def _exact_sign(evaluator, t):
         return (value > 0) - (value < 0)
     if evaluator.polynomial is None:
         return None
-    t = Fraction(t)
-    _check_anchor(evaluator, t)
-    a, b = t.numerator, t.denominator
+    a, b = _as_pair(t)
+    _check_anchor(evaluator, a, b)
     # after c_i: acc = sum_{j >= i} (c_j D) a^(j-i) b^(d-j)
     acc, b_power = 0, 1                 # b_power = b^(d-i) before c_i
     for c in reversed(evaluator._integer_polynomial):

@@ -455,8 +455,14 @@ def exact_ceil_lg(q):
     q = Fraction(q)
     if q <= 0:
         raise ValueError("exact_ceil_lg needs a positive rational")
-    p, s = q.numerator, q.denominator
-    t = p.bit_length() - s.bit_length() - 1  # 2**t < q always
-    while not ((s << t) >= p if t >= 0 else s >= (p << -t)):
-        t += 1
-    return t
+    return ceil_lg_ratio(q.numerator, q.denominator)
+
+
+def ceil_lg_ratio(p, s):
+    """Smallest integer t with 2**t >= p/s, for integers p, s > 0.
+
+    With t = bitlen(p) - bitlen(s), 2**(t-1) < p/s < 2**(t+1), so one
+    comparison decides between t and t + 1.
+    """
+    t = p.bit_length() - s.bit_length()
+    return t if (p <= s << t if t >= 0 else p << -t <= s) else t + 1

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from dymart.analytic import (DOUBLINGS, _cos_coeff, _exp_coeff,
                              _fixed_point_sum, _LevelTable, _sin_coeff,
                              builtin_spec, certified_sign, derivative_spec,
                              eval_approx, eval_point, eval_schedule,
-                             find_root, tail_constants)
+                             find_root, series, tail_constants)
 from dymart.dyadic import Dyadic, Word
 from dymart.errors import AnchorError, SignUndecidableError
 from dymart.funcs import QuotientFn
@@ -55,6 +58,31 @@ FIXED_POINT = {
                                        for v in exp_interval(t, terms))),
     "sin'": (lambda: derivative_spec(builtin_spec("sin")), cos_interval),
 }
+
+
+@functools.cache
+def _exp_file_spec():
+    """A ``kind = series`` file with exp's coefficients and a loose term
+    bound: k = 8 and l = 4, so m_s = 4 (s + 9).  The terms 5^n / n! grow
+    up to n = 5, so the monotone tail starts at 4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp27.cfg"
+        path.write_text("kind = series\ncoeffs = exp\nC = 27\nr = 4\n"
+                        "eps = 1\ntail_from = 4\n")
+        return config.parse_series(f"@{path}")
+
+
+BIG = 1 << 20
+
+# FIXED_POINT, the exp file, and a series at its term bound:
+# c_n = 2^20 / 2^n, so f(t) = 2^21 / (2 - t), whose slope of up to 2^21
+# carries the rounding of z into the sum
+HORNER = dict(FIXED_POINT, **{
+    "exp file": (_exp_file_spec, exp_interval),
+    "at the term bound": (
+        lambda: series("big", lambda n: F(BIG, 1 << n), BIG, 1, 1),
+        lambda t, _: (F(2 * BIG) / (2 - t),) * 2),
+})
 
 
 def _counting(spec, log, centers=None):
@@ -248,6 +276,20 @@ class TestFixedPoint:
                 lo_f, hi_f = oracle(t, s + 80)
                 assert in_interval(F(total, 1 << sg), lo_f, hi_f,
                                    F(1, 1 << s)), (name, noisy, s, t)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(HORNER)), st.booleans(),
+           st.integers(4, 300), st.integers(0, 64), st.data())
+    def test_horner_sum_within_2_pow_minus_s(self, name, noisy, s, bits,
+                                             data):
+        make_spec, oracle = HORNER[name]
+        spec = noisy_spec(make_spec()) if noisy else make_spec()
+        lo, hi = spec.anchor_interval
+        k = data.draw(st.integers(0, 1 << bits))
+        t = Dyadic.from_fraction(lo + (hi - lo) * F(k, 1 << bits))
+        total, sg = _fixed_point_sum(spec, t, s, _LevelTable(spec))
+        lo_f, hi_f = oracle(F(t.num, 1 << t.exp), s + 80)
+        assert in_interval(F(total, 1 << sg), lo_f, hi_f, F(1, 1 << s))
 
     def test_term_count_is_the_schedule(self):
         spec = builtin_spec("exp").shifted(F(3, 2))

@@ -48,6 +48,13 @@ COMMANDS = {
     "analytic_root_exp_p256":
         "analytic root --spec exp --offset 3/2 --interval 0,1 "
         "--precision 256",
+    # the exact value at p = 2048: a long balanced sum of exp's terms
+    "analytic_eval_exp_p2048":
+        "analytic eval --spec exp --word 1 --precision 2048",
+    # a deep series root: every probe sums sin - 1/2 at s >= 514
+    "analytic_root_sin_p512":
+        "analytic root --spec sin --offset 1/2 --interval 0,1 "
+        "--precision 512",
     "analytic_root_poly_p64":
         "analytic root --spec poly:-1/2,0,1 --interval 0,1 --precision 64",
     "readme_tightness_demo": "tightness demo --zset 1 --depth 5",

@@ -26,7 +26,10 @@ A range of cells is tiled by maximal aligned blocks, and every block hangs
 off one of the two root-to-leaf paths to the cells just outside the range.
 So one walk down each of those paths finds the blocks from the path's own
 bits and values them, and at its leaf the cell beside the range: at most
-2n factor steps (``subtree_sum``).  The largest cell below a block is its
+2n factor steps (``subtree_sum``).  The same walk (``_block_values``)
+gives each block's own value, zero ones included, which is how a product
+form answers every word of a pullback cover, one reply per word, with one
+running product per path.  The largest cell below a block is its
 value times the best product of the factors still to come, read from a
 table built once per call in O(n * n_states) steps (``range_sum_max``).
 """
@@ -68,9 +71,10 @@ def _path_values(pf, classes, n, end, away, top):
 
     One factor-pair lookup per level serves both the path step and the
     block beside it, so the walk costs at most n lookups; the bits come
-    from one binary string of ``end``, not a shift of it per level.  Stops
-    at the first zero product: every deeper block and the leaf are then
-    zero.
+    from one binary string of ``end``, not a shift of it per level.  Makes
+    no lookup past the first zero product: every deeper block and the leaf
+    are then zero, and the deeper blocks are yielded as (0, 0, lev, state)
+    from the bits alone, so every block gets its value.
     """
     num, dexp, state, edges = 1, 0, pf.start, pf.edges
     # the path's bits, top-down; b"0" and b"1" are bytes 48 and 49, and
@@ -85,6 +89,9 @@ def _path_values(pf, classes, n, end, away, top):
         fnum, fdexp, state = pair[bit]
         num *= fnum
         if not num:
+            for depth in range(depth + 1, n):
+                if (bits[depth] & 1) != away and depth > top:
+                    yield 0, 0, n - 1 - depth, state
             return 0, 0
         dexp += fdexp
     return num, dexp
@@ -96,7 +103,9 @@ def _block_values(pf, classes, n, a, b, ends):
     0 and the 0-children off the path to b where it steps to 1, below the
     depth where the two paths part (all along the one path when a = 0 or
     b = 2**n).  Each walk goes down to its leaf: sets ``ends`` to
-    [d(cell a - 1), d(cell b)], None for a cell that does not exist."""
+    [d(cell a - 1), d(cell b)], None for a cell that does not exist.
+    Serves both the block sums here and a product form's pullback cover
+    (``martingale.ProductFormApprox.cover_replies``)."""
     top = n - ((a - 1) ^ b).bit_length() if 0 < a and b < 1 << n else -1
     if a > 0:
         ends[0] = yield from _path_values(pf, classes, n, a - 1, 1, top)

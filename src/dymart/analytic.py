@@ -53,8 +53,8 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import (EMPTY, Dyadic, Word, ceil_lg_ratio, exact_ceil_lg,
-                     gamma, parse_rational)
+from .dyadic import (EMPTY, Dyadic, Word, _balanced_sum, ceil_lg_ratio,
+                     exact_ceil_lg, gamma, parse_rational)
 from .errors import AnchorError, ParseError, SignUndecidableError
 
 ONE = Fraction(1)
@@ -315,27 +315,6 @@ class _LevelTable:
             found = self.horner[key] = (width, sg, center.numerator,
                                         center.denominator, coeffs[top:])
         return found
-
-
-def _balanced_sum(pairs):
-    """The sum of the rationals p/q (q > 0) of ``pairs`` as one
-    ``Fraction``, added as a balanced tree of integer pairs.
-
-    Each pair of pairs is added over the least common multiple of its
-    denominators, found by one gcd, so a denominator never outgrows the
-    lcm of the leaves' denominators; the ``Fraction``, built once, reduces
-    the total.
-    """
-    while len(pairs) > 1:
-        summed = []
-        for (p1, q1), (p2, q2) in zip(pairs[::2], pairs[1::2]):
-            g = math.gcd(q1, q2)
-            q1 //= g
-            summed.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
-        if len(pairs) % 2:
-            summed.append(pairs[-1])
-        pairs = summed
-    return Fraction(*pairs[0]) if pairs else Fraction(0)
 
 
 def eval_point(spec, t, s):

@@ -12,6 +12,7 @@ its index range (``aligned_blocks``).
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 import sys
@@ -240,6 +241,27 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
+def _balanced_sum(pairs):
+    """The sum of the rationals p/q (q > 0) of the list ``pairs`` as one
+    ``Fraction``, added as a balanced tree of integer pairs.
+
+    Each pair of pairs is added over the least common multiple of its
+    denominators, found by one gcd, so a denominator never outgrows the
+    lcm of the leaves' denominators; the ``Fraction``, built once, reduces
+    the total.
+    """
+    while len(pairs) > 1:
+        summed = []
+        for (p1, q1), (p2, q2) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(q1, q2)
+            q1 //= g
+            summed.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
+        if len(pairs) % 2:
+            summed.append(pairs[-1])
+        pairs = summed
+    return Fraction(*pairs[0]) if pairs else Fraction(0)
+
+
 def parse_rational(text):
     """Parse "p" or "p/q" into an exact Fraction (any denominator)."""
     m = _RAT_RE.match(text.strip())
@@ -439,12 +461,19 @@ def minimal_cover(a, b, m):
     length is <= m, no length occurs more than twice, |S| <= 2m+1, and
     sum(2^-|w|) == b - a.
     """
+    return [Word(idx, m - lev) for lev, idx in
+            aligned_blocks(*grid_indices(a, b, m))]
+
+
+def grid_indices(a, b, m):
+    """The grid-index range [a 2^m, b 2^m) of [a, b], as two ints, after
+    checking that a and b are Dyadics on the 2^-m grid with
+    0 <= a <= b <= 1 (ValueError otherwise)."""
     if not (ZERO <= a <= b <= ONE):
         raise ValueError(f"need 0 <= {a} <= {b} <= 1")
     if a.exp > m or b.exp > m:
         raise ValueError("endpoints must lie on the 2^-m grid")
-    return [Word(idx, m - lev) for lev, idx in
-            aligned_blocks(a.num << (m - a.exp), b.num << (m - b.exp))]
+    return a.num << (m - a.exp), b.num << (m - b.exp)
 
 
 def exact_ceil_lg(q):

@@ -2,7 +2,10 @@
 
 ``subtree_sum`` sums a range and values the two cells beside it in at most
 2n factor steps, finding the range's aligned blocks on the two paths to
-those cells; ``range_sum_max`` adds the range's largest cell in
+those cells; ``block_values`` is that walk itself, every block with its
+value, and answers a product form's pullback cover
+(``martingale.ProductFormApprox``); ``range_sum_max`` adds the range's
+largest cell in
 O(n * n_states) and ``cell_value`` walks one cell from the root.  There
 is one pure-Python implementation.  Single values for
 ``ExactMartingale.at`` come from ``martingale.product_fold``.
@@ -13,9 +16,10 @@ both here and in ``_shiftcore_py``, and stamps each result file with
 ``BACKEND``, refusing to compare files stamped differently.
 """
 
+from ._shiftcore_py import _block_values as block_values
 from ._shiftcore_py import cell_value, range_sum_max, subtree_sum, validate
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "cell_value", "range_sum_max", "subtree_sum",
-           "validate"]
+__all__ = ["BACKEND", "block_values", "cell_value", "range_sum_max",
+           "subtree_sum", "validate"]

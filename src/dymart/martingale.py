@@ -21,7 +21,11 @@ strategy folds its input's ``at`` values in ``Fraction``s.  The fold
 keeps the states along the last word asked and steps forward only below
 the prefix the next word shares with it.  A cover's words lie on its two
 end paths, so a cover costs O(m) steps in all: O(1) amortized per cover
-word.
+word.  A product form's approximator (``ProductFormApprox``) answers a
+pullback's whole cover without the fold: one block walk down the two end
+paths values every cover word, at most 2m factor steps with one running
+product per path, so the retained state is O(m) bits, not the fold's one
+product per level.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import EMPTY, Dyadic, Word
+from .dyadic import EMPTY, ONE, Dyadic, Word, grid_indices
 from .errors import PrecisionContractError
 
 HALF = Fraction(1, 2)
@@ -123,6 +127,10 @@ class ExactMartingale:
     wrappers).  Product forms and the derived wrappers answer through a
     per-instance ``PrefixFold``, so words asked in left-to-right order (a
     cover) share their walks.
+
+    A ``product_form`` given with an ``fn`` must have fn's values: the
+    block walks (brackets, ``as_approx``'s whole-cover replies) read the
+    form, not ``fn``.
 
     ``conservative`` is True when every single-step bet ratio is certified
     to lie in [1/2, 3/2], the hypothesis of the pullback gap bound.
@@ -488,9 +496,57 @@ class ApproxMartingale:
         return v
 
 
+class ProductFormApprox(ApproxMartingale):
+    """``as_approx`` of a product form: ``query`` replies from the
+    strategy's fold, and ``cover_replies`` answers a whole pullback cover
+    from one block walk."""
+
+    def __init__(self, mart):
+        exact = mart.exact
+        super().__init__(mart.name, lambda w, r: exact(w),
+                         conservative=mart.conservative)
+        self.product_form = mart.product_form
+
+    def cover_replies(self, a, b, m):
+        """(reply, |w|) for each word w of ``minimal_cover(a, b, m)``: the
+        replies at precision m, each the exact d(w) as a ``Dyadic`` and
+        checked as ``query`` checks it.
+
+        The words are the aligned blocks of the grid range [a 2^m, b 2^m),
+        and ``kernels.block_values`` values them on its two end paths, at
+        most 2m factor steps in all, in walk order: the blocks off the path
+        to the cell before a 2^m, then those off the path to b 2^m, each
+        top-down; zero ones are replies too.  The full range is λ, with
+        d(λ) = 1, and an empty one has no words.  a and b are checked as
+        ``minimal_cover`` checks them, on the call; no word is built.
+        """
+        lo, hi = grid_indices(a, b, m)
+        if lo == hi:
+            return iter(())
+        if hi - lo == 1 << m:
+            return iter(((ONE, 0),))
+        pf = self.product_form
+        return self._replies(kernels.block_values(
+            pf, pf.classes(m), m, lo, hi, [None, None]), m)
+
+    def _replies(self, values, m):
+        for num, dexp, lev, _ in values:
+            reply = Dyadic(num, dexp)
+            # query's guard: a reply below -2^-m breaks the contract
+            if num < 0 and reply < -Fraction(1, 1 << m):
+                raise PrecisionContractError(
+                    f"{self.name}: cover reply for a word of length "
+                    f"{m - lev} at {m} = {Fraction(reply)} is below -2^-{m}")
+            yield reply, m - lev
+
+
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision, from
-    ``mart.exact`` (a ``Dyadic`` for a product form), bound once."""
+    ``mart.exact`` (a ``Dyadic`` for a product form), bound once.  For a
+    product form it is a ``ProductFormApprox``, which also answers a
+    pullback's whole cover from one block walk."""
+    if mart.product_form is not None:
+        return ProductFormApprox(mart)
     exact = mart.exact
     return ApproxMartingale(mart.name, lambda w, r: exact(w),
                             conservative=mart.conservative)

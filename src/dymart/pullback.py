@@ -19,17 +19,21 @@ m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
 A cover is the list of aligned blocks of a grid-index range
-(``dyadic.aligned_blocks``), queried left to right, one d-query per word,
-so an exact strategy answers the whole cover through its prefix fold
-(``martingale.PrefixFold``) in O(m) steps; a product form takes about 3m
-factor steps, with one fold reply per cover word and no call per level,
-and the total reads each ``Dyadic`` reply's numerator and exponent
-directly.  For a product form, ``shift_stats`` takes the inside cells and
-both boundary cells from one walk down the paths to the boundary cells,
-which finds the inside blocks from the paths' own bits: the bracket at
-depth m + 8 costs exactly 2(m + 8) factor steps.  ``inner_max`` reads the
-largest inside cell from the same walk plus a max-product table, so the
-chain checks need no cell enumeration.
+(``dyadic.aligned_blocks``), queried left to right, one d-query per
+word, so an exact strategy answers the whole cover through its prefix
+fold (``martingale.PrefixFold``) in O(m) steps.  An approximator with
+``cover_replies`` (``as_approx`` of a product form) answers the whole
+cover at once: one reply per cover word, each its own ``Dyadic``, all
+from one block walk down the two end paths of the grid range, at most 2m
+factor steps with one running product per path, and no word or cover
+list built.  The total reads each ``Dyadic`` reply's numerator and
+exponent directly, as the replies stream in.  For a product form,
+``shift_stats`` takes the inside cells and both boundary cells from one
+walk down the paths to the boundary cells, which finds the inside blocks
+from the paths' own bits: the bracket at depth m + 8 costs exactly
+2(m + 8) factor steps.  ``inner_max`` reads the largest inside cell from
+the same walk plus a max-product table, so the chain checks need no cell
+enumeration.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (Dyadic, Word, aligned_blocks, clamp_unit,
-                     exact_ceil_lg, gamma, lex_successor, minimal_cover,
-                     round_to_grid)
+from .dyadic import (Dyadic, Word, _balanced_sum, aligned_blocks,
+                     clamp_unit, exact_ceil_lg, gamma, lex_successor,
+                     minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
 from .funcs import word_image
 from .martingale import ApproxMartingale, Report, Violation
@@ -86,26 +90,29 @@ def exact_total(terms):
 
     The dyadic q (a ``Dyadic``, read off its num and exp; an int, a
     ``Fraction`` with a power-of-two denominator) are totalled as one
-    integer numerator over 2^exp, with no gcd; the others add to a
-    ``Fraction`` remainder.
+    integer numerator over 2^exp, with no gcd.  The others are kept as
+    integer pairs and added, with that total, by ``_balanced_sum``.
     """
     num, exp = 0, 0
-    rest = Fraction(0)
+    rest = []
     for q, s in terms:
         if isinstance(q, Dyadic):
             q_num, e = q.num, q.exp - s
         else:
             den = q.denominator
             if den & (den - 1):
-                rest += q * (1 << s) if s >= 0 else q / (1 << -s)
+                rest.append((q.numerator << s, den) if s >= 0 else
+                            (q.numerator, den << -s))
                 continue
             q_num, e = q.numerator, den.bit_length() - 1 - s
         if e > exp:
             num <<= e - exp
             exp = e
         num += q_num << (exp - e)
-    total = Fraction(Dyadic(num, exp))
-    return total + rest if rest else total
+    if rest:
+        rest.append((num, 1 << exp))
+        return _balanced_sum(rest)
+    return Fraction(Dyadic(num, exp))
 
 
 ShiftStats = namedtuple("ShiftStats", "lower upper")
@@ -189,7 +196,9 @@ def pullback_approx(d_hat, f_hat, x, r):
 
     Exactly the grid/cover procedure described in the module docstring;
     the only queries are two f-queries at precision m+2 and one d-query at
-    precision m per cover word.  Raises PrecisionContractError when a
+    precision m per cover word: ``d_hat.cover_replies(a, b, m)`` when the
+    approximator has it, which gives every word's reply with its length,
+    else ``d_hat.query`` word by word.  Raises PrecisionContractError when a
     reply is impossible for the declared contract (f values must lie
     within 2^-(m+2) of [0, 1], d values within 2^-m of [0, inf)).
     """
@@ -222,8 +231,11 @@ def pullback_approx(d_hat, f_hat, x, r):
     else:
         b = Dyadic(1)
     a, b = clamp_unit(a, b)
-    return exact_total((d_hat.query(w, m), n - w.n)
-                       for w in minimal_cover(a, b, m))
+    cover = getattr(d_hat, "cover_replies", None)
+    if cover is None:
+        return exact_total((d_hat.query(w, m), n - w.n)
+                           for w in minimal_cover(a, b, m))
+    return exact_total((q, n - size) for q, size in cover(a, b, m))
 
 
 def pullback_martingale(d_hat, f_hat):

@@ -12,8 +12,8 @@ from fractions import Fraction
 from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
 from .dyadic import Dyadic, Word, all_words, minimal_cover
 from .funcs import IdentityFn, TableStepFn, as_weak
-from .martingale import (Report, Violation, allin_zeros, as_approx,
-                         conservative_transform, pattern_bettor,
+from .martingale import (ApproxMartingale, Report, Violation, allin_zeros,
+                         as_approx, conservative_transform, pattern_bettor,
                          product_fold, savings_wrapper, uniform,
                          verify_conservative, verify_martingale)
 from .measure import (DifferentialMeasure, ProductMeasure, UniformMeasure,
@@ -189,6 +189,16 @@ def _chk_methods_agree(depth):
                   violations)
 
 
+def _pullback_pair(d, weak, x, r):
+    """The pullback value through ``as_approx(d)``, whose product form
+    answers the cover from the block walk, and the value through an
+    ``at()``-backed approximator, which queries the cover word by word."""
+    backed = ApproxMartingale(d.name, lambda w, p: d.at(w),
+                              conservative=d.conservative)
+    return (pullback_approx(as_approx(d), weak, x, r),
+            pullback_approx(backed, weak, x, r))
+
+
 def _chk_pullback_identity(depth):
     violations = []
     checked = 0
@@ -197,10 +207,14 @@ def _chk_pullback_identity(depth):
         for x in all_words(min(depth, 3)):
             for r in (4, 8):
                 checked += 1
-                v = pullback_approx(as_approx(d), weak, x, r)
-                if abs(v - d.at(x)) > F(1, 1 << r):
-                    violations.append(Violation(f"{d.name} x={x} r={r}",
-                                                "pullback", f"v={v}"))
+                v, by_words = _pullback_pair(d, weak, x, r)
+                where = f"{d.name} x={x} r={r}"
+                if v != by_words:
+                    violations.append(Violation(
+                        where, "pullback", f"v={v}, word by word {by_words}"))
+                if abs(by_words - d.at(x)) > F(1, 1 << r):
+                    violations.append(Violation(where, "pullback",
+                                                f"v={by_words}"))
     return Report("pullback through identity recovers the strategy",
                   checked, violations)
 
@@ -213,11 +227,14 @@ def _chk_pullback_bracket(depth):
     for x in all_words(min(depth, 2)):
         r = 4
         checked += 1
-        v = pullback_approx(as_approx(d), as_weak(f), x, r)
-        ok, lo, hi = certify_bracket(d, f, x, r, v)
+        v, by_words = _pullback_pair(d, as_weak(f), x, r)
+        if v != by_words:
+            violations.append(Violation(f"x={x}", "bracket",
+                                        f"v={v}, word by word {by_words}"))
+        ok, lo, hi = certify_bracket(d, f, x, r, by_words)
         if not ok:
             violations.append(Violation(f"x={x}", "bracket",
-                                        f"{v} outside [{lo}, {hi}]"))
+                                        f"{by_words} outside [{lo}, {hi}]"))
     return Report("pullback value sits in the exact shift bracket",
                   checked, violations)
 

@@ -1,7 +1,8 @@
 """Shared test oracles and adversarial wrappers.
 
 Everything here is deliberately independent of the implementation paths it
-checks: covers are found by exhaustive enumeration, shifts by literal cell
+checks: covers are found by exhaustive enumeration, pullback values by
+querying the cover word by word, shifts by literal cell
 loops (over Fractions, or over integer cell products for product forms),
 derived strategies by recomputing every prefix of the word, measure round
 trips and the exhaustive martingale and measure checks word by word with
@@ -18,9 +19,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words, exact_ceil_lg, gamma
-from dymart.martingale import ExactMartingale, ProductForm, Report, Violation
+from dymart.martingale import (ApproxMartingale, ExactMartingale,
+                               ProductForm, Report, Violation)
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
+from dymart.pullback import pullback_approx
 from dymart.tightness import CensusSet, ZeroInsertionFn
 
 
@@ -376,6 +379,15 @@ def random_product_forms(draw):
     period = draw(st.integers(1, 4))
     cls_of = lambda i: (i % period) % n_classes
     return ProductForm(tuple(edges), 0, cls_of)
+
+
+def pullback_by_words(d_hat, f_hat, x, r):
+    """The pullback value with the cover asked of ``d_hat.query`` one word
+    at a time, as for every approximator without ``cover_replies``: the
+    oracle for the block walk's whole-cover replies."""
+    by_words = ApproxMartingale(d_hat.name, d_hat.query,
+                                conservative=d_hat.conservative)
+    return pullback_approx(by_words, f_hat, x, r)
 
 
 class NoisyWeakFn:

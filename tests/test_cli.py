@@ -234,6 +234,24 @@ class TestDeterminism:
         assert "FAIL pullback.greedy_cover" in out
         assert "FAIL pullback.bracket" in out
 
+    def test_injected_walk_fault_fails_verify(self, capsys, monkeypatch):
+        # a block walk that drops the last reply of every cover: its value
+        # no longer equals the at()-backed one, word by word, although the
+        # dropped word is often far below the 2^-r tolerance
+        import dymart.martingale
+        cls = dymart.martingale.ProductFormApprox
+        real = cls.cover_replies
+
+        def broken(self, a, b, m):
+            return iter(list(real(self, a, b, m))[:-1])
+
+        monkeypatch.setattr(cls, "cover_replies", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "pullback")
+        assert code == 1
+        assert "FAIL pullback.identity_pullback" in out
+        assert "FAIL pullback.bracket" in out
+        assert "PASS pullback.greedy_cover" in out
+
     def test_injected_fz_fault_fails_tightness(self, capsys, monkeypatch):
         # fz(1/2) := 0 wherever fz is evaluated; each failing point is
         # reported with both sides of its bound, as the sweep compared them
@@ -828,6 +846,19 @@ class TestMemory:
             "fz_norm:0,2,4", "--word", "0110", "--precision", "2048")
         assert RAT.fullmatch(out.strip())
         assert peak_mb < 60, peak_mb
+
+    def test_product_form_pullback_r8192_peak_rss(self, tmp_path):
+        # a product form's cover at m = 32792 comes from one block walk,
+        # which holds one running product per end path.  Replies from the
+        # product fold, which keeps one product per level of the last
+        # word, peaked at about 230 MB; the walk at about 17 MB (Python
+        # 3.11, Linux)
+        out, peak_mb = peak_rss_mb(
+            tmp_path, "pullback", "--martingale", "conservative:pattern:011",
+            "--function", "fz_norm:0,2,4", "--word", "0110", "--precision",
+            "8192")
+        assert RAT.fullmatch(out.strip())
+        assert peak_mb < 40, peak_mb
 
     def test_verify_martingale_depth10_peak_rss(self, tmp_path):
         # the exhaustive checks hold two levels of values at a time, so

@@ -3,12 +3,12 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dymart.dyadic import (Dyadic, Word, all_words, clamp_unit,
-                           fmt_rational, gamma, lex_successor, minimal_cover,
-                           parse_rational, round_to_grid)
+from dymart.dyadic import (Dyadic, Word, _balanced_sum, all_words,
+                           clamp_unit, fmt_rational, gamma, lex_successor,
+                           minimal_cover, parse_rational, round_to_grid)
 from dymart.errors import ParseError
 from dymart.funcs import AffineFn
 
@@ -201,6 +201,16 @@ class TestCover:
             pos = F(hi)
         if cover:
             assert pos == F(b)
+
+
+class TestBalancedSum:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(-(1 << 90), 1 << 90),
+                              st.integers(1, 1 << 60)), max_size=40))
+    def test_equals_fraction_sum(self, pairs):
+        want = sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+        got = _balanced_sum(list(pairs))
+        assert got == want and type(got) is Fraction
 
 
 class TestAffine:

@@ -14,6 +14,7 @@ from dymart import kernels
 from dymart.config import parse_function, parse_martingale
 from dymart.dyadic import Dyadic, Word, aligned_blocks, all_words, \
     minimal_cover
+from dymart.errors import PrecisionContractError
 from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, as_approx, conservative_transform, \
@@ -247,7 +248,7 @@ class TestBlockWalk:
                                      (1, 2), (0, 0)])
     def test_end_cells_after_a_zero_factor(self, a, b):
         # allin_zeros dies at the first 1: every cell but 0 is zero, and
-        # the walks stop at their first zero product
+        # the walks make no lookup past their first zero product
         pf = allin_zeros().product_form
         n = 6
         classes = pf.classes(n)
@@ -299,7 +300,7 @@ class TestBlockWalk:
     def test_walk_blocks_are_the_aligned_blocks(self, pf, n, data):
         # the walk's blocks, found on its two end paths, are the blocks of
         # aligned_blocks, each with the product fold's value of its word;
-        # past a zero product the walk stops, so it may leave out zeros
+        # past a zero product the blocks still come, valued 0
         cells = 1 << n
         a, b = data.draw(st.sampled_from(
             ["random", "from zero", "to the end", "empty",
@@ -313,9 +314,7 @@ class TestBlockWalk:
         value = product_fold(pf)
         want = Counter((lev, Fraction(value(Word(idx, n - lev))))
                        for lev, idx in aligned_blocks(a, b))
-        assert walk <= want
-        assert {k: c for k, c in walk.items() if k[1]} == \
-            {k: c for k, c in want.items() if k[1]}
+        assert walk == want
 
     def test_blocks_hang_off_the_end_paths(self):
         # odd blocks are right children on the path to a - 1, even blocks
@@ -326,6 +325,60 @@ class TestBlockWalk:
                 assert idx >> 1 == (a - 1) >> (lev + 1)
             else:
                 assert idx >> 1 == b >> (lev + 1)
+
+
+def walk_order(words):
+    """The cover words in the block walk's order: the odd-indexed blocks
+    (off the path to the cell before the range) and then the even-indexed
+    ones (off the path to the cell after it), each largest first."""
+    return sorted(words, key=lambda w: (not w.k & 1, w.n))
+
+
+class TestCoverReplies:
+    """A product form's whole-cover replies against the cover's words,
+    each valued by the product fold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_forms(), st.integers(0, 40), st.data())
+    def test_replies_are_the_cover_values(self, pf, m, data):
+        cells = 1 << m
+        lo, hi = data.draw(st.sampled_from(
+            ["random", "from zero", "to the end", "empty", "one cell",
+             "full"]).flatmap(lambda kind: end_range(kind, cells)))
+        a, b = Dyadic(lo, m), Dyadic(hi, m)
+        replies = list(as_approx(ExactMartingale(
+            "random", product_form=pf)).cover_replies(a, b, m))
+        value = product_fold(pf)
+        words = walk_order(minimal_cover(a, b, m))
+        assert replies == [(value(w), len(w)) for w in words]
+        assert all(type(q) is Dyadic for q, _ in replies)
+        assert len(replies) <= 2 * m + 1
+
+    @pytest.mark.parametrize("a, b, m", [
+        (Dyadic(1, 1), Dyadic(1, 2), 4),        # a > b
+        (Dyadic(-1, 4), Dyadic(1, 2), 4),       # below 0
+        (Dyadic(1, 2), Dyadic(3, 1), 4),        # above 1
+        (Dyadic(1, 5), Dyadic(1, 1), 4),        # off the grid
+        (Dyadic(1, 2), Dyadic(3, 6), 4),
+    ])
+    def test_endpoints_checked_on_the_call(self, a, b, m):
+        # the same error as minimal_cover's, before any reply is asked for
+        with pytest.raises(ValueError) as want:
+            minimal_cover(a, b, m)
+        with pytest.raises(ValueError) as got:
+            as_approx(uniform()).cover_replies(a, b, m)
+        assert str(got.value) == str(want.value)
+
+    def test_reply_guard_matches_query(self):
+        # a form built past validation with a negative factor: the cover's
+        # reply and query's reply for the same word both break the contract
+        bad = uniform().product_form._replace(
+            edges=((((-1, 0, 0), (3, 0, 0)),),))
+        approx = as_approx(ExactMartingale("negative", product_form=bad))
+        with pytest.raises(PrecisionContractError, match="below -2\\^-3"):
+            list(approx.cover_replies(Dyadic(0), Dyadic(1, 1), 3))
+        with pytest.raises(PrecisionContractError, match="below -2\\^-3"):
+            approx.query(Word(0, 1), 3)
 
 
 class CountingEdges(tuple):
@@ -372,36 +425,40 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])
-    def test_cli_path_replies_from_the_fold(self, name):
-        # the CLI's d-queries: as_approx on the product form, one fold
-        # reply per cover word
+    def test_cli_path_replies_from_the_walk(self, name):
+        # the CLI's d-queries: as_approx on the product form answers the
+        # whole cover from one walk down each end path of its grid range
         base = parse_martingale(name)
         pf = base.product_form
         edges = CountingEdges(pf.edges)
         mart = ExactMartingale(
             name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
             conservative=base.conservative)
-        plain, replies = mart.exact, []
+        approx, replies = as_approx(mart), []
+        walk = approx.cover_replies
 
-        def counted(w):
-            replies.append(w)
-            return plain(w)
+        def counted(a, b, m):
+            for pair in walk(a, b, m):
+                replies.append(pair)
+                yield pair
 
-        mart.exact = counted
+        approx.cover_replies = counted
         fn = parse_function("fz_norm:0,2,4")
         x, r = Word.parse("0110"), 512
         m = grid_exponent(len(x), r)
         edges.steps = 0
-        value = pullback_approx(as_approx(mart), as_weak(fn), x, r)
-        assert edges.steps <= 4 * m
-        # the words and the value of the at()-backed path, each word once
+        value = pullback_approx(approx, as_weak(fn), x, r)
+        assert edges.steps <= 2 * m
+        # the value of the at()-backed path, and a reply for each of its
+        # words, each word once
         oracle, queries = parse_martingale(name), []
         backed = ApproxMartingale(
             "at-backed", lambda w, p: queries.append(w) or oracle.at(w),
             conservative=oracle.conservative)
         assert value == pullback_approx(backed, as_weak(fn), x, r)
-        assert replies == queries
-        assert len(set(replies)) == len(replies)
+        assert Counter((Fraction(q), size) for q, size in replies) == \
+            Counter((oracle.at(w), len(w)) for w in queries)
+        assert len(set(queries)) == len(queries)
         assert m // 2 <= len(replies) <= 2 * m + 1
 
     @pytest.mark.parametrize("r", [32, 128, 512])

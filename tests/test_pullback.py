@@ -21,7 +21,7 @@ from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
-    nondyadic_bettor, random_product_forms, scan_sum_max
+    nondyadic_bettor, pullback_by_words, random_product_forms, scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -276,6 +276,20 @@ class TestPullbackApprox:
         got = exact_total(iter(terms))
         assert got == want and type(got) is F
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.fractions(max_denominator=1 << 30),
+                  st.builds(Dyadic, st.integers(-(1 << 70), 1 << 70),
+                            st.integers(0, 90)),
+                  st.integers(-5, 1 << 70)),
+        st.integers(-70, 70)), min_size=1, max_size=40))
+    def test_exact_total_mostly_non_dyadic(self, terms):
+        # the non-dyadic terms, with either sign of shift, go to the
+        # balanced sum together with the dyadic total
+        want = sum((F(q) * F(2) ** s for q, s in terms), F(0))
+        got = exact_total(iter(terms))
+        assert got == want and type(got) is F
+
     def test_sandwich_with_exact_values(self):
         # with exact d-queries the cover total sits exactly between the
         # shifts at the cover's own depth: the rounded endpoints are within
@@ -364,6 +378,23 @@ class TestPullbackContract:
         v = pullback_approx(d_hat, f_hat, x, r)
         ok, lo, hi = certify_bracket(d, f, x, r, v)
         assert ok, (str(x), r, v, lo, hi)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_product_forms(), monotone_tables(), st.integers(0, 3),
+           st.integers(0, 8), st.booleans(), st.data())
+    def test_walk_value_equals_word_by_word(self, pf, f, x_len, r, noisy_f,
+                                            data):
+        # a random product form (zero factors included; the certificate
+        # is only asserted, for the comparison) answers its cover from the
+        # block walk with the value its word-by-word queries give
+        d_hat = as_approx(ExactMartingale("random", product_form=pf,
+                                          conservative=True))
+        assert hasattr(d_hat, "cover_replies")
+        x = Word(data.draw(st.integers(0, (1 << x_len) - 1)), x_len)
+        f_hat = NoisyWeakFn(f) if noisy_f else as_weak(f)
+        assert pullback_approx(d_hat, f_hat, x, r) == \
+            pullback_by_words(d_hat, f_hat, x, r)
 
 
 class TestPullbackMartingale:

@@ -28,8 +28,8 @@ So one walk down each of those paths finds the blocks from the path's own
 bits and values them, and at its leaf the cell beside the range: at most
 2n factor steps (``subtree_sum``).  The same walk (``_block_values``)
 gives each block's own value, zero ones included, which is how a product
-form answers every word of a pullback cover, one reply per word, with one
-running product per path.  The largest cell below a block is its
+form values every word of a pullback cover for that word's d-query, with
+one running product per path.  The largest cell below a block is its
 value times the best product of the factors still to come, read from a
 table built once per call in O(n * n_states) steps (``range_sum_max``).
 """

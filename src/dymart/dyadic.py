@@ -7,7 +7,7 @@ there is no floating point anywhere.  General (non power-of-two denominator)
 rationals are handled by ``fractions.Fraction``; ``Dyadic`` interoperates
 with it transparently.
 A cover of a grid interval is the maximal aligned-block decomposition of
-its index range (``aligned_blocks``).
+its index range (``aligned_blocks``), made one word at a time (``Cover``).
 """
 
 from __future__ import annotations
@@ -241,25 +241,55 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-def _balanced_sum(pairs):
-    """The sum of the rationals p/q (q > 0) of the list ``pairs`` as one
-    ``Fraction``, added as a balanced tree of integer pairs.
+def _add_pairs(p0, q0, p, q):
+    """p0/q0 + p/q as an integer pair over the lcm of q0 and q, found by
+    one gcd."""
+    g = math.gcd(q0, q)
+    q0 //= g
+    return p0 * (q // g) + p * q0, q0 * q
 
-    Each pair of pairs is added over the least common multiple of its
-    denominators, found by one gcd, so a denominator never outgrows the
-    lcm of the leaves' denominators; the ``Fraction``, built once, reduces
-    the total.
+
+class _PairSum:
+    """A running sum of rationals p/q (q > 0), added as a balanced tree of
+    integer pairs and read as one ``Fraction``.
+
+    The partial sums form a binary counter: a new pair merges with the
+    partial sum on top while that one holds as many pairs, so k pairs keep
+    at most log2(k) + 1 partial sums at once, and ``total`` adds those up
+    from the top.  Every addition is over the lcm of its denominators, so
+    a denominator never outgrows the lcm of the pairs' denominators; the
+    ``Fraction``, built once, reduces the total.
     """
-    while len(pairs) > 1:
-        summed = []
-        for (p1, q1), (p2, q2) in zip(pairs[::2], pairs[1::2]):
-            g = math.gcd(q1, q2)
-            q1 //= g
-            summed.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
-        if len(pairs) % 2:
-            summed.append(pairs[-1])
-        pairs = summed
-    return Fraction(*pairs[0]) if pairs else Fraction(0)
+
+    __slots__ = ("stack",)
+
+    def __init__(self):
+        self.stack = []     # (p, q, pairs in it), halving towards the top
+
+    def add(self, p, q):
+        stack, count = self.stack, 1
+        while stack and stack[-1][2] == count:
+            p0, q0, _ = stack.pop()
+            p, q = _add_pairs(p0, q0, p, q)
+            count <<= 1
+        stack.append((p, q, count))
+
+    def total(self):
+        if not self.stack:
+            return Fraction(0)
+        p, q, _ = self.stack[-1]
+        for p0, q0, _ in reversed(self.stack[:-1]):
+            p, q = _add_pairs(p0, q0, p, q)
+        return Fraction(p, q)
+
+
+def _balanced_sum(pairs):
+    """The sum of the rationals p/q (q > 0) of the iterable ``pairs`` as
+    one ``Fraction``, by a ``_PairSum``."""
+    acc = _PairSum()
+    for p, q in pairs:
+        acc.add(p, q)
+    return acc.total()
 
 
 def parse_rational(text):
@@ -459,21 +489,72 @@ def minimal_cover(a, b, m):
     decomposition of the grid-index range [a 2^m, b 2^m).  The result S
     satisfies: the intervals tile [a, b] exactly (empty when a == b), every
     length is <= m, no length occurs more than twice, |S| <= 2m+1, and
-    sum(2^-|w|) == b - a.
+    sum(2^-|w|) == b - a.  S is a ``Cover``, which makes its words as they
+    are iterated; a and b are checked on the call.
     """
-    return [Word(idx, m - lev) for lev, idx in
-            aligned_blocks(*grid_indices(a, b, m))]
-
-
-def grid_indices(a, b, m):
-    """The grid-index range [a 2^m, b 2^m) of [a, b], as two ints, after
-    checking that a and b are Dyadics on the 2^-m grid with
-    0 <= a <= b <= 1 (ValueError otherwise)."""
     if not (ZERO <= a <= b <= ONE):
         raise ValueError(f"need 0 <= {a} <= {b} <= 1")
     if a.exp > m or b.exp > m:
         raise ValueError("endpoints must lie on the 2^-m grid")
-    return a.num << (m - a.exp), b.num << (m - b.exp)
+    return Cover(a.num << (m - a.exp), b.num << (m - b.exp), m)
+
+
+class Cover:
+    """The words of ``minimal_cover`` of the grid-index range [lo, hi) at
+    depth m, left to right, each made as the iteration reaches it.
+
+    Holds only the range, so a cover costs O(m) bits however long its
+    words: the list of a cover at m = 32792 (a pullback at precision 8192)
+    holds about m^2/2 bits of word indices.  Its length is counted without
+    making a word.  Compares equal to a list or tuple of the same words;
+    an index, a slice and ``list + cover`` list the words first.
+    """
+
+    __slots__ = ("lo", "hi", "m")
+
+    def __init__(self, lo, hi, m):
+        self.lo, self.hi, self.m = lo, hi, m
+
+    def __iter__(self):
+        # aligned_blocks' loop: the left blocks come bottom-up, which is
+        # left to right; the right block at a level where hi >> lev is odd
+        # is (hi >> lev) - 1, made top-down after the loop
+        a, b, m, lev = self.lo, self.hi, self.m, 0
+        right = []
+        while a < b:
+            if a & 1:
+                yield Word(a, m - lev)
+                a += 1
+            if b & 1:
+                right.append(lev)
+            a >>= 1
+            b >>= 1
+            lev += 1
+        hi = self.hi
+        for lev in reversed(right):
+            yield Word((hi >> lev) - 1, m - lev)
+
+    def __len__(self):
+        a, b, count = self.lo, self.hi, 0
+        while a < b:
+            count += (a & 1) + (b & 1)
+            a = (a + 1) >> 1
+            b >>= 1
+        return count
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (Cover, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def __repr__(self):
+        return f"Cover({list(self)!r})"
 
 
 def exact_ceil_lg(q):

@@ -3,10 +3,10 @@
 ``subtree_sum`` sums a range and values the two cells beside it in at most
 2n factor steps, finding the range's aligned blocks on the two paths to
 those cells; ``block_values`` is that walk itself, every block with its
-value, and answers a product form's pullback cover
+value, and values a product form's pullback cover
 (``martingale.ProductFormApprox``); ``range_sum_max`` adds the range's
-largest cell in
-O(n * n_states) and ``cell_value`` walks one cell from the root.  There
+largest cell in O(n * n_states) and ``cell_value`` walks one cell from
+the root.  There
 is one pure-Python implementation.  Single values for
 ``ExactMartingale.at`` come from ``martingale.product_fold``.
 

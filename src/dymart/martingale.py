@@ -21,11 +21,11 @@ strategy folds its input's ``at`` values in ``Fraction``s.  The fold
 keeps the states along the last word asked and steps forward only below
 the prefix the next word shares with it.  A cover's words lie on its two
 end paths, so a cover costs O(m) steps in all: O(1) amortized per cover
-word.  A product form's approximator (``ProductFormApprox``) answers a
+word.  A product form's approximator (``ProductFormApprox``) values a
 pullback's whole cover without the fold: one block walk down the two end
 paths values every cover word, at most 2m factor steps with one running
 product per path, so the retained state is O(m) bits, not the fold's one
-product per level.
+product per level.  Each value is still the reply of its own ``query``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import EMPTY, ONE, Dyadic, Word, grid_indices
+from .dyadic import EMPTY, Cover, Dyadic, Word
 from .errors import PrecisionContractError
 
 HALF = Fraction(1, 2)
@@ -498,53 +498,59 @@ class ApproxMartingale:
 
 class ProductFormApprox(ApproxMartingale):
     """``as_approx`` of a product form: ``query`` replies from the
-    strategy's fold, and ``cover_replies`` answers a whole pullback cover
-    from one block walk."""
+    strategy's fold, except for the word a block walk has just valued
+    (``cover_replies``)."""
 
     def __init__(self, mart):
         exact = mart.exact
-        super().__init__(mart.name, lambda w, r: exact(w),
-                         conservative=mart.conservative)
+        # the last word the walk valued, and its value
+        walked = self._walked = [None, None]
+
+        def reply(w, r):
+            return walked[1] if w is walked[0] else exact(w)
+
+        super().__init__(mart.name, reply, conservative=mart.conservative)
         self.product_form = mart.product_form
 
-    def cover_replies(self, a, b, m):
-        """(reply, |w|) for each word w of ``minimal_cover(a, b, m)``: the
-        replies at precision m, each the exact d(w) as a ``Dyadic`` and
-        checked as ``query`` checks it.
+    def cover_replies(self, cover, m):
+        """(query(w, m), |w|) for each word w of ``cover``, each once.
 
-        The words are the aligned blocks of the grid range [a 2^m, b 2^m),
-        and ``kernels.block_values`` values them on its two end paths, at
-        most 2m factor steps in all, in walk order: the blocks off the path
-        to the cell before a 2^m, then those off the path to b 2^m, each
-        top-down; zero ones are replies too.  The full range is λ, with
-        d(λ) = 1, and an empty one has no words.  a and b are checked as
-        ``minimal_cover`` checks them, on the call; no word is built.
+        A ``Cover`` (what ``minimal_cover`` gives) of a grid range that is
+        neither empty nor full is valued by ``kernels.block_values`` on the
+        two end paths of its range, at most 2m factor steps in all, and
+        asked in walk order: the words off the path to the cell before the
+        range, then those off the path to the cell after it, each
+        top-down; zero ones are asked too.  Each word is made from the
+        walk's level and asked of ``query``, which replies with the walk's
+        value and checks it.  Any other cover is asked word by word, in
+        its own order.
         """
-        lo, hi = grid_indices(a, b, m)
-        if lo == hi:
-            return iter(())
-        if hi - lo == 1 << m:
-            return iter(((ONE, 0),))
-        pf = self.product_form
-        return self._replies(kernels.block_values(
-            pf, pf.classes(m), m, lo, hi, [None, None]), m)
-
-    def _replies(self, values, m):
-        for num, dexp, lev, _ in values:
-            reply = Dyadic(num, dexp)
-            # query's guard: a reply below -2^-m breaks the contract
-            if num < 0 and reply < -Fraction(1, 1 << m):
-                raise PrecisionContractError(
-                    f"{self.name}: cover reply for a word of length "
-                    f"{m - lev} at {m} = {Fraction(reply)} is below -2^-{m}")
-            yield reply, m - lev
+        if type(cover) is not Cover or not 0 < cover.hi - cover.lo < 1 << m:
+            for w in cover:
+                yield self.query(w, m), w.n
+            return
+        lo, hi, before = cover.lo, cover.hi, cover.lo - 1
+        pf, ends, walked, query = self.product_form, [None, None], \
+            self._walked, self.query
+        try:
+            for num, dexp, lev, _ in kernels.block_values(
+                    pf, pf.classes(m), m, lo, hi, ends):
+                # the walk to the cell before the range comes first and
+                # sets ends[0] when it is done
+                k = (before >> lev) + 1 if lo and ends[0] is None \
+                    else (hi >> lev) - 1
+                w = walked[0] = Word(k, m - lev)
+                walked[1] = Dyadic(num, dexp)
+                yield query(w, m), m - lev
+        finally:
+            walked[0] = walked[1] = None
 
 
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision, from
     ``mart.exact`` (a ``Dyadic`` for a product form), bound once.  For a
-    product form it is a ``ProductFormApprox``, which also answers a
-    pullback's whole cover from one block walk."""
+    product form it is a ``ProductFormApprox``, which also values a
+    pullback's whole cover from one block walk for the cover's queries."""
     if mart.product_form is not None:
         return ProductFormApprox(mart)
     exact = mart.exact

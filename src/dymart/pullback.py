@@ -18,22 +18,22 @@ access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
-A cover is the list of aligned blocks of a grid-index range
-(``dyadic.aligned_blocks``), queried left to right, one d-query per
-word, so an exact strategy answers the whole cover through its prefix
-fold (``martingale.PrefixFold``) in O(m) steps.  An approximator with
-``cover_replies`` (``as_approx`` of a product form) answers the whole
-cover at once: one reply per cover word, each its own ``Dyadic``, all
-from one block walk down the two end paths of the grid range, at most 2m
-factor steps with one running product per path, and no word or cover
-list built.  The total reads each ``Dyadic`` reply's numerator and
-exponent directly, as the replies stream in.  For a product form,
-``shift_stats`` takes the inside cells and both boundary cells from one
-walk down the paths to the boundary cells, which finds the inside blocks
-from the paths' own bits: the bracket at depth m + 8 costs exactly
-2(m + 8) factor steps.  ``inner_max`` reads the largest inside cell from
-the same walk plus a max-product table, so the chain checks need no cell
-enumeration.
+A cover is the aligned blocks of a grid-index range
+(``dyadic.aligned_blocks``), made one word at a time as a ``dyadic.Cover``
+and queried left to right, one d-query per word, so an exact strategy
+answers the whole cover through its prefix fold (``martingale.PrefixFold``)
+in O(m) steps.  An approximator with ``cover_replies`` (``as_approx`` of a
+product form) asks the cover's words in the order of one block walk down
+the two end paths of the grid range, which values them all in at most 2m
+factor steps with one running product per path; each value is still the
+reply of that word's own d-query.  No cover list is built, and the total
+reads each ``Dyadic`` reply's numerator and exponent directly, as the
+replies stream in.  For a product form, ``shift_stats`` takes the inside
+cells and both boundary cells from one walk down the paths to the
+boundary cells, which finds the inside blocks from the paths' own bits:
+the bracket at depth m + 8 costs exactly 2(m + 8) factor steps.
+``inner_max`` reads the largest inside cell from the same walk plus a
+max-product table, so the chain checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (Dyadic, Word, _balanced_sum, aligned_blocks,
+from .dyadic import (Dyadic, Word, _PairSum, aligned_blocks,
                      clamp_unit, exact_ceil_lg, gamma, lex_successor,
                      minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
@@ -90,28 +90,33 @@ def exact_total(terms):
 
     The dyadic q (a ``Dyadic``, read off its num and exp; an int, a
     ``Fraction`` with a power-of-two denominator) are totalled as one
-    integer numerator over 2^exp, with no gcd.  The others are kept as
-    integer pairs and added, with that total, by ``_balanced_sum``.
+    integer numerator over 2^exp, with no gcd.  The others go to a
+    ``_PairSum`` as integer pairs as they come, and so does that total at
+    the end: k of them keep O(log k) partial sums.
     """
     num, exp = 0, 0
-    rest = []
+    rest = None
     for q, s in terms:
         if isinstance(q, Dyadic):
             q_num, e = q.num, q.exp - s
         else:
             den = q.denominator
             if den & (den - 1):
-                rest.append((q.numerator << s, den) if s >= 0 else
-                            (q.numerator, den << -s))
+                if rest is None:
+                    rest = _PairSum()
+                if s >= 0:
+                    rest.add(q.numerator << s, den)
+                else:
+                    rest.add(q.numerator, den << -s)
                 continue
             q_num, e = q.numerator, den.bit_length() - 1 - s
         if e > exp:
             num <<= e - exp
             exp = e
         num += q_num << (exp - e)
-    if rest:
-        rest.append((num, 1 << exp))
-        return _balanced_sum(rest)
+    if rest is not None:
+        rest.add(num, 1 << exp)
+        return rest.total()
     return Fraction(Dyadic(num, exp))
 
 
@@ -196,9 +201,10 @@ def pullback_approx(d_hat, f_hat, x, r):
 
     Exactly the grid/cover procedure described in the module docstring;
     the only queries are two f-queries at precision m+2 and one d-query at
-    precision m per cover word: ``d_hat.cover_replies(a, b, m)`` when the
-    approximator has it, which gives every word's reply with its length,
-    else ``d_hat.query`` word by word.  Raises PrecisionContractError when a
+    precision m per cover word, through ``d_hat.cover_replies(cover, m)``
+    when the approximator has it, which asks them in its own order and
+    gives every reply with its word's length, else word by word, left to
+    right.  Raises PrecisionContractError when a
     reply is impossible for the declared contract (f values must lie
     within 2^-(m+2) of [0, 1], d values within 2^-m of [0, inf)).
     """
@@ -231,11 +237,11 @@ def pullback_approx(d_hat, f_hat, x, r):
     else:
         b = Dyadic(1)
     a, b = clamp_unit(a, b)
-    cover = getattr(d_hat, "cover_replies", None)
-    if cover is None:
-        return exact_total((d_hat.query(w, m), n - w.n)
-                           for w in minimal_cover(a, b, m))
-    return exact_total((q, n - size) for q, size in cover(a, b, m))
+    cover = minimal_cover(a, b, m)
+    replies = getattr(d_hat, "cover_replies", None)
+    if replies is None:
+        return exact_total((d_hat.query(w, m), n - w.n) for w in cover)
+    return exact_total((q, n - size) for q, size in replies(cover, m))
 
 
 def pullback_martingale(d_hat, f_hat):

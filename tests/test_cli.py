@@ -242,8 +242,8 @@ class TestDeterminism:
         cls = dymart.martingale.ProductFormApprox
         real = cls.cover_replies
 
-        def broken(self, a, b, m):
-            return iter(list(real(self, a, b, m))[:-1])
+        def broken(self, cover, m):
+            return iter(list(real(self, cover, m))[:-1])
 
         monkeypatch.setattr(cls, "cover_replies", broken)
         code, out, _ = run(capsys, "verify", "--suite", "pullback")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dymart.dyadic import (Dyadic, Word, _balanced_sum, all_words,
-                           clamp_unit, fmt_rational, gamma, lex_successor,
+from dymart.dyadic import (Dyadic, Word, _PairSum, _balanced_sum,
+                           aligned_blocks, all_words, clamp_unit,
+                           fmt_rational, gamma, lex_successor,
                            minimal_cover, parse_rational, round_to_grid)
 from dymart.errors import ParseError
 from dymart.funcs import AffineFn
@@ -186,6 +187,22 @@ class TestCover:
                     assert got == brute_force_cover(a, b, m), (a, b, m)
                     self._check_shape(got, a, b, m)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40), st.data())
+    def test_cover_is_made_lazily_as_the_blocks(self, m, data):
+        # the cover holds its range and makes the words of aligned_blocks,
+        # left to right, on each iteration; len counts them without words
+        lo = data.draw(st.integers(0, 1 << m))
+        hi = data.draw(st.integers(lo, 1 << m))
+        cover = minimal_cover(Dyadic(lo, m), Dyadic(hi, m), m)
+        want = [Word(idx, m - lev) for lev, idx in aligned_blocks(lo, hi)]
+        assert list(cover) == want and list(cover) == want
+        assert len(cover) == len(want)
+        assert cover == want and want == cover and cover == tuple(want)
+        assert cover[:-1] == want[:-1] and [W("0")] + cover == \
+            [W("0")] + want
+        assert (cover.lo, cover.hi, cover.m) == (lo, hi, m)
+
     @staticmethod
     def _check_shape(cover, a, b, m):
         assert len(cover) <= 2 * m + 1
@@ -211,6 +228,15 @@ class TestBalancedSum:
         want = sum((Fraction(p, q) for p, q in pairs), Fraction(0))
         got = _balanced_sum(list(pairs))
         assert got == want and type(got) is Fraction
+
+    @given(st.integers(1, 300))
+    def test_partial_sums_stay_logarithmic(self, k):
+        # k pairs keep one partial sum per set bit of k
+        acc = _PairSum()
+        for i in range(k):
+            acc.add(1, 3 + 2 * i)
+            assert len(acc.stack) == bin(i + 1).count("1")
+        assert acc.total() == sum(Fraction(1, 3 + 2 * i) for i in range(k))
 
 
 class TestAffine:

@@ -345,40 +345,39 @@ class TestCoverReplies:
         lo, hi = data.draw(st.sampled_from(
             ["random", "from zero", "to the end", "empty", "one cell",
              "full"]).flatmap(lambda kind: end_range(kind, cells)))
-        a, b = Dyadic(lo, m), Dyadic(hi, m)
-        replies = list(as_approx(ExactMartingale(
-            "random", product_form=pf)).cover_replies(a, b, m))
+        cover = minimal_cover(Dyadic(lo, m), Dyadic(hi, m), m)
+        approx = as_approx(ExactMartingale("random", product_form=pf))
+        real, asked = approx.query, []
+        approx.query = lambda w, r: asked.append((w, r)) or real(w, r)
+        replies = list(approx.cover_replies(cover, m))
         value = product_fold(pf)
-        words = walk_order(minimal_cover(a, b, m))
+        words = walk_order(cover)
         assert replies == [(value(w), len(w)) for w in words]
         assert all(type(q) is Dyadic for q, _ in replies)
         assert len(replies) <= 2 * m + 1
+        # every reply is the query of its own word, at precision m
+        assert asked == [(w, m) for w in words]
 
-    @pytest.mark.parametrize("a, b, m", [
-        (Dyadic(1, 1), Dyadic(1, 2), 4),        # a > b
-        (Dyadic(-1, 4), Dyadic(1, 2), 4),       # below 0
-        (Dyadic(1, 2), Dyadic(3, 1), 4),        # above 1
-        (Dyadic(1, 5), Dyadic(1, 1), 4),        # off the grid
-        (Dyadic(1, 2), Dyadic(3, 6), 4),
-    ])
-    def test_endpoints_checked_on_the_call(self, a, b, m):
-        # the same error as minimal_cover's, before any reply is asked for
-        with pytest.raises(ValueError) as want:
-            minimal_cover(a, b, m)
-        with pytest.raises(ValueError) as got:
-            as_approx(uniform()).cover_replies(a, b, m)
-        assert str(got.value) == str(want.value)
+    def test_word_list_asked_in_its_order(self):
+        # a cover that is not minimal_cover's (a list, as an injected
+        # fault gives) is asked word by word, in its own order
+        cover = minimal_cover(Dyadic(3, 5), Dyadic(29, 5), 5)
+        words = list(cover)[::-1][1:]
+        approx = as_approx(pattern_bettor("011"))
+        value = product_fold(pattern_bettor("011").product_form)
+        assert list(approx.cover_replies(words, 5)) == \
+            [(value(w), len(w)) for w in words]
 
     def test_reply_guard_matches_query(self):
         # a form built past validation with a negative factor: the cover's
-        # reply and query's reply for the same word both break the contract
+        # reply breaks the contract in query, as any other reply does
         bad = uniform().product_form._replace(
             edges=((((-1, 0, 0), (3, 0, 0)),),))
         approx = as_approx(ExactMartingale("negative", product_form=bad))
-        with pytest.raises(PrecisionContractError, match="below -2\\^-3"):
-            list(approx.cover_replies(Dyadic(0), Dyadic(1, 1), 3))
-        with pytest.raises(PrecisionContractError, match="below -2\\^-3"):
-            approx.query(Word(0, 1), 3)
+        cover = minimal_cover(Dyadic(0), Dyadic(1, 1), 3)
+        with pytest.raises(PrecisionContractError,
+                           match="query\\(0, 3\\) = -1 is below -2\\^-3"):
+            list(approx.cover_replies(cover, 3))
 
 
 class CountingEdges(tuple):
@@ -437,8 +436,8 @@ class TestWorkCounts:
         approx, replies = as_approx(mart), []
         walk = approx.cover_replies
 
-        def counted(a, b, m):
-            for pair in walk(a, b, m):
+        def counted(cover, m):
+            for pair in walk(cover, m):
                 replies.append(pair)
                 yield pair
 

@@ -362,6 +362,38 @@ def monotone_tables(draw):
 
 
 class TestPullbackContract:
+    @pytest.mark.parametrize("name", ["pattern:011", "zbettor:1,3"])
+    def test_walk_replies_are_queries_of_the_cover(self, monkeypatch, name):
+        # a product form's whole-cover replies are calls of
+        # ApproxMartingale.query, one per word of the one cover that
+        # minimal_cover gives, each at precision m: the d-query budget
+        # is counted where the replies are made
+        import dymart.pullback
+        from dymart.config import parse_martingale, parse_function
+        query, cover_of = ApproxMartingale.query, dymart.pullback.minimal_cover
+        asked, covers = [], []
+
+        def counted(self, w, r):
+            asked.append((w.k, w.n, r))
+            return query(self, w, r)
+
+        def recorded(a, b, m):
+            covers.append(cover_of(a, b, m))
+            return covers[-1]
+
+        monkeypatch.setattr(ApproxMartingale, "query", counted)
+        monkeypatch.setattr(dymart.pullback, "minimal_cover", recorded)
+        mart = parse_martingale(f"conservative:{name}")
+        f_hat = as_weak(parse_function("fz_norm:1,2"))
+        x, r = W("0110"), 16
+        m = grid_exponent(len(x), r)
+        value = pullback_approx(as_approx(mart), f_hat, x, r)
+        assert len(covers) == 1
+        assert sorted(asked) == sorted((w.k, w.n, m) for w in covers[0])
+        assert 0 < len(asked) <= 2 * m + 1
+        monkeypatch.undo()
+        assert value == pullback_by_words(as_approx(mart), f_hat, x, r)
+
     @settings(max_examples=100, deadline=None)
     @given(random_product_forms(), monotone_tables(), st.integers(0, 3),
            st.integers(0, 8), st.booleans(), st.booleans(), st.data())

@@ -26,7 +26,8 @@ A range of cells is tiled by maximal aligned blocks, and every block hangs
 off one of the two root-to-leaf paths to the cells just outside the range.
 So one walk down each of those paths finds the blocks from the path's own
 bits and values them, and at its leaf the cell beside the range: at most
-2n factor steps (``subtree_sum``).  The same walk (``_block_values``)
+2n factor steps (``subtree_sum``).  The full range has no cell beside it
+and is the one block λ.  The same walk (``_block_values``)
 gives each block's own value, zero ones included, which is how a product
 form values every word of a pullback cover for that word's d-query, with
 one running product per path.  The largest cell below a block is its
@@ -98,14 +99,18 @@ def _path_values(pf, classes, n, end, away, top):
 
 
 def _block_values(pf, classes, n, a, b, ends):
-    """``_path_values`` for every maximal aligned block of [a, b), short of
-    the full range: the 1-children off the path to a - 1 where it steps to
-    0 and the 0-children off the path to b where it steps to 1, below the
-    depth where the two paths part (all along the one path when a = 0 or
+    """``_path_values`` for every maximal aligned block of [a, b): the
+    1-children off the path to a - 1 where it steps to 0 and the
+    0-children off the path to b where it steps to 1, below the depth
+    where the two paths part (all along the one path when a = 0 or
     b = 2**n).  Each walk goes down to its leaf: sets ``ends`` to
-    [d(cell a - 1), d(cell b)], None for a cell that does not exist.
-    Serves both the block sums here and a product form's pullback cover
-    (``martingale.ProductFormApprox.cover_replies``)."""
+    [d(cell a - 1), d(cell b)], None for a cell that does not exist.  The
+    full range has no end path: it is the one block λ, d(λ) = 1, with no
+    walk.  Serves the block sums and maxima here and a product form's
+    pullback cover (``martingale.ProductFormApprox.cover_replies``)."""
+    if b - a == 1 << n:
+        yield 1, 0, n, pf.start
+        return
     top = n - ((a - 1) ^ b).bit_length() if 0 < a and b < 1 << n else -1
     if a > 0:
         ends[0] = yield from _path_values(pf, classes, n, a - 1, 1, top)
@@ -137,10 +142,9 @@ def subtree_sum(pf, classes, n, a, b):
     the fairness identity.  One top-down walk along each path to a cell
     beside the range finds the blocks hanging off it and values them, one
     at a time, and ends at that cell: at most 2n factor steps and O(1)
-    running products.  Exact for any depth.
+    running products; the full range is the one block λ, with no walk.
+    Exact for any depth.
     """
-    if b - a == 1 << n:
-        return 1 << n, 0, None, None
     ends = [None, None]
     total = _block_total(_block_values(pf, classes, n, a, b, ends))
     return total + tuple(ends)
@@ -179,14 +183,12 @@ def range_sum_max(pf, classes, n, a, b):
 
     The sum is ``subtree_sum``'s.  The largest cell below the block word w
     is d(w) * best[|w|][state below w] (``_max_products``), so the walk
-    that values the blocks also gives the maximum: O(n * n_states) factor
-    steps in all, for any depth.
+    that values the blocks also gives the maximum, the full range's block
+    λ included: O(n * n_states) factor steps in all, for any depth.
     """
     if a >= b:
         return 0, 0, 0, 0
     best = _max_products(pf.edges, classes, n)
-    if b - a == 1 << n:
-        return (1 << n, 0) + best[0][pf.start]
     values = list(_block_values(pf, classes, n, a, b, [None, None]))
     m_num, m_dexp = 0, 0
     for num, dexp, lev, state in values:

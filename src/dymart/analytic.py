@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import (EMPTY, Dyadic, Word, _balanced_sum, ceil_lg_ratio,
+from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio,
                      exact_ceil_lg, gamma, parse_rational)
 from .errors import AnchorError, ParseError, SignUndecidableError
 
@@ -322,7 +322,8 @@ def eval_point(spec, t, s):
 
     t must lie in the spec's anchor interval.  The value is the exact sum
     of c_n z^n over the replies c_n, with z = t - center: each term is an
-    integer pair, and ``_balanced_sum`` adds them.
+    integer pair, added to a ``_PairSum`` as it is made, so no term list
+    is held.
     """
     t = Fraction(t)
     table = _LevelTable(spec)
@@ -330,15 +331,15 @@ def eval_point(spec, t, s):
         table.key(t.numerator, t.denominator, s))
     z = t - center
     z_num, z_den = z.numerator, z.denominator
-    pairs = []
+    acc = _PairSum()
     at, p_num, p_den = 0, 1, 1          # z^at = p_num / p_den
     for n, num, den in terms:
         while at < n:
             p_num *= z_num
             p_den *= z_den
             at += 1
-        pairs.append((num * p_num, den * p_den))
-    return _balanced_sum(pairs)
+        acc.add(num * p_num, den * p_den)
+    return acc.total()
 
 
 def _fixed_point_sum(spec, t, s, table):

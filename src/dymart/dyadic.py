@@ -6,8 +6,9 @@ the rational ``0.w`` and for the closed interval ``[0.w, 0.w + 2^-|w|]``, and
 there is no floating point anywhere.  General (non power-of-two denominator)
 rationals are handled by ``fractions.Fraction``; ``Dyadic`` interoperates
 with it transparently.
-A cover of a grid interval is the maximal aligned-block decomposition of
-its index range (``aligned_blocks``), made one word at a time (``Cover``).
+A ``Cover`` is the package's one generic tiling of an index range into
+its maximal aligned blocks, made one word at a time: the prefix-minimal
+cover of a grid interval (``minimal_cover``).
 """
 
 from __future__ import annotations
@@ -283,15 +284,6 @@ class _PairSum:
         return Fraction(p, q)
 
 
-def _balanced_sum(pairs):
-    """The sum of the rationals p/q (q > 0) of the iterable ``pairs`` as
-    one ``Fraction``, by a ``_PairSum``."""
-    acc = _PairSum()
-    for p, q in pairs:
-        acc.add(p, q)
-    return acc.total()
-
-
 def parse_rational(text):
     """Parse "p" or "p/q" into an exact Fraction (any denominator)."""
     m = _RAT_RE.match(text.strip())
@@ -458,28 +450,6 @@ def clamp_unit(a, b):
     return a, min(max(a, b), ONE)
 
 
-def aligned_blocks(a, b):
-    """Maximal aligned blocks tiling the index range [a, b), left to right.
-
-    Block (lev, idx) covers [idx << lev, (idx + 1) << lev); no level holds
-    more than two.  A full range [0, 2**n) is the one block (n, 0).
-    """
-    left, right = [], []
-    lev = 0
-    while a < b:
-        if a & 1:
-            left.append((lev, a))
-            a += 1
-        if b & 1:
-            b -= 1
-            right.append((lev, b))
-        a >>= 1
-        b >>= 1
-        lev += 1
-    left.extend(reversed(right))
-    return left
-
-
 def minimal_cover(a, b, m):
     """Prefix-minimal words w with interval(w) inside [a, b], left to right.
 
@@ -500,14 +470,16 @@ def minimal_cover(a, b, m):
 
 
 class Cover:
-    """The words of ``minimal_cover`` of the grid-index range [lo, hi) at
-    depth m, left to right, each made as the iteration reaches it.
+    """The maximal aligned blocks of the index range [lo, hi) at depth m,
+    left to right, as the words of ``minimal_cover``, each made as the
+    iteration reaches it.
 
-    Holds only the range, so a cover costs O(m) bits however long its
-    words: the list of a cover at m = 32792 (a pullback at precision 8192)
-    holds about m^2/2 bits of word indices.  Its length is counted without
-    making a word.  Compares equal to a list or tuple of the same words;
-    an index, a slice and ``list + cover`` list the words first.
+    Block (lev, idx) covers the cells [idx << lev, (idx + 1) << lev) and
+    is the word (idx, m - lev); no level holds more than two, and the full
+    range [0, 2**m) is the one word λ.  Holds only the range, so a cover
+    costs O(m) bits however long its words: the list of a cover at
+    m = 32792 (a pullback at precision 8192) holds about m^2/2 bits of
+    word indices.
     """
 
     __slots__ = ("lo", "hi", "m")
@@ -516,9 +488,9 @@ class Cover:
         self.lo, self.hi, self.m = lo, hi, m
 
     def __iter__(self):
-        # aligned_blocks' loop: the left blocks come bottom-up, which is
-        # left to right; the right block at a level where hi >> lev is odd
-        # is (hi >> lev) - 1, made top-down after the loop
+        # the left blocks come bottom-up, which is left to right; the
+        # right block at a level where hi >> lev is odd is
+        # (hi >> lev) - 1, made top-down after the loop
         a, b, m, lev = self.lo, self.hi, self.m, 0
         right = []
         while a < b:
@@ -535,26 +507,10 @@ class Cover:
             yield Word((hi >> lev) - 1, m - lev)
 
     def __len__(self):
-        a, b, count = self.lo, self.hi, 0
-        while a < b:
-            count += (a & 1) + (b & 1)
-            a = (a + 1) >> 1
-            b >>= 1
-        return count
-
-    def __getitem__(self, i):
-        return list(self)[i]
-
-    def __eq__(self, other):
-        if isinstance(other, (Cover, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        return list(other) + list(self)
+        return sum(1 for _ in self)
 
     def __repr__(self):
-        return f"Cover({list(self)!r})"
+        return f"Cover({self.lo}, {self.hi}, {self.m})"
 
 
 def exact_ceil_lg(q):

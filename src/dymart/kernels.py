@@ -1,14 +1,15 @@
 """Product-form kernels: the block walk in ``_shiftcore_py``.
 
-``subtree_sum`` sums a range and values the two cells beside it in at most
-2n factor steps, finding the range's aligned blocks on the two paths to
-those cells; ``block_values`` is that walk itself, every block with its
-value, and values a product form's pullback cover
-(``martingale.ProductFormApprox``); ``range_sum_max`` adds the range's
-largest cell in O(n * n_states) and ``cell_value`` walks one cell from
-the root.  There
-is one pure-Python implementation.  Single values for
-``ExactMartingale.at`` come from ``martingale.product_fold``.
+``block_values`` is the package's one product-form tiling of a range of
+cells: it finds the range's maximal aligned blocks on the two paths to
+the cells beside the range and values each one, the full range being the
+one block λ.  ``subtree_sum`` totals those blocks and values the two cells
+beside the range, in at most 2n factor steps; the same walk values a
+product form's pullback cover (``martingale.ProductFormApprox``);
+``range_sum_max`` adds the range's largest cell in O(n * n_states) and
+``cell_value`` walks one cell from the root.  There is one pure-Python
+implementation.  Single values for ``ExactMartingale.at`` come from
+``martingale.product_fold``.
 
 This module keeps its names and ``BACKEND`` for the benchmark harness
 (``perfbench/``): it wraps ``cell_value`` and ``range_sum_max`` by name

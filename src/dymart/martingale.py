@@ -515,17 +515,17 @@ class ProductFormApprox(ApproxMartingale):
     def cover_replies(self, cover, m):
         """(query(w, m), |w|) for each word w of ``cover``, each once.
 
-        A ``Cover`` (what ``minimal_cover`` gives) of a grid range that is
-        neither empty nor full is valued by ``kernels.block_values`` on the
-        two end paths of its range, at most 2m factor steps in all, and
-        asked in walk order: the words off the path to the cell before the
-        range, then those off the path to the cell after it, each
-        top-down; zero ones are asked too.  Each word is made from the
-        walk's level and asked of ``query``, which replies with the walk's
-        value and checks it.  Any other cover is asked word by word, in
-        its own order.
+        A ``Cover`` (what ``minimal_cover`` gives) is valued by
+        ``kernels.block_values`` on the two end paths of its grid range,
+        at most 2m factor steps in all, and asked in walk order: the words
+        off the path to the cell before the range, then those off the path
+        to the cell after it, each top-down; zero ones are asked too.  The
+        full range is the one word λ, and an empty one has none.  Each
+        word is made from the walk's level and asked of ``query``, which
+        replies with the walk's value and checks it.  Any other cover (a
+        word list) is asked word by word, in its own order.
         """
-        if type(cover) is not Cover or not 0 < cover.hi - cover.lo < 1 << m:
+        if type(cover) is not Cover:
             for w in cover:
                 yield self.query(w, m), w.n
             return

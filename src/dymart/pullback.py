@@ -18,22 +18,25 @@ access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
 
-A cover is the aligned blocks of a grid-index range
-(``dyadic.aligned_blocks``), made one word at a time as a ``dyadic.Cover``
-and queried left to right, one d-query per word, so an exact strategy
-answers the whole cover through its prefix fold (``martingale.PrefixFold``)
-in O(m) steps.  An approximator with ``cover_replies`` (``as_approx`` of a
-product form) asks the cover's words in the order of one block walk down
-the two end paths of the grid range, which values them all in at most 2m
-factor steps with one running product per path; each value is still the
-reply of that word's own d-query.  No cover list is built, and the total
-reads each ``Dyadic`` reply's numerator and exponent directly, as the
-replies stream in.  For a product form, ``shift_stats`` takes the inside
-cells and both boundary cells from one walk down the paths to the
-boundary cells, which finds the inside blocks from the paths' own bits:
-the bracket at depth m + 8 costs exactly 2(m + 8) factor steps.
-``inner_max`` reads the largest inside cell from the same walk plus a
-max-product table, so the chain checks need no cell enumeration.
+A range of grid cells is tiled by its maximal aligned blocks in one of two
+ways.  Generically it is a ``dyadic.Cover``, which makes the blocks' words
+one at a time, left to right: the pullback's cover S is one, queried one
+d-query per word, so an exact strategy answers it through its prefix fold
+(``martingale.PrefixFold``) in O(m) steps, and ``shift_stats`` totals
+``d.exact`` over one for a strategy without a product form.  A product
+form's range is tiled by the block walk (``kernels.block_values``) down
+the two end paths of the range, which finds the blocks from the paths'
+own bits and values them all in at most 2n factor steps with one running
+product per path; the full range is the one block λ.  ``as_approx`` of a
+product form asks the pullback cover's words in the walk's order
+(``cover_replies``), each value still the reply of that word's own
+d-query; no cover list is built, and the total reads each ``Dyadic``
+reply's numerator and exponent directly, as the replies stream in.
+``shift_stats`` takes a product form's inside cells and both boundary
+cells from one walk down the paths to the boundary cells: the bracket at
+depth m + 8 costs exactly 2(m + 8) factor steps.  ``inner_max`` reads the
+largest inside cell from the same walk plus a max-product table, so the
+chain checks need no cell enumeration.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (Dyadic, Word, _PairSum, aligned_blocks,
-                     clamp_unit, exact_ceil_lg, gamma, lex_successor,
-                     minimal_cover, round_to_grid)
+from .dyadic import (Cover, Dyadic, _PairSum, clamp_unit, exact_ceil_lg,
+                     gamma, lex_successor, minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
 from .funcs import word_image
 from .martingale import ApproxMartingale, Report, Violation
@@ -133,8 +135,8 @@ def shift_stats(d, f, x, n):
     inner_a - 1 and inner_b.  Product forms take all three from one
     ``kernels.subtree_sum``: its two end-path walks find and value the
     inside blocks and end at those two cells, at most 2n factor steps.
-    Other strategies total ``d.exact`` over the ``aligned_blocks`` of each
-    range through ``exact_total`` (a one-cell range is one block): one
+    Other strategies total ``d.exact`` over the words of each range's
+    ``Cover`` through ``exact_total`` (a one-cell range is one word): one
     integer numerator over 2^e for the dyadic values (a savings wrapper of
     a product form has only those), a ``Fraction`` for the rest.
     """
@@ -160,8 +162,7 @@ def shift_stats(d, f, x, n):
     exact = d.exact
 
     def block_sum(a, b):
-        return exact_total((exact(Word(idx, n - lev)), lev)
-                           for lev, idx in aligned_blocks(a, b))
+        return exact_total((exact(w), n - w.n) for w in Cover(a, b, n))
 
     inner = block_sum(inner_a, inner_b)
     upper = inner + block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)

@@ -106,7 +106,8 @@ def _chk_cover(depth):
     for ka in range((1 << m) + 1):
         for kb in range(ka, (1 << m) + 1):
             a, b = Dyadic(ka, m), Dyadic(kb, m)
-            cover = minimal_cover(a, b, m)
+            # listed once: a Cover makes its words on every pass
+            cover = list(minimal_cover(a, b, m))
             checked += 1
             # tiles and total as integers at scale 2^s; s = m unless a
             # word is longer than m, which the tiling test flags

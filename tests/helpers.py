@@ -62,6 +62,27 @@ def greedy_cover(a, b, m):
     return cover
 
 
+def aligned_blocks(a, b):
+    """Maximal aligned blocks tiling the index range [a, b), left to right,
+    as a list: block (lev, idx) covers [idx << lev, (idx + 1) << lev); no
+    level holds more than two, and a full range [0, 2**n) is the one block
+    (n, 0)."""
+    left, right = [], []
+    lev = 0
+    while a < b:
+        if a & 1:
+            left.append((lev, a))
+            a += 1
+        if b & 1:
+            b -= 1
+            right.append((lev, b))
+        a >>= 1
+        b >>= 1
+        lev += 1
+    left.extend(reversed(right))
+    return left
+
+
 def brute_force_cover(a, b, m):
     """Prefix-minimal words of length <= m whose interval lies in [a, b]."""
     af, bf = Fraction(a), Fraction(b)

@@ -131,7 +131,7 @@ def test_criterion_05_greedy_cover():
         for ka in range(denom + 1):
             for kb in range(ka, denom + 1):
                 a, b = Dyadic(ka, m), Dyadic(kb, m)
-                cover = minimal_cover(a, b, m)
+                cover = list(minimal_cover(a, b, m))
                 assert cover == brute_force_cover(a, b, m)
                 lengths = [len(w) for w in cover]
                 assert len(cover) <= 2 * m + 1

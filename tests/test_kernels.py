@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from dymart import _shiftcore_py as pure
 from dymart import kernels
 from dymart.config import parse_function, parse_martingale
-from dymart.dyadic import Dyadic, Word, aligned_blocks, all_words, \
-    minimal_cover
+from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
 from dymart.errors import PrecisionContractError
 from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
@@ -23,8 +22,8 @@ from dymart.pullback import certify_bracket, grid_exponent, \
     pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
-from helpers import brute_force_cover, brute_force_shift, greedy_cover, \
-    random_product_forms, savings_by_prefixes, scan_sum_max
+from helpers import aligned_blocks, brute_force_cover, brute_force_shift, \
+    greedy_cover, random_product_forms, savings_by_prefixes, scan_sum_max
 
 MARTS = [uniform(), allin_zeros(), pattern_bettor("011"), z_bettor("1"),
          z_bettor("0,2,4"), z_bettor("pow2"),
@@ -209,7 +208,7 @@ class TestBlockWalk:
     def test_cursor_matches_cell_value_in_any_order(self, pf, m, data):
         a, b = index_range(data, 1 << m)
         words = list(all_words(4)) + \
-            minimal_cover(Dyadic(a, m), Dyadic(b, m), m)
+            list(minimal_cover(Dyadic(a, m), Dyadic(b, m), m))
         words = data.draw(st.permutations(words + words[::3]))
         mart = ExactMartingale("random", product_form=pf)
         value, saved = product_fold(pf), savings_fold(pf)
@@ -286,27 +285,26 @@ class TestBlockWalk:
     def test_cover_matches_brute_force(self, m, data):
         a, b = index_range(data, 1 << m)
         a, b = Dyadic(a, m), Dyadic(b, m)
-        assert minimal_cover(a, b, m) == brute_force_cover(a, b, m)
+        assert list(minimal_cover(a, b, m)) == brute_force_cover(a, b, m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2072), st.data())
     def test_cover_matches_greedy_up_to_full_grid(self, m, data):
         a, b = index_range(data, 1 << m)
         a, b = Dyadic(a, m), Dyadic(b, m)
-        assert minimal_cover(a, b, m) == greedy_cover(a, b, m)
+        assert list(minimal_cover(a, b, m)) == greedy_cover(a, b, m)
 
     @settings(max_examples=120, deadline=None)
     @given(product_forms(), st.integers(0, 12), st.data())
     def test_walk_blocks_are_the_aligned_blocks(self, pf, n, data):
         # the walk's blocks, found on its two end paths, are the blocks of
         # aligned_blocks, each with the product fold's value of its word;
-        # past a zero product the blocks still come, valued 0
+        # past a zero product the blocks still come, valued 0; the full
+        # range is the one block λ
         cells = 1 << n
         a, b = data.draw(st.sampled_from(
-            ["random", "from zero", "to the end", "empty",
-             "one cell"]).flatmap(lambda kind: end_range(kind, cells)))
-        if b - a == cells:
-            return      # the one block; the kernels answer it without a walk
+            ["random", "from zero", "to the end", "empty", "one cell",
+             "full"]).flatmap(lambda kind: end_range(kind, cells)))
         classes = pf.classes(n)
         walk = Counter((lev, Fraction(num, 1 << dexp)) for num, dexp, lev, _
                        in pure._block_values(pf, classes, n, a, b,
@@ -315,6 +313,20 @@ class TestBlockWalk:
         want = Counter((lev, Fraction(value(Word(idx, n - lev))))
                        for lev, idx in aligned_blocks(a, b))
         assert walk == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_forms(), st.integers(0, 14))
+    def test_full_range_from_the_walk(self, pf, n):
+        # [0, 2^n) is the walk's one block λ: sum and maximum as the scan
+        classes = pf.classes(n)
+        cells = 1 << n
+        sn, sd, mn, md = scan_sum_max(pf, classes, n, 0, cells)
+        tn, td, left, right = kernels.subtree_sum(pf, classes, n, 0, cells)
+        assert Fraction(tn, 1 << td) == Fraction(sn, 1 << sd) == cells
+        assert left is right is None
+        got = kernels.range_sum_max(pf, classes, n, 0, cells)
+        assert as_fraction(got[0], got[1]) == as_fraction(sn, sd)
+        assert as_fraction(got[2], got[3]) == as_fraction(mn, md)
 
     def test_blocks_hang_off_the_end_paths(self):
         # odd blocks are right children on the path to a - 1, even blocks

@@ -30,15 +30,13 @@ product per level.  Each value is still the reply of its own ``query``.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
 from .dyadic import EMPTY, Cover, Dyadic, Word
 from .errors import PrecisionContractError
-
-HALF = Fraction(1, 2)
-THREE_HALVES = Fraction(3, 2)
 
 
 def _one_class(i):
@@ -411,32 +409,63 @@ class Report(namedtuple("Report", "title checked violations")):
         return "\n".join(self.lines())
 
 
+def common_numerators(values):
+    """The exact rationals ``values`` as integer numerators over one common
+    denominator: (nums, den).  den is 2^e, e the largest exponent, when
+    every value is a ``Dyadic``, else the lcm of the denominators."""
+    if all(type(v) is Dyadic for v in values):
+        e = max(v.exp for v in values)
+        return [v.num << (e - v.exp) for v in values], 1 << e
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _exact_level(exact, n):
+    """d of every depth-n word, in index order, as ``common_numerators``."""
+    return common_numerators([exact(Word(k, n)) for k in range(1 << n)])
+
+
+def _scales(den, den_below):
+    """The factors that bring a level over ``den`` and the level below it
+    over ``den_below`` to one denominator: their lcm."""
+    g = math.gcd(den, den_below)
+    return den_below // g, den // g
+
+
 def verify_martingale(mart, depth):
     """Exact averaging identity and nonnegativity on all |w| <= depth.
 
     Reports violations instead of raising; also flags d(λ) > 1.  Values
-    are swept level by level, one ``at`` per word: the children of the
-    word with index k are entries 2k and 2k + 1 of the next level.
+    are swept level by level, one ``exact`` per word, and each level is
+    compared as integer numerators over one common denominator
+    (``common_numerators``): the children of the word with index k are
+    entries 2k and 2k + 1 of the next level, and the identity is
+    2 p == c0 + c1 once both levels are brought to their lcm.  A
+    ``Fraction`` is built only for the text of a violation.
     """
     violations = []
     checked = 0
-    level = [mart.at(EMPTY)]
-    if level[0] > 1:
+    exact = mart.exact
+    root = exact(EMPTY)
+    if root > 1:
         violations.append(Violation("λ", "root",
-                                    f"d(λ) = {level[0]} exceeds 1"))
+                                    f"d(λ) = {Fraction(root)} exceeds 1"))
+    level, den = common_numerators([root])
     for n in range(depth + 1):
-        below = [mart.at(Word(k, n + 1)) for k in range(2 << n)]
+        below, den_below = _exact_level(exact, n + 1)
+        up, down = _scales(den, den_below)
         checked += len(level)
-        for k, v in enumerate(level):
-            if v < 0:
+        for k, p in enumerate(level):
+            if p < 0:
                 violations.append(Violation(str(Word(k, n)), "nonneg",
-                                            f"d = {v}"))
-            total = below[2 * k] + below[2 * k + 1]
-            if 2 * v != total:
+                                            f"d = {Fraction(p, den)}"))
+            pair = below[2 * k] + below[2 * k + 1]
+            if 2 * p * up != pair * down:
                 violations.append(Violation(
                     str(Word(k, n)), "identity",
-                    f"d = {v}, children average {total / 2}"))
-        level = below
+                    f"d = {Fraction(p, den)}, children average "
+                    f"{Fraction(pair, 2 * den_below)}"))
+        level, den = below, den_below
     return Report(f"martingale identity for {mart.name} (depth {depth})",
                   checked, violations)
 
@@ -444,27 +473,36 @@ def verify_martingale(mart, depth):
 def verify_conservative(mart, depth):
     """Exact ratio bounds d(w)/2 <= d(wb) <= 3 d(w)/2 and the derived cap
     d(w) <= (3/2)^|w| on all |w| <= depth, swept level by level with one
-    ``at`` per word."""
+    ``exact`` per word.  Each level is integer numerators over one common
+    denominator: with parent p and child c over their lcm the bounds read
+    p <= 2c <= 3p, and the cap of a depth-n numerator over den reads
+    num 2^n <= 3^n den."""
     violations = []
     checked = 0
-    level = [mart.at(EMPTY)]
+    exact = mart.exact
+    level, den = common_numerators([exact(EMPTY)])
     for n in range(depth + 1):
-        cap = THREE_HALVES ** n
-        below = [mart.at(Word(k, n + 1)) for k in range(2 << n)] \
-            if n < depth else []
+        cap = 3 ** n * den
+        below, den_below = _exact_level(exact, n + 1) if n < depth \
+            else ([], den)
+        up, down = _scales(den, den_below)
         checked += len(level)
-        for k, v in enumerate(level):
-            if v > cap:
-                violations.append(Violation(str(Word(k, n)), "cap",
-                                            f"d = {v} > (3/2)^{n}"))
+        for k, p in enumerate(level):
+            if p << n > cap:
+                violations.append(Violation(
+                    str(Word(k, n)), "cap",
+                    f"d = {Fraction(p, den)} > (3/2)^{n}"))
             if not below:
                 continue
+            scaled = p * up
             for j in (2 * k, 2 * k + 1):
-                if not (v * HALF <= below[j] <= v * THREE_HALVES):
+                c = 2 * below[j] * down
+                if not scaled <= c <= 3 * scaled:
                     violations.append(Violation(
                         str(Word(j, n + 1)), "ratio",
-                        f"parent {v}, child {below[j]}"))
-        level = below
+                        f"parent {Fraction(p, den)}, "
+                        f"child {Fraction(below[j], den_below)}"))
+        level, den = below, den_below
     return Report(f"conservative bounds for {mart.name} (depth {depth})",
                   checked, violations)
 
@@ -520,14 +558,17 @@ class ProductFormApprox(ApproxMartingale):
         at most 2m factor steps in all, and asked in walk order: the words
         off the path to the cell before the range, then those off the path
         to the cell after it, each top-down; zero ones are asked too.  The
-        full range is the one word λ, and an empty one has none.  Each
-        word is made from the walk's level and asked of ``query``, which
-        replies with the walk's value and checks it.  Any other cover (a
-        word list) is asked word by word, in its own order.
+        full range is the one word λ.  An empty one has no words and
+        returns before any walk.  Each word is made from the walk's level
+        and asked of ``query``, which replies with the walk's value and
+        checks it.  Any other cover (a word list) is asked word by word,
+        in its own order.
         """
         if type(cover) is not Cover:
             for w in cover:
                 yield self.query(w, m), w.n
+            return
+        if cover.lo == cover.hi:
             return
         lo, hi, before = cover.lo, cover.hi, cover.lo - 1
         pf, ends, walked, query = self.product_form, [None, None], \

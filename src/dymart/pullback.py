@@ -41,7 +41,6 @@ chain checks need no cell enumeration.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -75,16 +74,18 @@ def _cell_ranges(lo, hi, n):
 
     A cell [k/2^n, (k+1)/2^n] is *inside* iff k >= lo*2^n and
     k+1 <= hi*2^n, and *touching* iff k <= hi*2^n and k+1 >= lo*2^n
-    (closed intervals: single-point contact counts).
+    (closed intervals: single-point contact counts).  So the inside cells
+    run from ceil(lo*2^n) to floor(hi*2^n) and the touching ones one cell
+    further each way, clipped to the grid: integer floor and ceiling
+    divisions of the ends' numerators by their denominators.
     """
     scale = 1 << n
-    left = lo * scale
-    right = hi * scale
-    inner_a = max(0, math.ceil(left))
-    inner_b = min(scale, math.floor(right - 1) + 1)
-    touch_a = max(0, math.ceil(left - 1))
-    touch_b = min(scale, math.floor(right) + 1)
-    return inner_a, max(inner_a, inner_b), touch_a, touch_b
+    left = -((-lo.numerator << n) // lo.denominator)
+    right = (hi.numerator << n) // hi.denominator
+    inner_a = max(0, left)
+    inner_b = min(scale, right)
+    return (inner_a, max(inner_a, inner_b), max(0, left - 1),
+            min(scale, right + 1))
 
 
 def exact_total(terms):
@@ -139,11 +140,19 @@ def shift_stats(d, f, x, n):
     ``Cover`` through ``exact_total`` (a one-cell range is one word): one
     integer numerator over 2^e for the dyadic values (a savings wrapper of
     a product form has only those), a ``Fraction`` for the rest.
+
+    D_x is derived here, two f-values; ``_shift_stats`` takes it from the
+    caller, so a check over many depths derives it once per word.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    lo, hi = _delta_interval(f, x)
-    inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
+    return _shift_stats(d, _delta_interval(f, x), len(x), n)
+
+
+def _shift_stats(d, ends, x_len, n):
+    """``shift_stats`` of the word of length ``x_len`` whose D_x has the
+    exact ends ``ends``."""
+    inner_a, inner_b, touch_a, touch_b = _cell_ranges(*ends, n)
 
     pf = d.product_form
     if pf is not None:
@@ -155,7 +164,7 @@ def shift_stats(d, f, x, n):
         if inner_b < touch_b:
             upper += Dyadic(*right)
         # times 2^(|x|-n), exactly: a shift of the exponent
-        shift = n - len(x)
+        shift = n - x_len
         return ShiftStats(lower=Fraction(Dyadic(inner, shift)),
                           upper=Fraction(Dyadic(upper, shift)))
 
@@ -166,7 +175,7 @@ def shift_stats(d, f, x, n):
 
     inner = block_sum(inner_a, inner_b)
     upper = inner + block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
-    scale = Fraction(1 << len(x), 1 << n)
+    scale = Fraction(1 << x_len, 1 << n)
     return ShiftStats(lower=inner * scale, upper=upper * scale)
 
 
@@ -178,6 +187,8 @@ def inner_max(d, f, x, n):
     Product-form strategies only (ValueError otherwise): the maximum comes
     from ``kernels.range_sum_max``, block values times a max-product table.
     Kept apart from ``shift_stats`` so the bracket does not build the table.
+    D_x is derived here; ``_inner_max`` takes it from the caller, as
+    ``_shift_stats`` does.
     """
     pf = d.product_form
     if pf is None:
@@ -185,11 +196,16 @@ def inner_max(d, f, x, n):
                          "one")
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    lo, hi = _delta_interval(f, x)
-    inner_a, inner_b, _, _ = _cell_ranges(lo, hi, n)
+    return _inner_max(pf, _delta_interval(f, x), len(x), n)
+
+
+def _inner_max(pf, ends, x_len, n):
+    """``inner_max`` of the product form ``pf`` for the word of length
+    ``x_len`` whose D_x has the exact ends ``ends``."""
+    inner_a, inner_b, _, _ = _cell_ranges(*ends, n)
     _, _, m_num, m_dexp = kernels.range_sum_max(
         pf, pf.classes(n), n, inner_a, inner_b)
-    return Fraction(m_num << len(x), 1 << (m_dexp + n))
+    return Fraction(m_num << x_len, 1 << (m_dexp + n))
 
 
 def squeeze_bound(x_len, n):

@@ -10,19 +10,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
-from .dyadic import Dyadic, Word, all_words, minimal_cover
+from .dyadic import EMPTY, Dyadic, Word, all_words, minimal_cover
 from .funcs import IdentityFn, TableStepFn, as_weak
-from .martingale import (ApproxMartingale, Report, Violation, allin_zeros,
-                         as_approx, conservative_transform, pattern_bettor,
-                         product_fold, savings_wrapper, uniform,
-                         verify_conservative, verify_martingale)
+from .martingale import (ApproxMartingale, Report, Violation, _exact_level,
+                         allin_zeros, as_approx, conservative_transform,
+                         pattern_bettor, product_fold, savings_wrapper,
+                         uniform, verify_conservative, verify_martingale)
 from .measure import (DifferentialMeasure, ProductMeasure, UniformMeasure,
                       dual_roundtrip_check, roundtrip_check, verify_measure)
 from .patch import patch_approx, patch_reference, patch_table, \
     strong_increase_check
-from .pullback import (_cell_ranges, _delta_interval, certify_bracket,
-                       inner_max, pullback_approx, shift_stats,
-                       squeeze_bound)
+from .pullback import (_cell_ranges, _delta_interval, _inner_max,
+                       _shift_stats, certify_bracket, inner_max,
+                       pullback_approx, shift_stats, squeeze_bound)
 from .tightness import (GridImage, NormalizedInsertionFn, ZeroInsertionFn,
                         z_bettor, zoo)
 
@@ -80,21 +80,33 @@ def _chk_conservative_bounds(depth):
                     if d.conservative))
 
 
-def _chk_domination(depth):
+def _domination(base, depth):
+    """d(w)^2 >= base(w) base(λ) for the damped transform d of ``base``
+    on all |w| <= min(depth, 8), one ``exact`` of each per word.  With
+    each level of d over D and of base over B, and base(λ) = r/s, a word
+    fails when d_num^2 B s < base_num r D^2."""
     violations = []
     checked = 0
-    for base in (allin_zeros(), z_bettor("1"), pattern_bettor("01")):
-        d = conservative_transform(base)
-        root = base.at(Word(0, 0))
-        for n in range(min(depth, 8) + 1):
-            for k in range(1 << n):
-                w = Word(k, n)
-                checked += 1
-                if d.at(w) ** 2 < base.at(w) * root:
-                    violations.append(Violation(str(w), "domination",
-                                                d.name))
+    d = conservative_transform(base)
+    root = Fraction(base.exact(EMPTY))
+    r, s = root.numerator, root.denominator
+    for n in range(min(depth, 8) + 1):
+        dom, dom_den = _exact_level(d.exact, n)
+        sub, sub_den = _exact_level(base.exact, n)
+        lhs, rhs = sub_den * s, r * dom_den * dom_den
+        checked += len(dom)
+        for k, (v, b) in enumerate(zip(dom, sub)):
+            if v * v * lhs < b * rhs:
+                violations.append(Violation(str(Word(k, n)), "domination",
+                                            d.name))
     return Report("square-domination of the damped transform", checked,
                   violations)
+
+
+def _chk_domination(depth):
+    return _merged("square-domination of the damped transform",
+                   (_domination(base, depth) for base in
+                    (allin_zeros(), z_bettor("1"), pattern_bettor("01"))))
 
 
 # -- pullback suite ----------------------------------------------------------
@@ -125,12 +137,19 @@ def _chk_cover(depth):
 
 
 def _chk_chain(depth):
+    """lower(x;n) <= lower(x;n+1) <= upper(x;n+1) <= upper(x;n), the
+    inner-cell bound and the conservative gap bound for every x with
+    |x| <= min(depth, 3) and n <= |x| + 6.  D_x is derived once per x and
+    shared by every depth's ``shift_stats`` and ``inner_max``."""
     top = min(depth, 3)
     violations = []
     checked = 0
     for d, f, conservative in _shift_pairs():
+        pf = d.product_form
         for x in all_words(top):
-            stats = [shift_stats(d, f, x, n) for n in range(len(x) + 7)]
+            ends = _delta_interval(f, x)
+            stats = [_shift_stats(d, ends, len(x), n)
+                     for n in range(len(x) + 7)]
             for n, (a, b) in enumerate(zip(stats, stats[1:])):
                 checked += 1
                 if not (a.lower <= b.lower and b.upper <= a.upper
@@ -139,7 +158,7 @@ def _chk_chain(depth):
                                                 "chain", "monotonicity"))
             for n, s in enumerate(stats):
                 checked += 1
-                if inner_max(d, f, x, n) > s.lower:
+                if _inner_max(pf, ends, len(x), n) > s.lower:
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "chain", "inner-cell bound"))
                 if conservative and \

@@ -13,6 +13,7 @@ Fractions.
 """
 
 import dataclasses
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words, exact_ceil_lg, gamma
 from dymart.martingale import (ApproxMartingale, ExactMartingale,
-                               ProductForm, Report, Violation)
+                               ProductForm, Report, Violation,
+                               conservative_transform)
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
 from dymart.pullback import pullback_approx
@@ -279,6 +281,42 @@ def verify_conservative_by_words(mart, depth):
                         f"parent {v}, child {child}"))
     return Report(f"conservative bounds for {mart.name} (depth {depth})",
                   checked, violations)
+
+
+def domination_by_words(base, depth):
+    """``verify._domination`` word by word in Fractions: d(w)^2 against
+    base(w) base(λ), each value asked of ``at`` again."""
+    d = conservative_transform(base)
+    violations = []
+    checked = 0
+    root = base.at(Word(0, 0))
+    for w in all_words(min(depth, 8)):
+        checked += 1
+        if d.at(w) ** 2 < base.at(w) * root:
+            violations.append(Violation(str(w), "domination", d.name))
+    return Report("square-domination of the damped transform", checked,
+                  violations)
+
+
+def cell_ranges_by_fractions(lo, hi, n):
+    """``pullback._cell_ranges`` in Fractions: the ends scaled by 2^n,
+    then floor and ceil of the results."""
+    scale = 1 << n
+    left = Fraction(lo) * scale
+    right = Fraction(hi) * scale
+    inner_a = max(0, math.ceil(left))
+    inner_b = min(scale, math.floor(right - 1) + 1)
+    touch_a = max(0, math.ceil(left - 1))
+    touch_b = min(scale, math.floor(right) + 1)
+    return inner_a, max(inner_a, inner_b), touch_a, touch_b
+
+
+def table_at_by_fractions(table, q):
+    """``TableStepFn.at`` in Fractions: the value at floor(q 2^grid)."""
+    qf = Fraction(q)
+    if not 0 <= qf <= 1:
+        raise ValueError(f"{q} outside [0, 1]")
+    return table.values[math.floor(qf * (1 << table.grid))]
 
 
 def verify_measure_by_words(nu, depth):

@@ -872,11 +872,11 @@ class TestMemory:
         assert peak_mb < 90, peak_mb
 
     def test_verify_martingale_depth10_peak_rss(self, tmp_path):
-        # the exhaustive checks hold two levels of values at a time, so
-        # depth 10 (4095 words per strategy and check) peaks within a few
-        # MB of depth 2.  Kept in a per-strategy memo of every word's
-        # Fraction, it peaked at about 28 MB against 18 MB (Python 3.11,
-        # Linux)
+        # the exhaustive checks hold two levels at a time, each as integer
+        # numerators over one denominator, so depth 10 (4095 words per
+        # strategy and check) peaks within a few MB of depth 2.  Kept in a
+        # per-strategy memo of every word's Fraction, it peaked at about
+        # 28 MB against 18 MB (Python 3.11, Linux)
         argv = ("verify", "--suite", "martingale", "--depth")
         _, small = peak_rss_mb(tmp_path, *argv, "2")
         out, large = peak_rss_mb(tmp_path, *argv, "10")

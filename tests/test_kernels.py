@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dymart import _shiftcore_py as pure
 from dymart import kernels
 from dymart.config import parse_function, parse_martingale
-from dymart.dyadic import Dyadic, Word, all_words, minimal_cover
+from dymart.dyadic import Cover, Dyadic, Word, all_words, minimal_cover
 from dymart.errors import PrecisionContractError
 from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
@@ -471,6 +471,22 @@ class TestWorkCounts:
             Counter((oracle.at(w), len(w)) for w in queries)
         assert len(set(queries)) == len(queries)
         assert m // 2 <= len(replies) <= 2 * m + 1
+
+    @pytest.mark.parametrize("lo", [12345, 0])
+    def test_empty_cover_walks_nothing(self, lo):
+        # a pullback whose rounded image is one grid point has an empty
+        # cover: no words, so no reply and no factor lookup
+        base = parse_martingale("conservative:pattern:011")
+        pf = base.product_form
+        edges = CountingEdges(pf.edges)
+        mart = ExactMartingale(
+            base.name,
+            product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            conservative=base.conservative)
+        m = 2072
+        edges.steps = 0
+        assert list(as_approx(mart).cover_replies(Cover(lo, lo, m), m)) == []
+        assert edges.steps == 0
 
     @pytest.mark.parametrize("r", [32, 128, 512])
     @pytest.mark.parametrize("inner", ["pattern:011",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dymart import verify
 from dymart.config import parse_function
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
@@ -16,8 +17,9 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
 from dymart.pullback import inner_max, pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
-from helpers import (by_prefixes, is_prefix, nondyadic_bettor,
-                     random_product_forms, verify_conservative_by_words,
+from helpers import (by_prefixes, domination_by_words, is_prefix,
+                     nondyadic_bettor, random_product_forms,
+                     verify_conservative_by_words,
                      verify_martingale_by_words)
 
 W = Word.parse
@@ -61,8 +63,9 @@ class TestVerify:
                              ids=["Fraction", "Dyadic"])
     def test_reports_match_word_by_word(self, reply, depth):
         # values in [-1/4, 7/4] and d(λ) = 9/8: every kind of violation
-        # (root, nonneg, identity, cap, ratio) occurs, in the same order,
-        # with the same text and check counts as the word-by-word checks
+        # (root, nonneg, identity, cap, ratio, domination) occurs, in the
+        # same order, with the same text and check counts as the
+        # word-by-word checks
         def scrambled(w):
             return reply(F((5 * w.k + 3 * w.n) % 9 - 1, 4) if w.n
                          else F(9, 8))
@@ -72,23 +75,32 @@ class TestVerify:
             verify_martingale_by_words(d, depth)
         assert verify_conservative(d, depth) == \
             verify_conservative_by_words(d, depth)
+        # the square-domination check, with the scrambled strategy as the
+        # base its damped transform is compared with
+        assert verify._domination(d, depth) == domination_by_words(d, depth)
         if depth == 5:
             kinds = {v.kind for v in verify_martingale(d, depth).violations
-                     + verify_conservative(d, depth).violations}
-            assert kinds == {"root", "nonneg", "identity", "cap", "ratio"}
+                     + verify_conservative(d, depth).violations
+                     + verify._domination(d, depth).violations}
+            assert kinds == {"root", "nonneg", "identity", "cap", "ratio",
+                             "domination"}
 
     @pytest.mark.parametrize("depth", [0, 3, 8])
-    def test_one_at_per_word(self, depth):
+    def test_one_exact_per_word(self, depth):
         # each check sweeps its levels once: every word it looks at is
-        # asked of at() exactly once, a word's children included
+        # asked of exact() exactly once, a word's children included, and
+        # a passing sweep never asks at()
         for check, longest in ((verify_martingale, depth + 1),
                                (verify_conservative, depth)):
-            d, asked = conservative_transform(pattern_bettor("01")), []
-            plain = d.at
-            d.at = lambda w: asked.append(w) or plain(w)
+            d, asked, at_calls = \
+                conservative_transform(pattern_bettor("01")), [], []
+            plain, plain_at = d.exact, d.at
+            d.exact = lambda w: asked.append(w) or plain(w)
+            d.at = lambda w: at_calls.append(w) or plain_at(w)
             assert check(d, depth).ok
             assert len(asked) == len(set(asked))
             assert set(asked) == set(all_words(longest)), check.__name__
+            assert at_calls == [], check.__name__
 
 
 class TestConservativeTransform:

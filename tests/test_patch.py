@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.funcs import FnOracle, TableStepFn, as_weak
 from dymart.patch import (exponent_pred_succ, patch_approx, patch_reference,
                           patch_table, strong_increase_check)
 
-from helpers import NoisyWeakFn, dyadic_grid
+from helpers import NoisyWeakFn, dyadic_grid, table_at_by_fractions
 
 W = Word.parse
 F = Fraction
@@ -82,6 +86,51 @@ class TestNeighbors:
                 if exponent_pred_succ(p)[0] < e:
                     assert not pred < p < q
                     assert not q < p < succ
+
+
+def outcome(at, q):
+    """(value, None) of ``at(q)``, or (None, its ValueError's text)."""
+    try:
+        return at(q), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def lookups_agree(table, q):
+    return outcome(table.at, q) == \
+        outcome(lambda p: table_at_by_fractions(table, p), q)
+
+
+class TestTableLookup:
+    # TableStepFn.at indexes a Dyadic by a shift of its numerator and any
+    # other rational by a Fraction floor: both equal the Fraction oracle,
+    # out-of-range points with the same ValueError text
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 40), st.integers(-3, 1 << 41),
+           st.booleans())
+    def test_dyadic_matches_fractions(self, grid, exp, num, on_grid):
+        table = TableStepFn(grid, [F(k * 7 % 11, 10) for k in
+                                   range((1 << grid) + 1)])
+        if on_grid:
+            num >>= max(0, 41 - exp)   # near or on the grid, 0 and 1 too
+        for q in (Dyadic(num, exp), Dyadic(num % ((1 << exp) + 1), exp),
+                  Dyadic(num % ((1 << grid) + 1), grid), Dyadic(0),
+                  Dyadic(1)):
+            assert lookups_agree(table, q), q
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(-5, 40), st.integers(1, 40))
+    def test_other_rationals_match_fractions(self, grid, num, den):
+        table = TableStepFn(grid, [F(k, 1 << grid) for k in
+                                   range((1 << grid) + 1)])
+        for q in (F(num, den), num // den):
+            assert lookups_agree(table, q), q
+
+    @pytest.mark.parametrize("q", [Dyadic(-1, 3), Dyadic(9, 3), Dyadic(2),
+                                   F(-1, 3), F(4, 3)])
+    def test_out_of_range_text(self, q):
+        with pytest.raises(ValueError, match=r"^\S+ outside \[0, 1\]$"):
+            TableStepFn(2, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]).at(q)
 
 
 class TestPatchReference:

@@ -12,16 +12,17 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
                                savings_wrapper, uniform)
-from dymart.pullback import (StrongVariationCert, bracket_depth,
-                             certify_bracket, exact_total, grid_exponent,
-                             inner_max, pullback_approx,
+from dymart.pullback import (StrongVariationCert, _cell_ranges,
+                             bracket_depth, certify_bracket, exact_total,
+                             grid_exponent, inner_max, pullback_approx,
                              pullback_martingale, shift_stats,
                              squeeze_bound, transfer_witness)
 from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
-    nondyadic_bettor, pullback_by_words, random_product_forms, scan_sum_max
+    cell_ranges_by_fractions, nondyadic_bettor, pullback_by_words, \
+    random_product_forms, scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -159,6 +160,24 @@ class TestShiftAgainstBruteForce:
                     if lo == hi:
                         assert s.lower == 0
         assert flat == 3 * 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(-3, 3),
+           st.integers(1, 1 << 20), st.integers(1, 1 << 20),
+           st.integers(0, 40), st.booleans())
+    def test_cell_ranges_match_fractions(self, n, a, num, den, e, on_grid):
+        # integer floor and ceiling divisions against Fraction floor and
+        # ceil: ends off the dyadics, ends exactly on a grid point of
+        # this depth or another, and ends outside [0, 1] to be clipped
+        if on_grid:
+            lo = F(num % ((1 << e) + 1), 1 << e)
+        else:
+            lo = F(num, den) + a
+        for hi in (lo, lo + F(1, den), lo + F(num % 7, 1 << n),
+                   F(den, num) + a):
+            lo_, hi_ = min(lo, hi), max(lo, hi)
+            assert _cell_ranges(lo_, hi_, n) == \
+                cell_ranges_by_fractions(lo_, hi_, n)
 
     def test_no_per_cell_kernel_calls(self, monkeypatch):
         # every sum, boundary cells included, comes from the block walk

@@ -112,7 +112,8 @@ class TestTableLookup:
         table = TableStepFn(grid, [F(k * 7 % 11, 10) for k in
                                    range((1 << grid) + 1)])
         if on_grid:
-            num >>= max(0, 41 - exp)   # near or on the grid, 0 and 1 too
+            # about exp bits: the point lies in [0, 1] or just past 1
+            num >>= max(0, 41 - exp)
         for q in (Dyadic(num, exp), Dyadic(num % ((1 << exp) + 1), exp),
                   Dyadic(num % ((1 << grid) + 1), grid), Dyadic(0),
                   Dyadic(1)):
@@ -128,9 +129,11 @@ class TestTableLookup:
 
     @pytest.mark.parametrize("q", [Dyadic(-1, 3), Dyadic(9, 3), Dyadic(2),
                                    F(-1, 3), F(4, 3)])
-    def test_out_of_range_text(self, q):
-        with pytest.raises(ValueError, match=r"^\S+ outside \[0, 1\]$"):
-            TableStepFn(2, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]).at(q)
+    def test_out_of_range_same_text(self, q):
+        table = TableStepFn(2, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
+        value, text = outcome(table.at, q)
+        assert value is None and text == f"{q} outside [0, 1]"
+        assert lookups_agree(table, q)
 
 
 class TestPatchReference:

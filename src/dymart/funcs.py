@@ -89,17 +89,12 @@ class TableStepFn(FnOracle):
                             zip(self.values, self.values[1:]))
 
     def at(self, q):
-        """The value of the cell of ``q``: floor(q 2^grid) indexes
-        ``values``, by a shift of the numerator for a ``Dyadic`` q."""
-        if type(q) is Dyadic:
-            num = q.num
-            if not 0 <= num <= 1 << q.exp:
-                raise ValueError(f"{q} outside [0, 1]")
-            return self.values[(num << self.grid) >> q.exp]
-        qf = Fraction(q)
-        if not 0 <= qf <= 1:
+        """The value of the cell of the rational ``q``: floor(q 2^grid),
+        an integer division of its numerator, indexes ``values``."""
+        num, den = q.numerator, q.denominator
+        if not 0 <= num <= den:
             raise ValueError(f"{q} outside [0, 1]")
-        return self.values[(qf * (1 << self.grid)).__floor__()]
+        return self.values[(num << self.grid) // den]
 
     @staticmethod
     def load(path):

@@ -411,11 +411,7 @@ class Report(namedtuple("Report", "title checked violations")):
 
 def common_numerators(values):
     """The exact rationals ``values`` as integer numerators over one common
-    denominator: (nums, den).  den is 2^e, e the largest exponent, when
-    every value is a ``Dyadic``, else the lcm of the denominators."""
-    if all(type(v) is Dyadic for v in values):
-        e = max(v.exp for v in values)
-        return [v.num << (e - v.exp) for v in values], 1 << e
+    denominator, the lcm of theirs: (nums, den)."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

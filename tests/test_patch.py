@@ -102,9 +102,9 @@ def lookups_agree(table, q):
 
 
 class TestTableLookup:
-    # TableStepFn.at indexes a Dyadic by a shift of its numerator and any
-    # other rational by a Fraction floor: both equal the Fraction oracle,
-    # out-of-range points with the same ValueError text
+    # TableStepFn.at indexes by an integer floor division of any rational's
+    # numerator: it equals the Fraction oracle for Dyadic, Fraction and int
+    # points, out-of-range points with the same ValueError text
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 40), st.integers(-3, 1 << 41),
            st.booleans())

@@ -5,7 +5,9 @@ Modules follow the functional split:
 - ``dyadic``     exact numbers, words, the interval of a word (``gamma``),
                  grid rounding, covers
 - ``martingale`` betting strategies, conservative transform, traces,
-                 verification reports
+                 the exhaustive martingale checks
+- ``report``     the reports of the exhaustive checks (``Report``,
+                 ``Violation``)
 - ``kernels``    the product-form block walk (block sums and maxima)
 - ``funcs``      exact/approximate real-function contracts and the image
                  of a word's interval (``word_image``)

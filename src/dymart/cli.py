@@ -8,8 +8,10 @@ iteration orders.
 Each command is one fresh interpreter, so start-up is part of its cost:
 a handler imports the modules it runs inside its body, and the module
 itself loads only ``argparse``, ``fractions``, ``dyadic`` and ``errors``.
-``analytic`` and ``verify`` are the only commands that load
-``dataclasses`` (through ``PowerSeriesSpec``).
+``verify --suite X`` loads only the modules suite X runs: the analytic
+suite loads ``analytic`` alone, the patch suite ``patch`` and ``funcs``,
+and only the martingale, pullback, tightness and measure suites load the
+strategies (``martingale`` and its kernel).
 
 Commands:
   verify                invariant suites (martingale, pullback, patch,

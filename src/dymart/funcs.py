@@ -171,7 +171,10 @@ class QuotientFn(FnOracle):
 
 
 class WeakFn:
-    """Approximation contract |query(w, r) - f(0.w)| <= 2^-r."""
+    """Approximation contract |query(w, r) - f(0.w)| <= 2^-r.
+
+    Replies are ``Fraction``s: one from the approximator is passed through
+    as it is, and any other value is converted."""
 
     def __init__(self, name, query_fn, query_one_fn=None):
         self.name = name
@@ -179,7 +182,8 @@ class WeakFn:
         self._query_one = query_one_fn
 
     def query(self, w, r):
-        return Fraction(self._query(w, r))
+        v = self._query(w, r)
+        return v if type(v) is Fraction else Fraction(v)
 
     @property
     def has_one(self):
@@ -189,7 +193,8 @@ class WeakFn:
         """Approximator for the value at 1 (separate contract)."""
         if self._query_one is None:
             raise ValueError(f"{self.name} has no approximator at 1")
-        return Fraction(self._query_one(r))
+        v = self._query_one(r)
+        return v if type(v) is Fraction else Fraction(v)
 
 
 def as_weak(oracle):

@@ -37,6 +37,7 @@ from fractions import Fraction
 from . import kernels
 from .dyadic import EMPTY, Cover, Dyadic, Word
 from .errors import PrecisionContractError
+from .report import Report, Violation
 
 
 def _one_class(i):
@@ -381,32 +382,6 @@ def savings_wrapper(mart):
 
     return ExactMartingale(f"savings:{mart.name}", value,
                            conservative=mart.conservative)
-
-
-class Violation(namedtuple("Violation", "where kind detail")):
-    __slots__ = ()
-
-    def line(self):
-        return f"{self.kind} at {self.where}: {self.detail}"
-
-
-class Report(namedtuple("Report", "title checked violations")):
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def lines(self):
-        head = "pass" if self.ok else f"FAIL ({len(self.violations)})"
-        out = [f"{self.title}: {head} [{self.checked} checks]"]
-        out.extend("  " + v.line() for v in self.violations[:50])
-        if len(self.violations) > 50:
-            out.append(f"  ... {len(self.violations) - 50} more")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 def common_numerators(values):

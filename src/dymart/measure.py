@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dyadic import Dyadic, Word
 from .funcs import FnOracle, word_image
-from .martingale import Report, Violation
+from .report import Report, Violation
 
 
 class ProbabilityMeasure:
@@ -76,13 +76,16 @@ def cumulative(nu, x):
     """Mass strictly left of 0.x among words of length |x|, telescoped.
 
     Exactly sum(nu.mass(y) for |y| = |x|, 0.y < 0.x) when nu is additive;
-    the telescoped form charges one left-sibling subtree per 1-bit of x.
+    the telescoped form charges one left-sibling subtree per 1-bit of x:
+    below a 1-bit at position i, the sibling is the i-bit prefix then 0.
+    The masses are added as they come, and the total is one ``Fraction``.
     """
-    total = Fraction(0)
-    for i in range(len(x)):
-        if x[i]:
-            total += Fraction(nu.mass(x.prefix(i).append(0)))
-    return total
+    k, n = x.k, len(x)
+    total = 0
+    for i in range(n):
+        if k >> (n - 1 - i) & 1:
+            total += nu.mass(Word((k >> (n - i)) << 1, i + 1))
+    return Fraction(total)
 
 
 def cumulative_point(nu, q):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dyadic import Dyadic, Word, fmt_rational
-from .martingale import Report, Violation
+from .report import Report, Violation
 
 
 def exponent_pred_succ(q):

@@ -49,7 +49,8 @@ from .dyadic import (Cover, Dyadic, _PairSum, clamp_unit, exact_ceil_lg,
                      gamma, lex_successor, minimal_cover, round_to_grid)
 from .errors import PrecisionContractError
 from .funcs import word_image
-from .martingale import ApproxMartingale, Report, Violation
+from .martingale import ApproxMartingale
+from .report import Report, Violation
 
 
 def grid_exponent(n, r):

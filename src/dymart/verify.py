@@ -3,28 +3,18 @@
 Each suite is an ordered list of (name, runner) pairs; a runner takes the
 requested depth and returns a Report.  Output ordering is fixed and no
 wall-clock data is included, so repeated runs are byte-identical.
+
+The module itself loads only what every suite uses (``dyadic`` and
+``report``); each check imports the modules it runs inside its body, so
+``verify --suite X`` loads only suite X's modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .analytic import builtin_spec, derivative_spec, eval_approx, find_root
 from .dyadic import EMPTY, Dyadic, Word, all_words, minimal_cover
-from .funcs import IdentityFn, TableStepFn, as_weak
-from .martingale import (ApproxMartingale, Report, Violation, _exact_level,
-                         allin_zeros, as_approx, conservative_transform,
-                         pattern_bettor, product_fold, savings_wrapper,
-                         uniform, verify_conservative, verify_martingale)
-from .measure import (DifferentialMeasure, ProductMeasure, UniformMeasure,
-                      dual_roundtrip_check, roundtrip_check, verify_measure)
-from .patch import patch_approx, patch_reference, patch_table, \
-    strong_increase_check
-from .pullback import (_cell_ranges, _delta_interval, _inner_max,
-                       _shift_stats, certify_bracket, inner_max,
-                       pullback_approx, shift_stats, squeeze_bound)
-from .tightness import (GridImage, NormalizedInsertionFn, ZeroInsertionFn,
-                        z_bettor, zoo)
+from .report import Report, Violation
 
 F = Fraction
 
@@ -39,6 +29,9 @@ def _merged(title, reports):
 
 
 def _martingale_zoo():
+    from .martingale import (allin_zeros, conservative_transform,
+                             pattern_bettor, savings_wrapper, uniform)
+    from .tightness import z_bettor
     base = [uniform(), allin_zeros(), pattern_bettor("01"),
             pattern_bettor("110"), z_bettor("1"), z_bettor("0,2,4"),
             z_bettor("pow2"), z_bettor("tower")]
@@ -47,6 +40,9 @@ def _martingale_zoo():
 
 
 def _shift_pairs():
+    from .funcs import IdentityFn
+    from .martingale import allin_zeros, conservative_transform, uniform
+    from .tightness import ZeroInsertionFn, z_bettor
     return [
         (uniform(), IdentityFn(), True),
         (z_bettor("1"), ZeroInsertionFn("1", scaled=True), True),
@@ -57,6 +53,7 @@ def _shift_pairs():
 
 
 def _patch_tables():
+    from .funcs import TableStepFn
     return [
         TableStepFn(3, [F(0), F(1, 8), F(5, 8), F(3, 8), F(1, 2), F(11, 16),
                         F(3, 4), F(7, 8), F(1)], name="wiggle"),
@@ -70,11 +67,13 @@ def _patch_tables():
 # -- martingale suite --------------------------------------------------------
 
 def _chk_martingale_identity(depth):
+    from .martingale import verify_martingale
     return _merged("fair-bet identity over the strategy zoo",
                    (verify_martingale(d, depth) for d in _martingale_zoo()))
 
 
 def _chk_conservative_bounds(depth):
+    from .martingale import verify_conservative
     return _merged("bet-ratio bounds for certified strategies",
                    (verify_conservative(d, depth) for d in _martingale_zoo()
                     if d.conservative))
@@ -85,6 +84,7 @@ def _domination(base, depth):
     on all |w| <= min(depth, 8), one ``exact`` of each per word.  With
     each level of d over D and of base over B, and base(λ) = r/s, a word
     fails when d_num^2 B s < base_num r D^2."""
+    from .martingale import _exact_level, conservative_transform
     violations = []
     checked = 0
     d = conservative_transform(base)
@@ -103,10 +103,15 @@ def _domination(base, depth):
                   violations)
 
 
+def _domination_bases():
+    from .martingale import allin_zeros, pattern_bettor
+    from .tightness import z_bettor
+    return [allin_zeros(), z_bettor("1"), pattern_bettor("01")]
+
+
 def _chk_domination(depth):
     return _merged("square-domination of the damped transform",
-                   (_domination(base, depth) for base in
-                    (allin_zeros(), z_bettor("1"), pattern_bettor("01"))))
+                   (_domination(base, depth) for base in _domination_bases()))
 
 
 # -- pullback suite ----------------------------------------------------------
@@ -141,6 +146,8 @@ def _chk_chain(depth):
     inner-cell bound and the conservative gap bound for every x with
     |x| <= min(depth, 3) and n <= |x| + 6.  D_x is derived once per x and
     shared by every depth's ``shift_stats`` and ``inner_max``."""
+    from .pullback import _delta_interval, _inner_max, _shift_stats, \
+        squeeze_bound
     top = min(depth, 3)
     violations = []
     checked = 0
@@ -174,6 +181,8 @@ def _scan_cells(d, f, x, n):
     integers scaled to 2^-(n * max_dexp) and a fresh product fold: the
     literal counterpart of the block walk, for product forms.  max_dexp is
     the largest factor exponent, so every cell value is an integer there."""
+    from .martingale import product_fold
+    from .pullback import _cell_ranges, _delta_interval
     lo, hi = _delta_interval(f, x)
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
     pf = d.product_form
@@ -194,6 +203,7 @@ def _scan_cells(d, f, x, n):
 
 
 def _chk_methods_agree(depth):
+    from .pullback import inner_max, shift_stats
     violations = []
     checked = 0
     for d, f, _ in _shift_pairs():
@@ -213,6 +223,8 @@ def _pullback_pair(d, weak, x, r):
     """The pullback value through ``as_approx(d)``, whose product form
     answers the cover from the block walk, and the value through an
     ``at()``-backed approximator, which queries the cover word by word."""
+    from .martingale import ApproxMartingale, as_approx
+    from .pullback import pullback_approx
     backed = ApproxMartingale(d.name, lambda w, p: d.at(w),
                               conservative=d.conservative)
     return (pullback_approx(as_approx(d), weak, x, r),
@@ -220,6 +232,8 @@ def _pullback_pair(d, weak, x, r):
 
 
 def _chk_pullback_identity(depth):
+    from .funcs import IdentityFn, as_weak
+    from .martingale import allin_zeros, conservative_transform, uniform
     violations = []
     checked = 0
     weak = as_weak(IdentityFn())
@@ -240,6 +254,10 @@ def _chk_pullback_identity(depth):
 
 
 def _chk_pullback_bracket(depth):
+    from .funcs import as_weak
+    from .martingale import conservative_transform
+    from .pullback import certify_bracket
+    from .tightness import ZeroInsertionFn, z_bettor
     violations = []
     checked = 0
     d = conservative_transform(z_bettor("1"))
@@ -262,6 +280,7 @@ def _chk_pullback_bracket(depth):
 # -- patch suite -------------------------------------------------------------
 
 def _chk_patch_monotone(depth):
+    from .patch import patch_table
     exp = min(depth, 8)
     violations = []
     checked = 0
@@ -276,6 +295,8 @@ def _chk_patch_monotone(depth):
 
 
 def _chk_patch_approx(depth):
+    from .funcs import as_weak
+    from .patch import patch_approx, patch_reference
     violations = []
     checked = 0
     r = 8
@@ -294,6 +315,8 @@ def _chk_patch_approx(depth):
 
 
 def _chk_patch_slope(depth):
+    from .funcs import TableStepFn
+    from .patch import patch_reference, strong_increase_check
     grid = 8
     x0 = Dyadic(85, 8)
     vals = []
@@ -315,6 +338,7 @@ def _chk_patch_slope(depth):
 # -- analytic suite ----------------------------------------------------------
 
 def _chk_series_constants(depth):
+    from .analytic import builtin_spec
     violations = []
     checked = 0
     for name in ("exp", "sin", "cos", "ln1p", "geom"):
@@ -327,6 +351,7 @@ def _chk_series_constants(depth):
 
 
 def _chk_series_eval(depth):
+    from .analytic import builtin_spec, eval_approx
     violations = []
     checked = 0
     # self-consistency at increasing precision: coarse values must agree
@@ -347,6 +372,7 @@ def _chk_series_eval(depth):
 
 
 def _chk_series_derivative(depth):
+    from .analytic import builtin_spec, derivative_spec, eval_approx
     violations = []
     checked = 0
     spec = builtin_spec("exp")
@@ -363,6 +389,7 @@ def _chk_series_derivative(depth):
 
 
 def _chk_root(depth):
+    from .analytic import builtin_spec, find_root
     violations = []
     checked = 1
     root = find_root(builtin_spec("poly:-1/2,1"), (Dyadic(0), Dyadic(1)), 12)
@@ -374,6 +401,7 @@ def _chk_root(depth):
 # -- tightness suite ---------------------------------------------------------
 
 def _chk_step_bound(depth):
+    from .tightness import GridImage, zoo
     exp = min(depth, 8)
     violations = []
     checked = 0
@@ -391,6 +419,7 @@ def _chk_step_bound(depth):
 
 
 def _chk_slope_bound(depth):
+    from .tightness import GridImage, zoo
     exp = min(depth, 6)
     violations = []
     checked = 0
@@ -409,7 +438,7 @@ def _chk_slope_bound(depth):
 
 
 def _chk_capital(depth):
-    from .tightness import insert_zeros
+    from .tightness import insert_zeros, z_bettor, zoo
     violations = []
     checked = 0
     seed = Word.parse("1111111111111111")
@@ -428,23 +457,30 @@ def _chk_capital(depth):
 # -- measure suite -----------------------------------------------------------
 
 def _measure_zoo():
+    from .measure import DifferentialMeasure, ProductMeasure, UniformMeasure
+    from .tightness import NormalizedInsertionFn
     return [UniformMeasure(), ProductMeasure(F(2, 3)), ProductMeasure(F(1, 5)),
             DifferentialMeasure(NormalizedInsertionFn("1"))]
 
 
 def _chk_measure_axioms(depth):
+    from .measure import verify_measure
     return _merged("measure axioms over the zoo",
                    (verify_measure(nu, min(depth, 8))
                     for nu in _measure_zoo()))
 
 
 def _chk_measure_roundtrip(depth):
+    from .measure import roundtrip_check
     return _merged("measure -> cumulative -> increments round trip",
                    (roundtrip_check(nu, min(depth, 8))
                     for nu in _measure_zoo()))
 
 
 def _chk_function_roundtrip(depth):
+    from .funcs import IdentityFn
+    from .measure import dual_roundtrip_check
+    from .tightness import NormalizedInsertionFn
     return _merged("function -> increments -> cumulative round trip",
                    (dual_roundtrip_check(fn, min(depth, 8))
                     for fn in (IdentityFn(), NormalizedInsertionFn("1"),

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -98,7 +97,7 @@ def _counting(spec, log, centers=None):
         if centers is not None:
             centers.append(r)
         return inner_center(r)
-    return dataclasses.replace(spec, coeff_approx=coeff, center_approx=center)
+    return spec._replace(coeff_approx=coeff, center_approx=center)
 
 
 class TestTailConstants:
@@ -143,6 +142,20 @@ class TestBuiltins:
             assert builtin_spec(name) is builtin_spec(name)
         assert builtin_spec("poly:1,2") is not builtin_spec("poly:1,2")
 
+    @pytest.mark.parametrize("name", ["exp", "sin", "cos", "ln1p", "geom",
+                                      "poly:1,-1/2"])
+    def test_replaced_spec_computes_its_own_constants(self, name):
+        # ``_replace`` copies the fields, not the cached properties
+        spec = builtin_spec(name)
+        k, ell = spec.constants
+        same = spec._replace()
+        assert same == spec and same is not spec
+        assert "constants" not in vars(same)
+        assert same.constants == (k, ell)
+        # k = ceil lg(C (r+eps)/eps) grows by 2 when C is four times larger
+        assert spec._replace(term_bound=4 * spec.term_bound).constants == \
+            (k + 2, ell)
+
     @pytest.mark.parametrize("order", ["increasing", "shuffled"])
     def test_running_factorial_replies(self, order):
         # the builtin oracles step their last (n, n!) pair; the replies are
@@ -161,28 +174,27 @@ class TestValidate:
     """Each failed check names the spec and the first failing term."""
 
     def test_term_bound(self):
-        spec = dataclasses.replace(builtin_spec("exp"), term_bound=F(3, 2))
+        spec = builtin_spec("exp")._replace(term_bound=F(3, 2))
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "exp: term bound fails at n=1: 2 > 3/2"
 
     def test_tail_monotone(self):
         # t^2 with the monotone tail declared from n = 0: t_2 = 4 > t_0 = 0
-        spec = dataclasses.replace(builtin_spec("poly:0,0,1"),
-                                   tail_monotone_from=0)
+        spec = builtin_spec("poly:0,0,1")._replace(tail_monotone_from=0)
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == \
             "poly:0,0,1: tail not two-step monotone at n=0"
 
     def test_anchor_reach(self):
-        spec = dataclasses.replace(builtin_spec("geom"), anchor=W(""))
+        spec = builtin_spec("geom")._replace(anchor=W(""))
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "geom: anchor reaches 1 beyond radius 1/2"
 
     def test_no_exact_coefficients(self):
-        spec = dataclasses.replace(builtin_spec("sin"), exact_coeff=None)
+        spec = builtin_spec("sin")._replace(exact_coeff=None)
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "sin: no exact coefficients to check"

@@ -434,7 +434,6 @@ class TestErrors:
     ])
     def test_series_file_overrides_a_named_field(self, capsys, tmp_path,
                                                  key, value, field):
-        import dataclasses
         from dymart.analytic import builtin_spec, eval_approx
         from dymart.dyadic import Word, fmt_rational
         spec = tmp_path / "ln1p.cfg"
@@ -442,8 +441,7 @@ class TestErrors:
         code, out, _ = run(capsys, "analytic", "eval", "--spec", f"@{spec}",
                            "--word", "011", "--precision", "20")
         parsed = Word.parse(value) if field == "anchor" else F(value)
-        changed = dataclasses.replace(builtin_spec("ln1p"),
-                                      **{field: parsed})
+        changed = builtin_spec("ln1p")._replace(**{field: parsed})
         assert code == 0
         assert out == fmt_rational(
             eval_approx(changed, Word.parse("011"), 20)) + "\n"
@@ -750,29 +748,56 @@ sys.exit(code)
 """
 
 # modules only the analytic and verify commands may load
-HEAVY = {"dymart.verify", "dymart.analytic", "dataclasses"}
+HEAVY = {"dymart.verify", "dymart.analytic"}
+# the strategy modules and the product-form kernel
+STRATEGIES = {"dymart.martingale", "dymart.kernels", "dymart._shiftcore_py"}
 
 
 class TestStartup:
     """Each command in a fresh interpreter that compiles every module from
     source: what it prints, its exit code, and which modules it loads.
     In-process tests see neither the loaded set nor an import cycle that
-    only a fresh interpreter meets."""
+    only a fresh interpreter meets.  No command loads ``dataclasses``, and
+    each ``verify --suite`` loads only the modules its suite runs."""
 
-    @pytest.mark.parametrize("argv, code, golden", [
-        (COMMANDS["readme_pullback_trace"], 0, "readme_pullback_trace"),
-        (COMMANDS["readme_patch_table"], 0, "readme_patch_table"),
-        (COMMANDS["readme_trace"], 0, "readme_trace"),
+    @pytest.mark.parametrize("argv, code, golden, absent", [
+        (COMMANDS["readme_pullback_trace"], 0, "readme_pullback_trace",
+         HEAVY | {"dymart.measure", "dymart.patch"}),
+        (COMMANDS["readme_patch_table"], 0, "readme_patch_table",
+         HEAVY | STRATEGIES),
+        (COMMANDS["readme_trace"], 0, "readme_trace", HEAVY),
         (COMMANDS["readme_measure_cumulative"], 0,
-         "readme_measure_cumulative"),
-        (COMMANDS["readme_tightness_bounds"], 0, "readme_tightness_bounds"),
+         "readme_measure_cumulative", HEAVY | STRATEGIES),
+        ("measure roundtrip --measure uniform --depth 4", 0, None,
+         HEAVY | STRATEGIES),
+        (COMMANDS["readme_tightness_bounds"], 0, "readme_tightness_bounds",
+         HEAVY),
+        # series evaluation loads no product-form kernel
         (COMMANDS["readme_analytic_eval_exp"], 0,
-         "readme_analytic_eval_exp"),
-        ("verify --suite patch", 0, None),
-        ("frobnicate --word 0", 2, None),
+         "readme_analytic_eval_exp", {"dymart.verify"} | STRATEGIES),
+        ("verify --suite martingale --depth 4", 0, None,
+         {"dymart.analytic", "dymart.pullback", "dymart.patch",
+          "dymart.measure"}),
+        ("verify --suite pullback --depth 4", 0, None,
+         {"dymart.analytic", "dymart.patch", "dymart.measure"}),
+        ("verify --suite patch --depth 4", 0, None,
+         STRATEGIES | {"dymart.analytic", "dymart.pullback",
+                       "dymart.measure", "dymart.tightness"}),
+        ("verify --suite analytic --depth 4", 0, None,
+         STRATEGIES | {"dymart.funcs", "dymart.pullback", "dymart.patch",
+                       "dymart.measure", "dymart.tightness"}),
+        ("verify --suite tightness --depth 4", 0, None,
+         {"dymart.analytic", "dymart.pullback", "dymart.patch",
+          "dymart.measure"}),
+        ("verify --suite measure --depth 4", 0, None,
+         {"dymart.analytic", "dymart.pullback", "dymart.patch"}),
+        ("frobnicate --word 0", 2, None, HEAVY),
     ], ids=["pullback", "patch", "trace", "measure-cumulative",
-            "tightness-bounds", "analytic-eval", "verify-patch", "malformed"])
-    def test_fresh_interpreter(self, tmp_path, argv, code, golden):
+            "measure-roundtrip", "tightness-bounds", "analytic-eval",
+            "verify-martingale", "verify-pullback", "verify-patch",
+            "verify-analytic", "verify-tightness", "verify-measure",
+            "malformed"])
+    def test_fresh_interpreter(self, tmp_path, argv, code, golden, absent):
         table = tmp_path / "step.tbl"
         table.write_text(STEP_TABLE, encoding="utf-8")
         loaded = tmp_path / "modules.txt"
@@ -792,14 +817,8 @@ class TestStartup:
         if golden is not None:
             assert proc.stdout == (GOLDEN / f"{golden}.txt").read_bytes()
         modules = set(loaded.read_text(encoding="utf-8").split())
-        command = argv.split()[0]
-        if command not in ("analytic", "verify"):
-            assert not modules & HEAVY, sorted(modules & HEAVY)
-        if command == "pullback":
-            assert not modules & {"dymart.measure", "dymart.patch"}
-        if command == "analytic":
-            # series evaluation loads no product-form kernel
-            assert not modules & {"dymart._shiftcore_py", "dymart.kernels"}
+        assert "dataclasses" not in modules
+        assert not modules & absent, sorted(modules & absent)
 
 
 # Runs one command in a fresh interpreter, then writes its peak resident

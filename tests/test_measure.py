@@ -43,6 +43,15 @@ class MisweighedUniform(ProbabilityMeasure):
         return v + F(1, 1000) if w == self.bad else v
 
 
+class DyadicUniform(ProbabilityMeasure):
+    """The uniform measure with its masses as ``Dyadic``s."""
+
+    name = "dyadic-uniform"
+
+    def mass(self, w):
+        return Dyadic(1, len(w))
+
+
 class TestMeasures:
     def test_axioms(self):
         for nu in measure_zoo():
@@ -59,6 +68,12 @@ class TestCumulative:
         nu = UniformMeasure()
         for x in all_words(10):
             assert cumulative(nu, x) == F(x.value())
+
+    def test_total_is_a_fraction_whatever_the_mass_type(self):
+        nu = DyadicUniform()
+        for x in all_words(6):
+            v = cumulative(nu, x)
+            assert type(v) is Fraction and v == F(x.value()), x
 
     def test_biased_first_bit(self):
         assert cumulative(ProductMeasure(F(2, 3)), W("1")) == F(2, 3)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words
-from dymart.funcs import FnOracle, TableStepFn, as_weak
+from dymart.funcs import FnOracle, TableStepFn, WeakFn, as_weak
 from dymart.patch import (exponent_pred_succ, patch_approx, patch_reference,
                           patch_table, strong_increase_check)
 
@@ -134,6 +134,17 @@ class TestTableLookup:
         value, text = outcome(table.at, q)
         assert value is None and text == f"{q} outside [0, 1]"
         assert lookups_agree(table, q)
+
+
+class TestWeakReplies:
+    @pytest.mark.parametrize("reply", [F(1, 2), Dyadic(1, 1), 1],
+                             ids=["fraction", "dyadic", "int"])
+    def test_replies_are_fractions(self, reply):
+        # a Fraction reply is passed through as it is, any other converted
+        weak = WeakFn("const", lambda w, r: reply, lambda r: reply)
+        for got in (weak.query(W("01"), 4), weak.query_one(4)):
+            assert type(got) is Fraction and got == reply
+            assert (got is reply) == (type(reply) is Fraction)
 
 
 class TestPatchReference:

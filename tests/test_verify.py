@@ -43,8 +43,9 @@ def failing_zoos(monkeypatch):
     monkeypatch.setattr(verify, "_martingale_zoo", lambda: zoo + extra)
     # the domination check damps pattern_bettor("01"); here a scrambled
     # strategy instead, whose damped values leave the dyadics
-    monkeypatch.setattr(verify, "pattern_bettor",
-                        lambda pattern: scrambled(F, f"scrambled:{pattern}"))
+    bases = verify._domination_bases()
+    monkeypatch.setattr(verify, "_domination_bases",
+                        lambda: bases[:2] + [scrambled(F, "scrambled:01")])
     tables = verify._patch_tables()
     # decreasing overall, with values off the dyadics, and a finer grid
     # than the checks' 2^-5 points

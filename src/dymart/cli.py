@@ -10,8 +10,9 @@ a handler imports the modules it runs inside its body, and the module
 itself loads only ``argparse``, ``fractions``, ``dyadic`` and ``errors``.
 ``verify --suite X`` loads only the modules suite X runs: the analytic
 suite loads ``analytic`` alone, the patch suite ``patch`` and ``funcs``,
-and only the martingale, pullback, tightness and measure suites load the
-strategies (``martingale`` and its kernel).
+the measure suite ``measure``, ``tightness`` and ``funcs``, and only the
+martingale, pullback and tightness suites load the strategies
+(``martingale`` and its kernel).
 
 Commands:
   verify                invariant suites (martingale, pullback, patch,

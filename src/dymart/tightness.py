@@ -36,7 +36,6 @@ from fractions import Fraction
 from .dyadic import Dyadic, Word
 from .errors import InsufficientBitsError, ParseError
 from .funcs import FnOracle
-from .martingale import ExactMartingale, ProductForm
 
 # bound on the members of an explicit position set, the largest member of
 # "tower": the value at 1 of a finite set's map sums every position up to
@@ -196,7 +195,9 @@ class NormalizedInsertionFn(FnOracle):
 def z_bettor(zset):
     """The betting strategy matched to the insertion set: all-in on 0 at
     insertion positions, idle elsewhere; capital 2**census(n-1) after n
-    bits of any stretched sequence."""
+    bits of any stretched sequence.  The only user of ``martingale`` here,
+    so the insertion maps and their bounds load no strategy code."""
+    from .martingale import ExactMartingale, ProductForm
     if not isinstance(zset, CensusSet):
         zset = CensusSet.parse(zset)
     edges = (

@@ -771,7 +771,7 @@ class TestStartup:
         ("measure roundtrip --measure uniform --depth 4", 0, None,
          HEAVY | STRATEGIES),
         (COMMANDS["readme_tightness_bounds"], 0, "readme_tightness_bounds",
-         HEAVY),
+         HEAVY | STRATEGIES),
         # series evaluation loads no product-form kernel
         (COMMANDS["readme_analytic_eval_exp"], 0,
          "readme_analytic_eval_exp", {"dymart.verify"} | STRATEGIES),
@@ -790,7 +790,8 @@ class TestStartup:
          {"dymart.analytic", "dymart.pullback", "dymart.patch",
           "dymart.measure"}),
         ("verify --suite measure --depth 4", 0, None,
-         {"dymart.analytic", "dymart.pullback", "dymart.patch"}),
+         STRATEGIES | {"dymart.analytic", "dymart.pullback",
+                       "dymart.patch"}),
         ("frobnicate --word 0", 2, None, HEAVY),
     ], ids=["pullback", "patch", "trace", "measure-cumulative",
             "measure-roundtrip", "tightness-bounds", "analytic-eval",

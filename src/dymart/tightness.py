@@ -195,8 +195,9 @@ class NormalizedInsertionFn(FnOracle):
 def z_bettor(zset):
     """The betting strategy matched to the insertion set: all-in on 0 at
     insertion positions, idle elsewhere; capital 2**census(n-1) after n
-    bits of any stretched sequence.  The only user of ``martingale`` here,
-    so the insertion maps and their bounds load no strategy code."""
+    bits of any stretched sequence.  It is this module's one user of
+    ``martingale`` and imports it itself, so the insertion maps and their
+    bounds load no strategy code."""
     from .martingale import ExactMartingale, ProductForm
     if not isinstance(zset, CensusSet):
         zset = CensusSet.parse(zset)

@@ -49,7 +49,7 @@ Signs come from their own evaluator, not from ``eval_point``:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
@@ -88,11 +88,8 @@ def tail_constants(C, radius, margin):
     return k, ell
 
 
-class PowerSeriesSpec(namedtuple(
-        "PowerSeriesSpec",
-        "name coeff_approx center_approx term_bound radius margin anchor "
-        "exact_coeff exact_center tail_monotone_from polynomial",
-        defaults=(EMPTY, None, None, 0, None))):
+@dataclass(frozen=True)
+class PowerSeriesSpec:
     """Center/coefficient approximators plus certified convergence data.
 
     ``coeff_approx(n, r)`` and ``center_approx(r)`` obey the usual 2^-r
@@ -109,13 +106,22 @@ class PowerSeriesSpec(namedtuple(
     - ``validate``: ``exact_coeff``, ``exact_center`` and
       ``tail_monotone_from`` beside the constants.  These three feed only
       the startup validation; no evaluator reads them.
-
-    No ``__slots__``: each instance keeps a ``__dict__`` for its cached
-    properties.
     """
 
-    # computed once per instance; ``_replace`` builds a new instance, so a
-    # derived spec computes its own
+    name: str
+    coeff_approx: object
+    center_approx: object
+    term_bound: Fraction
+    radius: Fraction
+    margin: Fraction
+    anchor: Word = EMPTY
+    exact_coeff: object = None
+    exact_center: Fraction = None
+    tail_monotone_from: int = 0
+    polynomial: tuple = None
+
+    # computed once per instance; ``dataclasses.replace`` builds a new
+    # instance, so a derived spec computes its own
     @cached_property
     def constants(self):
         return tail_constants(self.term_bound, self.radius, self.margin)
@@ -176,7 +182,8 @@ class PowerSeriesSpec(namedtuple(
         q = Fraction(q)
         inner_c = self.coeff_approx
         inner_e = self.exact_coeff
-        return self._replace(
+        return replace(
+            self,
             name=f"{self.name}-{q}",
             coeff_approx=lambda n, r: inner_c(n, r) - q if n == 0 else
             inner_c(n, r),
@@ -515,7 +522,8 @@ def derivative_spec(spec):
         extra = exact_ceil_lg(m + 1)
         return (m + 1) * Fraction(inner_c(m + 1, r + extra))
 
-    return spec._replace(
+    return replace(
+        spec,
         name=f"{spec.name}'",
         coeff_approx=coeff,
         term_bound=new_bound,

@@ -12,7 +12,8 @@ itself loads only ``argparse``, ``fractions``, ``dyadic`` and ``errors``.
 suite loads ``analytic`` alone, the patch suite ``patch`` and ``funcs``,
 the measure suite ``measure``, ``tightness`` and ``funcs``, and only the
 martingale, pullback and tightness suites load the strategies
-(``martingale`` and its kernel).
+(``martingale`` and its kernel).  ``analytic`` and the analytic suite are
+the only ones that load ``dataclasses`` (through ``PowerSeriesSpec``).
 
 Commands:
   verify                invariant suites (martingale, pullback, patch,

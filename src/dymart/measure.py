@@ -76,15 +76,13 @@ def cumulative(nu, x):
     """Mass strictly left of 0.x among words of length |x|, telescoped.
 
     Exactly sum(nu.mass(y) for |y| = |x|, 0.y < 0.x) when nu is additive;
-    the telescoped form charges one left-sibling subtree per 1-bit of x:
-    below a 1-bit at position i, the sibling is the i-bit prefix then 0.
+    the telescoped form charges one left-sibling subtree per 1-bit of x.
     The masses are added as they come, and the total is one ``Fraction``.
     """
-    k, n = x.k, len(x)
     total = 0
-    for i in range(n):
-        if k >> (n - 1 - i) & 1:
-            total += nu.mass(Word((k >> (n - i)) << 1, i + 1))
+    for i in range(len(x)):
+        if x[i]:
+            total += nu.mass(x.prefix(i).append(0))
     return Fraction(total)
 
 

@@ -12,6 +12,7 @@ explicit remainder bounds, and polynomial values from Horner's rule over
 Fractions.
 """
 
+import dataclasses
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -503,8 +504,8 @@ def noisy_spec(spec):
     precision e off by exactly 2^-e, the sign hashed from the query: the
     extreme replies the 2^-e contracts allow."""
     coeff, center = spec.coeff_approx, spec.center_approx
-    return spec._replace(
-        name=f"noisy({spec.name})",
+    return dataclasses.replace(
+        spec, name=f"noisy({spec.name})",
         coeff_approx=lambda n, e: Fraction(coeff(n, e)) +
         Fraction(_hashed_sign(1, n, e), 1 << e),
         center_approx=lambda e: Fraction(center(e)) +

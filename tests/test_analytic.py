@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -97,7 +98,7 @@ def _counting(spec, log, centers=None):
         if centers is not None:
             centers.append(r)
         return inner_center(r)
-    return spec._replace(coeff_approx=coeff, center_approx=center)
+    return dataclasses.replace(spec, coeff_approx=coeff, center_approx=center)
 
 
 class TestTailConstants:
@@ -145,16 +146,16 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", ["exp", "sin", "cos", "ln1p", "geom",
                                       "poly:1,-1/2"])
     def test_replaced_spec_computes_its_own_constants(self, name):
-        # ``_replace`` copies the fields, not the cached properties
+        # ``replace`` copies the fields, not the cached properties
         spec = builtin_spec(name)
         k, ell = spec.constants
-        same = spec._replace()
+        same = dataclasses.replace(spec)
         assert same == spec and same is not spec
         assert "constants" not in vars(same)
         assert same.constants == (k, ell)
         # k = ceil lg(C (r+eps)/eps) grows by 2 when C is four times larger
-        assert spec._replace(term_bound=4 * spec.term_bound).constants == \
-            (k + 2, ell)
+        assert dataclasses.replace(
+            spec, term_bound=4 * spec.term_bound).constants == (k + 2, ell)
 
     @pytest.mark.parametrize("order", ["increasing", "shuffled"])
     def test_running_factorial_replies(self, order):
@@ -174,27 +175,28 @@ class TestValidate:
     """Each failed check names the spec and the first failing term."""
 
     def test_term_bound(self):
-        spec = builtin_spec("exp")._replace(term_bound=F(3, 2))
+        spec = dataclasses.replace(builtin_spec("exp"), term_bound=F(3, 2))
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "exp: term bound fails at n=1: 2 > 3/2"
 
     def test_tail_monotone(self):
         # t^2 with the monotone tail declared from n = 0: t_2 = 4 > t_0 = 0
-        spec = builtin_spec("poly:0,0,1")._replace(tail_monotone_from=0)
+        spec = dataclasses.replace(builtin_spec("poly:0,0,1"),
+                                   tail_monotone_from=0)
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == \
             "poly:0,0,1: tail not two-step monotone at n=0"
 
     def test_anchor_reach(self):
-        spec = builtin_spec("geom")._replace(anchor=W(""))
+        spec = dataclasses.replace(builtin_spec("geom"), anchor=W(""))
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "geom: anchor reaches 1 beyond radius 1/2"
 
     def test_no_exact_coefficients(self):
-        spec = builtin_spec("sin")._replace(exact_coeff=None)
+        spec = dataclasses.replace(builtin_spec("sin"), exact_coeff=None)
         with pytest.raises(ValueError) as err:
             spec.validate()
         assert str(err.value) == "sin: no exact coefficients to check"

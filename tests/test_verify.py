@@ -1,9 +1,12 @@
 """The text of failing ``verify`` suites, pinned.
 
-Each suite below runs with strategies or tables that break its checks
-patched into its zoo.  Its output lines, and every violation of each of
-its checks, must equal the lines in ``tests/expected/``, written before
-the suites compared integers.  To rewrite them after a deliberate change
+Each suite below runs with strategies, shift pairs or tables that break
+its checks patched into its zoo.  Its output lines, and every violation
+of each of its checks, must equal the lines in ``tests/expected/``: the
+martingale and patch text was written before those suites compared
+integers, and the pullback text while its chain checks still took the
+inner maximum from a max-product table and compared against a per-word
+product fold.  To rewrite them after a deliberate change
 of the violation text, run ``PYTHONPATH=src python tests/test_verify.py``
 and review the diff.
 """
@@ -16,8 +19,10 @@ import pytest
 
 from dymart import verify
 from dymart.dyadic import Dyadic
-from dymart.funcs import TableStepFn
-from dymart.martingale import ExactMartingale, savings_wrapper
+from dymart.funcs import IdentityFn, TableStepFn
+from dymart.martingale import (ExactMartingale, allin_zeros, savings_wrapper,
+                               uniform)
+from dymart.tightness import ZeroInsertionFn
 
 from helpers import nondyadic_bettor
 
@@ -34,8 +39,18 @@ def scrambled(reply, name):
         conservative=True)
 
 
+def unfair(f0, f1):
+    """A one-state product form with the factors f0 and f1, (num, dexp)
+    pairs that do not average to one, built past validation."""
+    bad = uniform().product_form._replace(
+        edges=((((*f0, 0), (*f1, 0)),),))
+    name = f"unfair:{F(f0[0], 1 << f0[1])},{F(f1[0], 1 << f1[1])}"
+    return ExactMartingale(name, product_form=bad)
+
+
 def failing_zoos(monkeypatch):
-    """Patch failing members into the martingale and patch suites."""
+    """Patch failing members into the martingale, pullback and patch
+    suites."""
     zoo = verify._martingale_zoo()
     extra = [scrambled(F, "scrambled"),
              scrambled(Dyadic.from_fraction, "scrambled-dyadic"),
@@ -46,6 +61,15 @@ def failing_zoos(monkeypatch):
     bases = verify._domination_bases()
     monkeypatch.setattr(verify, "_domination_bases",
                         lambda: bases[:2] + [scrambled(F, "scrambled:01")])
+    # unfair factors break the chain and the block walk's collapse, and a
+    # strategy that is not conservative breaks the gap bound
+    pairs = verify._shift_pairs()
+    monkeypatch.setattr(verify, "_shift_pairs", lambda: pairs + [
+        (unfair((3, 1), (3, 1)), IdentityFn(), True),
+        (unfair((1, 0), (3, 1)), ZeroInsertionFn("1", scaled=True), False),
+        (allin_zeros(), IdentityFn(), True),
+        (unfair((4, 0), (4, 0)), IdentityFn(), False),
+    ])
     tables = verify._patch_tables()
     # decreasing overall, with values off the dyadics, and a finer grid
     # than the checks' 2^-5 points
@@ -57,7 +81,7 @@ def failing_zoos(monkeypatch):
                         lambda: tables + [down, fine])
 
 
-SUITES = ("martingale", "patch")
+SUITES = ("martingale", "pullback", "patch")
 
 
 def suite_lines(suite):

@@ -8,7 +8,8 @@ Modules follow the functional split:
                  the exhaustive martingale checks
 - ``report``     the reports of the exhaustive checks (``Report``,
                  ``Violation``)
-- ``kernels``    the product-form block walk (block sums and maxima)
+- ``kernels``    the product-form block walk (block sums and the values
+                 of a cover's words)
 - ``funcs``      exact/approximate real-function contracts and the image
                  of a word's interval (``word_image``)
 - ``tightness``  zero-insertion functions and their betting strategies

@@ -373,8 +373,10 @@ def main(argv=None):
     try:
         args = _merge_config(args, argv, parser, commands[args.command])
         decimal = getattr(args, "decimal", None)
-        out = Output(getattr(args, "output", None),
-                     None if decimal is None else _depth(decimal, "--decimal"))
+        if decimal is not None:
+            decimal = _depth(decimal, "--decimal", 10 ** 6,
+                             "each digit is one more long-division step")
+        out = Output(getattr(args, "output", None), decimal)
         code = HANDLERS[args.command](args, out)
         out.flush()
         return code

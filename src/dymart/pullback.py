@@ -34,9 +34,7 @@ d-query; no cover list is built, and the total reads each ``Dyadic``
 reply's numerator and exponent directly, as the replies stream in.
 ``shift_stats`` takes a product form's inside cells and both boundary
 cells from one walk down the paths to the boundary cells: the bracket at
-depth m + 8 costs exactly 2(m + 8) factor steps.  ``inner_max`` reads the
-largest inside cell from the same walk plus a max-product table, so the
-chain checks need no cell enumeration.
+depth m + 8 costs exactly 2(m + 8) factor steps.
 """
 
 from __future__ import annotations
@@ -178,35 +176,6 @@ def _shift_stats(d, ends, x_len, n):
     upper = inner + block_sum(touch_a, inner_a) + block_sum(inner_b, touch_b)
     scale = Fraction(1 << x_len, 1 << n)
     return ShiftStats(lower=inner * scale, upper=upper * scale)
-
-
-def inner_max(d, f, x, n):
-    """Exact 2^(|x|-n) * max d(y) over the depth-n cells y inside D_x, or 0
-    when there are none: the left side of the inner-cell bound
-    2^(|x|-|y|) d(y) <= lower(x; |y|).
-
-    Product-form strategies only (ValueError otherwise): the maximum comes
-    from ``kernels.range_sum_max``, block values times a max-product table.
-    Kept apart from ``shift_stats`` so the bracket does not build the table.
-    D_x is derived here; ``_inner_max`` takes it from the caller, as
-    ``_shift_stats`` does.
-    """
-    pf = d.product_form
-    if pf is None:
-        raise ValueError(f"{d.name} has no product form; inner_max needs "
-                         "one")
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    return _inner_max(pf, _delta_interval(f, x), len(x), n)
-
-
-def _inner_max(pf, ends, x_len, n):
-    """``inner_max`` of the product form ``pf`` for the word of length
-    ``x_len`` whose D_x has the exact ends ``ends``."""
-    inner_a, inner_b, _, _ = _cell_ranges(*ends, n)
-    _, _, m_num, m_dexp = kernels.range_sum_max(
-        pf, pf.classes(n), n, inner_a, inner_b)
-    return Fraction(m_num << x_len, 1 << (m_dexp + n))
 
 
 def squeeze_bound(x_len, n):

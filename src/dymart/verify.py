@@ -145,14 +145,16 @@ def _chk_chain(depth):
     """lower(x;n) <= lower(x;n+1) <= upper(x;n+1) <= upper(x;n), the
     inner-cell bound and the conservative gap bound for every x with
     |x| <= min(depth, 3) and n <= |x| + 6.  D_x is derived once per x and
-    shared by every depth's ``shift_stats`` and ``inner_max``."""
-    from .pullback import _delta_interval, _inner_max, _shift_stats, \
+    shared by every depth's ``shift_stats``; the largest inside cell is
+    read from the depth's level of d, swept once per strategy."""
+    from .martingale import _exact_level
+    from .pullback import _cell_ranges, _delta_interval, _shift_stats, \
         squeeze_bound
     top = min(depth, 3)
     violations = []
     checked = 0
     for d, f, conservative in _shift_pairs():
-        pf = d.product_form
+        levels = [_exact_level(d.exact, n) for n in range(top + 7)]
         for x in all_words(top):
             ends = _delta_interval(f, x)
             stats = [_shift_stats(d, ends, len(x), n)
@@ -163,9 +165,11 @@ def _chk_chain(depth):
                         and b.lower <= b.upper):
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "chain", "monotonicity"))
-            for n, s in enumerate(stats):
+            for n, (s, (nums, den)) in enumerate(zip(stats, levels)):
                 checked += 1
-                if _inner_max(pf, ends, len(x), n) > s.lower:
+                inner_a, inner_b, _, _ = _cell_ranges(*ends, n)
+                best = max(nums[inner_a:inner_b], default=0)
+                if F(best << len(x), den << n) > s.lower:
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "chain", "inner-cell bound"))
                 if conservative and \
@@ -176,43 +180,25 @@ def _chk_chain(depth):
                   violations)
 
 
-def _scan_cells(d, f, x, n):
-    """(lower, upper, inner max) at depth n from every cell in order, by
-    integers scaled to 2^-(n * max_dexp) and a fresh product fold: the
-    literal counterpart of the block walk, for product forms.  max_dexp is
-    the largest factor exponent, so every cell value is an integer there."""
-    from .martingale import product_fold
-    from .pullback import _cell_ranges, _delta_interval
-    lo, hi = _delta_interval(f, x)
-    inner_a, inner_b, touch_a, touch_b = _cell_ranges(lo, hi, n)
-    pf = d.product_form
-    value = product_fold(pf)
-    top = n * max(dexp for per_state in pf.edges for pair in per_state
-                  for _, dexp, _ in pair)
-    inner = boundary = best = 0
-    for k in range(touch_a, touch_b):
-        cell = value(Word(k, n))
-        v = cell.num << (top - cell.exp)
-        if inner_a <= k < inner_b:
-            inner += v
-            best = max(best, v)
-        else:
-            boundary += v
-    unit = F(1 << len(x), 1 << (n + top))
-    return inner * unit, (inner + boundary) * unit, best * unit
-
-
 def _chk_methods_agree(depth):
-    from .pullback import inner_max, shift_stats
+    """The walk's (lower, upper) against the sums of the inside and the
+    touching cells of the depth's level of d, swept once per strategy."""
+    from .martingale import _exact_level
+    from .pullback import _cell_ranges, _delta_interval, _shift_stats
     violations = []
     checked = 0
     for d, f, _ in _shift_pairs():
+        levels = [(n, _exact_level(d.exact, n))
+                  for n in (0, 4, min(depth + 6, 11))]
         for x in [Word(0, 0), Word(1, 1), Word(1, 2)]:
-            for n in (0, 4, min(depth + 6, 11)):
+            ends = _delta_interval(f, x)
+            for n, (nums, den) in levels:
                 checked += 1
-                s = shift_stats(d, f, x, n)
-                if (s.lower, s.upper, inner_max(d, f, x, n)) != \
-                        _scan_cells(d, f, x, n):
+                s = _shift_stats(d, ends, len(x), n)
+                inner_a, inner_b, touch_a, touch_b = _cell_ranges(*ends, n)
+                unit = F(1 << len(x), den << n)
+                if (s.lower, s.upper) != (sum(nums[inner_a:inner_b]) * unit,
+                                          sum(nums[touch_a:touch_b]) * unit):
                     violations.append(Violation(f"{d.name} x={x} n={n}",
                                                 "methods", "disagree"))
     return Report("enumeration equals aligned-block collapse", checked,

@@ -25,7 +25,8 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                conservative_transform)
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
-from dymart.pullback import pullback_approx
+from dymart.funcs import word_image
+from dymart.pullback import _cell_ranges, pullback_approx
 from dymart.tightness import CensusSet, ZeroInsertionFn
 
 
@@ -158,6 +159,18 @@ def scan_sum_max(pf, classes, n, a, b):
             break
         descend(n - ((k ^ (k - 1)).bit_length()), k)
     return s_num, s_dexp, m_num, m_dexp
+
+
+def inner_max_by_scan(d, f, x, n):
+    """2^(|x|-n) * the largest d(y) over the depth-n cells y inside D_x, or
+    0 when there are none: the left side of the inner-cell bound
+    2^(|x|-|y|) d(y) <= lower(x; |y|), by the literal scan of the inside
+    cells (``scan_sum_max``).  Product forms only."""
+    inner_a, inner_b, _, _ = _cell_ranges(*word_image(f, x), n)
+    pf = d.product_form
+    _, _, m_num, m_dexp = scan_sum_max(pf, pf.classes(n), n, inner_a,
+                                       inner_b)
+    return Fraction(m_num << len(x), 1 << (m_dexp + n))
 
 
 def savings_by_prefixes(mart, w):

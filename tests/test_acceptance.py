@@ -24,14 +24,14 @@ from dymart.measure import (DifferentialMeasure, ProductMeasure,
                             roundtrip_check)
 from dymart.patch import (patch_approx, patch_reference, patch_table,
                           strong_increase_check)
-from dymart.pullback import (certify_bracket, inner_max, pullback_approx,
-                             shift_stats, squeeze_bound)
+from dymart.pullback import (certify_bracket, pullback_approx, shift_stats,
+                             squeeze_bound)
 from dymart.tightness import (NormalizedInsertionFn, ZeroInsertionFn,
                               insert_zeros, z_bettor, zoo)
 
 from helpers import (NoisyWeakFn, brute_force_cover, cos_interval,
-                     exp_interval, in_interval, ln1p_interval, sin_interval,
-                     verify_strong_ratio)
+                     exp_interval, in_interval, inner_max_by_scan,
+                     ln1p_interval, sin_interval, verify_strong_ratio)
 
 F = Fraction
 W = Word.parse
@@ -92,7 +92,7 @@ def test_criterion_03_chain_and_squeeze():
                 if not (a.lower <= b.lower <= b.upper <= a.upper):
                     violations += 1
             for n, s in enumerate(stats):
-                if inner_max(d, f, x, n) > s.lower:
+                if inner_max_by_scan(d, f, x, n) > s.lower:
                     violations += 1
                 if squeeze and s.upper - s.lower > squeeze_bound(len(x), n):
                     violations += 1

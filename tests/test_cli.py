@@ -170,6 +170,19 @@ class TestOutputModes:
         assert out.splitlines()[0] == "5/8"
         assert "approx 0.6250" in out and "truncated" in out
 
+    def test_decimal_limit(self, capsys):
+        # a million digits of 5/8 print; one more fails before any work
+        argv = ("measure", "cumulative", "--measure", "uniform", "--word",
+                "101", "--decimal")
+        code, out, _ = run(capsys, *argv, "1000000")
+        assert code == 0
+        assert out.splitlines()[1] == \
+            f"# approx 0.625{'0' * 999997} (1000000 digits, truncated)"
+        code, out, err = run(capsys, *argv, "1000001")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --decimal 1000001 is above the limit "
+                              "1000000") and err.count("\n") == 1
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
         code, out, _ = run(capsys, "--output", str(target), "measure",

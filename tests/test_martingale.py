@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dymart import verify
+from dymart import kernels, verify
 from dymart.config import parse_function
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
@@ -14,7 +14,7 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
                                conservative_transform, pattern_bettor,
                                savings_wrapper, uniform, verify_conservative,
                                verify_martingale)
-from dymart.pullback import inner_max, pullback_approx, shift_stats
+from dymart.pullback import pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
 from helpers import (by_prefixes, domination_by_words, is_prefix,
@@ -254,7 +254,8 @@ class TestClassTags:
         for d in (base, damped):
             for n in (5, 30, 90, 12):
                 shift_stats(d, IdentityFn(), W("01"), n)
-                inner_max(d, IdentityFn(), W("01"), n)
+                dpf = d.product_form
+                kernels.range_sum_max(dpf, dpf.classes(n), n, 0, 1 << n)
         assert len(pf.tags) >= 90
         assert sorted(calls) == list(range(len(pf.tags)))
 

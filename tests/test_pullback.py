@@ -14,15 +14,15 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                savings_wrapper, uniform)
 from dymart.pullback import (StrongVariationCert, _cell_ranges,
                              bracket_depth, certify_bracket, exact_total,
-                             grid_exponent, inner_max, pullback_approx,
+                             grid_exponent, pullback_approx,
                              pullback_martingale, shift_stats,
                              squeeze_bound, transfer_witness)
 from dymart.tightness import NormalizedInsertionFn, ZeroInsertionFn, \
     z_bettor
 
 from helpers import NoisyApproxMartingale, NoisyWeakFn, brute_force_shift, \
-    cell_ranges_by_fractions, nondyadic_bettor, pullback_by_words, \
-    random_product_forms, scan_sum_max
+    cell_ranges_by_fractions, inner_max_by_scan, nondyadic_bettor, \
+    pullback_by_words, random_product_forms, scan_sum_max
 
 W = Word.parse
 F = Fraction
@@ -99,19 +99,18 @@ class TestShiftAgainstBruteForce:
     @pytest.mark.parametrize("d,f", SHIFT_PAIRS,
                              ids=lambda p: getattr(p, "name", ""))
     def test_enumerate_equals_subtree(self, d, f):
-        # block sums and block maxima against the literal in-order scan of
-        # the inside cells, and the upper shift against the brute force
+        # block sums against the literal in-order scan of the inside
+        # cells, and the upper shift against the brute force
         pf = d.product_form
         for x in [W("λ"), W("1"), W("001")]:
             lo, hi = image_interval(f, x)
             for n in (0, 3, 9, 12):
                 a = max(0, math.ceil(lo * (1 << n)))
                 b = max(a, min(1 << n, math.floor(hi * (1 << n))))
-                sn, sd, mn, md = scan_sum_max(pf, pf.classes(n), n, a, b)
+                sn, sd, _, _ = scan_sum_max(pf, pf.classes(n), n, a, b)
                 unit = F(1 << len(x), 1 << n)
                 s = shift_stats(d, f, x, n)
                 assert s.lower == F(sn, 1 << sd) * unit
-                assert inner_max(d, f, x, n) == F(mn, 1 << md) * unit
                 assert s.upper == brute_force_shift(d, lo, hi, len(x), n,
                                                     inner=False)
 
@@ -132,8 +131,6 @@ class TestShiftAgainstBruteForce:
                         d, lo, hi, len(x), n, inner=True), d.name
                     assert s.upper == brute_force_shift(
                         d, lo, hi, len(x), n, inner=False), d.name
-                with pytest.raises(ValueError):
-                    inner_max(d, f, x, 2)
             # and it reaches depths no cell scan could
             deep = shift_stats(d, f, W("0"), 40)
             assert deep.lower <= deep.upper
@@ -211,7 +208,7 @@ class TestChainAndSqueeze:
             for n, s in enumerate(stats):
                 assert s.lower <= s.upper
                 # every inside cell y obeys 2^(|x|-|y|) d(y) <= lower(x;|y|)
-                top = inner_max(d, f, x, n)
+                top = inner_max_by_scan(d, f, x, n)
                 assert top <= s.lower or top == 0
 
     @pytest.mark.parametrize("d,f", SHIFT_PAIRS,

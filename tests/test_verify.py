@@ -20,9 +20,10 @@ import pytest
 from dymart import verify
 from dymart.dyadic import Dyadic
 from dymart.funcs import IdentityFn, TableStepFn
-from dymart.martingale import (ExactMartingale, allin_zeros, savings_wrapper,
-                               uniform)
-from dymart.tightness import ZeroInsertionFn
+from dymart.martingale import (ExactMartingale, allin_zeros,
+                               conservative_transform, pattern_bettor,
+                               savings_wrapper, uniform)
+from dymart.tightness import ZeroInsertionFn, z_bettor
 
 from helpers import nondyadic_bettor
 
@@ -101,6 +102,21 @@ def test_failure_text_pinned(suite, monkeypatch):
     want = (EXPECTED / f"verify_{suite}_failing_depth5.txt").read_text(
         encoding="utf-8")
     assert suite_lines(suite) == want
+
+
+def test_pullback_suite_runs_without_product_forms(monkeypatch):
+    # savings wrappers of strategies without a product form: every cell
+    # comes from ``exact``, and every check of the suite holds
+    extra = [
+        (savings_wrapper(pattern_bettor("01")), IdentityFn(), False),
+        (savings_wrapper(conservative_transform(z_bettor("0,2,4"))),
+         ZeroInsertionFn("0,2,4", scaled=True), False),
+    ]
+    assert all(d.product_form is None for d, _, _ in extra)
+    pairs = verify._shift_pairs()
+    monkeypatch.setattr(verify, "_shift_pairs", lambda: pairs + extra)
+    ok, lines = verify.run_suite("pullback", 8)
+    assert ok, lines
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words, exact_ceil_lg, gamma
+from dymart.funcs import word_image
 from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                ProductForm, Report, Violation,
                                conservative_transform)
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
-from dymart.funcs import word_image
 from dymart.pullback import _cell_ranges, pullback_approx
 from dymart.tightness import CensusSet, ZeroInsertionFn
 

@@ -6,9 +6,9 @@ of each of its checks, must equal the lines in ``tests/expected/``: the
 martingale and patch text was written before those suites compared
 integers, and the pullback text while its chain checks still took the
 inner maximum from a max-product table and compared against a per-word
-product fold.  To rewrite them after a deliberate change
-of the violation text, run ``PYTHONPATH=src python tests/test_verify.py``
-and review the diff.
+product fold.  To rewrite them after a deliberate change of the
+violation text, run ``PYTHONPATH=src python tests/test_verify.py`` and
+review the diff.
 """
 
 import sys

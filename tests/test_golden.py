@@ -28,6 +28,9 @@ COMMANDS = {
     "verify_all_depth8": "verify --suite all --depth 8",
     # 12 is the largest --depth verify accepts
     "verify_all_depth12": "verify --suite all --depth 12",
+    # the patch tables swept on a grid coarser than their own 2^-2 and
+    # 2^-3 steps
+    "verify_patch_depth2": "verify --suite patch --depth 2",
     "readme_pullback_uniform_identity":
         "pullback --martingale uniform --function identity --word λ "
         "--precision 10",

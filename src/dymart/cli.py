@@ -38,18 +38,20 @@ from .errors import DepthGuardError, DymartError
 
 
 def decimal_str(q, digits):
-    """Exact long-division decimal expansion, truncated toward zero."""
+    """Exact long-division decimal expansion, truncated toward zero: one
+    ``divmod`` per chunk of at most 1000 digits, so the pieces held before
+    the join take about one byte a digit."""
     q = Fraction(q)
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole = q.numerator // q.denominator
-    rem = q.numerator - whole * q.denominator
-    out = []
-    for _ in range(digits):
-        rem *= 10
-        out.append(str(rem // q.denominator))
-        rem -= (rem // q.denominator) * q.denominator
-    return f"{sign}{whole}.{''.join(out)}"
+    den = q.denominator
+    whole, rem = divmod(abs(q.numerator), den)
+    chunks = []
+    while digits > 0:
+        c = min(digits, 1000)
+        chunk, rem = divmod(rem * 10 ** c, den)
+        chunks.append(str(chunk).zfill(c))
+        digits -= c
+    return f"{sign}{whole}.{''.join(chunks)}"
 
 
 class Output:

@@ -99,12 +99,14 @@ class TableStepFn(FnOracle):
     @staticmethod
     def load(path):
         """Text format: one "word p/q" pair per line, '#' comments; every
-        word of one fixed length must be present; an optional "1 p/q" line
-        sets the value at the right endpoint (defaults to the last cell).
-        Values parse as ``parse_rational``: a bad one is a ParseError
-        naming its line."""
+        word of one fixed length, the first word's, must be present; an
+        optional "1 p/q" line sets the value at the right endpoint
+        (defaults to the last cell).  Values parse as ``parse_rational``:
+        a bad one, or a word of another length, is a ParseError naming
+        its line."""
         entries = {}
         at_one = None
+        grid = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -125,10 +127,14 @@ class TableStepFn(FnOracle):
                     w = Word.parse(word_text)
                 except ParseError as exc:
                     raise ParseError(str(exc), line=lineno) from None
+                if grid is None:
+                    grid = len(w)
+                elif len(w) != grid:
+                    raise ParseError(f"word {w} has length {len(w)}, not "
+                                     f"the table's {grid}", line=lineno)
                 entries[w] = value
         if not entries:
             raise ParseError("empty table")
-        grid = max(len(w) for w in entries)
         values = []
         for k in range(1 << grid):
             w = Word(k, grid)

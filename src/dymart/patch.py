@@ -13,7 +13,8 @@ which keeps f's value wherever that respects the already-fixed coarser
 values and clamps minimally otherwise.  The recursion is well founded
 because both neighbors have smaller exponent.
 
-``patch_reference`` evaluates g exactly (the oracle role).
+``patch_table`` evaluates g exactly on a whole grid, sweeping it coarsest
+exponent first; the tests keep the single-point recursion as its oracle.
 ``patch_approx`` is the one-pass approximation: it walks the bits of the
 input, maintaining running approximations (lo, hi) of g at the bracketing
 neighbors, and needs one f-query per bit at the target precision only --
@@ -28,67 +29,24 @@ from .dyadic import Dyadic, Word, fmt_rational
 from .report import Report, Violation
 
 
-def exponent_pred_succ(q):
-    """(exponent, predecessor, successor) of a dyadic in [0, 1].
-
-    The endpoints have exponent 0 and no neighbors (None, None).  For
-    q = 0.y1: pred = 0.y, and succ = 1 when y is all ones, else 0.z1 where
-    y = z 0 1^k.
-    """
-    q = Dyadic(q)
-    if not Dyadic(0) <= q <= Dyadic(1):
-        raise ValueError(f"{q} outside [0, 1]")
-    if q == Dyadic(0) or q == Dyadic(1):
-        return 0, None, None
-    e = q.exp
-    y = Word(q.num >> 1, e - 1)  # q = 0.y1
-    pred = y.value()
-    if y.is_all_ones():
-        succ = Dyadic(1)
-    else:
-        # strip trailing ones, then the final 0 becomes a 1
-        k, n = y.k, y.n
-        while k & 1:
-            k >>= 1
-            n -= 1
-        succ = Dyadic((k | 1), n)
-    return e, pred, succ
-
-
-def patch_reference(f, q, _memo=None):
-    """Exact monotone patch g(q); f must be exactly evaluable on all
-    dyadics of exponent <= e_q.
-
-    Evaluates the defining recursion with an explicit stack, so the depth
-    of Python calls does not grow with e_q.
-    """
-    q = Dyadic(q)
-    memo = {} if _memo is None else _memo
-    stack = [q]
-    while stack:
-        p = stack[-1]
-        if p in memo:
-            stack.pop()
-            continue
-        e, pred, succ = exponent_pred_succ(p)
-        if e == 0:
-            memo[p] = Fraction(f.at_one() if p == Dyadic(1) else f.at(p))
-            stack.pop()
-            continue
-        pending = [t for t in (succ, pred) if t not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[p] = max(memo[pred], min(memo[succ], Fraction(f.at(p))))
-        stack.pop()
-    return memo[q]
-
-
 def patch_table(f, exp):
-    """g on the whole 2^-exp grid, as a list indexed by k."""
-    memo = {}
-    return [patch_reference(f, Dyadic(k, exp), memo)
-            for k in range((1 << exp) + 1)]
+    """g on the whole 2^-exp grid, as a list indexed by k.
+
+    Sweeps the grid coarsest exponent first: the points of exponent e are
+    the odd multiples k of step = 2^(exp-e), and their neighbors
+    pred = k - step and succ = k + step have smaller exponent, so both are
+    set before k.  One f-query per grid point.
+    """
+    g = [None] * ((1 << exp) + 1)
+    g[0] = Fraction(f.at(Dyadic(0)))
+    g[-1] = Fraction(f.at_one())
+    for e in range(1, exp + 1):
+        step = 1 << (exp - e)
+        for j in range(1, 1 << e, 2):
+            k = j * step
+            g[k] = max(g[k - step],
+                       min(g[k + step], Fraction(f.at(Dyadic(j, e)))))
+    return g
 
 
 def patch_approx(f_weak, x, r):

@@ -282,17 +282,18 @@ def _chk_patch_monotone(depth):
 
 def _chk_patch_approx(depth):
     from .funcs import as_weak
-    from .patch import patch_approx, patch_reference
+    from .patch import patch_approx, patch_table
     violations = []
     checked = 0
     r = 8
+    exp = min(depth, 7)
     for f in _patch_tables():
-        memo = {}
+        g = patch_table(f, exp)
         weak = as_weak(f)
-        for x in all_words(min(depth, 7)):
+        for x in all_words(exp):
             checked += 1
             got = patch_approx(weak, x, r)
-            want = patch_reference(f, x.value(), memo)
+            want = g[x.k << (exp - x.n)]
             if abs(got - want) > F(1, 1 << r):
                 violations.append(Violation(f"{f.name} x={x}", "approx",
                                             f"{got} vs {want}"))
@@ -302,7 +303,7 @@ def _chk_patch_approx(depth):
 
 def _chk_patch_slope(depth):
     from .funcs import TableStepFn
-    from .patch import patch_reference, strong_increase_check
+    from .patch import patch_table, strong_increase_check
     grid = 8
     x0 = Dyadic(85, 8)
     vals = []
@@ -314,8 +315,8 @@ def _chk_patch_slope(depth):
             v -= F(1, 16)
         vals.append(v)
     f = TableStepFn(grid, vals, name="certified_dip")
-    memo = {}
-    rep = strong_increase_check(f, lambda q: patch_reference(f, q, memo),
+    g = patch_table(f, grid)
+    rep = strong_increase_check(f, lambda q: g[q.num << (grid - q.exp)],
                                 x0, F(1, 4), grid)
     return Report("slope floor survives patching", rep.checked,
                   rep.violations)

@@ -2,14 +2,15 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: covers are found by exhaustive enumeration, pullback values by
-querying the cover word by word, shifts by literal cell
-loops (over Fractions, or over integer cell products for product forms),
-derived strategies by recomputing every prefix of the word, measure round
-trips and the exhaustive martingale and measure checks word by word with
-no shared values, the census bounds of the insertion maps one point at a
-time in rationals, reference constants come from plain partial sums with
-explicit remainder bounds, and polynomial values from Horner's rule over
-Fractions.
+querying the cover word by word, shifts by literal cell loops (over
+Fractions, or over integer cell products for product forms), derived
+strategies by recomputing every prefix of the word, the monotone patch
+one point at a time by its defining recursion, decimal expansions one
+long-division digit at a time, measure round trips and the exhaustive
+martingale and measure checks word by word with no shared values, the
+census bounds of the insertion maps one point at a time in rationals,
+reference constants come from plain partial sums with explicit remainder
+bounds, and polynomial values from Horner's rule over Fractions.
 """
 
 import dataclasses
@@ -330,6 +331,79 @@ def table_at_by_fractions(table, q):
     if not 0 <= qf <= 1:
         raise ValueError(f"{q} outside [0, 1]")
     return table.values[math.floor(qf * (1 << table.grid))]
+
+
+def exponent_pred_succ(q):
+    """(exponent, predecessor, successor) of a dyadic in [0, 1].
+
+    The endpoints have exponent 0 and no neighbors (None, None).  For
+    q = 0.y1: pred = 0.y, and succ = 1 when y is all ones, else 0.z1 where
+    y = z 0 1^k.
+    """
+    q = Dyadic(q)
+    if not Dyadic(0) <= q <= Dyadic(1):
+        raise ValueError(f"{q} outside [0, 1]")
+    if q == Dyadic(0) or q == Dyadic(1):
+        return 0, None, None
+    e = q.exp
+    y = Word(q.num >> 1, e - 1)  # q = 0.y1
+    pred = y.value()
+    if y.is_all_ones():
+        succ = Dyadic(1)
+    else:
+        # strip trailing ones, then the final 0 becomes a 1
+        k, n = y.k, y.n
+        while k & 1:
+            k >>= 1
+            n -= 1
+        succ = Dyadic((k | 1), n)
+    return e, pred, succ
+
+
+def patch_reference(f, q, _memo=None):
+    """Exact monotone patch g(q) at one point, by the defining recursion
+    g(q) = max(g(pred q), min(g(succ q), f(q))); f must be exactly
+    evaluable on all dyadics of exponent <= e_q.
+
+    Evaluates the recursion with an explicit stack, so the depth of Python
+    calls does not grow with e_q.
+    """
+    q = Dyadic(q)
+    memo = {} if _memo is None else _memo
+    stack = [q]
+    while stack:
+        p = stack[-1]
+        if p in memo:
+            stack.pop()
+            continue
+        e, pred, succ = exponent_pred_succ(p)
+        if e == 0:
+            memo[p] = Fraction(f.at_one() if p == Dyadic(1) else f.at(p))
+            stack.pop()
+            continue
+        pending = [t for t in (succ, pred) if t not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[p] = max(memo[pred], min(memo[succ], Fraction(f.at(p))))
+        stack.pop()
+    return memo[q]
+
+
+def decimal_by_digits(q, digits):
+    """``cli.decimal_str`` one long-division step per digit: the
+    expansion of q truncated toward zero."""
+    q = Fraction(q)
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    whole = q.numerator // q.denominator
+    rem = q.numerator - whole * q.denominator
+    out = []
+    for _ in range(digits):
+        rem *= 10
+        out.append(str(rem // q.denominator))
+        rem -= (rem // q.denominator) * q.denominator
+    return f"{sign}{whole}.{''.join(out)}"
 
 
 def verify_measure_by_words(nu, depth):

@@ -22,8 +22,7 @@ from dymart.martingale import (allin_zeros, as_approx, conservative_transform,
 from dymart.measure import (DifferentialMeasure, ProductMeasure,
                             UniformMeasure, dual_roundtrip_check,
                             roundtrip_check)
-from dymart.patch import (patch_approx, patch_reference, patch_table,
-                          strong_increase_check)
+from dymart.patch import patch_approx, patch_table, strong_increase_check
 from dymart.pullback import (certify_bracket, pullback_approx, shift_stats,
                              squeeze_bound)
 from dymart.tightness import (NormalizedInsertionFn, ZeroInsertionFn,
@@ -31,7 +30,8 @@ from dymart.tightness import (NormalizedInsertionFn, ZeroInsertionFn,
 
 from helpers import (NoisyWeakFn, brute_force_cover, cos_interval,
                      exp_interval, in_interval, inner_max_by_scan,
-                     ln1p_interval, sin_interval, verify_strong_ratio)
+                     ln1p_interval, patch_reference, sin_interval,
+                     verify_strong_ratio)
 
 F = Fraction
 W = Word.parse

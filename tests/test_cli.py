@@ -3,16 +3,19 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dymart import cli
 from dymart.dyadic import parse_rational
 from dymart.errors import ParseError
 from dymart import config as cfg
-from helpers import exp_interval, in_interval
+from helpers import decimal_by_digits, exp_interval, in_interval
 from test_golden import COMMANDS, GOLDEN, STEP_TABLE
 
 F = Fraction
@@ -182,6 +185,29 @@ class TestOutputModes:
         assert code == 2 and out == ""
         assert err.startswith("error: --decimal 1000001 is above the limit "
                               "1000000") and err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(-40, 40), st.integers(-10 ** 40, 10 ** 40)),
+           st.one_of(st.integers(1, 50), st.integers(1, 10 ** 20)),
+           st.one_of(st.sampled_from([0, 1, 5, 999, 1000, 1001, 2500]),
+                     st.integers(0, 60)))
+    def test_decimal_equals_digit_by_digit(self, num, den, digits):
+        # negative values and zero whole parts included, and digit counts
+        # on both sides of a chunk boundary
+        q = F(num, den)
+        assert cli.decimal_str(q, digits) == decimal_by_digits(q, digits)
+
+    def test_decimal_peak_memory(self):
+        # a million digits of 1/3 peak near 3 MB; one string per digit
+        # peaked near 58 MB (Python 3.11)
+        tracemalloc.start()
+        try:
+            text = cli.decimal_str(F(1, 3), 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "0." + "3" * 10 ** 6
+        assert peak < 10 * 2 ** 20, peak
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
@@ -577,6 +603,16 @@ class TestErrors:
         code, out, _ = run(capsys, "measure", "differential", "--function",
                            f"table:{table}", "--word", "01")
         assert code == 0 and out.strip() == "1/4"
+
+    def test_table_word_of_another_length_exit_2(self, capsys, tmp_path):
+        # the first word sets the table's length; a shorter one later is
+        # refused on its own line, not dropped
+        table = tmp_path / "mixed.tbl"
+        table.write_text("00 0\n01 1/4\n10 1/2\n11 3/4\n0 7/8\n")
+        code, out, err = run(capsys, "patch", "--function", f"table:{table}",
+                             "--word", "01", "--precision", "4")
+        assert code == 2 and out == ""
+        assert err == "error: line 5: word 0 has length 1, not the table's 2\n"
 
     # 5000 digits: above Python's default str->int limit of 4300
     LONG = "1" + "0" * 4999

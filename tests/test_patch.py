@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.funcs import FnOracle, TableStepFn, WeakFn, as_weak
-from dymart.patch import (exponent_pred_succ, patch_approx, patch_reference,
-                          patch_table, strong_increase_check)
+from dymart.patch import patch_approx, patch_table, strong_increase_check
 
-from helpers import NoisyWeakFn, dyadic_grid, table_at_by_fractions
+from helpers import (NoisyWeakFn, dyadic_grid, exponent_pred_succ,
+                     patch_reference, table_at_by_fractions)
 
 W = Word.parse
 F = Fraction
@@ -155,9 +155,7 @@ class TestPatchReference:
 
     def test_monotone_fixed_point(self):
         f = monotone_table()
-        memo = {}
-        for q in dyadic_grid(10):
-            assert patch_reference(f, q, memo) == f.at(q)
+        assert patch_table(f, 10) == [f.at(q) for q in dyadic_grid(10)]
 
     def test_monotone_on_fine_grid_for_zoo(self):
         for make in ZOO:
@@ -182,6 +180,63 @@ class TestPatchReference:
         assert g == patch_approx(as_weak(f), x, 8)
         _, pred, succ = exponent_pred_succ(q)
         assert patch_reference(f, pred) <= g <= patch_reference(f, succ)
+
+
+class CountingFn(FnOracle):
+    """``inner`` with every ``at`` point and ``at_one`` call recorded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = []
+        self.ones = 0
+
+    def at(self, q):
+        self.points.append(Dyadic(q))
+        return self.inner.at(q)
+
+    def at_one(self):
+        self.ones += 1
+        return self.inner.at_one()
+
+
+@st.composite
+def random_tables(draw):
+    """A table on a 2^-grid grid, grid 0..4, of arbitrary (mostly not
+    monotone) rational values."""
+    grid = draw(st.integers(0, 4))
+    values = draw(st.lists(st.fractions(-2, 2, max_denominator=16),
+                           min_size=(1 << grid) + 1,
+                           max_size=(1 << grid) + 1))
+    return TableStepFn(grid, values, name="random")
+
+
+class TestPatchSweep:
+    # the coarse-to-fine sweep of patch_table against the single-point
+    # recursion of the helpers, at every grid point
+    @settings(max_examples=150, deadline=None)
+    @given(random_tables(), st.integers(0, 10))
+    def test_random_tables_equal_reference(self, f, exp):
+        memo = {}
+        assert patch_table(f, exp) == \
+            [patch_reference(f, q, memo) for q in dyadic_grid(exp)]
+
+    @pytest.mark.parametrize("exp", [0, 1, 2, 5, 12])
+    def test_zigzag_equals_reference(self, exp):
+        # Zigzag clamps at every scale
+        f = Zigzag()
+        memo = {}
+        assert patch_table(f, exp) == \
+            [patch_reference(f, q, memo) for q in dyadic_grid(exp)]
+
+    @pytest.mark.parametrize("exp", [0, 1, 3, 8])
+    def test_one_query_per_grid_point(self, exp):
+        # f(0), then each of the 2^exp - 1 interior points once, and the
+        # value at 1 once through at_one
+        for inner in (wiggle_table(), Zigzag()):
+            f = CountingFn(inner)
+            patch_table(f, exp)
+            assert sorted(f.points) == dyadic_grid(exp)[:-1]
+            assert f.ones == 1
 
 
 class TestPatchApprox:

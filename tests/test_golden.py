@@ -86,6 +86,11 @@ COMMANDS = {
     "pullback_savings_conservative_pattern_r512":
         "pullback --martingale savings:conservative:pattern:011 --function "
         "fz_norm:0,2,4 --word 0110 --precision 512",
+    # the same at m = 8200, TestMemory's command: a 14.8 KB value, the
+    # deepest savings cover the goldens pin
+    "pullback_savings_conservative_pattern_r2048":
+        "pullback --martingale savings:conservative:pattern:011 --function "
+        "fz_norm:0,2,4 --word 0110 --precision 2048",
     # a fold over a fold: the conservative transform of a savings wrapper
     "pullback_conservative_savings_fz_norm_trace":
         "pullback --martingale conservative:savings:pattern:011 --function "

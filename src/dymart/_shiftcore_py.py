@@ -30,9 +30,19 @@ bits and values them, and at its leaf the cell beside the range: at most
 and is the one block λ.  The same walk (``_block_values``)
 gives each block's own value, zero ones included, which is how a product
 form values every word of a pullback cover for that word's d-query, with
-one running product per path.  The largest cell below a block is its
-value times the best product of the factors still to come, read from a
-table built once per call in O(n * n_states) steps (``range_sum_max``).
+one running product per path.
+
+The savings wrapper of a product form (``martingale.savings_fold``) is a
+fold along the path too, so its blocks hang off the same two paths: a
+second walker (``_savings_path_values``), in its own loop beside the
+product one, carries the wrapper's capital, level and reserve down each
+path and values each block and the leaf as the reserve plus the capital
+over 2^level.  ``subtree_sum`` and ``_block_values`` take it with
+``savings`` set, at the same at most 2n factor steps.
+
+The largest cell below a block is its value times the best product of
+the factors still to come, read from a table built once per call in
+O(n * n_states) steps (``range_sum_max``).
 """
 
 
@@ -98,7 +108,59 @@ def _path_values(pf, classes, n, end, away, top):
     return num, dexp
 
 
-def _block_values(pf, classes, n, a, b, ends):
+def _sum_pow2(a, i, b, j):
+    """a / 2^i + b / 2^j as (num, max(i, j)) for num / 2^max(i, j)."""
+    if j > i:
+        return (a << (j - i)) + b, j
+    return a + (b << (i - j)), i
+
+
+def _savings_path_values(pf, classes, n, end, away, top):
+    """``_path_values`` for the savings wrapper of ``pf``: the same blocks
+    and leaf, each valued as ``martingale.savings_fold`` values its word,
+    the reserve plus the capital over 2^level.
+
+    The walk carries the fold's state down the path: the capital
+    num / 2^dexp, the machine state, the level reached and the reserve
+    rnum / 2^rexp, with the fold's crossings.  One factor-pair lookup per
+    level serves the path step and the block beside it.  A block needs no
+    crossing of its own: a crossing of capital c at level L adds c/2^(L+1)
+    to the reserve R and leaves c/2^(L+1) at stake, so the value
+    R + c/2^L of the word where it happens is unchanged, and a block is
+    worth the reserve plus its capital over 2^level with the reserve and
+    level of its parent on the path.  Past a zero capital the reserve is
+    frozen, so every deeper block and the leaf are worth the reserve, and
+    no lookup is made.
+    """
+    num, dexp, state, edges = 1, 0, pf.start, pf.edges
+    level = rnum = rexp = 0
+    bits = format(end, f"0{n}b").encode() if n else b""
+    for depth, byte in enumerate(bits):
+        pair = edges[state][classes[depth]]
+        bit = byte & 1
+        if bit != away and depth > top:
+            fnum, fdexp, below = pair[away]
+            # reserve + capital / 2^level: _sum_pow2, inline
+            c_num, e = num * fnum, dexp + fdexp + level
+            if e > rexp:
+                yield (rnum << (e - rexp)) + c_num, e, n - 1 - depth, below
+            else:
+                yield rnum + (c_num << (rexp - e)), rexp, n - 1 - depth, below
+        fnum, fdexp, state = pair[bit]
+        num *= fnum
+        if not num:
+            for depth in range(depth + 1, n):
+                if (bits[depth] & 1) != away and depth > top:
+                    yield rnum, rexp, n - 1 - depth, state
+            return rnum, rexp
+        dexp += fdexp
+        while num.bit_length() > dexp + level + 1:
+            level += 1
+            rnum, rexp = _sum_pow2(rnum, rexp, num, dexp + level)
+    return _sum_pow2(rnum, rexp, num, dexp + level)
+
+
+def _block_values(pf, classes, n, a, b, ends, savings=False):
     """``_path_values`` for every maximal aligned block of [a, b): the
     1-children off the path to a - 1 where it steps to 0 and the
     0-children off the path to b where it steps to 1, below the depth
@@ -106,16 +168,20 @@ def _block_values(pf, classes, n, a, b, ends):
     b = 2**n).  Each walk goes down to its leaf: sets ``ends`` to
     [d(cell a - 1), d(cell b)], None for a cell that does not exist.  The
     full range has no end path: it is the one block λ, d(λ) = 1, with no
-    walk.  Serves the block sums and maxima here and a product form's
-    pullback cover (``martingale.ProductFormApprox.cover_replies``)."""
+    walk.  With ``savings`` set the values are those of the savings
+    wrapper of ``pf`` (``_savings_path_values``; d(λ) = 1 there too).
+    Serves the block sums and maxima here and the pullback cover of a
+    product form or of its savings wrapper
+    (``martingale.ProductFormApprox.cover_replies``)."""
     if b - a == 1 << n:
         yield 1, 0, n, pf.start
         return
     top = n - ((a - 1) ^ b).bit_length() if 0 < a and b < 1 << n else -1
+    path = _savings_path_values if savings else _path_values
     if a > 0:
-        ends[0] = yield from _path_values(pf, classes, n, a - 1, 1, top)
+        ends[0] = yield from path(pf, classes, n, a - 1, 1, top)
     if b < 1 << n:
-        ends[1] = yield from _path_values(pf, classes, n, b, 0, top)
+        ends[1] = yield from path(pf, classes, n, b, 0, top)
 
 
 def _block_total(values):
@@ -132,7 +198,7 @@ def _block_total(values):
     return s_num, s_dexp
 
 
-def subtree_sum(pf, classes, n, a, b):
+def subtree_sum(pf, classes, n, a, b, savings=False):
     """Sum of d over cells [a, b) at depth n via aligned-block collapse,
     and the cells on either side: (sum_num, sum_dexp, left, right) with
     left = d(cell a - 1) and right = d(cell b) as (num, dexp) pairs, None
@@ -143,10 +209,12 @@ def subtree_sum(pf, classes, n, a, b):
     beside the range finds the blocks hanging off it and values them, one
     at a time, and ends at that cell: at most 2n factor steps and O(1)
     running products; the full range is the one block λ, with no walk.
-    Exact for any depth.
+    Exact for any depth.  With ``savings`` set, d is the savings wrapper
+    of ``pf`` and the same two walks carry its reserve and level
+    (``_savings_path_values``), at the same cost.
     """
     ends = [None, None]
-    total = _block_total(_block_values(pf, classes, n, a, b, ends))
+    total = _block_total(_block_values(pf, classes, n, a, b, ends, savings))
     return total + tuple(ends)
 
 

@@ -102,10 +102,12 @@ class TableStepFn(FnOracle):
         word of one fixed length, the first word's, must be present; an
         optional "1 p/q" line sets the value at the right endpoint
         (defaults to the last cell).  Values parse as ``parse_rational``:
-        a bad one, or a word of another length, is a ParseError naming
-        its line."""
+        a bad one, a word of another length, or a word or "1" line given a
+        second time, is a ParseError naming its line."""
         entries = {}
         at_one = None
+        # the line of each word given, and of the "1" line
+        seen = {}
         grid = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -121,18 +123,26 @@ class TableStepFn(FnOracle):
                 except ParseError as exc:
                     raise ParseError(str(exc), line=lineno) from None
                 if word_text == "1":
+                    key, what = None, "the value at 1"
+                else:
+                    try:
+                        key = Word.parse(word_text)
+                    except ParseError as exc:
+                        raise ParseError(str(exc), line=lineno) from None
+                    what = f"word {key}"
+                if key in seen:
+                    raise ParseError(f"{what} is given again (first on line "
+                                     f"{seen[key]})", line=lineno)
+                seen[key] = lineno
+                if key is None:
                     at_one = value
                     continue
-                try:
-                    w = Word.parse(word_text)
-                except ParseError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
                 if grid is None:
-                    grid = len(w)
-                elif len(w) != grid:
-                    raise ParseError(f"word {w} has length {len(w)}, not "
-                                     f"the table's {grid}", line=lineno)
-                entries[w] = value
+                    grid = len(key)
+                elif len(key) != grid:
+                    raise ParseError(f"word {key} has length {len(key)}, "
+                                     f"not the table's {grid}", line=lineno)
+                entries[key] = value
         if not entries:
             raise ParseError("empty table")
         values = []

@@ -21,11 +21,14 @@ strategy folds its input's ``at`` values in ``Fraction``s.  The fold
 keeps the states along the last word asked and steps forward only below
 the prefix the next word shares with it.  A cover's words lie on its two
 end paths, so a cover costs O(m) steps in all: O(1) amortized per cover
-word.  A product form's approximator (``ProductFormApprox``) values a
-pullback's whole cover without the fold: one block walk down the two end
-paths values every cover word, at most 2m factor steps with one running
-product per path, so the retained state is O(m) bits, not the fold's one
-product per level.  Each value is still the reply of its own ``query``.
+word.  The approximator of a product form or of its savings wrapper
+(``ProductFormApprox``) values a pullback's whole cover without the fold:
+one block walk down the two end paths values every cover word, at most
+2m factor steps with one running product (for the savings wrapper, one
+capital and one reserve) per path, so the retained state is O(m) bits,
+not the fold's one state per level.  Each value is still the reply of
+its own ``query``.  The savings wrapper of a product form records the
+form as its ``savings_form`` for that walk.
 """
 
 from __future__ import annotations
@@ -127,16 +130,19 @@ class ExactMartingale:
     per-instance ``PrefixFold``, so words asked in left-to-right order (a
     cover) share their walks.
 
-    A ``product_form`` given with an ``fn`` must have fn's values: the
-    block walks (brackets, ``as_approx``'s whole-cover replies) read the
-    form, not ``fn``.
+    ``savings_form`` is the product form whose savings wrapper the
+    strategy is, set by ``savings_wrapper``.  A ``product_form`` given
+    with an ``fn`` must have fn's values, and a ``savings_form`` must be
+    the form whose savings wrapper ``fn`` is: the block walks (brackets,
+    ``as_approx``'s whole-cover replies) read the form that
+    ``block_walk`` names, not ``fn``.
 
     ``conservative`` is True when every single-step bet ratio is certified
     to lie in [1/2, 3/2], the hypothesis of the pullback gap bound.
     """
 
     def __init__(self, name, fn=None, *, product_form=None,
-                 conservative=False):
+                 savings_form=None, conservative=False):
         if fn is None:
             if product_form is None:
                 raise ValueError(f"ExactMartingale({name!r}) needs fn or "
@@ -145,7 +151,19 @@ class ExactMartingale:
         self.name = name
         self.exact = fn
         self.product_form = product_form
+        self.savings_form = savings_form
         self.conservative = conservative
+
+    @property
+    def block_walk(self):
+        """What the block walks read: (``product_form``, False), else
+        (``savings_form``, True), the kernels' ``savings`` flag; None for
+        a strategy with neither form."""
+        if self.product_form is not None:
+            return self.product_form, False
+        if self.savings_form is not None:
+            return self.savings_form, True
+        return None
 
     def at(self, w):
         """Exact d(w) as a Fraction: ``Fraction(exact(w))``."""
@@ -311,13 +329,6 @@ def _savings_value(state):
     return reserve + mult * v
 
 
-def _sum_pow2(a, i, b, j):
-    """a / 2^i + b / 2^j as (num, max(i, j)) for num / 2^max(i, j)."""
-    if j > i:
-        return (a << (j - i)) + b, j
-    return a + (b << (i - j)), i
-
-
 def savings_fold(pf):
     """The savings wrapper of the product form ``pf`` as a reply function:
     the ``Dyadic`` value of a word, in integers throughout.
@@ -329,9 +340,14 @@ def savings_fold(pf):
     factor lookup and one multiply per level; capital at or above
     2^(level+1), that is ``num >> (dexp + level + 1) != 0``, crosses a
     level and adds capital / 2^level, at the new level, to the reserve.
-    The value is reserve + capital / 2^level.
+    The value is reserve + capital / 2^level.  It answers ``exact`` and
+    ``at``, word by word; the wrapper's brackets and pullback covers take
+    the same values from the block walk down the two end paths instead
+    (``kernels.subtree_sum`` and ``kernels.block_values`` with
+    ``savings`` set), which carries this state along each path and keeps
+    no stack.
     """
-    edges, tags = pf.edges, pf.tags
+    edges, tags, sum_pow2 = pf.edges, pf.tags, kernels.sum_pow2
     # d(λ) = 1 crosses no level
     fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0))
     states, shared = fold.states, fold.shared
@@ -348,10 +364,10 @@ def savings_fold(pf):
             dexp += fdexp
             while num >> (dexp + level + 1):
                 level += 1
-                rnum, rexp = _sum_pow2(rnum, rexp, num, dexp + level)
+                rnum, rexp = sum_pow2(rnum, rexp, num, dexp + level)
             i += 1
             states.append((num, dexp, at, level, rnum, rexp))
-        return Dyadic(*_sum_pow2(rnum, rexp, num, dexp + level))
+        return Dyadic(*sum_pow2(rnum, rexp, num, dexp + level))
 
     return exact
 
@@ -368,7 +384,9 @@ def savings_wrapper(mart):
 
     The value is a fold along the prefixes of w through a ``PrefixFold``.
     Over a product form it is ``savings_fold``, in integers, and ``exact``
-    is a ``Dyadic``; over any other strategy it folds the input's ``at``
+    is a ``Dyadic``; the wrapper records the form as its
+    ``savings_form``, so its brackets and pullback covers come from the
+    block walk.  Over any other strategy it folds the input's ``at``
     values with the state (level, reserve, mult, d(prefix)) and the
     answer reserve + mult d(w), in ``Fraction``s.
     """
@@ -380,7 +398,7 @@ def savings_wrapper(mart):
         value = _value_fold(mart, lambda v: _savings_step(start, v),
                             _savings_step, _savings_value)
 
-    return ExactMartingale(f"savings:{mart.name}", value,
+    return ExactMartingale(f"savings:{mart.name}", value, savings_form=pf,
                            conservative=mart.conservative)
 
 
@@ -506,9 +524,9 @@ class ApproxMartingale:
 
 
 class ProductFormApprox(ApproxMartingale):
-    """``as_approx`` of a product form: ``query`` replies from the
-    strategy's fold, except for the word a block walk has just valued
-    (``cover_replies``)."""
+    """``as_approx`` of a product form or of its savings wrapper: ``query``
+    replies from the strategy's fold, except for the word a block walk has
+    just valued (``cover_replies``)."""
 
     def __init__(self, mart):
         exact = mart.exact
@@ -519,14 +537,15 @@ class ProductFormApprox(ApproxMartingale):
             return walked[1] if w is walked[0] else exact(w)
 
         super().__init__(mart.name, reply, conservative=mart.conservative)
-        self.product_form = mart.product_form
+        self._walk = mart.block_walk
 
     def cover_replies(self, cover, m):
         """(query(w, m), |w|) for each word w of ``cover``, each once.
 
         A ``Cover`` (what ``minimal_cover`` gives) is valued by
         ``kernels.block_values`` on the two end paths of its grid range,
-        at most 2m factor steps in all, and asked in walk order: the words
+        the product form's or its savings wrapper's values, at most 2m
+        factor steps in all, and asked in walk order: the words
         off the path to the cell before the range, then those off the path
         to the cell after it, each top-down; zero ones are asked too.  The
         full range is the one word λ.  An empty one has no words and
@@ -542,11 +561,11 @@ class ProductFormApprox(ApproxMartingale):
         if cover.lo == cover.hi:
             return
         lo, hi, before = cover.lo, cover.hi, cover.lo - 1
-        pf, ends, walked, query = self.product_form, [None, None], \
+        (pf, savings), ends, walked, query = self._walk, [None, None], \
             self._walked, self.query
         try:
             for num, dexp, lev, _ in kernels.block_values(
-                    pf, pf.classes(m), m, lo, hi, ends):
+                    pf, pf.classes(m), m, lo, hi, ends, savings):
                 # the walk to the cell before the range comes first and
                 # sets ends[0] when it is done
                 k = (before >> lev) + 1 if lo and ends[0] is None \
@@ -560,10 +579,11 @@ class ProductFormApprox(ApproxMartingale):
 
 def as_approx(mart):
     """Trivial wrapper: exact values at every precision, from
-    ``mart.exact`` (a ``Dyadic`` for a product form), bound once.  For a
-    product form it is a ``ProductFormApprox``, which also values a
-    pullback's whole cover from one block walk for the cover's queries."""
-    if mart.product_form is not None:
+    ``mart.exact`` (a ``Dyadic`` for a product form and its savings
+    wrapper), bound once.  For a product form or its savings wrapper it
+    is a ``ProductFormApprox``, which also values a pullback's whole cover
+    from one block walk for the cover's queries."""
+    if mart.block_walk is not None:
         return ProductFormApprox(mart)
     exact = mart.exact
     return ApproxMartingale(mart.name, lambda w, r: exact(w),

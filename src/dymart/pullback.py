@@ -23,18 +23,22 @@ ways.  Generically it is a ``dyadic.Cover``, which makes the blocks' words
 one at a time, left to right: the pullback's cover S is one, queried one
 d-query per word, so an exact strategy answers it through its prefix fold
 (``martingale.PrefixFold``) in O(m) steps, and ``shift_stats`` totals
-``d.exact`` over one for a strategy without a product form.  A product
-form's range is tiled by the block walk (``kernels.block_values``) down
-the two end paths of the range, which finds the blocks from the paths'
-own bits and values them all in at most 2n factor steps with one running
-product per path; the full range is the one block λ.  ``as_approx`` of a
+``d.exact`` over one for a strategy with neither a product form nor a
+savings wrapper's form.  A product form's range is tiled by the block
+walk (``kernels.block_values``) down the two end paths of the range,
+which finds the blocks from the paths' own bits and values them all in
+at most 2n factor steps with one running product per path; the full
+range is the one block λ.  ``as_approx`` of a
 product form asks the pullback cover's words in the walk's order
 (``cover_replies``), each value still the reply of that word's own
 d-query; no cover list is built, and the total reads each ``Dyadic``
 reply's numerator and exponent directly, as the replies stream in.
 ``shift_stats`` takes a product form's inside cells and both boundary
 cells from one walk down the paths to the boundary cells: the bracket at
-depth m + 8 costs exactly 2(m + 8) factor steps.
+depth m + 8 costs exactly 2(m + 8) factor steps.  The savings wrapper of
+a product form (its ``savings_form``) takes the same walks with its
+level and reserve carried along each path: its cover replies and its
+bracket cost the same, with no ``exact`` call and no ``Word`` per block.
 """
 
 from __future__ import annotations
@@ -132,13 +136,16 @@ def shift_stats(d, f, x, n):
     identity and so works at any depth: lower sums the inside cells
     [inner_a, inner_b), and upper adds the at most two boundary cells
     [touch_a, inner_a) and [inner_b, touch_b), which are the cells
-    inner_a - 1 and inner_b.  Product forms take all three from one
-    ``kernels.subtree_sum``: its two end-path walks find and value the
-    inside blocks and end at those two cells, at most 2n factor steps.
-    Other strategies total ``d.exact`` over the words of each range's
-    ``Cover`` through ``exact_total`` (a one-cell range is one word): one
-    integer numerator over 2^e for the dyadic values (a savings wrapper of
-    a product form has only those), a ``Fraction`` for the rest.
+    inner_a - 1 and inner_b.  Product forms and their savings wrappers
+    take all three from one ``kernels.subtree_sum`` (with ``savings`` set
+    for a wrapper): its two end-path walks find and value the inside
+    blocks and end at those two cells, at most 2n factor steps.  Other
+    strategies, with neither form (the conservative transform of a
+    savings wrapper, the savings wrapper of a strategy without a product
+    form), total ``d.exact`` over the words of each range's ``Cover``
+    through ``exact_total`` (a one-cell range is one word): one integer
+    numerator over 2^e for the dyadic values, a ``Fraction`` for the
+    rest.
 
     D_x is derived here, two f-values; ``_shift_stats`` takes it from the
     caller, so a check over many depths derives it once per word.
@@ -150,13 +157,15 @@ def shift_stats(d, f, x, n):
 
 def _shift_stats(d, ends, x_len, n):
     """``shift_stats`` of the word of length ``x_len`` whose D_x has the
-    exact ends ``ends``."""
+    exact ends ``ends``: from the block walk of ``d.block_walk`` when it
+    has one, else word by word over ``Cover``."""
     inner_a, inner_b, touch_a, touch_b = _cell_ranges(*ends, n)
 
-    pf = d.product_form
-    if pf is not None:
+    walk = d.block_walk
+    if walk is not None:
+        pf, savings = walk
         s_num, s_dexp, left, right = kernels.subtree_sum(
-            pf, pf.classes(n), n, inner_a, inner_b)
+            pf, pf.classes(n), n, inner_a, inner_b, savings)
         inner = upper = Dyadic(s_num, s_dexp)
         if touch_a < inner_a:
             upper += Dyadic(*left)

@@ -614,6 +614,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "error: line 5: word 0 has length 1, not the table's 2\n"
 
+    @pytest.mark.parametrize("text,error", [
+        ("00 0\n01 1/4\n10 1/2\n11 3/4\n01 7/8\n",
+         "line 5: word 01 is given again (first on line 2)"),
+        ("1 1\n00 0\n01 1/4\n10 1/2\n11 3/4\n1 7/8\n",
+         "line 6: the value at 1 is given again (first on line 1)"),
+    ], ids=["word", "endpoint"])
+    def test_table_repeated_line_exit_2(self, capsys, tmp_path, text,
+                                        error):
+        # a second value for a word or for the endpoint is refused on its
+        # own line, not kept in place of the first
+        table = tmp_path / "twice.tbl"
+        table.write_text(text)
+        code, out, err = run(capsys, "patch", "--function", f"table:{table}",
+                             "--word", "01", "--precision", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
     # 5000 digits: above Python's default str->int limit of 4300
     LONG = "1" + "0" * 4999
 
@@ -904,18 +921,31 @@ def peak_rss_mb(tmp_path, *argv):
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads VmHWM from /proc")
 class TestMemory:
+    SAVINGS = ("pullback", "--martingale", "savings:conservative:pattern:011",
+               "--function", "fz_norm:0,2,4", "--word", "0110",
+               "--precision")
+
     def test_savings_pullback_r2048_peak_rss(self, tmp_path):
-        # a savings wrapper of a product form at m = 8200: its integer
-        # fold keeps one path of states, inner or outer.  A Fraction fold
-        # over the input's at() values peaks at about 94 MB on this
-        # command, the integer fold at about 31 MB, and the same command
-        # at r = 8 at 15 MB (Python 3.11, Linux)
-        out, peak_mb = peak_rss_mb(
-            tmp_path, "pullback", "--martingale",
-            "savings:conservative:pattern:011", "--function",
-            "fz_norm:0,2,4", "--word", "0110", "--precision", "2048")
+        # a savings wrapper of a product form at m = 8200: its cover comes
+        # from one savings walk down each end path, which carries one
+        # capital and one reserve per path.  A Fraction fold over the
+        # input's at() values peaked at about 94 MB on this command, the
+        # integer fold, one state per level of the last word, at about
+        # 26 MB, and the walk at about 16 MB, the same as at r = 8
+        # (Python 3.11, Linux)
+        out, peak_mb = peak_rss_mb(tmp_path, *self.SAVINGS, "2048")
         assert RAT.fullmatch(out.strip())
         assert peak_mb < 60, peak_mb
+
+    def test_savings_pullback_r8192_peak_rss(self, tmp_path):
+        # the same at m = 32792 keeps O(m) bits, so it peaks within a few
+        # MB of r = 8.  The integer fold's stack peaked at about 166 MB
+        # here against 16 MB at r = 8, the walk at about 17 MB (Python
+        # 3.11, Linux)
+        _, small = peak_rss_mb(tmp_path, *self.SAVINGS, "8")
+        out, large = peak_rss_mb(tmp_path, *self.SAVINGS, "8192")
+        assert RAT.fullmatch(out.strip())
+        assert large - small < 8, (small, large)
 
     def test_product_form_pullback_r8192_peak_rss(self, tmp_path):
         # a product form's cover at m = 32792 comes from one block walk,

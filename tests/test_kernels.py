@@ -18,7 +18,7 @@ from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import ApproxMartingale, ExactMartingale, \
     ProductForm, allin_zeros, as_approx, conservative_transform, \
     pattern_bettor, product_fold, savings_fold, savings_wrapper, uniform
-from dymart.pullback import certify_bracket, grid_exponent, \
+from dymart.pullback import certify_bracket, exact_total, grid_exponent, \
     pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
@@ -140,6 +140,17 @@ def product_forms():
                          conservative_transform(allin_zeros()).product_form,
                          z_bettor("1,3").product_form,
                          pattern_bettor("011").product_form]))
+
+
+def savings_forms():
+    """``product_forms`` and their conservative transforms: the forms a
+    savings wrapper's walk reads."""
+    return product_forms().flatmap(
+        lambda pf: st.sampled_from([pf, pf.transformed()]))
+
+
+RANGE_KINDS = ["random", "from zero", "to the end", "empty", "one cell",
+               "full"]
 
 
 def index_range(data, cells):
@@ -347,22 +358,26 @@ def walk_order(words):
 
 
 class TestCoverReplies:
-    """A product form's whole-cover replies against the cover's words,
-    each valued by the product fold."""
+    """The whole-cover replies of a product form and of its savings
+    wrapper against the cover's words, each valued by the product fold or
+    the savings fold."""
 
     @settings(max_examples=150, deadline=None)
-    @given(product_forms(), st.integers(0, 40), st.data())
-    def test_replies_are_the_cover_values(self, pf, m, data):
+    @given(savings_forms(), st.booleans(), st.integers(0, 40), st.data())
+    def test_replies_are_the_cover_values(self, pf, savings, m, data):
         cells = 1 << m
-        lo, hi = data.draw(st.sampled_from(
-            ["random", "from zero", "to the end", "empty", "one cell",
-             "full"]).flatmap(lambda kind: end_range(kind, cells)))
+        lo, hi = data.draw(st.sampled_from(RANGE_KINDS).flatmap(
+            lambda kind: end_range(kind, cells)))
         cover = minimal_cover(Dyadic(lo, m), Dyadic(hi, m), m)
-        approx = as_approx(ExactMartingale("random", product_form=pf))
+        mart = ExactMartingale("random", product_form=pf)
+        if savings:
+            mart, value = savings_wrapper(mart), savings_fold(pf)
+        else:
+            value = product_fold(pf)
+        approx = as_approx(mart)
         real, asked = approx.query, []
         approx.query = lambda w, r: asked.append((w, r)) or real(w, r)
         replies = list(approx.cover_replies(cover, m))
-        value = product_fold(pf)
         words = walk_order(cover)
         assert replies == [(value(w), len(w)) for w in words]
         assert all(type(q) is Dyadic for q, _ in replies)
@@ -390,6 +405,65 @@ class TestCoverReplies:
         with pytest.raises(PrecisionContractError,
                            match="query\\(0, 3\\) = -1 is below -2\\^-3"):
             list(approx.cover_replies(cover, 3))
+
+
+class TestSavingsWalk:
+    """The savings walk (``subtree_sum`` and ``block_values`` with
+    ``savings`` set) against the per-word oracle: the wrapper's values of
+    the range's ``Cover`` words, from its fold or recomputed from every
+    prefix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(savings_forms(), st.integers(0, 40), st.data())
+    def test_sum_and_end_cells_match_the_words(self, pf, n, data):
+        cells = 1 << n
+        a, b = data.draw(st.sampled_from(RANGE_KINDS).flatmap(
+            lambda kind: end_range(kind, cells)))
+        if n <= 12 and data.draw(st.booleans()):
+            base = ExactMartingale("random", product_form=pf)
+
+            def value(w):
+                return savings_by_prefixes(base, w)
+        else:
+            value = savings_fold(pf)
+        tn, td, left, right = kernels.subtree_sum(pf, pf.classes(n), n, a,
+                                                  b, savings=True)
+        assert Fraction(tn, 1 << td) == exact_total(
+            (value(w), n - w.n) for w in Cover(a, b, n))
+        for cell, got in ((a - 1, left), (b, right)):
+            if 0 <= cell < cells:
+                assert Fraction(got[0], 1 << got[1]) == value(Word(cell, n))
+            else:
+                assert got is None
+
+    def test_reserve_past_a_zero_capital(self):
+        # savings:allin_zeros doubles to 2^j on 0^j, putting one unit per
+        # doubling aside, and dies at the first 1 with a reserve of j: the
+        # walk values every block and end cell past the zero from the
+        # reserve, with no lookup
+        pf = allin_zeros().product_form
+        edges = CountingEdges(pf.edges)
+        counted = ProductForm(edges, pf.start, pf.classes_fn)
+        n = 12
+        value = savings_fold(pf)
+
+        def lookups(cell):
+            # the path to a cell looks up factors down to its first 1
+            return n - cell.bit_length() + 1 if cell else n
+
+        for a, b in [(1, 1 << n), (3, 200), (1, 2), (0, 1), (5, 5)]:
+            edges.steps = 0
+            tn, td, left, right = kernels.subtree_sum(
+                counted, pf.classes(n), n, a, b, savings=True)
+            assert Fraction(tn, 1 << td) == exact_total(
+                (value(w), n - w.n) for w in Cover(a, b, n))
+            want = 0
+            for cell, got in ((a - 1, left), (b, right)):
+                if 0 <= cell < 1 << n:
+                    assert Fraction(got[0], 1 << got[1]) == \
+                        value(Word(cell, n))
+                    want += lookups(cell)
+            assert edges.steps == want, (a, b)
 
 
 class CountingEdges(tuple):
@@ -492,10 +566,13 @@ class TestWorkCounts:
     @pytest.mark.parametrize("inner", ["pattern:011",
                                        "conservative:zbettor:1,3"])
     def test_savings_fold_linear_in_m(self, inner, r):
-        # a savings wrapper of a product form folds the input's factors:
-        # one lookup per prefix below the one shared with the last word
-        # asked, so the cover and the bracket's blocks cost O(1) amortized
-        # steps each
+        # a savings wrapper of a product form folds the input's factors for
+        # at(): one lookup per prefix below the one shared with the last
+        # word asked, so the cover's words cost O(1) amortized steps each.
+        # The CLI path takes no fold step: as_approx answers the cover
+        # from one savings walk down each end path, and the bracket takes
+        # its inside sum and both boundary cells from the same two walks
+        # at depth m + 8, with no exact() call
         base = parse_martingale(inner)
         pf = base.product_form
         edges = CountingEdges(pf.edges)
@@ -503,6 +580,8 @@ class TestWorkCounts:
             inner, product_form=ProductForm(edges, pf.start, pf.classes_fn),
             conservative=base.conservative)
         mart = savings_wrapper(counted)
+        exact, calls = mart.exact, []
+        mart.exact = lambda w: calls.append(w) or exact(w)
         fn = parse_function("fz_norm:0,2,4")
         x = Word.parse("0110")
         m = grid_exponent(len(x), r)
@@ -514,10 +593,22 @@ class TestWorkCounts:
         value = pullback_approx(d_hat, as_weak(fn), x, r)
         assert m // 2 <= len(queries) <= 2 * m + 1
         assert edges.steps <= 4 * m
+        approx = as_approx(mart)
+        real, asked = approx.query, []
+        approx.query = lambda w, p: asked.append((w, p)) or real(w, p)
+        calls.clear()
+        edges.steps = 0
+        assert pullback_approx(approx, as_weak(fn), x, r) == value
+        assert calls == []
+        assert edges.steps <= 2 * m
+        # one query per word of the at()-backed cover, each once, at m
+        assert Counter(asked) == Counter((w, m) for w in queries)
+        assert len(set(queries)) == len(queries)
         edges.steps = 0
         ok, _, _ = certify_bracket(mart, fn, x, r, value)
         assert ok
-        assert edges.steps <= 5 * (m + 8)
+        assert calls == []
+        assert edges.steps <= 2 * (m + 8)
 
     @pytest.mark.parametrize("name", ["conservative:pattern:011",
                                       "conservative:zbettor:1,3"])

@@ -105,14 +105,23 @@ def test_failure_text_pinned(suite, monkeypatch):
 
 
 def test_pullback_suite_runs_without_product_forms(monkeypatch):
-    # savings wrappers of strategies without a product form: every cell
-    # comes from ``exact``, and every check of the suite holds
+    # strategies without a product form, and every check of the suite
+    # holds.  The first two are savings wrappers of product forms: their
+    # shift sums come from the savings block walk.  The last two have
+    # neither form, a savings wrapper of a Fraction-valued strategy and
+    # the conservative transform of a savings wrapper: theirs come from
+    # ``exact`` over each range's Cover, the generic branch
     extra = [
         (savings_wrapper(pattern_bettor("01")), IdentityFn(), False),
         (savings_wrapper(conservative_transform(z_bettor("0,2,4"))),
          ZeroInsertionFn("0,2,4", scaled=True), False),
+        (savings_wrapper(nondyadic_bettor()), IdentityFn(), False),
+        (conservative_transform(savings_wrapper(pattern_bettor("01"))),
+         ZeroInsertionFn("0,2,4", scaled=True), False),
     ]
     assert all(d.product_form is None for d, _, _ in extra)
+    assert [d.savings_form is not None for d, _, _ in extra] == \
+        [True, True, False, False]
     pairs = verify._shift_pairs()
     monkeypatch.setattr(verify, "_shift_pairs", lambda: pairs + extra)
     ok, lines = verify.run_suite("pullback", 8)

@@ -939,8 +939,8 @@ class TestMemory:
 
     def test_savings_pullback_r8192_peak_rss(self, tmp_path):
         # the same at m = 32792 keeps O(m) bits, so it peaks within a few
-        # MB of r = 8.  The integer fold's stack peaked at about 166 MB
-        # here against 16 MB at r = 8, the walk at about 17 MB (Python
+        # MB of r = 8.  The integer fold's stack peaked at about 163 MB
+        # here against 16 MB at r = 8, the walk at about 16 MB (Python
         # 3.11, Linux)
         _, small = peak_rss_mb(tmp_path, *self.SAVINGS, "8")
         out, large = peak_rss_mb(tmp_path, *self.SAVINGS, "8192")

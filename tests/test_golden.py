@@ -60,6 +60,14 @@ COMMANDS = {
         "--precision 512",
     "analytic_root_poly_p64":
         "analytic root --spec poly:-1/2,0,1 --interval 0,1 --precision 64",
+    # ln(5/4) on ln1p's half-interval anchor, and arccos(3/4): the two
+    # other named series, each summed in fixed point at every probe
+    "analytic_root_ln1p_p128":
+        "analytic root --spec ln1p --offset 1/4 --interval 0,1/2 "
+        "--precision 128",
+    "analytic_root_cos_p128":
+        "analytic root --spec cos --offset 3/4 --interval 0,1 "
+        "--precision 128",
     "readme_tightness_demo": "tightness demo --zset 1 --depth 5",
     "readme_tightness_bounds":
         "tightness bounds --zset pow2 --step-exp 6 --slope-exp 5",

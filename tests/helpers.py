@@ -10,7 +10,9 @@ long-division digit at a time, measure round trips and the exhaustive
 martingale and measure checks word by word with no shared values, the
 census bounds of the insertion maps one point at a time in rationals,
 reference constants come from plain partial sums with explicit remainder
-bounds, and polynomial values from Horner's rule over Fractions.
+bounds, polynomial values from Horner's rule over Fractions, series
+validation from its defining term loop over Fractions, and the root
+bisection from a loop over ``Dyadic`` brackets.
 """
 
 import dataclasses
@@ -20,7 +22,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from dymart import analytic
 from dymart.dyadic import Dyadic, Word, all_words, exact_ceil_lg, gamma
+from dymart.errors import SignUndecidableError
 from dymart.funcs import word_image
 from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                ProductForm, Report, Violation,
@@ -666,3 +670,90 @@ def in_interval(v, lo, hi, slack):
 def dyadic_grid(exp):
     """All dyadics k/2^exp in [0, 1]."""
     return [Dyadic(k, exp) for k in range((1 << exp) + 1)]
+
+
+def validate_reference(spec):
+    """``PowerSeriesSpec.validate`` by its defining loop: every term
+    t_n = |c_n| (r + eps)^n up to the last one either check reads is a
+    ``Fraction``, a polynomial's zeros past its degree included, and the
+    checks compare them in order.  True, or the same ``ValueError``."""
+    if spec.exact_coeff is None:
+        raise ValueError(f"{spec.name}: no exact coefficients to check")
+    base = spec.radius + spec.margin
+    count = max(analytic.EXPLICIT_TO,
+                spec.tail_monotone_from + analytic.WINDOW) + 3
+    t = [abs(Fraction(spec.exact_coeff(n))) * base ** n
+         for n in range(count)]
+    for n in range(analytic.EXPLICIT_TO + 1):
+        if t[n] > spec.term_bound:
+            raise ValueError(f"{spec.name}: term bound fails at n={n}: "
+                             f"{t[n]} > {spec.term_bound}")
+    for n in range(spec.tail_monotone_from,
+                   spec.tail_monotone_from + analytic.WINDOW):
+        if t[n + 2] > t[n]:
+            raise ValueError(f"{spec.name}: tail not two-step monotone "
+                             f"at n={n}")
+    if spec.exact_center is not None:
+        lo, hi = (Fraction(q) for q in gamma(spec.anchor))
+        reach = max(abs(lo - spec.exact_center), abs(hi - spec.exact_center))
+        if reach > spec.radius:
+            raise ValueError(f"{spec.name}: anchor reaches {reach} "
+                             f"beyond radius {spec.radius}")
+    return True
+
+
+def find_root_reference(spec, interval, p):
+    """``find_root`` as a bisection of ``Dyadic`` brackets: each probe is a
+    call of ``analytic.certified_sign``, looked up at call time so that a
+    recorder patched over it sees the probes, and all of them share one
+    level table.  The same probes in the same order, the same root and the
+    same error texts as ``find_root``."""
+    lo, hi = (q if isinstance(q, Dyadic) else Dyadic.parse(str(q))
+              for q in interval)
+    if not lo < hi:
+        raise ValueError("empty interval")
+    table = analytic._LevelTable(spec)
+
+    def sign(t):
+        return analytic.certified_sign(spec, t, p, _table=table)
+
+    s_lo = sign(lo)
+    s_hi = sign(hi)
+    if s_lo == 0 or s_hi == 0:
+        raise SignUndecidableError(
+            f"sign-undecidable at an endpoint of [{lo}, {hi}]")
+    if s_lo == s_hi:
+        raise ValueError(f"no certified sign change on [{lo}, {hi}]")
+
+    width_goal = Dyadic(1, p - 1) if p >= 1 else Dyadic(2 << -p)
+    while hi - lo > width_goal:
+        mid = (lo + hi).half()
+        s_mid = sign(mid)
+        if s_mid == s_lo:
+            lo = mid
+            continue
+        if s_mid == s_hi:
+            hi = mid
+            continue
+        quarter = (hi - lo).half().half()
+        q1 = lo + quarter
+        q2 = hi - quarter
+        s1 = sign(q1)
+        s2 = sign(q2)
+        if s1 == s_hi:
+            hi = q1
+        elif s2 == s_lo:
+            lo = q2
+        else:
+            moved = False
+            if s1 == s_lo:
+                lo = q1
+                moved = True
+            if s2 == s_hi:
+                hi = q2
+                moved = True
+            if not moved:
+                raise SignUndecidableError(
+                    f"sign-undecidable near [{lo}, {hi}] after the "
+                    "escalation budget")
+    return (lo + hi).half()

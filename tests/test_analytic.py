@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import json
 import math
 import random
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,18 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dymart import config
+from dymart import analytic, config
 from dymart.analytic import (DOUBLINGS, _cos_coeff, _exp_coeff,
                              _fixed_point_sum, _LevelTable, _sin_coeff,
                              builtin_spec, certified_sign, derivative_spec,
                              eval_approx, eval_point, eval_schedule,
                              find_root, series, tail_constants)
 from dymart.dyadic import Dyadic, Word
-from dymart.errors import AnchorError, SignUndecidableError
+from dymart.errors import AnchorError, DymartError, SignUndecidableError
 from dymart.funcs import QuotientFn
 
-from helpers import (cos_interval, exp_interval, horner, in_interval,
-                     ln1p_interval, noisy_spec, sin_interval)
+from helpers import (cos_interval, exp_interval, find_root_reference,
+                     horner, in_interval, ln1p_interval, noisy_spec,
+                     sin_interval, validate_reference)
 
 W = Word.parse
 F = Fraction
@@ -495,3 +498,274 @@ class TestRoots:
         assert probes == [0, 1, F(1, 2), F(1, 4), F(3, 4)]
         assert str(err.value) == ("sign-undecidable near [0/1, 1/1] after "
                                   "the escalation budget")
+
+
+def _verdict(check):
+    """True, or the type and text of the error ``check()`` raises."""
+    try:
+        return check()
+    except (ValueError, DymartError) as exc:
+        return type(exc), str(exc)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+positive = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=16)
+
+
+@st.composite
+def validate_cases(draw):
+    """A spec with drawn constants: a ``poly:`` spec, an explicit
+    coefficient list built as a ``kind = series`` file builds it, or a
+    named series, shifted or differentiated; the term bound drawn near the
+    largest term, below it or negative, the tail's start drawn too."""
+    kind = draw(st.sampled_from(["poly", "series", "named"]))
+    if kind == "named":
+        spec = builtin_spec(draw(st.sampled_from(
+            ["exp", "sin", "cos", "ln1p", "geom"])))
+        how = draw(st.sampled_from(["plain", "shifted", "derivative"]))
+        if how == "shifted":
+            spec = spec.shifted(draw(small_rationals))
+        elif how == "derivative":
+            spec = derivative_spec(spec)
+    else:
+        coeffs = draw(st.lists(small_rationals, min_size=1, max_size=8))
+        if kind == "poly":
+            spec = builtin_spec("poly:" + ",".join(map(str, coeffs)))
+        else:
+            spec = series("series[drawn]", None, 1, draw(positive),
+                          draw(positive), tail_from=len(coeffs),
+                          polynomial=tuple(coeffs))
+    bound = draw(st.one_of(
+        st.just(spec.term_bound), small_rationals,
+        st.fractions(min_value=F(1, 2), max_value=2,
+                     max_denominator=8).map(lambda x: x * spec.term_bound)))
+    return dataclasses.replace(
+        spec, term_bound=bound,
+        tail_monotone_from=draw(st.one_of(st.just(spec.tail_monotone_from),
+                                          st.integers(0, 12))))
+
+
+class TestValidateOracle:
+    """``validate`` against its defining loop in ``tests/helpers.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(validate_cases())
+    def test_verdict_and_message_are_the_oracles(self, spec):
+        assert _verdict(spec.validate) == \
+            _verdict(lambda: validate_reference(spec))
+
+    @pytest.mark.parametrize("text, error", [
+        ("coeffs = 1,1/2\nC = -1\ntail_from = 2\n",
+         "term bound fails at n=0: 1 > -1"),
+        ("coeffs = 0,0,1\nC = -1/2\ntail_from = 3\n",
+         "term bound fails at n=0: 0 > -1/2"),
+        ("coeffs = 1,4\nC = 2\ntail_from = 2\n",
+         "term bound fails at n=1: 8 > 2"),
+        ("coeffs = 0,1,0,2\nC = 100\ntail_from = 0\n",
+         "tail not two-step monotone at n=1"),
+    ])
+    def test_series_file_verdicts(self, tmp_path, text, error):
+        path = tmp_path / "s.cfg"
+        path.write_text("kind = series\nr = 1\neps = 1\nanchor = λ\n" + text)
+        with pytest.raises(ValueError) as err:
+            config.parse_series(f"@{path}")
+        assert str(err.value) == f"series[{path}]: {error}"
+
+
+ROOT_QUERIES = Path(__file__).parent / "expected" / "root_queries.json"
+
+# key of ROOT_QUERIES -> (named series, offset, interval, p)
+PINNED_ROOTS = {
+    f"{name}-{offset} p={p}": (name, offset, interval, p)
+    for name, offset, interval in [
+        ("exp", F(3, 2), (Dyadic(0), Dyadic(1))),
+        ("sin", F(1, 2), (Dyadic(0), Dyadic(1))),
+        ("cos", F(3, 4), (Dyadic(0), Dyadic(1))),
+        ("ln1p", F(1, 4), (Dyadic(0), Dyadic(1, 1)))]
+    for p in (16, 32)}
+
+
+class TestPinnedQueries:
+    """One root each of four shifted series makes the coefficient and
+    center queries of ``tests/expected/root_queries.json``, in its order:
+    ``["center", r]`` for ``center_approx(r)``, ``[n, r]`` for
+    ``coeff_approx(n, r)``."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ROOTS))
+    def test_queries_in_order(self, key):
+        name, offset, interval, p = PINNED_ROOTS[key]
+        want = json.loads(ROOT_QUERIES.read_text())[key]
+        spec = builtin_spec(name).shifted(offset)
+        log = []
+        coeff, center = spec.coeff_approx, spec.center_approx
+
+        def logged_coeff(n, r):
+            log.append([n, r])
+            return coeff(n, r)
+
+        def logged_center(r):
+            log.append(["center", r])
+            return center(r)
+        logged = dataclasses.replace(spec, coeff_approx=logged_coeff,
+                                     center_approx=logged_center)
+        assert str(find_root(logged, interval, p)) == want["root"]
+        assert log == want["queries"]
+
+    def test_file_holds_the_pinned_roots(self):
+        assert sorted(json.loads(ROOT_QUERIES.read_text())) == \
+            sorted(PINNED_ROOTS)
+
+
+@contextmanager
+def _recorded_probes():
+    """The (type, point, p) of every ``certified_sign`` call, in order."""
+    real, probes = analytic.certified_sign, []
+
+    def recording(evaluator, t, p, **kw):
+        probes.append((type(t), t, p))
+        return real(evaluator, t, p, **kw)
+
+    analytic.certified_sign = recording
+    try:
+        yield probes
+    finally:
+        analytic.certified_sign = real
+
+
+def _run_recorded(run, spec, interval, p):
+    """(root or error verdict, probes) of one run of ``run``."""
+    with _recorded_probes() as probes:
+        outcome = _verdict(lambda: run(spec, interval, p))
+    return outcome, probes
+
+
+def _poly_spec(coeffs):
+    return builtin_spec("poly:" + ",".join(map(str, coeffs)))
+
+
+def _times_linear(coeffs, a):
+    """The coefficients of (t - a) times the polynomial ``coeffs``."""
+    return [x - a * y for x, y in zip([F(0)] + coeffs, coeffs + [F(0)])]
+
+
+@st.composite
+def dyadic_intervals(draw, top=1):
+    """(lo, hi) on a 2^-e grid of [0, top], now and then empty or
+    reversed, and now and then given as ``Fraction``s."""
+    e = draw(st.integers(0, 5))
+    n = top << e
+    if draw(st.integers(0, 9)) == 0:
+        lo, hi = draw(st.integers(0, n)), draw(st.integers(0, n))
+    else:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+    pair = (Dyadic(lo, e), Dyadic(hi, e))
+    if draw(st.booleans()):
+        pair = tuple(F(q) for q in pair)
+    return pair
+
+
+@st.composite
+def simple_root_instances(draw):
+    """A polynomial with a simple root in (0, 1), dyadic or not, times a
+    factor with no root in [0, 1], or t^2 - c, on [0, 1]."""
+    if draw(st.integers(0, 4)) == 0:
+        c = draw(st.fractions(min_value=F(1, 64), max_value=F(63, 64),
+                              max_denominator=64))
+        return _poly_spec([-c, F(0), F(1)]), (Dyadic(0), Dyadic(1))
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 12))
+        a = F(draw(st.integers(1, (1 << j) - 1)), 1 << j)
+    else:
+        a = draw(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000),
+                              max_denominator=1000))
+    # g(t) = c_0 + sum c_i t^i with c_0 > sum |c_i| has no root in [0, 1]
+    rest = draw(st.lists(small_rationals, max_size=3))
+    c0 = sum(abs(c) for c in rest) + draw(positive)
+    sign = draw(st.sampled_from([1, -1]))
+    coeffs = _times_linear([sign * c for c in [c0] + rest], a)
+    return _poly_spec(coeffs), (Dyadic(0), Dyadic(1))
+
+
+@st.composite
+def exact_zero_instances(draw):
+    """A polynomial whose zeros sit on the interval's midpoint, quarters
+    and eighths with drawn multiplicities, one of them odd, so that
+    midpoints and quarters are exact zeros."""
+    lo, hi = draw(dyadic_intervals())
+    lo, hi = F(lo), F(hi)
+    points = [lo + (hi - lo) * F(k, 8) for k in range(1, 8)]
+    odd = draw(st.integers(0, 6))
+    coeffs = [F(draw(st.sampled_from([1, -1])))]
+    for i, point in enumerate(points):
+        times = draw(st.sampled_from([1, 3] if i == odd else [0, 0, 1, 2]))
+        for _ in range(times):
+            coeffs = _times_linear(coeffs, point)
+    return _poly_spec(coeffs), (lo, hi)
+
+
+# named series -> (offsets drawn, a little past the series' range on its
+# anchor, and 1 / the anchor's right end)
+SHIFTED = {"exp": (F(7, 8), F(23, 8), 1), "sin": (F(-1, 8), F(7, 8), 1),
+           "cos": (F(1, 2), F(9, 8), 1), "ln1p": (F(-1, 16), F(7, 16), 2)}
+
+
+@st.composite
+def shifted_series_instances(draw):
+    """exp, sin, cos or ln1p minus a drawn offset, on a subinterval of its
+    anchor or, now and then, one reaching past it."""
+    name = draw(st.sampled_from(sorted(SHIFTED)))
+    low, high, top = SHIFTED[name]
+    offset = draw(st.one_of(
+        st.fractions(min_value=low, max_value=high, max_denominator=64),
+        st.integers(0, 64).map(lambda k: low + (high - low) * F(k, 64))))
+    reach = draw(st.integers(0, 9))
+    if reach == 0:
+        interval = (Dyadic(0), Dyadic(1))
+    elif reach < 4:
+        interval = (Dyadic(0), Dyadic(1, top - 1))
+    else:
+        lo, hi = draw(dyadic_intervals())
+        interval = (Dyadic.from_fraction(F(lo) / top),
+                    Dyadic.from_fraction(F(hi) / top))
+    return builtin_spec(name).shifted(offset), interval
+
+
+class TestBisectionOracle:
+    """``find_root`` against the ``Dyadic`` bisection of
+    ``tests/helpers.py``: the same ``certified_sign`` calls, each with a
+    ``Dyadic`` point, in the same order, and the same root or the same
+    error text."""
+
+    def _agree(self, spec, interval, p):
+        got = _run_recorded(find_root, spec, interval, p)
+        want = _run_recorded(find_root_reference, spec, interval, p)
+        assert got == want
+        assert all(kind is Dyadic for kind, _, _ in got[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(simple_root_instances(), st.integers(1, 40))
+    def test_simple_roots(self, instance, p):
+        self._agree(*instance, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_zero_instances(), st.integers(0, 40))
+    def test_exact_zeros(self, instance, p):
+        self._agree(*instance, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_series_instances(), st.integers(1, 40))
+    def test_shifted_series(self, instance, p):
+        self._agree(*instance, p)
+
+    @pytest.mark.parametrize("p", [-3, -1, 0, 1, 2])
+    def test_coarse_precisions(self, p):
+        # the bracket's goal width 2^(1-p) is 1 or more
+        for coeffs in ([F(-1, 3), F(1)], [F(-1, 2), F(1)],
+                       [F(-3, 4), F(1)]):
+            self._agree(_poly_spec(coeffs), (Dyadic(0), Dyadic(1)), p)
+            self._agree(_poly_spec(coeffs), (Dyadic(-4), Dyadic(4)), p)
+        if p >= -1:
+            # the first sign level is p + 2 >= 1
+            self._agree(builtin_spec("exp").shifted(F(3, 2)),
+                        (Dyadic(0), Dyadic(1)), p)

@@ -8,7 +8,10 @@ the margin eps.  These give a computable tail bound
     |sum_{n >= m} c_n z^n| <= C (r/(r+eps))^m (r+eps)/eps <= 2^(k - m/l)
 
 with k = ceil(lg(C (r+eps) / eps)) and l = ceil(1 / lg((r+eps)/r)), both
-found by exact integer power comparisons.  Evaluation at target precision
+found by integer power comparisons on the constants' numerators and
+denominators (``tail_constants``).  ``validate`` spot-checks the term
+bound and the tail's decay on terms kept as integer pairs, up to a
+polynomial's degree at most.  Evaluation at target precision
 s then truncates at m_s = l (s + k + 1) terms -- killing the tail to
 2^-(s+1) -- and queries each coefficient at precision
 e(n, s) = s + b_s n + 2 m_s + 1, where 2^b_s dominates every factor
@@ -19,15 +22,19 @@ total stays within 2^-s.
 Both series evaluators, ``eval_point`` and the fixed-point sign sum, read
 these replies through a level table (``_LevelTable``): per level (s, b_s)
 it queries the magnitude pass, the center at e_max and every coefficient
-once.  An evaluation builds a fresh table; ``find_root`` keeps one for all
-its probes, so a root queries each coefficient once per level it reaches,
-not once per probe.  ``eval_point`` returns the exact rational
+once, and reads each reply once into an integer pair, so setting up a
+level builds no ``Fraction``.  An evaluation builds a fresh table;
+``find_root`` keeps one for all its probes, so a root queries each
+coefficient once per level it reaches, not once per probe.
+``eval_point`` returns the exact rational
 sum_n c_n z^n of the replies, summed as a balanced tree of integer pairs
 and reduced once.
 
 Root finding brackets a certified sign change and bisects, with
 quarter-point probes when the midpoint sits too close to the root to call.
-Signs come from their own evaluator, not from ``eval_point``:
+The bracket is a pair of integer numerators over one power of two; each
+probe is a ``Dyadic`` handed to ``certified_sign``.  Signs come from their
+own evaluator, not from ``eval_point``:
 
 - a finitely supported spec (a ``poly:`` spec, an explicit coefficient
   list, and their shifts and derivatives) carries its exact coefficients
@@ -53,8 +60,8 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio,
-                     exact_ceil_lg, gamma, parse_rational)
+from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio, gamma,
+                     parse_rational)
 from .errors import AnchorError, ParseError, SignUndecidableError
 
 ONE = Fraction(1)
@@ -72,18 +79,34 @@ DOUBLINGS = 8
 HORNER_GUARD = 2
 
 
+def _as_pair(t):
+    """(a, d) with t = a/d and d > 0: a ``Dyadic``'s numerator and 2^exp,
+    a ``Fraction``'s or an ``int``'s numerator and denominator, read
+    without a copy; any other rational through ``Fraction``."""
+    if isinstance(t, Dyadic):
+        return t.num, 1 << t.exp
+    if not isinstance(t, (Fraction, int)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
 def tail_constants(C, radius, margin):
-    """(k, l) for the geometric tail bound, by exact power comparisons."""
-    C, radius, margin = Fraction(C), Fraction(radius), Fraction(margin)
-    if C < 1 or radius <= 0 or margin <= 0:
+    """(k, l) for the geometric tail bound, by integer power comparisons.
+
+    With C = c/c', r = a/a' and eps = b/b', the sum r + eps is u/(a'b')
+    with u = ab' + ba', so k = ceil(lg(c u / (c' a' b))) and l is the
+    least l >= 1 with u^l >= 2 (ab')^l, that is ((r+eps)/r)^l >= 2.
+    """
+    (c, c_den), (a, a_den), (b, b_den) = map(_as_pair, (C, radius, margin))
+    if c < c_den or a <= 0 or b <= 0:
         raise ValueError("need C >= 1, radius > 0, margin > 0")
-    k = exact_ceil_lg(C * (radius + margin) / margin)
-    # l = smallest positive integer with ((radius+margin)/radius)^l >= 2
-    ratio = (radius + margin) / radius
-    ell = 1
-    acc = ratio
-    while acc < 2:
-        acc *= ratio
+    ab = a * b_den
+    u = ab + b * a_den
+    k = ceil_lg_ratio(c * u, c_den * a_den * b)
+    ell, num, den = 1, u, ab            # ((r+eps)/r)^ell = num/den
+    while num < den << 1:
+        num *= u
+        den *= ab
         ell += 1
     return k, ell
 
@@ -142,30 +165,36 @@ class PowerSeriesSpec:
     def validate(self):
         """Spot-check |c_n|(r+eps)^n <= C for n <= EXPLICIT_TO and the
         two-step decay of the term bounds on WINDOW terms past
-        ``tail_monotone_from`` (the declared start of the monotone tail)."""
+        ``tail_monotone_from`` (the declared start of the monotone tail).
+
+        The terms are integer pairs, compared by cross-multiplication; a
+        ``Fraction`` is built only for an error message.  A polynomial's
+        terms past its degree are 0, and the comparisons stop there too:
+        once term 0 passes, C >= 0 and every 0 passes the term bound, and
+        a 0 two steps on is never above an earlier term."""
         if self.exact_coeff is None:
             raise ValueError(f"{self.name}: no exact coefficients to check")
         base = self.radius + self.margin
-        count = max(EXPLICIT_TO, self.tail_monotone_from + WINDOW) + 3
-        # a polynomial's terms past its degree are 0, which passes both
-        # checks: only the first len(polynomial) are computed
+        base_num, base_den = base.numerator, base.denominator
+        bound, bound_den = _as_pair(self.term_bound)
+        start = self.tail_monotone_from
+        count = max(EXPLICIT_TO, start + WINDOW) + 3
         top = count if self.polynomial is None else \
-            min(count, len(self.polynomial))
-        t, num, den = [], 1, 1              # base^n = num/den
+            max(1, min(count, len(self.polynomial)))
+        terms, num, den = [], 1, 1          # base^n = num/den
         for n in range(top):
-            c = Fraction(self.exact_coeff(n))
-            t.append(Fraction(abs(c.numerator) * num, c.denominator * den)
-                     if c else c)
-            num *= base.numerator
-            den *= base.denominator
-        t += [0] * (count - top)
-        for n in range(EXPLICIT_TO + 1):
-            if t[n] > self.term_bound:
+            c, c_den = _as_pair(self.exact_coeff(n))
+            terms.append((abs(c) * num, c_den * den))
+            num *= base_num
+            den *= base_den
+        for n in range(min(top, EXPLICIT_TO + 1)):
+            t, t_den = terms[n]
+            if t * bound_den > bound * t_den:
                 raise ValueError(f"{self.name}: term bound fails at n={n}: "
-                                 f"{t[n]} > {self.term_bound}")
-        for n in range(self.tail_monotone_from,
-                       self.tail_monotone_from + WINDOW):
-            if t[n + 2] > t[n]:
+                                 f"{Fraction(t, t_den)} > {self.term_bound}")
+        for n in range(start, min(start + WINDOW, top - 2)):
+            (t, t_den), (t2, t2_den) = terms[n], terms[n + 2]
+            if t2 * t_den > t * t2_den:
                 raise ValueError(f"{self.name}: tail not two-step monotone "
                                  f"at n={n}")
         if self.exact_center is not None:
@@ -204,15 +233,6 @@ def eval_schedule(spec, s):
     return ell * (s + k + 1), k, ell
 
 
-def _as_pair(t):
-    """(a, d) with t = a/d and d > 0: a ``Dyadic``'s numerator and 2^exp,
-    read directly; any other rational through ``Fraction``."""
-    if isinstance(t, Dyadic):
-        return t.num, 1 << t.exp
-    t = Fraction(t)
-    return t.numerator, t.denominator
-
-
 def _check_anchor(spec, a, d):
     """Raise ``AnchorError`` unless a/d lies in the anchor interval."""
     word = spec.anchor
@@ -226,23 +246,25 @@ class _LevelTable:
     """One spec's approximator replies, queried once per precision level.
 
     A level is a target precision s with its factor bound b_s, which
-    depends on the point t only through |t - center|.  Per level the table
-    keeps the center reply at e_max and the nonzero coefficient replies as
-    integer pairs and, once a sign sum asks for it, the same replies as a
-    Horner table of W-bit integers; across levels it keeps the center reply
-    at precision 0 and the running maxima of |coeff_approx(n, 0)|, the
-    coefficient part of the magnitude pass.  A point comes in as an integer
-    pair (a, d) with t = a/d, so a probe builds no ``Fraction``.  An
-    evaluation builds a fresh table; ``find_root`` keeps one for all the
-    probes of one root.
+    depends on the point t only through |t - center|.  Every reply is read
+    once into an integer pair (``_as_pair``).  Per level the table keeps
+    the center reply at e_max and the nonzero coefficient replies and,
+    once a sign sum asks for it, the same replies as a Horner table of
+    W-bit integers; across levels it keeps the center reply at precision 0
+    and the running maxima of |coeff_approx(n, 0)|, the coefficient part
+    of the magnitude pass, compared by cross-multiplication.  A point
+    comes in as an integer pair (a, d) with t = a/d, so neither a probe
+    nor a level builds a ``Fraction``.  An evaluation builds a fresh table;
+    ``find_root`` keeps one for all the probes of one root.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.center0 = None     # center_approx(0) as (num, den)
-        self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n
+        self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n,
+        #                         as (num, den)
         self.mag_bits = {}      # m_s -> ceil(lg(2 + mags[m_s - 1]))
-        self.levels = {}        # (s, b_s) -> (m_s, e_max, center, terms)
+        self.levels = {}        # (s, b_s) -> (m_s, (cnum, cden), terms)
         self.horner = {}        # (s, b_s) -> (W, s + g, cnum, cden, coeffs)
 
     def key(self, a, d, s):
@@ -253,15 +275,19 @@ class _LevelTable:
         _check_anchor(spec, a, d)
         m_s = eval_schedule(spec, s)[0]
         if self.center0 is None:
-            c = Fraction(spec.center_approx(0))
-            self.center0 = c.numerator, c.denominator
+            self.center0 = _as_pair(spec.center_approx(0))
         mag_bits = self.mag_bits.get(m_s)
         if mag_bits is None:
             mags = self.mags
+            top, top_den = mags[-1] if mags else (0, 1)
             for n in range(len(mags), m_s):
-                c = abs(Fraction(spec.coeff_approx(n, 0)))
-                mags.append(max(mags[-1], c) if mags else c)
-            mag_bits = self.mag_bits[m_s] = exact_ceil_lg(2 + mags[m_s - 1])
+                c, c_den = _as_pair(spec.coeff_approx(n, 0))
+                if abs(c) * top_den > top * c_den:
+                    top, top_den = abs(c), c_den
+                mags.append((top, top_den))
+            top, top_den = mags[m_s - 1]
+            mag_bits = self.mag_bits[m_s] = \
+                ceil_lg_ratio(2 * top_den + top, top_den)
         # |t - center0| = gap / den, so 2 + |t - center0| = (2 den + gap) / den
         p0, q0 = self.center0
         den = d * q0
@@ -269,27 +295,40 @@ class _LevelTable:
         return s, max(mag_bits, ceil_lg_ratio(2 * den + gap, den))
 
     def level(self, key):
-        """(m_s, e_max, center, terms) of the level key = (s, b_s).
+        """(m_s, center, terms) of the level key = (s, b_s).
 
         ``terms`` lists (n, num, den) for every n < m_s whose reply
         num/den = coeff_approx(n, e) is nonzero, queried at
-        e = e(n, s) = s + b_s n + 2 m_s + 1; ``center`` is
-        center_approx(e_max) with e_max = e(m_s - 1, s).
+        e = e(n, s) = s + b_s n + 2 m_s + 1; ``center`` is the pair
+        (cnum, cden) of center_approx(e_max) with e_max = e(m_s - 1, s).
         """
         found = self.levels.get(key)
         if found is None:
             spec = self.spec
+            coeff = spec.coeff_approx
             s, b_s = key
             m_s = eval_schedule(spec, s)[0]
             terms = []
             for n in range(m_s):
-                c = Fraction(spec.coeff_approx(n, s + b_s * n + 2 * m_s + 1))
-                if c:
-                    terms.append((n, c.numerator, c.denominator))
+                num, den = _as_pair(coeff(n, s + b_s * n + 2 * m_s + 1))
+                if num:
+                    terms.append((n, num, den))
             e_max = s + b_s * (m_s - 1) + 2 * m_s + 1
             found = self.levels[key] = (
-                m_s, e_max, Fraction(spec.center_approx(e_max)), terms)
+                m_s, _as_pair(spec.center_approx(e_max)), terms)
         return found
+
+    @cached_property
+    def spare_bits(self):
+        """k + a + HORNER_GUARD, the part of the Horner width
+        W = s + g + k + a + HORNER_GUARD that no level changes:
+        a = max(0, ceil(lg(1 / (r + eps)))), in integers."""
+        spec = self.spec
+        (r, r_den), (eps, eps_den) = _as_pair(spec.radius), \
+            _as_pair(spec.margin)
+        # 1 / (r + eps) = r_den eps_den / (r eps_den + eps r_den)
+        reach = ceil_lg_ratio(r_den * eps_den, r * eps_den + eps * r_den)
+        return spec.constants[0] + max(0, reach) + HORNER_GUARD
 
     def horner_table(self, key):
         """(W, s + g, cnum, cden, coeffs) of the level key = (s, b_s) for
@@ -301,19 +340,16 @@ class _LevelTable:
         than the terms that reach the target precision."""
         found = self.horner.get(key)
         if found is None:
-            spec = self.spec
-            m_s, _, center, terms = self.level(key)
+            m_s, (cnum, cden), terms = self.level(key)
             sg = key[0] + m_s.bit_length() + 2
-            reach = max(0, exact_ceil_lg(1 / (spec.radius + spec.margin)))
-            width = sg + spec.constants[0] + reach + HORNER_GUARD
+            width = sg + self.spare_bits
             coeffs = [0] * m_s
             for n, num, den in terms:
                 whole = (abs(num) << width) // den
                 coeffs[m_s - 1 - n] = whole if num > 0 else -whole
             # Horner keeps acc = 0 through the leading zeros: drop them
             top = next((i for i, c in enumerate(coeffs) if c), m_s)
-            found = self.horner[key] = (width, sg, center.numerator,
-                                        center.denominator, coeffs[top:])
+            found = self.horner[key] = (width, sg, cnum, cden, coeffs[top:])
         return found
 
 
@@ -325,12 +361,13 @@ def eval_point(spec, t, s):
     integer pair, added to a ``_PairSum`` as it is made, so no term list
     is held.
     """
-    t = Fraction(t)
+    a, d = _as_pair(t)
     table = _LevelTable(spec)
-    _, _, center, terms = table.level(
-        table.key(t.numerator, t.denominator, s))
-    z = t - center
-    z_num, z_den = z.numerator, z.denominator
+    _, (cnum, cden), terms = table.level(table.key(a, d, s))
+    # z = t - center = z_num / z_den, in lowest terms
+    z_num, z_den = a * cden - cnum * d, d * cden
+    g = math.gcd(z_num, z_den)
+    z_num, z_den = z_num // g, z_den // g
     acc = _PairSum()
     at, p_num, p_den = 0, 1, 1          # z^at = p_num / p_den
     for n, num, den in terms:
@@ -443,9 +480,14 @@ def find_root(spec, interval, p):
     bracket, or moves at least one end in by a quarter of it, or raises,
     so the loop ends after at most ceil(log_{4/3}(width 2^(p-1))) rounds.
 
-    Every probe is a ``certified_sign`` call at the same p, and all of
-    them share one level table: a root queries each coefficient once per
-    level (s, b_s) it reaches, not once per probe.
+    The bracket is a pair of integer numerators lo/2^e and hi/2^e over one
+    power of two, doubled (e grows by one) whenever a midpoint or a quarter
+    would leave the grid, and the loop runs while hi - lo exceeds
+    goal = 2^(e+1-p), the goal width 2^(1-p) on that grid.  Every probe is
+    one call of the module-level ``certified_sign`` with a ``Dyadic``
+    point and the same p, and all of them share one level table: a root
+    queries each coefficient once per level (s, b_s) it reaches, not once
+    per probe.
     """
     lo, hi = (q if isinstance(q, Dyadic) else Dyadic.parse(str(q))
               for q in interval)
@@ -453,32 +495,40 @@ def find_root(spec, interval, p):
         raise ValueError("empty interval")
     table = _LevelTable(spec)
 
-    def sign(t):
-        return certified_sign(spec, t, p, _table=table)
+    def sign(num, e):
+        return certified_sign(spec, Dyadic(num, e), p, _table=table)
 
-    s_lo = sign(lo)
-    s_hi = sign(hi)
+    s_lo = certified_sign(spec, lo, p, _table=table)
+    s_hi = certified_sign(spec, hi, p, _table=table)
     if s_lo == 0 or s_hi == 0:
         raise SignUndecidableError(
             f"sign-undecidable at an endpoint of [{lo}, {hi}]")
     if s_lo == s_hi:
         raise ValueError(f"no certified sign change on [{lo}, {hi}]")
 
-    width_goal = Dyadic(1, p - 1) if p >= 1 else Dyadic(2 << -p)
-    while hi - lo > width_goal:
-        mid = (lo + hi).half()
-        s_mid = sign(mid)
+    # the common exponent starts at p - 1 or deeper, so that the goal is
+    # an integer
+    e = max(lo.exp, hi.exp, p - 1)
+    lo, hi = lo.num << (e - lo.exp), hi.num << (e - hi.exp)
+    goal = 1 << (e + 1 - p)
+    while hi - lo > goal:
+        if (hi - lo) & 1:
+            lo, hi, goal, e = lo << 1, hi << 1, goal << 1, e + 1
+        mid = (lo + hi) >> 1
+        s_mid = sign(mid, e)
         if s_mid == s_lo:
             lo = mid
             continue
         if s_mid == s_hi:
             hi = mid
             continue
-        quarter = (hi - lo).half().half()
+        if (hi - lo) & 2:
+            lo, hi, goal, e = lo << 1, hi << 1, goal << 1, e + 1
+        quarter = (hi - lo) >> 2
         q1 = lo + quarter
         q2 = hi - quarter
-        s1 = sign(q1)
-        s2 = sign(q2)
+        s1 = sign(q1, e)
+        s2 = sign(q2, e)
         if s1 == s_hi:
             hi = q1
         elif s2 == s_lo:
@@ -493,9 +543,9 @@ def find_root(spec, interval, p):
                 moved = True
             if not moved:
                 raise SignUndecidableError(
-                    f"sign-undecidable near [{lo}, {hi}] after the "
-                    "escalation budget")
-    return (lo + hi).half()
+                    f"sign-undecidable near [{Dyadic(lo, e)}, "
+                    f"{Dyadic(hi, e)}] after the escalation budget")
+    return Dyadic(lo + hi, e + 1)
 
 
 def derivative_spec(spec):
@@ -519,7 +569,7 @@ def derivative_spec(spec):
     new_bound = max(ONE, spec.term_bound / (spec.radius + spec.margin) * best)
 
     def coeff(m, r):
-        extra = exact_ceil_lg(m + 1)
+        extra = ceil_lg_ratio(m + 1, 1)
         return (m + 1) * Fraction(inner_c(m + 1, r + extra))
 
     return replace(

@@ -672,6 +672,20 @@ def dyadic_grid(exp):
     return [Dyadic(k, exp) for k in range((1 << exp) + 1)]
 
 
+def tail_constants_reference(C, radius, margin):
+    """(k, l) of ``tail_constants`` over Fractions: k = ceil(lg(C (r+eps)
+    / eps)) and l the least l >= 1 with ((r+eps)/r)^l >= 2, found by
+    multiplying the ratio up."""
+    C, radius, margin = Fraction(C), Fraction(radius), Fraction(margin)
+    if C < 1 or radius <= 0 or margin <= 0:
+        raise ValueError("need C >= 1, radius > 0, margin > 0")
+    ratio = (radius + margin) / radius
+    ell, acc = 1, ratio
+    while acc < 2:
+        acc *= ratio
+        ell += 1
+    return exact_ceil_lg(C * (radius + margin) / margin), ell
+
 def validate_reference(spec):
     """``PowerSeriesSpec.validate`` by its defining loop: every term
     t_n = |c_n| (r + eps)^n up to the last one either check reads is a

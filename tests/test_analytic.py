@@ -24,7 +24,8 @@ from dymart.funcs import QuotientFn
 
 from helpers import (cos_interval, exp_interval, find_root_reference,
                      horner, in_interval, ln1p_interval, noisy_spec,
-                     sin_interval, validate_reference)
+                     sin_interval, tail_constants_reference,
+                     validate_reference)
 
 W = Word.parse
 F = Fraction
@@ -110,6 +111,14 @@ class TestTailConstants:
         assert tail_constants(F(1), F(1), F(1)) == (1, 1)
         assert tail_constants(F(4), F(1), F(1)) == (3, 1)
         assert tail_constants(F(1), F(1, 2), F(1, 4)) == (2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=-1, max_value=64, max_denominator=64),
+           st.fractions(min_value=-1, max_value=4, max_denominator=64),
+           st.fractions(min_value=-1, max_value=4, max_denominator=64))
+    def test_integer_powers_are_the_fraction_loop(self, C, radius, margin):
+        assert _verdict(lambda: tail_constants(C, radius, margin)) == \
+            _verdict(lambda: tail_constants_reference(C, radius, margin))
 
     def test_tail_bound_holds_for_exp(self):
         # sum_{n>=m} (1/n!) z^n <= 2^(k - m/l) at z = r = 1, m <= 30
@@ -528,7 +537,8 @@ def validate_cases(draw):
         elif how == "derivative":
             spec = derivative_spec(spec)
     else:
-        coeffs = draw(st.lists(small_rationals, min_size=1, max_size=8))
+        coeffs = draw(st.lists(small_rationals, max_size=8,
+                               min_size=1 if kind == "poly" else 0))
         if kind == "poly":
             spec = builtin_spec("poly:" + ",".join(map(str, coeffs)))
         else:

@@ -101,13 +101,14 @@ class TableStepFn(FnOracle):
         """Text format: one "word p/q" pair per line, '#' comments; every
         word of one fixed length, the first word's, must be present; an
         optional "1 p/q" line sets the value at the right endpoint
-        (defaults to the last cell).  Values parse as ``parse_rational``:
-        a bad one, a word of another length, or a word or "1" line given a
-        second time, is a ParseError naming its line."""
+        (defaults to the last cell).  On the 2^-1 grid, whose words are
+        "0" and "1", the "1" line is word 1 and the value at 1 is the last
+        cell's.  Values parse as ``parse_rational``: a bad one, a word of
+        another length, or a word or "1" line given a second time, is a
+        ParseError naming its line."""
         entries = {}
-        at_one = None
-        # the line of each word given, and of the "1" line
-        seen = {}
+        one = None              # (line, value) of the "1" line
+        seen = {}               # the line of each word given
         grid = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -123,20 +124,20 @@ class TableStepFn(FnOracle):
                 except ParseError as exc:
                     raise ParseError(str(exc), line=lineno) from None
                 if word_text == "1":
-                    key, what = None, "the value at 1"
-                else:
-                    try:
-                        key = Word.parse(word_text)
-                    except ParseError as exc:
-                        raise ParseError(str(exc), line=lineno) from None
-                    what = f"word {key}"
-                if key in seen:
-                    raise ParseError(f"{what} is given again (first on line "
-                                     f"{seen[key]})", line=lineno)
-                seen[key] = lineno
-                if key is None:
-                    at_one = value
+                    if one is not None:
+                        what = "word 1" if grid == 1 else "the value at 1"
+                        raise ParseError(f"{what} is given again (first on "
+                                         f"line {one[0]})", line=lineno)
+                    one = lineno, value
                     continue
+                try:
+                    key = Word.parse(word_text)
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                if key in seen:
+                    raise ParseError(f"word {key} is given again (first on "
+                                     f"line {seen[key]})", line=lineno)
+                seen[key] = lineno
                 if grid is None:
                     grid = len(key)
                 elif len(key) != grid:
@@ -145,6 +146,9 @@ class TableStepFn(FnOracle):
                 entries[key] = value
         if not entries:
             raise ParseError("empty table")
+        at_one = None if one is None else one[1]
+        if grid == 1 and one is not None:
+            entries[Word(1, 1)], at_one = at_one, None
         values = []
         for k in range(1 << grid):
             w = Word(k, grid)

@@ -631,6 +631,48 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("text", ["0 0\n1 1/2\n", "1 1/2\n0 0\n",
+                                      "# 2^-1 grid\n0 0/1\n1 1/2 # last\n"],
+                             ids=["word-order", "one-first", "comments"])
+    @pytest.mark.parametrize("word, value", [("0", "1/2"), ("1", "0/1")])
+    def test_table_on_the_half_grid_loads(self, capsys, tmp_path, text,
+                                          word, value):
+        # the words of the 2^-1 grid are 0 and 1: the "1" line is word 1,
+        # and the value at 1 is the last cell's, so f(1) - f(1/2) = 0
+        table = tmp_path / "half.tbl"
+        table.write_text(text)
+        code, out, err = run(capsys, "measure", "differential", "--function",
+                             f"table:{table}", "--word", word)
+        assert (code, err) == (0, "")
+        assert out.strip() == value
+
+    def test_table_on_the_half_grid_patches(self, capsys, tmp_path):
+        table = tmp_path / "half.tbl"
+        table.write_text("0 0\n1 1/2\n")
+        code, out, err = run(capsys, "patch", "--function", f"table:{table}",
+                             "--word", "1", "--precision", "4")
+        assert (code, err) == (0, "")
+        assert out.strip() == "1/2"
+
+    @pytest.mark.parametrize("text,error", [
+        ("0 0\n1 1/2\n1 1\n",
+         "line 3: word 1 is given again (first on line 2)"),
+        ("0 0\n1 1/2\n# the endpoint\n1 1/2\n",
+         "line 4: word 1 is given again (first on line 2)"),
+        ("0 0\n", "table is missing word 1"),
+        ("1 1/2\n", "empty table"),
+        ("0 0\n1 1/2\n00 0\n", "line 3: word 00 has length 2, not the "
+         "table's 1"),
+    ], ids=["again", "again-same-value", "missing", "only-one", "longer"])
+    def test_table_on_the_half_grid_exit_2(self, capsys, tmp_path, text,
+                                           error):
+        table = tmp_path / "half.tbl"
+        table.write_text(text)
+        code, out, err = run(capsys, "patch", "--function", f"table:{table}",
+                             "--word", "1", "--precision", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
     # 5000 digits: above Python's default str->int limit of 4300
     LONG = "1" + "0" * 4999
 

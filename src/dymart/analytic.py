@@ -279,12 +279,12 @@ class _LevelTable:
         mag_bits = self.mag_bits.get(m_s)
         if mag_bits is None:
             mags = self.mags
-            top, top_den = mags[-1] if mags else (0, 1)
+            best = mags[-1] if mags else (0, 1)
             for n in range(len(mags), m_s):
                 c, c_den = _as_pair(spec.coeff_approx(n, 0))
-                if abs(c) * top_den > top * c_den:
-                    top, top_den = abs(c), c_den
-                mags.append((top, top_den))
+                if abs(c) * best[1] > best[0] * c_den:
+                    best = abs(c), c_den
+                mags.append(best)
             top, top_den = mags[m_s - 1]
             mag_bits = self.mag_bits[m_s] = \
                 ceil_lg_ratio(2 * top_den + top, top_den)
@@ -318,18 +318,6 @@ class _LevelTable:
                 m_s, _as_pair(spec.center_approx(e_max)), terms)
         return found
 
-    @cached_property
-    def spare_bits(self):
-        """k + a + HORNER_GUARD, the part of the Horner width
-        W = s + g + k + a + HORNER_GUARD that no level changes:
-        a = max(0, ceil(lg(1 / (r + eps)))), in integers."""
-        spec = self.spec
-        (r, r_den), (eps, eps_den) = _as_pair(spec.radius), \
-            _as_pair(spec.margin)
-        # 1 / (r + eps) = r_den eps_den / (r eps_den + eps r_den)
-        reach = ceil_lg_ratio(r_den * eps_den, r * eps_den + eps * r_den)
-        return spec.constants[0] + max(0, reach) + HORNER_GUARD
-
     def horner_table(self, key):
         """(W, s + g, cnum, cden, coeffs) of the level key = (s, b_s) for
         ``_fixed_point_sum``: the width W = s + g + k + a + HORNER_GUARD,
@@ -340,9 +328,17 @@ class _LevelTable:
         than the terms that reach the target precision."""
         found = self.horner.get(key)
         if found is None:
+            spec = self.spec
             m_s, (cnum, cden), terms = self.level(key)
             sg = key[0] + m_s.bit_length() + 2
-            width = sg + self.spare_bits
+            # a = max(0, ceil(lg(1 / (r + eps)))); with r = r_num/r_den and
+            # eps = e_num/e_den, 1/(r + eps) is
+            # r_den e_den / (r_num e_den + e_num r_den)
+            (r_num, r_den), (e_num, e_den) = map(_as_pair, (spec.radius,
+                                                            spec.margin))
+            reach = ceil_lg_ratio(r_den * e_den,
+                                  r_num * e_den + e_num * r_den)
+            width = sg + spec.constants[0] + max(0, reach) + HORNER_GUARD
             coeffs = [0] * m_s
             for n, num, den in terms:
                 whole = (abs(num) << width) // den

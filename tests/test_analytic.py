@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart import analytic, config
-from dymart.analytic import (DOUBLINGS, _cos_coeff, _exp_coeff,
-                             _fixed_point_sum, _LevelTable, _sin_coeff,
+from dymart.analytic import (DOUBLINGS, HORNER_GUARD, _cos_coeff,
+                             _exp_coeff, _fixed_point_sum, _LevelTable,
+                             _sin_coeff,
                              builtin_spec, certified_sign, derivative_spec,
                              eval_approx, eval_point, eval_schedule,
                              find_root, series, tail_constants)
-from dymart.dyadic import Dyadic, Word
+from dymart.dyadic import Dyadic, Word, exact_ceil_lg
 from dymart.errors import AnchorError, DymartError, SignUndecidableError
 from dymart.funcs import QuotientFn
 
@@ -285,6 +286,47 @@ class TestEval:
         assert m_s == 14
 
 
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+positive = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=16)
+
+
+class TestLevelTable:
+    """The level key and the Horner width against their formulas over
+    ``Fraction``s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=6),
+           small_rationals, st.lists(st.integers(1, 40), min_size=1,
+                                     max_size=4), st.integers(0, 64))
+    def test_key_is_the_formula(self, coeffs, center, levels, k):
+        # one table across the levels, in drawn order: b_s =
+        # ceil(lg(2 + max(|t - center0|, max_{n < m_s} |coeff_approx(n, 0)|)))
+        spec = dataclasses.replace(
+            series("drawn", lambda n: coeffs[n % len(coeffs)], 1, 1, 1),
+            center_approx=lambda r: center)
+        t = F(k, 64)
+        table = _LevelTable(spec)
+        for s in levels:
+            m_s = eval_schedule(spec, s)[0]
+            top = max(abs(coeffs[n % len(coeffs)]) for n in range(m_s))
+            want = exact_ceil_lg(2 + max(abs(t - center), top))
+            assert table.key(k, 64, s) == (s, want)
+
+    @pytest.mark.parametrize("name", list(HORNER))
+    def test_horner_width(self, name):
+        # W = s + g + k + a + HORNER_GUARD, a = max(0, ceil(lg(1/(r+eps))))
+        spec = HORNER[name][0]()
+        k = spec.constants[0]
+        a = max(0, exact_ceil_lg(1 / (spec.radius + spec.margin)))
+        lo, _ = spec.anchor_interval
+        table = _LevelTable(spec)
+        for s in (4, 30, 100):
+            g = eval_schedule(spec, s)[0].bit_length() + 2
+            key = table.key(lo.numerator, lo.denominator, s)
+            assert table.horner_table(key)[:2] == \
+                (s + g + k + a + HORNER_GUARD, s + g)
+
+
 class TestFixedPoint:
     @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
     @pytest.mark.parametrize("name", list(FIXED_POINT))
@@ -515,10 +557,6 @@ def _verdict(check):
         return check()
     except (ValueError, DymartError) as exc:
         return type(exc), str(exc)
-
-
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
-positive = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=16)
 
 
 @st.composite

@@ -60,9 +60,9 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
-from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio, gamma,
-                     parse_rational)
-from .errors import AnchorError, ParseError, SignUndecidableError
+from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio,
+                     common_numerators, gamma, parse_rational)
+from .errors import AnchorError, SignUndecidableError
 
 ONE = Fraction(1)
 
@@ -156,11 +156,10 @@ class PowerSeriesSpec:
 
     @cached_property
     def _integer_polynomial(self):
-        """(c_0 D, ..., c_d D) for the common denominator D > 0 of
-        ``polynomial``: integers with the polynomial's signs."""
-        coeffs = [Fraction(c) for c in self.polynomial]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        """[c_0 D, ..., c_d D] for the common denominator D > 0 of
+        ``polynomial`` (``common_numerators``): integers with the
+        polynomial's signs."""
+        return common_numerators(self.polynomial)[0]
 
     def validate(self):
         """Spot-check |c_n|(r+eps)^n <= C for n <= EXPLICIT_TO and the
@@ -247,10 +246,10 @@ class _LevelTable:
 
     A level is a target precision s with its factor bound b_s, which
     depends on the point t only through |t - center|.  Every reply is read
-    once into an integer pair (``_as_pair``).  Per level the table keeps
-    the center reply at e_max and the nonzero coefficient replies and,
-    once a sign sum asks for it, the same replies as a Horner table of
-    W-bit integers; across levels it keeps the center reply at precision 0
+    once into an integer pair (``_as_pair``).  ``level`` queries a level's
+    replies (``eval_point`` reads one level of a fresh table, once), and a
+    sign sum keeps each level it reaches as a Horner table of W-bit
+    integers; across levels the table keeps the center reply at precision 0
     and the running maxima of |coeff_approx(n, 0)|, the coefficient part
     of the magnitude pass, compared by cross-multiplication.  A point
     comes in as an integer pair (a, d) with t = a/d, so neither a probe
@@ -264,7 +263,6 @@ class _LevelTable:
         self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n,
         #                         as (num, den)
         self.mag_bits = {}      # m_s -> ceil(lg(2 + mags[m_s - 1]))
-        self.levels = {}        # (s, b_s) -> (m_s, (cnum, cden), terms)
         self.horner = {}        # (s, b_s) -> (W, s + g, cnum, cden, coeffs)
 
     def key(self, a, d, s):
@@ -302,21 +300,17 @@ class _LevelTable:
         e = e(n, s) = s + b_s n + 2 m_s + 1; ``center`` is the pair
         (cnum, cden) of center_approx(e_max) with e_max = e(m_s - 1, s).
         """
-        found = self.levels.get(key)
-        if found is None:
-            spec = self.spec
-            coeff = spec.coeff_approx
-            s, b_s = key
-            m_s = eval_schedule(spec, s)[0]
-            terms = []
-            for n in range(m_s):
-                num, den = _as_pair(coeff(n, s + b_s * n + 2 * m_s + 1))
-                if num:
-                    terms.append((n, num, den))
-            e_max = s + b_s * (m_s - 1) + 2 * m_s + 1
-            found = self.levels[key] = (
-                m_s, _as_pair(spec.center_approx(e_max)), terms)
-        return found
+        spec = self.spec
+        coeff = spec.coeff_approx
+        s, b_s = key
+        m_s = eval_schedule(spec, s)[0]
+        terms = []
+        for n in range(m_s):
+            num, den = _as_pair(coeff(n, s + b_s * n + 2 * m_s + 1))
+            if num:
+                terms.append((n, num, den))
+        e_max = s + b_s * (m_s - 1) + 2 * m_s + 1
+        return m_s, _as_pair(spec.center_approx(e_max)), terms
 
     def horner_table(self, key):
         """(W, s + g, cnum, cden, coeffs) of the level key = (s, b_s) for
@@ -352,11 +346,15 @@ class _LevelTable:
 def eval_point(spec, t, s):
     """Approximate the series at the rational point t within 2^-s.
 
-    t must lie in the spec's anchor interval.  The value is the exact sum
-    of c_n z^n over the replies c_n, with z = t - center: each term is an
-    integer pair, added to a ``_PairSum`` as it is made, so no term list
-    is held.
+    t must lie in the spec's anchor interval and s >= -k, so that
+    m_s = l (s + k + 1) >= 1.  The value is the exact sum of c_n z^n over
+    the replies c_n, with z = t - center: each term is an integer pair,
+    added to a ``_PairSum`` as it is made, so no term list is held.
     """
+    k = spec.constants[0]
+    if s < -k:
+        raise ValueError(f"{spec.name}: precision {s} is below -k = {-k}, "
+                         "so the schedule has no term")
     a, d = _as_pair(t)
     table = _LevelTable(spec)
     _, (cnum, cden), terms = table.level(table.key(a, d, s))
@@ -449,13 +447,17 @@ def certified_sign(evaluator, t, p, *, _table=None):
     is evaluated once; its sign is the answer, and an exact zero gives 0.
     Any other series is summed in fixed point at the levels
     s = (p+2) * 2^i for i = 0..DOUBLINGS until |value| > 2 * 2^-s; such a
-    reply pins the sign of the true value since |f(t) - v| <= 2^-s.  Each
-    call queries the coefficients afresh at every level it sums, except
-    for ``find_root``'s probes, which share one level table (``_table``).
+    reply pins the sign of the true value since |f(t) - v| <= 2^-s.  Such
+    a series needs p >= -2, since below it the levels fall.  Each call
+    queries the coefficients afresh at every level it sums, except for
+    ``find_root``'s probes, which share one level table (``_table``).
     """
     sign = _exact_sign(evaluator, t)
     if sign is not None:
         return sign
+    if p < -2:
+        raise ValueError(f"{evaluator.name}: a summed sign needs p >= -2, "
+                         f"got p = {p}")
     table = _LevelTable(evaluator) if _table is None else _table
     for i in range(DOUBLINGS + 1):
         s = (p + 2) << i
@@ -668,8 +670,6 @@ def builtin_spec(name):
     if not name.startswith("poly:"):
         raise ValueError(f"unknown series spec {name!r}")
     coeffs = [parse_rational(c) for c in name.split(":", 1)[1].split(",")]
-    if not coeffs:
-        raise ParseError("empty coefficient list")
     bound = max([ONE] + [abs(c) * (1 << i) for i, c in enumerate(coeffs)])
     spec = series(name, None, bound, 1, 1, tail_from=len(coeffs),
                   polynomial=tuple(coeffs))

@@ -9,6 +9,8 @@ with it transparently.
 A ``Cover`` is the package's one generic tiling of an index range into
 its maximal aligned blocks, made one word at a time: the prefix-minimal
 cover of a grid interval (``minimal_cover``).
+``common_numerators`` puts exact rationals over one common denominator,
+and ``level_numerators`` so reads one level of a function on words.
 """
 
 from __future__ import annotations
@@ -410,6 +412,26 @@ def all_words(max_len):
     for n in range(max_len + 1):
         for k in range(1 << n):
             yield Word(k, n)
+
+
+def common_numerators(values):
+    """The exact rationals ``values`` (``Dyadic``, ``Fraction`` or ``int``)
+    as integer numerators over the lcm of their denominators: (nums, den)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def level_numerators(value, n):
+    """``value`` of every depth-n word, in index order, asked once each, as
+    ``common_numerators``: (nums, den)."""
+    return common_numerators([value(Word(k, n)) for k in range(1 << n)])
+
+
+def lcm_scales(den, den_below):
+    """(up, down) with den up == den_below down == their lcm, so that
+    p/den == c/den_below exactly when p up == c down."""
+    g = math.gcd(den, den_below)
+    return den_below // g, den // g
 
 
 def gamma(w):

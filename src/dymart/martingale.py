@@ -33,12 +33,12 @@ form as its ``savings_form`` for that walk.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import EMPTY, Cover, Dyadic, Word
+from .dyadic import (EMPTY, Cover, Dyadic, Word, common_numerators,
+                     lcm_scales, level_numerators)
 from .errors import PrecisionContractError
 from .report import Report, Violation
 
@@ -109,14 +109,8 @@ class ProductForm(namedtuple("ProductForm",
 
 def _halfbet(factor):
     num, dexp, nxt = factor
-    return _dyadic_factor(num + (1 << dexp), dexp + 1, nxt)
-
-
-def _dyadic_factor(num, dexp, nxt):
-    while num and num % 2 == 0 and dexp > 0:
-        num //= 2
-        dexp -= 1
-    return (num, dexp, nxt)
+    half = Dyadic(num + (1 << dexp), dexp + 1)
+    return (half.num, half.exp, nxt)
 
 
 class ExactMartingale:
@@ -402,32 +396,13 @@ def savings_wrapper(mart):
                            conservative=mart.conservative)
 
 
-def common_numerators(values):
-    """The exact rationals ``values`` as integer numerators over one common
-    denominator, the lcm of theirs: (nums, den)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _exact_level(exact, n):
-    """d of every depth-n word, in index order, as ``common_numerators``."""
-    return common_numerators([exact(Word(k, n)) for k in range(1 << n)])
-
-
-def _scales(den, den_below):
-    """The factors that bring a level over ``den`` and the level below it
-    over ``den_below`` to one denominator: their lcm."""
-    g = math.gcd(den, den_below)
-    return den_below // g, den // g
-
-
 def verify_martingale(mart, depth):
     """Exact averaging identity and nonnegativity on all |w| <= depth.
 
     Reports violations instead of raising; also flags d(λ) > 1.  Values
     are swept level by level, one ``exact`` per word, and each level is
     compared as integer numerators over one common denominator
-    (``common_numerators``): the children of the word with index k are
+    (``dyadic.level_numerators``): the children of the word with index k are
     entries 2k and 2k + 1 of the next level, and the identity is
     2 p == c0 + c1 once both levels are brought to their lcm.  A
     ``Fraction`` is built only for the text of a violation.
@@ -441,8 +416,8 @@ def verify_martingale(mart, depth):
                                     f"d(λ) = {Fraction(root)} exceeds 1"))
     level, den = common_numerators([root])
     for n in range(depth + 1):
-        below, den_below = _exact_level(exact, n + 1)
-        up, down = _scales(den, den_below)
+        below, den_below = level_numerators(exact, n + 1)
+        up, down = lcm_scales(den, den_below)
         checked += len(level)
         for k, p in enumerate(level):
             if p < 0:
@@ -472,9 +447,9 @@ def verify_conservative(mart, depth):
     level, den = common_numerators([exact(EMPTY)])
     for n in range(depth + 1):
         cap = 3 ** n * den
-        below, den_below = _exact_level(exact, n + 1) if n < depth \
+        below, den_below = level_numerators(exact, n + 1) if n < depth \
             else ([], den)
-        up, down = _scales(den, den_below)
+        up, down = lcm_scales(den, den_below)
         checked += len(level)
         for k, p in enumerate(level):
             if p << n > cap:

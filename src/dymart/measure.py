@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word
+from .dyadic import (EMPTY, Dyadic, Word, common_numerators, lcm_scales,
+                     level_numerators)
 from .funcs import FnOracle, word_image
 from .report import Report, Violation
 
@@ -106,34 +107,36 @@ class CumulativeFn(FnOracle):
     def at(self, q):
         return cumulative_point(self.nu, q)
 
-    def at_one(self):
-        return Fraction(self.nu.mass(Word(0, 0)))
-
 
 def verify_measure(nu, depth):
     """Exact additivity and total-mass checks down to the given depth.
 
-    Masses are swept level by level, one ``mass`` per word: the children
-    of the word with index k are entries 2k and 2k + 1 of the next level.
+    Masses are swept level by level, one ``mass`` per word, as integer
+    numerators over a common denominator (``level_numerators``): the
+    children of entry k are entries 2k and 2k + 1 of the next level, and
+    the checks are p up == (c0 + c1) down (``lcm_scales``) and
+    0 <= p <= den.  A ``Fraction`` is built only for a violation's text.
     """
     violations = []
     checked = 1
-    root = nu.mass(Word(0, 0))
-    level = [Fraction(root)]
-    if level[0] != 1:
+    root = nu.mass(EMPTY)
+    level, den = common_numerators([root])
+    if level[0] != den:
         violations.append(Violation("λ", "total", f"mass(λ) = {root}"))
     for n in range(depth):
-        below = [Fraction(nu.mass(Word(k, n + 1))) for k in range(2 << n)]
+        below, den_below = level_numerators(nu.mass, n + 1)
+        up, down = lcm_scales(den, den_below)
         checked += len(level)
-        for k, lhs in enumerate(level):
-            rhs = below[2 * k] + below[2 * k + 1]
-            if lhs != rhs:
-                violations.append(Violation(str(Word(k, n)), "additivity",
-                                            f"{lhs} != {rhs}"))
-            if not 0 <= lhs <= 1:
+        for k, p in enumerate(level):
+            pair = below[2 * k] + below[2 * k + 1]
+            if p * up != pair * down:
+                violations.append(Violation(
+                    str(Word(k, n)), "additivity",
+                    f"{Fraction(p, den)} != {Fraction(pair, den_below)}"))
+            if not 0 <= p <= den:
                 violations.append(Violation(str(Word(k, n)), "range",
-                                            f"{lhs}"))
-        level = below
+                                            f"{Fraction(p, den)}"))
+        level, den = below, den_below
     return Report(f"measure axioms for {nu.name} (depth {depth})", checked,
                   violations)
 

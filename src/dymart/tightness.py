@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Dyadic, Word
+from .dyadic import Dyadic, Word, level_numerators
 from .errors import InsufficientBitsError, ParseError
 from .funcs import FnOracle
 
@@ -213,7 +213,8 @@ def z_bettor(zset):
 
 class GridImage:
     """fz on the 2^-exp grid of [0, 1), one ``insertion_value`` per point,
-    as integer numerators ``nums[k]`` over the common denominator 2^top.
+    as integer numerators ``nums[k]`` over the common denominator 2^top
+    (``dyadic.level_numerators``: each point k/2^exp is the word (k, exp)).
 
     ``steps`` and ``slopes`` sweep every step and slope bound on the grid
     by integer comparisons; ``step_sides`` and ``slope_sides`` give one
@@ -225,11 +226,10 @@ class GridImage:
             zset = CensusSet.parse(zset)
         self.zset = zset
         self.exp = exp
-        values = [insertion_value(Word(k, exp), zset)
-                  for k in range(1 << exp)]
+        self.nums, den = level_numerators(
+            lambda w: insertion_value(w, zset), exp)
         # exp + c(exp-1) for exp >= 1: the weight of the last input bit
-        self.top = max(v.exp for v in values)
-        self.nums = [v.num << (self.top - v.exp) for v in values]
+        self.top = den.bit_length() - 1
 
     def steps(self):
         """(k, n, ok) for x = k/2^exp, n = 1..exp and x + 2^-n < 1, n-major;

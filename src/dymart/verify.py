@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import EMPTY, Dyadic, Word, all_words, minimal_cover
+from .dyadic import (EMPTY, Dyadic, Word, all_words, common_numerators,
+                     level_numerators, minimal_cover)
 from .report import Report, Violation
 
 F = Fraction
@@ -84,15 +85,14 @@ def _domination(base, depth):
     on all |w| <= min(depth, 8), one ``exact`` of each per word.  With
     each level of d over D and of base over B, and base(λ) = r/s, a word
     fails when d_num^2 B s < base_num r D^2."""
-    from .martingale import _exact_level, conservative_transform
+    from .martingale import conservative_transform
     violations = []
     checked = 0
     d = conservative_transform(base)
-    root = Fraction(base.exact(EMPTY))
-    r, s = root.numerator, root.denominator
+    [r], s = common_numerators([base.exact(EMPTY)])
     for n in range(min(depth, 8) + 1):
-        dom, dom_den = _exact_level(d.exact, n)
-        sub, sub_den = _exact_level(base.exact, n)
+        dom, dom_den = level_numerators(d.exact, n)
+        sub, sub_den = level_numerators(base.exact, n)
         lhs, rhs = sub_den * s, r * dom_den * dom_den
         checked += len(dom)
         for k, (v, b) in enumerate(zip(dom, sub)):
@@ -147,14 +147,13 @@ def _chk_chain(depth):
     |x| <= min(depth, 3) and n <= |x| + 6.  D_x is derived once per x and
     shared by every depth's ``shift_stats``; the largest inside cell is
     read from the depth's level of d, swept once per strategy."""
-    from .martingale import _exact_level
     from .pullback import _cell_ranges, _delta_interval, _shift_stats, \
         squeeze_bound
     top = min(depth, 3)
     violations = []
     checked = 0
     for d, f, conservative in _shift_pairs():
-        levels = [_exact_level(d.exact, n) for n in range(top + 7)]
+        levels = [level_numerators(d.exact, n) for n in range(top + 7)]
         for x in all_words(top):
             ends = _delta_interval(f, x)
             stats = [_shift_stats(d, ends, len(x), n)
@@ -183,12 +182,11 @@ def _chk_chain(depth):
 def _chk_methods_agree(depth):
     """The walk's (lower, upper) against the sums of the inside and the
     touching cells of the depth's level of d, swept once per strategy."""
-    from .martingale import _exact_level
     from .pullback import _cell_ranges, _delta_interval, _shift_stats
     violations = []
     checked = 0
     for d, f, _ in _shift_pairs():
-        levels = [(n, _exact_level(d.exact, n))
+        levels = [(n, level_numerators(d.exact, n))
                   for n in (0, 4, min(depth + 6, 11))]
         for x in [Word(0, 0), Word(1, 1), Word(1, 2)]:
             ends = _delta_interval(f, x)

@@ -8,7 +8,8 @@ strategies by recomputing every prefix of the word, the monotone patch
 one point at a time by its defining recursion, decimal expansions one
 long-division digit at a time, measure round trips and the exhaustive
 martingale and measure checks word by word with no shared values, the
-census bounds of the insertion maps one point at a time in rationals,
+census bounds of the insertion maps one point at a time in rationals and
+their grid over the largest exponent,
 reference constants come from plain partial sums with explicit remainder
 bounds, polynomial values from Horner's rule over Fractions, series
 validation from its defining term loop over Fractions, and the root
@@ -32,7 +33,7 @@ from dymart.martingale import (ApproxMartingale, ExactMartingale,
 from dymart.measure import (CumulativeFn, DifferentialMeasure,
                             cumulative_point, differential)
 from dymart.pullback import _cell_ranges, pullback_approx
-from dymart.tightness import CensusSet, ZeroInsertionFn
+from dymart.tightness import CensusSet, ZeroInsertionFn, insertion_value
 
 
 def word_from_bits(bits):
@@ -428,6 +429,15 @@ def verify_measure_by_words(nu, depth):
             violations.append(Violation(str(w), "range", f"{lhs}"))
     return Report(f"measure axioms for {nu.name} (depth {depth})", checked,
                   violations)
+
+
+def grid_image_by_shifts(zset, exp):
+    """``tightness.GridImage``'s (nums, top) by the largest exponent: fz at
+    every point of the 2^-exp grid, each ``Dyadic`` shifted to the longest
+    one's exponent top."""
+    values = [insertion_value(Word(k, exp), zset) for k in range(1 << exp)]
+    top = max(v.exp for v in values)
+    return [v.num << (top - v.exp) for v in values], top
 
 
 class BoundCheck(namedtuple("BoundCheck", "ok lhs rhs label")):

@@ -551,6 +551,67 @@ class TestRoots:
                                   "the escalation budget")
 
 
+class TestCoarseBounds:
+    """A summed sign below p = -2 and an evaluation whose schedule has no
+    term are refused by a ValueError that names the bound, before any
+    query."""
+
+    @pytest.mark.parametrize("p", [-3, -4, -40])
+    def test_root_of_a_series_below_p_minus_2(self, p):
+        log, centers = [], []
+        spec = _counting(builtin_spec("exp").shifted(F(3, 2)), log, centers)
+        with pytest.raises(ValueError,
+                           match=rf"needs p >= -2, got p = {p}$"):
+            find_root(spec, (Dyadic(0), Dyadic(1)), p)
+        assert log == centers == []
+
+    @pytest.mark.parametrize("name", list(analytic._NAMED))
+    def test_sign_of_a_series_below_p_minus_2(self, name):
+        log, centers = [], []
+        spec = _counting(builtin_spec(name), log, centers)
+        with pytest.raises(ValueError, match=r"needs p >= -2, got p = -3$"):
+            certified_sign(spec, spec.anchor.value(), -3)
+        assert log == centers == []
+
+    def test_p_minus_2_is_summed_as_before(self):
+        # every level is s = 0, where exp - 3/2 is too small to call
+        spec = builtin_spec("exp").shifted(F(3, 2))
+        assert certified_sign(spec, Dyadic(0), -2) == 0
+        with pytest.raises(SignUndecidableError):
+            find_root(spec, (Dyadic(0), Dyadic(1)), -2)
+
+    @pytest.mark.parametrize("p", [-3, -10])
+    def test_exact_evaluators_keep_their_signs(self, p):
+        poly = builtin_spec("poly:-1/2,1")
+        assert certified_sign(poly, Dyadic(0), p) == -1
+        assert certified_sign(poly, Dyadic(1, 1), p) == 0
+        assert find_root(poly, (Dyadic(0), Dyadic(1)), p) == Dyadic(1, 1)
+        assert certified_sign(QuotientFn([F(1), F(-1)], [F(1)], F(1)),
+                              Dyadic(0), p) == 1
+
+    @pytest.mark.parametrize("name", list(analytic._NAMED))
+    def test_eval_below_minus_k(self, name):
+        spec = builtin_spec(name)
+        k = spec.constants[0]
+        log, centers = [], []
+        with pytest.raises(ValueError, match=rf"precision {-k - 1} is below "
+                                             rf"-k = {-k}, so the schedule"):
+            eval_point(_counting(spec, log, centers), spec.anchor.value(),
+                       -k - 1)
+        assert log == centers == []
+        with pytest.raises(ValueError, match=r"precision -4 is below"):
+            eval_point(spec, spec.anchor.value(), min(-4, -k - 1))
+
+    @pytest.mark.parametrize("name", list(analytic._NAMED))
+    def test_eval_at_minus_k_sums_l_terms(self, name):
+        spec = builtin_spec(name)
+        (k, ell), log = spec.constants, []
+        assert eval_schedule(spec, -k)[0] == ell
+        eval_point(_counting(spec, log), spec.anchor.value(), -k)
+        # the magnitude pass, then the level's l terms
+        assert [n for n, _ in log] == list(range(ell)) * 2
+
+
 def _verdict(check):
     """True, or the type and text of the error ``check()`` raises."""
     try:

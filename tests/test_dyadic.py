@@ -3,11 +3,12 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dymart.dyadic import (Dyadic, Word, _PairSum, all_words, clamp_unit,
-                           fmt_rational, gamma, lex_successor,
+                           common_numerators, fmt_rational, gamma,
+                           lcm_scales, level_numerators, lex_successor,
                            minimal_cover, parse_rational, round_to_grid)
 from dymart.errors import ParseError
 from dymart.funcs import AffineFn
@@ -236,6 +237,54 @@ class TestBalancedSum:
             acc.add(1, 3 + 2 * i)
             assert len(acc.stack) == bin(i + 1).count("1")
         assert acc.total() == sum(Fraction(1, 3 + 2 * i) for i in range(k))
+
+
+rationals = st.one_of(dyadics, st.integers(-(1 << 70), 1 << 70),
+                      st.fractions(max_denominator=10 ** 6))
+
+
+def lcm_of_denominators(values):
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+class TestCommonNumerators:
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(rationals, min_size=1, max_size=30),
+                     st.lists(st.integers(-(1 << 70), 1 << 70), min_size=1,
+                              max_size=10)))
+    @example([Dyadic(3, 5)])
+    @example([Fraction(-2, 3)])
+    @example([7])
+    @example([0, -4, 9])
+    def test_numerators_over_the_lcm(self, values):
+        nums, den = common_numerators(values)
+        assert den == lcm_of_denominators(values)
+        assert all(type(x) is int for x in nums) and type(den) is int
+        assert [Fraction(x, den) for x in nums] == list(map(Fraction, values))
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(rationals, min_size=1 << n, max_size=1 << n))))
+    def test_level_is_every_word_once_in_index_order(self, case):
+        n, values = case
+        asked = []
+
+        def value(w):
+            asked.append(w)
+            return values[w.k]
+
+        nums, den = level_numerators(value, n)
+        assert asked == [Word(k, n) for k in range(1 << n)]
+        assert den == lcm_of_denominators(values)
+        assert [Fraction(x, den) for x in nums] == list(map(Fraction, values))
+
+    @given(st.integers(1, 1 << 40), st.integers(1, 1 << 40),
+           st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40))
+    def test_scales_meet_at_the_lcm(self, den, den_below, p, c):
+        up, down = lcm_scales(den, den_below)
+        assert den * up == den_below * down == math.lcm(den, den_below)
+        assert (p * up == c * down) == \
+            (Fraction(p, den) == Fraction(c, den_below))
 
 
 class TestAffine:

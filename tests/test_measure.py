@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.funcs import IdentityFn, TableStepFn
@@ -187,6 +189,71 @@ class ScrambledMeasure(ProbabilityMeasure):
         if not w.n:
             return Dyadic(2)
         return F((5 * w.k + 3 * w.n) % 9 - 1, 4)
+
+
+class PlantedMeasure(ProbabilityMeasure):
+    """``base`` with the masses of some words replaced; each mass is an
+    ``int`` when it is integral and ``as_int`` is set, a ``Dyadic`` when it
+    is dyadic and ``as_dyadic`` is set, else a ``Fraction``."""
+
+    def __init__(self, base, planted, as_int, as_dyadic):
+        self.base, self.planted = base, planted
+        self.as_int, self.as_dyadic = as_int, as_dyadic
+        self.name = f"planted:{base.name}"
+
+    def mass(self, w):
+        v = F(self.planted.get(w, self.base.mass(w)))
+        if self.as_int and v.denominator == 1:
+            return v.numerator
+        if self.as_dyadic and not v.denominator & (v.denominator - 1):
+            return Dyadic.from_fraction(v)
+        return v
+
+
+@st.composite
+def planted_measures(draw):
+    """(measure, depth): a zoo measure at depth 0..8 with up to three
+    planted faults: a non-additive word, a mass above 1 or below 0, or a
+    total other than 1."""
+    depth = draw(st.integers(0, 8))
+    base = draw(st.sampled_from(measure_zoo() + [ProductMeasure(F(1, 3))]))
+    planted = {}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["additivity", "above", "below",
+                                     "total"]))
+        n = draw(st.integers(0, depth))
+        w = Word(draw(st.integers(0, (1 << n) - 1)), n)
+        off = draw(st.fractions(min_value=F(1, 1024), max_value=2,
+                                max_denominator=1024))
+        if kind == "total":
+            w = Word(0, 0)
+            planted[w] = 1 + off if draw(st.booleans()) else 1 - off
+        elif kind == "additivity":
+            planted[w] = F(base.mass(w)) + draw(st.sampled_from([off, -off]))
+        else:
+            planted[w] = 1 + off if kind == "above" else -off
+    return PlantedMeasure(base, planted, draw(st.booleans()),
+                          draw(st.booleans())), depth
+
+
+class TestAxiomsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_measures())
+    def test_integer_sweep_is_the_word_by_word_check(self, case):
+        nu, depth = case
+        assert verify_measure(nu, depth) == verify_measure_by_words(nu, depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 5, 8])
+    def test_each_fault_is_reported(self, depth):
+        # the root's total, a range fault and its parent's additivity
+        w = Word(0, max(depth - 1, 0))
+        nu = PlantedMeasure(UniformMeasure(), {Word(0, 0): F(3, 2), w: -1},
+                            True, True)
+        rep = verify_measure(nu, depth)
+        assert rep == verify_measure_by_words(nu, depth)
+        kinds = {v.kind for v in rep.violations}
+        assert kinds == ({"total"} if depth == 0 else
+                         {"total", "range", "additivity"})
 
 
 class TestWorkCounts:

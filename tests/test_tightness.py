@@ -11,8 +11,8 @@ from dymart.tightness import (ZOO_SPECS, CensusSet, GridImage,
                               insertion_value, z_bettor, zoo)
 from dymart.verify import _chk_slope_bound, _chk_step_bound
 
-from helpers import (ceil_neg_lg, verify_ratio, verify_strong_ratio,
-                     word_from_bits)
+from helpers import (ceil_neg_lg, grid_image_by_shifts, verify_ratio,
+                     verify_strong_ratio, word_from_bits)
 
 W = Word.parse
 F = Fraction
@@ -262,6 +262,13 @@ class TestGridImage:
     def test_slopes_match_single_point_checks(self, spec, exp):
         z = CensusSet.parse(spec)
         assert swept_slopes(z, exp) == slope_oracle(z, exp)
+
+    @pytest.mark.parametrize("exp", range(13))
+    @pytest.mark.parametrize("spec", ZOO_SPECS)
+    def test_grid_is_the_largest_exponent_shift(self, spec, exp):
+        z = CensusSet.parse(spec)
+        grid = GridImage(z, exp)
+        assert (grid.nums, grid.top) == grid_image_by_shifts(z, exp)
 
     def test_common_denominator(self):
         # the weight 2^-(exp + c(exp-1)) of the last input bit

@@ -243,11 +243,12 @@ class TestAxiomsOracle:
         nu, depth = case
         assert verify_measure(nu, depth) == verify_measure_by_words(nu, depth)
 
-    @pytest.mark.parametrize("depth", [0, 1, 5, 8])
+    @pytest.mark.parametrize("depth", [0, 2, 5, 8])
     def test_each_fault_is_reported(self, depth):
-        # the root's total, a range fault and its parent's additivity
-        w = Word(0, max(depth - 1, 0))
-        nu = PlantedMeasure(UniformMeasure(), {Word(0, 0): F(3, 2), w: -1},
+        # the root's total, a range fault and its parent's additivity; at
+        # depth 0 only the total is checked
+        w = Word(0, max(depth - 1, 1))
+        nu = PlantedMeasure(UniformMeasure(), {Word(0, 0): F(1, 2), w: -1},
                             True, True)
         rep = verify_measure(nu, depth)
         assert rep == verify_measure_by_words(nu, depth)

@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart import analytic, config
-from dymart.analytic import (DOUBLINGS, HORNER_GUARD, _cos_coeff,
-                             _exp_coeff, _fixed_point_sum, _LevelTable,
-                             _sin_coeff,
-                             builtin_spec, certified_sign, derivative_spec,
-                             eval_approx, eval_point, eval_schedule,
-                             find_root, series, tail_constants)
+from dymart.analytic import (DOUBLINGS, HORNER_GUARD, _as_pair,
+                             _fixed_point_sum, _LevelTable, builtin_spec,
+                             certified_sign, derivative_spec, eval_approx,
+                             eval_point, eval_schedule, find_root, series,
+                             tail_constants)
 from dymart.dyadic import Dyadic, Word, exact_ceil_lg
 from dymart.errors import AnchorError, DymartError, SignUndecidableError
 from dymart.funcs import QuotientFn
@@ -172,16 +171,18 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("order", ["increasing", "shuffled"])
     def test_running_factorial_replies(self, order):
-        # the builtin oracles step their last (n, n!) pair; the replies are
-        # those of a fresh math.factorial in any query order
+        # the builtin oracles step n! as their kept lists grow; the
+        # replies are those of a fresh math.factorial in any query order
         ns = list(range(601))
         if order == "shuffled":
             random.Random("factorial").shuffle(ns)
+        exp_c, sin_c, cos_c = (builtin_spec(name).exact_coeff
+                               for name in ("exp", "sin", "cos"))
         for n in ns:
             exact = F(1 if (n // 2) % 2 == 0 else -1, math.factorial(n))
-            assert _exp_coeff(n) == F(1, math.factorial(n)), n
-            assert _sin_coeff(n) == (exact if n % 2 == 1 else 0), n
-            assert _cos_coeff(n) == (exact if n % 2 == 0 else 0), n
+            assert exp_c(n) == F(1, math.factorial(n)), n
+            assert sin_c(n) == (exact if n % 2 == 1 else 0), n
+            assert cos_c(n) == (exact if n % 2 == 0 else 0), n
 
 
 class TestValidate:
@@ -683,15 +684,19 @@ class TestValidateOracle:
 
 ROOT_QUERIES = Path(__file__).parent / "expected" / "root_queries.json"
 
-# key of ROOT_QUERIES -> (named series, offset, interval, p)
+# key of ROOT_QUERIES -> (named series, offset, interval, p); the roots
+# of sin, cos and ln1p at p = 24 escalate to s = 2(p + 2), so each of
+# their coefficients is asked at two levels, and exp - 5/4 shares its
+# coefficients with exp - 3/2
 PINNED_ROOTS = {
     f"{name}-{offset} p={p}": (name, offset, interval, p)
-    for name, offset, interval in [
-        ("exp", F(3, 2), (Dyadic(0), Dyadic(1))),
-        ("sin", F(1, 2), (Dyadic(0), Dyadic(1))),
-        ("cos", F(3, 4), (Dyadic(0), Dyadic(1))),
-        ("ln1p", F(1, 4), (Dyadic(0), Dyadic(1, 1)))]
-    for p in (16, 32)}
+    for name, offset, interval, precisions in [
+        ("exp", F(3, 2), (Dyadic(0), Dyadic(1)), (16, 32)),
+        ("exp", F(5, 4), (Dyadic(0), Dyadic(1)), (32,)),
+        ("sin", F(1, 2), (Dyadic(0), Dyadic(1)), (16, 24, 32)),
+        ("cos", F(3, 4), (Dyadic(0), Dyadic(1)), (16, 24, 32)),
+        ("ln1p", F(1, 4), (Dyadic(0), Dyadic(1, 1)), (16, 24, 32))]
+    for p in precisions}
 
 
 class TestPinnedQueries:

@@ -68,6 +68,15 @@ COMMANDS = {
     "analytic_root_cos_p128":
         "analytic root --spec cos --offset 3/4 --interval 0,1 "
         "--precision 128",
+    # roots at the benchmark's precisions: sin - 1/2 sums every probe at
+    # s = 34, and ln1p - 1/4 escalates to s = 68, so its coefficient
+    # replies are asked at two levels
+    "analytic_root_sin_p32":
+        "analytic root --spec sin --offset 1/2 --interval 0,1 "
+        "--precision 32",
+    "analytic_root_ln1p_p32":
+        "analytic root --spec ln1p --offset 1/4 --interval 0,1/2 "
+        "--precision 32",
     "readme_tightness_demo": "tightness demo --zset 1 --depth 5",
     "readme_tightness_bounds":
         "tightness bounds --zset pow2 --step-exp 6 --slope-exp 5",

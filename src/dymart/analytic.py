@@ -25,7 +25,12 @@ it queries the magnitude pass, the center at e_max and every coefficient
 once, and reads each reply once into an integer pair, so setting up a
 level builds no ``Fraction``.  An evaluation builds a fresh table;
 ``find_root`` keeps one for all its probes, so a root queries each
-coefficient once per level it reaches, not once per probe.
+coefficient once per level it reaches, not once per probe.  The named
+series answer those queries from kept lists (``_kept``): each coefficient
+is built once per process, with n! (or n) stepped by one multiply, and
+every later query, at any precision and from any root, gets the same
+``Fraction`` back.  So a level costs its queries and the conversion of
+the replies, and builds no coefficient a second time.
 ``eval_point`` returns the exact rational
 sum_n c_n z^n of the replies, summed as a balanced tree of integer pairs
 and reduced once.
@@ -59,12 +64,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import chain, count, islice
 
 from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio,
                      common_numerators, gamma, parse_rational)
 from .errors import AnchorError, SignUndecidableError
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 # ``PowerSeriesSpec.validate`` checks the term bound explicitly for
 # n <= EXPLICIT_TO and the two-step tail decay on WINDOW terms
@@ -82,8 +89,13 @@ HORNER_GUARD = 2
 def _as_pair(t):
     """(a, d) with t = a/d and d > 0: a ``Dyadic``'s numerator and 2^exp,
     a ``Fraction``'s or an ``int``'s numerator and denominator, read
-    without a copy; any other rational through ``Fraction``."""
-    if isinstance(t, Dyadic):
+    without a copy; any other rational through ``Fraction``.  A reply of
+    type exactly ``Fraction`` or ``Dyadic``, the common case, is read after
+    one type test; subclasses take the ``isinstance`` path."""
+    kind = type(t)
+    if kind is Fraction:
+        return t.numerator, t.denominator
+    if kind is Dyadic or isinstance(t, Dyadic):
         return t.num, 1 << t.exp
     if not isinstance(t, (Fraction, int)):
         t = Fraction(t)
@@ -262,35 +274,41 @@ class _LevelTable:
         self.center0 = None     # center_approx(0) as (num, den)
         self.mags = []          # mags[n] = max |coeff_approx(j, 0)|, j <= n,
         #                         as (num, den)
-        self.mag_bits = {}      # m_s -> ceil(lg(2 + mags[m_s - 1]))
+        self.mag_bits = {}      # s -> ceil(lg(2 + mags[m_s - 1]))
         self.horner = {}        # (s, b_s) -> (W, s + g, cnum, cden, coeffs)
 
     def key(self, a, d, s):
         """The level (s, b_s) of the point t = a/d (d > 0) at target
         precision s, after the anchor check, in integers:
-        b_s = ceil(lg(2 + max(|t - center0|, mags[m_s - 1])))."""
-        spec = self.spec
-        _check_anchor(spec, a, d)
-        m_s = eval_schedule(spec, s)[0]
-        if self.center0 is None:
-            self.center0 = _as_pair(spec.center_approx(0))
-        mag_bits = self.mag_bits.get(m_s)
+        b_s = ceil(lg(2 + max(|t - center0|, mags[m_s - 1]))).  The part
+        that does not depend on t is worked out once per s."""
+        _check_anchor(self.spec, a, d)
+        mag_bits = self.mag_bits.get(s)
         if mag_bits is None:
-            mags = self.mags
-            best = mags[-1] if mags else (0, 1)
-            for n in range(len(mags), m_s):
-                c, c_den = _as_pair(spec.coeff_approx(n, 0))
-                if abs(c) * best[1] > best[0] * c_den:
-                    best = abs(c), c_den
-                mags.append(best)
-            top, top_den = mags[m_s - 1]
-            mag_bits = self.mag_bits[m_s] = \
-                ceil_lg_ratio(2 * top_den + top, top_den)
+            mag_bits = self.mag_bits[s] = self._magnitude_bits(s)
         # |t - center0| = gap / den, so 2 + |t - center0| = (2 den + gap) / den
         p0, q0 = self.center0
         den = d * q0
         gap = abs(a * q0 - p0 * d)
         return s, max(mag_bits, ceil_lg_ratio(2 * den + gap, den))
+
+    def _magnitude_bits(self, s):
+        """ceil(lg(2 + mags[m_s - 1])) at target precision s, after the
+        magnitude pass: center_approx(0) on the table's first level, then
+        coeff_approx(n, 0) for every n < m_s not yet asked."""
+        spec = self.spec
+        m_s = eval_schedule(spec, s)[0]
+        if self.center0 is None:
+            self.center0 = _as_pair(spec.center_approx(0))
+        mags = self.mags
+        best = mags[-1] if mags else (0, 1)
+        for n in range(len(mags), m_s):
+            c, c_den = _as_pair(spec.coeff_approx(n, 0))
+            if abs(c) * best[1] > best[0] * c_den:
+                best = abs(c), c_den
+            mags.append(best)
+        top, top_den = mags[m_s - 1]
+        return ceil_lg_ratio(2 * top_den + top, top_den)
 
     def level(self, key):
         """(m_s, center, terms) of the level key = (s, b_s).
@@ -448,7 +466,8 @@ def certified_sign(evaluator, t, p, *, _table=None):
     Any other series is summed in fixed point at the levels
     s = (p+2) * 2^i for i = 0..DOUBLINGS until |value| > 2 * 2^-s; such a
     reply pins the sign of the true value since |f(t) - v| <= 2^-s.  Such
-    a series needs p >= -2, since below it the levels fall.  Each call
+    a series needs p >= -2, since below it the levels fall; at p = -2 they
+    are all s = 0, summed once.  Each call
     queries the coefficients afresh at every level it sums, except for
     ``find_root``'s probes, which share one level table (``_table``).
     """
@@ -459,7 +478,8 @@ def certified_sign(evaluator, t, p, *, _table=None):
         raise ValueError(f"{evaluator.name}: a summed sign needs p >= -2, "
                          f"got p = {p}")
     table = _LevelTable(evaluator) if _table is None else _table
-    for i in range(DOUBLINGS + 1):
+    # at p = -2 every level (p + 2) * 2^i is s = 0: sum it once
+    for i in range(DOUBLINGS + 1 if p > -2 else 1):
         s = (p + 2) << i
         total, sg = _fixed_point_sum(evaluator, t, s, table)
         if abs(total) > 2 << (sg - s):      # |total / 2^sg| > 2 * 2^-s
@@ -567,8 +587,9 @@ def derivative_spec(spec):
     new_bound = max(ONE, spec.term_bound / (spec.radius + spec.margin) * best)
 
     def coeff(m, r):
-        extra = ceil_lg_ratio(m + 1, 1)
-        return (m + 1) * Fraction(inner_c(m + 1, r + extra))
+        # the factor m + 1 needs ceil(lg(m + 1)) = bit_length(m) more bits
+        num, den = _as_pair(inner_c(m + 1, r + m.bit_length()))
+        return Fraction((m + 1) * num, den)
 
     return replace(
         spec,
@@ -580,7 +601,7 @@ def derivative_spec(spec):
         if inner_e else None,
         tail_monotone_from=max(spec.tail_monotone_from, peak_n) + 2,
         polynomial=(tuple(n * c for n, c in enumerate(spec.polynomial))[1:]
-                    or (Fraction(0),)) if spec.polynomial else None,
+                    or (ZERO,)) if spec.polynomial else None,
     )
 
 
@@ -590,60 +611,73 @@ def series(name, exact_coeff, C, radius, margin, anchor=EMPTY, tail_from=0,
     those of ``polynomial`` (zero past its end) when that is None.  The
     one builder of the named specs, ``poly:`` and ``kind = series``
     files, and the one constructor call: shifts and derivatives replace
-    only the fields they change."""
+    only the fields they change.  Every reply is the exact coefficient
+    itself, at any precision, so a kept coefficient (``_kept``) comes back
+    as the same object; the zeros past a polynomial's end and the center
+    are one shared ``Fraction(0)``."""
     if exact_coeff is None:
         exact_coeff = lambda n: (polynomial[n] if n < len(polynomial)
-                                 else Fraction(0))
+                                 else ZERO)
     return PowerSeriesSpec(
         name=name,
         coeff_approx=lambda n, r: exact_coeff(n),
-        center_approx=lambda r: Fraction(0),
+        center_approx=lambda r: ZERO,
         term_bound=Fraction(C),
         radius=Fraction(radius),
         margin=Fraction(margin),
         anchor=anchor,
         exact_coeff=exact_coeff,
-        exact_center=Fraction(0),
+        exact_center=ZERO,
         tail_monotone_from=tail_from,
         polynomial=polynomial,
     )
 
 
-def _factorial_series(signs):
-    """The coefficients n -> signs[n % 4] / n!.  n! is stepped from the
-    last query: one multiply when the next query is n + 1 (a zero
-    coefficient steps it too), ``math.factorial`` otherwise."""
-    last_n, factorial = 0, 1
+def _kept(terms):
+    """The coefficient oracle n -> c_n (n >= 0) of the iterator ``terms``
+    of c_0, c_1, ...: one list keeps the coefficients built so far and
+    grows in index order up to the largest n asked.  Whatever the query
+    order, each coefficient is built once per process, and every query of
+    n returns the same object."""
+    kept = []
 
     def coeff(n):
-        nonlocal last_n, factorial
-        if n == last_n + 1:
-            factorial *= n
-        elif n != last_n:
-            factorial = math.factorial(n)
-        last_n = n
-        return Fraction(signs[n % 4], factorial)
+        if n >= len(kept):
+            kept.extend(islice(terms, n + 1 - len(kept)))
+        return kept[n]
     return coeff
 
 
-_exp_coeff = _factorial_series((1, 1, 1, 1))
-_sin_coeff = _factorial_series((0, 1, 0, -1))
-_cos_coeff = _factorial_series((1, 0, -1, 0))
+def _factorial_series(signs):
+    """The kept coefficients n -> signs[n % 4] / n!, with n! stepped by one
+    multiply per index (a zero coefficient steps it too)."""
+    def terms():
+        n, factorial = 0, 1
+        while True:
+            yield Fraction(signs[n % 4], factorial)
+            n += 1
+            factorial *= n
+    return _kept(terms())
 
 
-def _ln1p_coeff(n):
-    if n == 0:
-        return Fraction(0)
-    return Fraction(1 if n % 2 == 1 else -1, n)
+def _ln1p_series():
+    """The kept coefficients n -> (-1)^(n+1) / n of ln(1 + x), c_0 = 0."""
+    return _kept(chain([ZERO], (Fraction(1 if n % 2 else -1, n)
+                                for n in count(1))))
 
 
+# each builder makes its series' own kept coefficients; ``_named_spec``
+# calls it once per process
 _NAMED = {
-    "exp": lambda: series("exp", _exp_coeff, 4, 1, 1, tail_from=2),
-    "sin": lambda: series("sin", _sin_coeff, 2, 1, 1, tail_from=1),
-    "cos": lambda: series("cos", _cos_coeff, 2, 1, 1, tail_from=2),
-    "ln1p": lambda: series("ln1p", _ln1p_coeff, 1, Fraction(1, 2),
+    "exp": lambda: series("exp", _factorial_series((1, 1, 1, 1)), 4, 1, 1,
+                          tail_from=2),
+    "sin": lambda: series("sin", _factorial_series((0, 1, 0, -1)), 2, 1, 1,
+                          tail_from=1),
+    "cos": lambda: series("cos", _factorial_series((1, 0, -1, 0)), 2, 1, 1,
+                          tail_from=2),
+    "ln1p": lambda: series("ln1p", _ln1p_series(), 1, Fraction(1, 2),
                            Fraction(1, 4), anchor=Word(0, 1), tail_from=1),
-    "geom": lambda: series("geom", lambda n: Fraction(1), 1, Fraction(1, 2),
+    "geom": lambda: series("geom", lambda n: ONE, 1, Fraction(1, 2),
                            Fraction(1, 4), anchor=Word(0, 1), tail_from=0),
 }
 
@@ -662,8 +696,9 @@ def builtin_spec(name):
     (1, 1); geom (coefficients all 1) and ln1p only converge with margin
     on [0, 1/2], anchored on the left half with (r, eps) = (1/2, 1/4).
     All constants are validated on construction.  A named spec is built
-    and validated once per process, on first use; a ``poly:`` spec on
-    every call.
+    and validated once per process, on first use, and keeps the longest
+    prefix of its coefficients asked so far (``_kept``); a ``poly:`` spec
+    is built on every call.
     """
     if name in _NAMED:
         return _named_spec(name)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import random
 import tempfile
 from contextlib import contextmanager
@@ -291,6 +292,152 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 positive = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=16)
 
 
+def _defining_coeff(name, n):
+    """c_n of the named series ``name`` from its formula."""
+    if name == "ln1p":
+        return F((-1) ** (n + 1), n) if n else F(0)
+    if name == "geom":
+        return F(1)
+    signs = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1),
+             "cos": (1, 0, -1, 0)}[name]
+    return F(signs[n % 4], math.factorial(n))
+
+
+@st.composite
+def query_orders(draw):
+    """(n, r) coefficient queries: drawn indices shuffled, repeated or
+    descending, at drawn precisions, sometimes led by n = 300."""
+    ns = draw(st.lists(st.integers(0, 150), min_size=1, max_size=30))
+    order = draw(st.sampled_from(["shuffled", "repeated", "descending"]))
+    if order == "shuffled":
+        ns = draw(st.permutations(ns))
+    elif order == "repeated":
+        ns = ns + ns[::-1] + ns
+    else:
+        ns = sorted(ns, reverse=True)
+    if draw(st.booleans()):
+        ns = [300] + ns
+    return [(n, draw(st.integers(-8, 400))) for n in ns]
+
+
+def _series_file_spec(coeffs):
+    """The ``kind = series`` file spec of the explicit list ``coeffs``."""
+    text = ",".join(map(str, coeffs))
+    bound = max([F(1)] + [abs(c) * (1 << i) for i, c in enumerate(coeffs)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.cfg"
+        path.write_text(f"kind = series\ncoeffs = {text}\nC = {bound}\n"
+                        f"r = 1\neps = 1\nanchor = λ\n"
+                        f"tail_from = {len(coeffs)}\n", encoding="utf-8")
+        return config.parse_series(f"@{path}")
+
+
+class TestKeptCoefficients:
+    """The named oracles against their formulas, in any query order, and
+    each coefficient one object however often it is asked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(analytic._NAMED)), query_orders())
+    def test_replies_are_the_formula(self, name, queries):
+        # a spec fresh from its builder starts with an empty kept list;
+        # the process's own spec has kept whatever earlier tests asked
+        for spec in (analytic._NAMED[name](), builtin_spec(name)):
+            first = {}
+            for n, r in queries:
+                reply = spec.coeff_approx(n, r)
+                assert type(reply) is F, (n, r)
+                assert reply == _defining_coeff(name, n), (n, r)
+                assert reply is first.setdefault(n, reply), (n, r)
+                assert spec.exact_coeff(n) is reply
+
+    @pytest.mark.parametrize("name", sorted(analytic._NAMED))
+    def test_first_query_far_out(self, name):
+        spec = analytic._NAMED[name]()
+        far = spec.coeff_approx(300, 0)
+        assert far == _defining_coeff(name, 300)
+        for n in range(300, -1, -1):
+            assert spec.coeff_approx(n, n) == _defining_coeff(name, n), n
+        assert spec.coeff_approx(300, 7) is far
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=6),
+           st.integers(0, 40), st.integers(-8, 200))
+    def test_zero_past_the_degree(self, coeffs, past, r):
+        poly = builtin_spec("poly:" + ",".join(map(str, coeffs)))
+        for spec in (poly, _series_file_spec(coeffs)):
+            for n, c in enumerate(coeffs):
+                assert spec.coeff_approx(n, r) == c
+            n = len(coeffs) + past
+            assert spec.coeff_approx(n, r) == 0
+            assert spec.exact_coeff(n) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["exp", "sin", "cos", "ln1p", "geom", "poly"]),
+           st.sampled_from(["plain", "shifted", "noisy"]), small_rationals,
+           st.integers(0, 80), st.integers(0, 300))
+    def test_derivative_reply_is_the_scaled_inner_reply(
+            self, name, how, offset, m, r):
+        # the parent's reply (m + 1) * Fraction(c_{m+1}), with c_{m+1}
+        # asked once, at r + ceil(lg(m + 1))
+        inner = builtin_spec("poly:1,-2/3,0,5/7" if name == "poly" else name)
+        if how == "shifted":
+            inner = inner.shifted(offset)
+        elif how == "noisy":
+            inner = noisy_spec(inner)
+        log = []
+        reply = derivative_spec(_counting(inner, log)).coeff_approx(m, r)
+        extra = exact_ceil_lg(F(m + 1))
+        assert log == [(m + 1, r + extra)]
+        assert type(reply) is F
+        assert reply == (m + 1) * F(inner.coeff_approx(m + 1, r + extra))
+
+
+class _SubFraction(F):
+    pass
+
+
+class _SubDyadic(Dyadic):
+    __slots__ = ()
+
+
+class _ForeignRational:
+    """A rational that is neither an ``int`` nor a ``Fraction`` nor a
+    ``Dyadic``, registered as a ``numbers.Rational``."""
+
+    def __init__(self, num, den):
+        self.numerator, self.denominator = num, den
+
+
+numbers.Rational.register(_ForeignRational)
+
+
+def _as_pair_reference(t):
+    """``_as_pair`` before its exact type tests: ``isinstance`` only."""
+    if isinstance(t, Dyadic):
+        return t.num, 1 << t.exp
+    if not isinstance(t, (F, int)):
+        t = F(t)
+    return t.numerator, t.denominator
+
+
+class TestAsPair:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20),
+           st.integers(0, 80))
+    def test_every_kind_of_reply(self, num, den, exp):
+        # each value beside the rational it stands for
+        values = [(F(num, den), F(num, den)),
+                  (_SubFraction(num, den), F(num, den)),
+                  (Dyadic(num, exp), F(num, 1 << exp)),
+                  (_SubDyadic(num, exp), F(num, 1 << exp)),
+                  (num, F(num)), (num > 0, F(num > 0)),
+                  (_ForeignRational(num, den), F(num, den))]
+        for value, exact in values:
+            pair = _as_pair(value)
+            assert pair == _as_pair_reference(value), value
+            assert pair[1] > 0 and F(*pair) == exact
+
+
 class TestLevelTable:
     """The level key and the Horner width against their formulas over
     ``Fraction``s."""
@@ -574,6 +721,18 @@ class TestCoarseBounds:
             certified_sign(spec, spec.anchor.value(), -3)
         assert log == centers == []
 
+    def test_p_minus_2_sums_level_0_once(self, monkeypatch):
+        # every level (p + 2) 2^i is s = 0 at p = -2: one sum, not nine
+        levels, real = [], analytic._fixed_point_sum
+
+        def counted(spec, t, s, table):
+            levels.append(s)
+            return real(spec, t, s, table)
+        monkeypatch.setattr(analytic, "_fixed_point_sum", counted)
+        spec = builtin_spec("exp").shifted(F(3, 2))
+        assert certified_sign(spec, Dyadic(0), -2) == 0
+        assert levels == [0]
+
     def test_p_minus_2_is_summed_as_before(self):
         # every level is s = 0, where exp - 3/2 is too small to call
         spec = builtin_spec("exp").shifted(F(3, 2))
@@ -699,9 +858,29 @@ PINNED_ROOTS = {
     for p in precisions}
 
 
+def _logged(spec, log, replies=None):
+    """The spec with its queries appended to log, ``["center", r]`` for
+    ``center_approx(r)`` and ``[n, r]`` for ``coeff_approx(n, r)``, and
+    each coefficient reply appended to replies when it is given."""
+    coeff, center = spec.coeff_approx, spec.center_approx
+
+    def logged_coeff(n, r):
+        log.append([n, r])
+        reply = coeff(n, r)
+        if replies is not None:
+            replies.append((n, reply))
+        return reply
+
+    def logged_center(r):
+        log.append(["center", r])
+        return center(r)
+    return dataclasses.replace(spec, coeff_approx=logged_coeff,
+                               center_approx=logged_center)
+
+
 class TestPinnedQueries:
-    """One root each of four shifted series makes the coefficient and
-    center queries of ``tests/expected/root_queries.json``, in its order:
+    """Roots of shifted named series make the coefficient and center
+    queries of ``tests/expected/root_queries.json``, in its order:
     ``["center", r]`` for ``center_approx(r)``, ``[n, r]`` for
     ``coeff_approx(n, r)``."""
 
@@ -709,25 +888,34 @@ class TestPinnedQueries:
     def test_queries_in_order(self, key):
         name, offset, interval, p = PINNED_ROOTS[key]
         want = json.loads(ROOT_QUERIES.read_text())[key]
-        spec = builtin_spec(name).shifted(offset)
         log = []
-        coeff, center = spec.coeff_approx, spec.center_approx
-
-        def logged_coeff(n, r):
-            log.append([n, r])
-            return coeff(n, r)
-
-        def logged_center(r):
-            log.append(["center", r])
-            return center(r)
-        logged = dataclasses.replace(spec, coeff_approx=logged_coeff,
-                                     center_approx=logged_center)
+        logged = _logged(builtin_spec(name).shifted(offset), log)
         assert str(find_root(logged, interval, p)) == want["root"]
         assert log == want["queries"]
 
     def test_file_holds_the_pinned_roots(self):
         assert sorted(json.loads(ROOT_QUERIES.read_text())) == \
             sorted(PINNED_ROOTS)
+
+    def test_each_coefficient_is_built_once(self):
+        # two roots of exp in one process make their pinned queries, and
+        # every reply for n >= 1 is one object across the levels of a root
+        # and across the roots: the kept coefficient, built once
+        pinned = json.loads(ROOT_QUERIES.read_text())
+        first = {}
+        for key in ("exp-3/2 p=32", "exp-5/4 p=32"):
+            name, offset, interval, p = PINNED_ROOTS[key]
+            log, replies = [], []
+            logged = _logged(builtin_spec(name).shifted(offset), log,
+                             replies)
+            assert str(find_root(logged, interval, p)) == pinned[key]["root"]
+            assert log == pinned[key]["queries"]
+            levels = {r for n, r in log if n == 1}
+            assert len(levels) >= 2, key
+            for n, reply in replies:
+                if n >= 1:
+                    assert reply is first.setdefault(n, reply), (key, n)
+        assert len(first) > 30
 
 
 @contextmanager

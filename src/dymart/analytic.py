@@ -572,6 +572,9 @@ def derivative_spec(spec):
     c'_n = (n+1) c_{n+1}; since |c_{n+1}| <= C/(r+eps)^(n+1), the new term
     bounds are dominated by C/(r+eps) * (n+1) rho^n with
     rho = (r+eps/2)/(r+eps) < 1, whose maximum is found by exact scan.
+    The reply for c'_m at precision r asks the inner c_{m+1} at
+    r + ceil(lg(m + 1)) and scales the reply's integer pair by m + 1,
+    building one ``Fraction``.
     """
     inner_c = spec.coeff_approx
     inner_e = spec.exact_coeff
@@ -587,7 +590,7 @@ def derivative_spec(spec):
     new_bound = max(ONE, spec.term_bound / (spec.radius + spec.margin) * best)
 
     def coeff(m, r):
-        # the factor m + 1 needs ceil(lg(m + 1)) = bit_length(m) more bits
+        # ceil(lg(m + 1)) = bit_length(m) for m >= 0
         num, den = _as_pair(inner_c(m + 1, r + m.bit_length()))
         return Fraction((m + 1) * num, den)
 

@@ -377,7 +377,7 @@ class TestKeptCoefficients:
            st.integers(0, 80), st.integers(0, 300))
     def test_derivative_reply_is_the_scaled_inner_reply(
             self, name, how, offset, m, r):
-        # the parent's reply (m + 1) * Fraction(c_{m+1}), with c_{m+1}
+        # the defining reply (m + 1) * Fraction(c_{m+1}), with c_{m+1}
         # asked once, at r + ceil(lg(m + 1))
         inner = builtin_spec("poly:1,-2/3,0,5/7" if name == "poly" else name)
         if how == "shifted":
@@ -412,7 +412,8 @@ numbers.Rational.register(_ForeignRational)
 
 
 def _as_pair_reference(t):
-    """``_as_pair`` before its exact type tests: ``isinstance`` only."""
+    """The pair read by ``isinstance`` tests alone, which ``_as_pair``'s
+    exact type tests must not change."""
     if isinstance(t, Dyadic):
         return t.num, 1 << t.exp
     if not isinstance(t, (F, int)):

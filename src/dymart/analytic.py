@@ -26,11 +26,14 @@ once, and reads each reply once into an integer pair, so setting up a
 level builds no ``Fraction``.  An evaluation builds a fresh table;
 ``find_root`` keeps one for all its probes, so a root queries each
 coefficient once per level it reaches, not once per probe.  The named
-series answer those queries from kept lists (``_kept``): each coefficient
-is built once per process, with n! (or n) stepped by one multiply, and
+series answer those queries from kept lists (``_kept``): each c_n with
+n < KEPT_TO is built once per process, n! stepped by one multiply, and
 every later query, at any precision and from any root, gets the same
-``Fraction`` back.  So a level costs its queries and the conversion of
-the replies, and builds no coefficient a second time.
+``Fraction`` back.  Such a coefficient is often asked again: ``validate``
+reads c_0 to c_68 at most when the spec is built, a level's magnitude
+pass asks the coefficients it then queries, and a root escalates through
+levels.  Past KEPT_TO each query builds its coefficient afresh, so a
+process keeps a bounded prefix however high the precisions it has asked.
 ``eval_point`` returns the exact rational
 sum_n c_n z^n of the replies, summed as a balanced tree of integer pairs
 and reduced once.
@@ -64,7 +67,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import chain, count, islice
 
 from .dyadic import (EMPTY, Dyadic, Word, _PairSum, ceil_lg_ratio,
                      common_numerators, gamma, parse_rational)
@@ -85,17 +87,22 @@ DOUBLINGS = 8
 # fixed guard bits of the Horner width W (``_fixed_point_sum``)
 HORNER_GUARD = 2
 
+# a named series keeps its coefficients c_n for n < KEPT_TO (``_kept``),
+# 46 KiB at most (exp's): every index ``validate`` reads and every index a
+# root at p <= 32 asks (141 at most, ln1p's); past it each query builds
+# its coefficient afresh
+KEPT_TO = 256
+
 
 def _as_pair(t):
     """(a, d) with t = a/d and d > 0: a ``Dyadic``'s numerator and 2^exp,
     a ``Fraction``'s or an ``int``'s numerator and denominator, read
     without a copy; any other rational through ``Fraction``.  A reply of
-    type exactly ``Fraction`` or ``Dyadic``, the common case, is read after
-    one type test; subclasses take the ``isinstance`` path."""
-    kind = type(t)
-    if kind is Fraction:
+    type exactly ``Fraction``, the common case, is read after one type
+    test; every other reply takes the ``isinstance`` path."""
+    if type(t) is Fraction:
         return t.numerator, t.denominator
-    if kind is Dyadic or isinstance(t, Dyadic):
+    if isinstance(t, Dyadic):
         return t.num, 1 << t.exp
     if not isinstance(t, (Fraction, int)):
         t = Fraction(t)
@@ -636,37 +643,49 @@ def series(name, exact_coeff, C, radius, margin, anchor=EMPTY, tail_from=0,
     )
 
 
-def _kept(terms):
-    """The coefficient oracle n -> c_n (n >= 0) of the iterator ``terms``
-    of c_0, c_1, ...: one list keeps the coefficients built so far and
-    grows in index order up to the largest n asked.  Whatever the query
-    order, each coefficient is built once per process, and every query of
-    n returns the same object."""
+def _kept(build):
+    """The coefficient oracle n -> build(n) (n >= 0) that keeps its first
+    KEPT_TO coefficients: c_n for n < KEPT_TO is built once per process,
+    in index order up to the largest such n asked, and every later query
+    of n returns the same object.  Past KEPT_TO each query calls build(n)
+    afresh, so what a series keeps stays bounded whatever the largest
+    index asked."""
     kept = []
 
     def coeff(n):
-        if n >= len(kept):
-            kept.extend(islice(terms, n + 1 - len(kept)))
+        if n < len(kept):
+            return kept[n]
+        if n >= KEPT_TO:
+            return build(n)
+        while len(kept) <= n:
+            kept.append(build(len(kept)))
         return kept[n]
     return coeff
 
 
 def _factorial_series(signs):
-    """The kept coefficients n -> signs[n % 4] / n!, with n! stepped by one
-    multiply per index (a zero coefficient steps it too)."""
-    def terms():
-        n, factorial = 0, 1
-        while True:
-            yield Fraction(signs[n % 4], factorial)
-            n += 1
+    """The kept coefficients n -> signs[n % 4] / n! (``_kept``).  n! is
+    stepped from the last index built: one multiply when the next is
+    n + 1, as it is while the kept list grows (a zero coefficient steps it
+    too), ``math.factorial`` otherwise."""
+    last_n, factorial = 0, 1
+
+    def build(n):
+        nonlocal last_n, factorial
+        if n == last_n + 1:
             factorial *= n
-    return _kept(terms())
+        elif n != last_n:
+            factorial = math.factorial(n)
+        last_n = n
+        return Fraction(signs[n % 4], factorial)
+    return _kept(build)
 
 
-def _ln1p_series():
-    """The kept coefficients n -> (-1)^(n+1) / n of ln(1 + x), c_0 = 0."""
-    return _kept(chain([ZERO], (Fraction(1 if n % 2 else -1, n)
-                                for n in count(1))))
+def _ln1p_coeff(n):
+    """c_n = (-1)^(n+1) / n of ln(1 + x), c_0 = 0."""
+    if n == 0:
+        return ZERO
+    return Fraction(1 if n % 2 else -1, n)
 
 
 # each builder makes its series' own kept coefficients; ``_named_spec``
@@ -678,7 +697,7 @@ _NAMED = {
                           tail_from=1),
     "cos": lambda: series("cos", _factorial_series((1, 0, -1, 0)), 2, 1, 1,
                           tail_from=2),
-    "ln1p": lambda: series("ln1p", _ln1p_series(), 1, Fraction(1, 2),
+    "ln1p": lambda: series("ln1p", _kept(_ln1p_coeff), 1, Fraction(1, 2),
                            Fraction(1, 4), anchor=Word(0, 1), tail_from=1),
     "geom": lambda: series("geom", lambda n: ONE, 1, Fraction(1, 2),
                            Fraction(1, 4), anchor=Word(0, 1), tail_from=0),
@@ -699,9 +718,9 @@ def builtin_spec(name):
     (1, 1); geom (coefficients all 1) and ln1p only converge with margin
     on [0, 1/2], anchored on the left half with (r, eps) = (1/2, 1/4).
     All constants are validated on construction.  A named spec is built
-    and validated once per process, on first use, and keeps the longest
-    prefix of its coefficients asked so far (``_kept``); a ``poly:`` spec
-    is built on every call.
+    and validated once per process, on first use, and keeps its
+    coefficients below KEPT_TO once asked (``_kept``); a ``poly:`` spec is
+    built on every call.
     """
     if name in _NAMED:
         return _named_spec(name)

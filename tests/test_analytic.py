@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart import analytic, config
-from dymart.analytic import (DOUBLINGS, HORNER_GUARD, _as_pair,
+from dymart.analytic import (DOUBLINGS, HORNER_GUARD, KEPT_TO, _as_pair,
                              _fixed_point_sum, _LevelTable, builtin_spec,
                              certified_sign, derivative_spec, eval_approx,
                              eval_point, eval_schedule, find_root, series,
@@ -305,9 +305,11 @@ def _defining_coeff(name, n):
 
 @st.composite
 def query_orders(draw):
-    """(n, r) coefficient queries: drawn indices shuffled, repeated or
-    descending, at drawn precisions, sometimes led by n = 300."""
-    ns = draw(st.lists(st.integers(0, 150), min_size=1, max_size=30))
+    """(n, r) coefficient queries: drawn indices below and past KEPT_TO,
+    shuffled, repeated or descending, at drawn precisions, sometimes led
+    by n = 300."""
+    ns = draw(st.lists(st.integers(0, KEPT_TO + 44), min_size=1,
+                       max_size=30))
     order = draw(st.sampled_from(["shuffled", "repeated", "descending"]))
     if order == "shuffled":
         ns = draw(st.permutations(ns))
@@ -334,7 +336,7 @@ def _series_file_spec(coeffs):
 
 class TestKeptCoefficients:
     """The named oracles against their formulas, in any query order, and
-    each coefficient one object however often it is asked."""
+    each coefficient below KEPT_TO one object however often it is asked."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(analytic._NAMED)), query_orders())
@@ -347,8 +349,9 @@ class TestKeptCoefficients:
                 reply = spec.coeff_approx(n, r)
                 assert type(reply) is F, (n, r)
                 assert reply == _defining_coeff(name, n), (n, r)
-                assert reply is first.setdefault(n, reply), (n, r)
-                assert spec.exact_coeff(n) is reply
+                if n < KEPT_TO:
+                    assert reply is first.setdefault(n, reply), (n, r)
+                    assert spec.exact_coeff(n) is reply
 
     @pytest.mark.parametrize("name", sorted(analytic._NAMED))
     def test_first_query_far_out(self, name):
@@ -357,7 +360,17 @@ class TestKeptCoefficients:
         assert far == _defining_coeff(name, 300)
         for n in range(300, -1, -1):
             assert spec.coeff_approx(n, n) == _defining_coeff(name, n), n
-        assert spec.coeff_approx(300, 7) is far
+        assert spec.coeff_approx(300, 7) == far
+
+    @pytest.mark.parametrize("name", ["exp", "sin", "cos", "ln1p"])
+    def test_kept_prefix_is_bounded(self, name):
+        # c_n is kept below KEPT_TO only: past it each query builds its
+        # coefficient afresh, so what a process keeps stays bounded
+        spec = analytic._NAMED[name]()
+        for n in (KEPT_TO + 1, KEPT_TO, KEPT_TO - 1, 0):
+            first, again = spec.coeff_approx(n, 0), spec.coeff_approx(n, 9)
+            assert first == again == _defining_coeff(name, n), n
+            assert (first is again) == (n < KEPT_TO), n
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_rationals, min_size=1, max_size=6),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart import analytic, config
-from dymart.analytic import (DOUBLINGS, HORNER_GUARD, KEPT_TO, _as_pair,
+from dymart.analytic import (DOUBLINGS, HORNER_GUARD, _as_pair,
                              _fixed_point_sum, _LevelTable, builtin_spec,
                              certified_sign, derivative_spec, eval_approx,
                              eval_point, eval_schedule, find_root, series,
@@ -308,7 +308,7 @@ def query_orders(draw):
     """(n, r) coefficient queries: drawn indices below and past KEPT_TO,
     shuffled, repeated or descending, at drawn precisions, sometimes led
     by n = 300."""
-    ns = draw(st.lists(st.integers(0, KEPT_TO + 44), min_size=1,
+    ns = draw(st.lists(st.integers(0, analytic.KEPT_TO + 44), min_size=1,
                        max_size=30))
     order = draw(st.sampled_from(["shuffled", "repeated", "descending"]))
     if order == "shuffled":
@@ -349,7 +349,7 @@ class TestKeptCoefficients:
                 reply = spec.coeff_approx(n, r)
                 assert type(reply) is F, (n, r)
                 assert reply == _defining_coeff(name, n), (n, r)
-                if n < KEPT_TO:
+                if n < analytic.KEPT_TO:
                     assert reply is first.setdefault(n, reply), (n, r)
                     assert spec.exact_coeff(n) is reply
 
@@ -366,11 +366,11 @@ class TestKeptCoefficients:
     def test_kept_prefix_is_bounded(self, name):
         # c_n is kept below KEPT_TO only: past it each query builds its
         # coefficient afresh, so what a process keeps stays bounded
-        spec = analytic._NAMED[name]()
-        for n in (KEPT_TO + 1, KEPT_TO, KEPT_TO - 1, 0):
+        spec, bound = analytic._NAMED[name](), analytic.KEPT_TO
+        for n in (bound + 1, bound, bound - 1, 0):
             first, again = spec.coeff_approx(n, 0), spec.coeff_approx(n, 9)
             assert first == again == _defining_coeff(name, n), n
-            assert (first is again) == (n < KEPT_TO), n
+            assert (first is again) == (n < bound), n
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_rationals, min_size=1, max_size=6),

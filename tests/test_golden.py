@@ -24,6 +24,9 @@ STEP_TABLE = ("# step function on the 2^-2 grid\n"
 
 # name -> argv; "{table}" stands for the path of STEP_TABLE on disk
 COMMANDS = {
+    # the smallest depths: each level sweep reads only levels 0 and 1
+    "verify_all_depth0": "verify --suite all --depth 0",
+    "verify_all_depth1": "verify --suite all --depth 1",
     # also the README's verify command
     "verify_all_depth8": "verify --suite all --depth 8",
     # 12 is the largest --depth verify accepts

@@ -383,8 +383,9 @@ def main(argv=None):
         out.flush()
         return code
     except (DymartError, ValueError, OSError, RecursionError,
-            ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ArithmeticError, MemoryError) as exc:
+        # a MemoryError from the allocator carries no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -529,7 +529,14 @@ class Cover:
             yield Word((hi >> lev) - 1, m - lev)
 
     def __len__(self):
-        return sum(1 for _ in self)
+        # the blocks __iter__ makes, counted from the index bits alone, so
+        # list(cover), which asks len first, makes each word once
+        a, b, count = self.lo, self.hi, 0
+        while a < b:
+            count += (a & 1) + (b & 1)
+            a = (a + 1) >> 1
+            b >>= 1
+        return count
 
     def __repr__(self):
         return f"Cover({self.lo}, {self.hi}, {self.m})"

@@ -29,6 +29,13 @@ capital and one reserve) per path, so the retained state is O(m) bits,
 not the fold's one state per level.  Each value is still the reply of
 its own ``query``.  The savings wrapper of a product form records the
 form as its ``savings_form`` for that walk.
+
+The exhaustive checks (``verify_martingale``, ``verify_conservative``
+and the ``verify`` suites' domination, shift-chain and methods checks)
+read whole levels, not words, through ``exact_levels``: a product form
+grows each level from the one above, two factors per cell, with no fold
+and no ``exact`` call; any other strategy is asked ``exact`` once per
+word, one level at a time.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .dyadic import (EMPTY, Cover, Dyadic, Word, common_numerators,
-                     lcm_scales, level_numerators)
+from .dyadic import (EMPTY, Cover, Dyadic, Word, lcm_scales,
+                     level_numerators)
 from .errors import PrecisionContractError
 from .report import Report, Violation
 
@@ -396,27 +403,65 @@ def savings_wrapper(mart):
                            conservative=mart.conservative)
 
 
+def exact_levels(mart, top):
+    """The levels n = 0..top of mart's exact values, in order, each as
+    integer numerators in index order over one common denominator:
+    (nums, den), the same rationals as ``dyadic.level_numerators`` of
+    ``mart.exact``.
+
+    A product form grows each level from the one above, with no ``Word``,
+    no ``Dyadic`` and no ``exact`` call: the cell with index k and machine
+    state s has the children 2k and 2k + 1, its numerator times the two
+    factors of ``edges[s][tags[n]]``.  Level n + 1 sits over 2^e times
+    the denominator of level n, with e the largest factor exponent at
+    ``tags[n]``, each factor brought over 2^e once per level.  This reads
+    the form, not ``exact``, which the contract of ``ExactMartingale``
+    allows: a ``product_form`` given with an ``fn`` has fn's values.  Any
+    other strategy is asked ``exact`` once per word, level by level.
+    """
+    pf = mart.product_form
+    if pf is None:
+        exact = mart.exact
+        for n in range(top + 1):
+            yield level_numerators(exact, n)
+        return
+    edges, tags = pf.edges, pf.classes(top)
+    nums, states, den = [1], [pf.start], 1
+    yield nums, den
+    for n in range(top):
+        pairs = [per_state[tags[n]] for per_state in edges]
+        e = max(dexp for pair in pairs for _, dexp, _ in pair)
+        steps = [(n0 << (e - d0), s0, n1 << (e - d1), s1)
+                 for (n0, d0, s0), (n1, d1, s1) in pairs]
+        below, below_states = [], []
+        for num, at in zip(nums, states):
+            f0, s0, f1, s1 = steps[at]
+            below += (num * f0, num * f1)
+            below_states += (s0, s1)
+        nums, states, den = below, below_states, den << e
+        yield nums, den
+
+
 def verify_martingale(mart, depth):
     """Exact averaging identity and nonnegativity on all |w| <= depth.
 
     Reports violations instead of raising; also flags d(λ) > 1.  Values
-    are swept level by level, one ``exact`` per word, and each level is
-    compared as integer numerators over one common denominator
-    (``dyadic.level_numerators``): the children of the word with index k are
-    entries 2k and 2k + 1 of the next level, and the identity is
-    2 p == c0 + c1 once both levels are brought to their lcm.  A
-    ``Fraction`` is built only for the text of a violation.
+    are swept level by level from ``exact_levels``, two levels alive at a
+    time, each as integer numerators over one common denominator: the
+    children of the word with index k are entries 2k and 2k + 1 of the
+    next level, and the identity is 2 p == c0 + c1 once both levels are
+    brought to their lcm.  A ``Fraction`` is built only for d(λ), from
+    level 0, and for the text of a violation.
     """
     violations = []
     checked = 0
-    exact = mart.exact
-    root = exact(EMPTY)
+    levels = exact_levels(mart, depth + 1)
+    level, den = next(levels)
+    root = Fraction(level[0], den)
     if root > 1:
         violations.append(Violation("λ", "root",
-                                    f"d(λ) = {Fraction(root)} exceeds 1"))
-    level, den = common_numerators([root])
-    for n in range(depth + 1):
-        below, den_below = level_numerators(exact, n + 1)
+                                    f"d(λ) = {root} exceeds 1"))
+    for n, (below, den_below) in enumerate(levels):
         up, down = lcm_scales(den, den_below)
         checked += len(level)
         for k, p in enumerate(level):
@@ -436,19 +481,19 @@ def verify_martingale(mart, depth):
 
 def verify_conservative(mart, depth):
     """Exact ratio bounds d(w)/2 <= d(wb) <= 3 d(w)/2 and the derived cap
-    d(w) <= (3/2)^|w| on all |w| <= depth, swept level by level with one
-    ``exact`` per word.  Each level is integer numerators over one common
-    denominator: with parent p and child c over their lcm the bounds read
-    p <= 2c <= 3p, and the cap of a depth-n numerator over den reads
-    num 2^n <= 3^n den."""
+    d(w) <= (3/2)^|w| on all |w| <= depth, swept level by level from
+    ``exact_levels``, two levels alive at a time.  Each level is integer
+    numerators over one common denominator: with parent p and child c
+    over their lcm the bounds read p <= 2c <= 3p, and the cap of a
+    depth-n numerator over den reads num 2^n <= 3^n den."""
     violations = []
     checked = 0
-    exact = mart.exact
-    level, den = common_numerators([exact(EMPTY)])
+    levels = exact_levels(mart, depth)
+    level, den = next(levels)
     for n in range(depth + 1):
         cap = 3 ** n * den
-        below, den_below = level_numerators(exact, n + 1) if n < depth \
-            else ([], den)
+        # the deepest level has no level below it
+        below, den_below = next(levels, ([], den))
         up, down = lcm_scales(den, den_below)
         checked += len(level)
         for k, p in enumerate(level):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dyadic import (EMPTY, Dyadic, Word, all_words, common_numerators,
-                     level_numerators, minimal_cover)
+                     minimal_cover)
 from .report import Report, Violation
 
 F = Fraction
@@ -82,17 +82,18 @@ def _chk_conservative_bounds(depth):
 
 def _domination(base, depth):
     """d(w)^2 >= base(w) base(λ) for the damped transform d of ``base``
-    on all |w| <= min(depth, 8), one ``exact`` of each per word.  With
-    each level of d over D and of base over B, and base(λ) = r/s, a word
-    fails when d_num^2 B s < base_num r D^2."""
-    from .martingale import conservative_transform
+    on all |w| <= min(depth, 8), level by level from
+    ``martingale.exact_levels`` of each, one level of each alive at a
+    time.  With each level of d over D and of base over B, and
+    base(λ) = r/s, a word fails when d_num^2 B s < base_num r D^2."""
+    from .martingale import conservative_transform, exact_levels
     violations = []
     checked = 0
     d = conservative_transform(base)
+    top = min(depth, 8)
     [r], s = common_numerators([base.exact(EMPTY)])
-    for n in range(min(depth, 8) + 1):
-        dom, dom_den = level_numerators(d.exact, n)
-        sub, sub_den = level_numerators(base.exact, n)
+    for n, ((dom, dom_den), (sub, sub_den)) in enumerate(
+            zip(exact_levels(d, top), exact_levels(base, top))):
         lhs, rhs = sub_den * s, r * dom_den * dom_den
         checked += len(dom)
         for k, (v, b) in enumerate(zip(dom, sub)):
@@ -146,14 +147,17 @@ def _chk_chain(depth):
     inner-cell bound and the conservative gap bound for every x with
     |x| <= min(depth, 3) and n <= |x| + 6.  D_x is derived once per x and
     shared by every depth's ``shift_stats``; the largest inside cell is
-    read from the depth's level of d, swept once per strategy."""
+    read from the depth's level of d.  Every x reads the levels 0..|x| + 6,
+    so levels 0..min(depth, 3) + 6 of each strategy are read once from
+    ``martingale.exact_levels`` and kept for all its x."""
+    from .martingale import exact_levels
     from .pullback import _cell_ranges, _delta_interval, _shift_stats, \
         squeeze_bound
     top = min(depth, 3)
     violations = []
     checked = 0
     for d, f, conservative in _shift_pairs():
-        levels = [level_numerators(d.exact, n) for n in range(top + 7)]
+        levels = list(exact_levels(d, top + 6))
         for x in all_words(top):
             ends = _delta_interval(f, x)
             stats = [_shift_stats(d, ends, len(x), n)
@@ -181,13 +185,17 @@ def _chk_chain(depth):
 
 def _chk_methods_agree(depth):
     """The walk's (lower, upper) against the sums of the inside and the
-    touching cells of the depth's level of d, swept once per strategy."""
+    touching cells of the depth's level of d at the depths 0, 4 and
+    min(depth + 6, 11).  ``martingale.exact_levels`` reads each
+    strategy's levels once, and only those three are kept."""
+    from .martingale import exact_levels
     from .pullback import _cell_ranges, _delta_interval, _shift_stats
     violations = []
     checked = 0
+    depths = (0, 4, min(depth + 6, 11))
     for d, f, _ in _shift_pairs():
-        levels = [(n, level_numerators(d.exact, n))
-                  for n in (0, 4, min(depth + 6, 11))]
+        levels = [(n, level) for n, level in
+                  enumerate(exact_levels(d, depths[-1])) if n in depths]
         for x in [Word(0, 0), Word(1, 1), Word(1, 2)]:
             ends = _delta_interval(f, x)
             for n, (nums, den) in levels:

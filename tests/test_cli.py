@@ -343,6 +343,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {exc}\n"
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("cannot grow the level"),
+         "error: cannot grow the level\n")], ids=["bare", "with_text"])
+    def test_memory_error_exits_2_without_traceback(self, capsys,
+                                                    monkeypatch, exc, line):
+        # the allocator raises a bare MemoryError, with no text of its own
+        def fail(args, out):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "verify", fail)
+        code, out, err = run(capsys, "verify", "--suite", "martingale",
+                             "--depth", "2")
+        assert code == 2 and out == ""
+        assert err == line
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--depth", "-1"),
         ("verify", "--suite", "martingale", "--depth", "13"),

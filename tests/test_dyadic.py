@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dymart.dyadic import (Dyadic, Word, _PairSum, all_words, clamp_unit,
+from dymart.dyadic import (Cover, Dyadic, Word, _PairSum, all_words,
+                           clamp_unit,
                            common_numerators, fmt_rational, gamma,
                            lcm_scales, level_numerators, lex_successor,
                            minimal_cover, parse_rational, round_to_grid)
@@ -199,6 +200,41 @@ class TestCover:
         assert list(cover) == want and list(cover) == want
         assert len(cover) == len(want)
         assert (cover.lo, cover.hi, cover.m) == (lo, hi, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 64), st.data())
+    @example(0, None)                       # m = 0: λ or nothing
+    @example(5, (0, 32))                    # the full range
+    @example(5, (0, 13))                    # lo = 0
+    @example(5, (9, 9))                     # lo == hi
+    @example(40, (3, 3))
+    def test_len_counts_the_blocks(self, m, data):
+        # len counts from the index bits what iteration makes, word by word
+        if data is None:
+            ranges = [(0, 0), (0, 1), (1, 1)]
+        elif isinstance(data, tuple):
+            ranges = [data]
+        else:
+            lo = data.draw(st.integers(0, 1 << m))
+            ranges = [(lo, data.draw(st.integers(lo, 1 << m)))]
+        for lo, hi in ranges:
+            cover = Cover(lo, hi, m)
+            assert len(cover) == sum(1 for _ in cover), (lo, hi, m)
+
+    def test_list_makes_each_word_once(self, monkeypatch):
+        # list() asks len() for a length hint: that must not walk the
+        # cover a second time
+        walks = []
+        plain = Cover.__iter__
+
+        def counted(self):
+            walks.append(self)
+            return plain(self)
+
+        monkeypatch.setattr(Cover, "__iter__", counted)
+        cover = minimal_cover(Dyadic(1, 6), Dyadic(45, 6), 6)
+        assert len(list(cover)) == len(cover)
+        assert walks == [cover]
 
     @staticmethod
     def _check_shape(cover, a, b, m):

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from dymart import kernels, verify
 from dymart.config import parse_function
-from dymart.dyadic import Dyadic, Word, all_words
+from dymart.dyadic import EMPTY, Dyadic, Word, all_words, level_numerators
 from dymart.errors import PrecisionContractError
 from dymart.funcs import IdentityFn, as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale, ProductForm,
                                allin_zeros, as_approx, by_name, capital_trace,
-                               conservative_transform, pattern_bettor,
-                               savings_wrapper, uniform, verify_conservative,
-                               verify_martingale)
+                               conservative_transform, exact_levels,
+                               pattern_bettor, product_fold, savings_wrapper,
+                               uniform, verify_conservative, verify_martingale)
 from dymart.pullback import pullback_approx, shift_stats
 from dymart.tightness import z_bettor
 
@@ -85,22 +85,81 @@ class TestVerify:
             assert kinds == {"root", "nonneg", "identity", "cap", "ratio",
                              "domination"}
 
+    @staticmethod
+    def counted(d):
+        """d with its exact() and at() calls recorded."""
+        asked, at_calls = [], []
+        plain, plain_at = d.exact, d.at
+        d.exact = lambda w: asked.append(w) or plain(w)
+        d.at = lambda w: at_calls.append(w) or plain_at(w)
+        return asked, at_calls
+
     @pytest.mark.parametrize("depth", [0, 3, 8])
     def test_one_exact_per_word(self, depth):
-        # each check sweeps its levels once: every word it looks at is
-        # asked of exact() exactly once, a word's children included, and
-        # a passing sweep never asks at()
+        # a strategy without a product form (its values are a product
+        # fold's, through fn) is swept word by word, each level once:
+        # every word a check looks at is asked of exact() exactly once, a
+        # word's children included, and a passing sweep never asks at()
+        pf = conservative_transform(pattern_bettor("01")).product_form
         for check, longest in ((verify_martingale, depth + 1),
                                (verify_conservative, depth)):
-            d, asked, at_calls = \
-                conservative_transform(pattern_bettor("01")), [], []
-            plain, plain_at = d.exact, d.at
-            d.exact = lambda w: asked.append(w) or plain(w)
-            d.at = lambda w: at_calls.append(w) or plain_at(w)
+            d = ExactMartingale("folded", product_fold(pf),
+                                conservative=True)
+            asked, at_calls = self.counted(d)
             assert check(d, depth).ok
             assert len(asked) == len(set(asked))
             assert set(asked) == set(all_words(longest)), check.__name__
             assert at_calls == [], check.__name__
+
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_product_form_asks_no_word(self, depth):
+        # a product form's levels are grown from its factors: no check
+        # asks exact() of any word but λ, and none asks at()
+        for check in (verify_martingale, verify_conservative,
+                      verify._domination):
+            d = conservative_transform(pattern_bettor("01"))
+            asked, at_calls = self.counted(d)
+            assert check(d, depth).ok
+            assert set(asked) <= {EMPTY}, check.__name__
+            assert at_calls == [], check.__name__
+
+
+def level_strategies():
+    """Random product forms (zero factors, up to 3 states and 2 classes)
+    and built-ins with a dead state or two classes, each possibly damped:
+    damping a zero factor adds a dead state."""
+    named = st.sampled_from(("allin_zeros", "zbettor:0,2,4", "pattern:110"))
+    inner = st.one_of(
+        random_product_forms().map(
+            lambda pf: ExactMartingale("random", product_form=pf)),
+        named.map(by_name))
+    return st.tuples(inner, st.booleans()).map(
+        lambda t: conservative_transform(t[0]) if t[1] else t[0])
+
+
+class TestExactLevels:
+    @given(level_strategies(), st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_levels_match_word_by_word(self, d, top):
+        # the grown levels are the per-word levels of exact(), rational
+        # for rational, at every depth
+        levels = list(exact_levels(d, top))
+        assert len(levels) == top + 1
+        for n, (nums, den) in enumerate(levels):
+            want, want_den = level_numerators(d.exact, n)
+            assert len(nums) == 1 << n
+            assert [F(v, den) for v in nums] == \
+                [F(v, want_den) for v in want]
+
+    @given(level_strategies(), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_checks_match_word_by_word(self, d, depth):
+        # same check counts and the same violations, text for text
+        assert verify_martingale(d, depth) == \
+            verify_martingale_by_words(d, depth)
+        assert verify_conservative(d, depth) == \
+            verify_conservative_by_words(d, depth)
+        assert verify._domination(d, depth) == domination_by_words(d, depth)
 
 
 class TestConservativeTransform:

@@ -190,12 +190,15 @@ class PowerSeriesSpec:
         terms past its degree are 0, and the comparisons stop there too:
         once term 0 passes, C >= 0 and every 0 passes the term bound, and
         a 0 two steps on is never above an earlier term."""
+        start = self.tail_monotone_from
+        if start < 0:
+            raise ValueError(f"{self.name}: tail_monotone_from = {start} "
+                             "is negative")
         if self.exact_coeff is None:
             raise ValueError(f"{self.name}: no exact coefficients to check")
         base = self.radius + self.margin
         base_num, base_den = base.numerator, base.denominator
         bound, bound_den = _as_pair(self.term_bound)
-        start = self.tail_monotone_from
         count = max(EXPLICIT_TO, start + WINDOW) + 3
         top = count if self.polynomial is None else \
             max(1, min(count, len(self.polynomial)))
@@ -514,8 +517,7 @@ def find_root(spec, interval, p):
     queries each coefficient once per level (s, b_s) it reaches, not once
     per probe.
     """
-    lo, hi = (q if isinstance(q, Dyadic) else Dyadic.parse(str(q))
-              for q in interval)
+    lo, hi = (Dyadic(q) for q in interval)
     if not lo < hi:
         raise ValueError("empty interval")
     table = _LevelTable(spec)

@@ -63,9 +63,8 @@ class Output:
     def line(self, text):
         self.lines.append(text)
 
-    def value(self, q, label=None):
-        prefix = f"{label} = " if label else ""
-        self.lines.append(prefix + fmt_rational(q))
+    def value(self, q):
+        self.lines.append(fmt_rational(q))
         if self.decimal:
             self.lines.append(f"# approx {decimal_str(q, self.decimal)} "
                               f"({self.decimal} digits, truncated)")

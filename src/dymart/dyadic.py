@@ -42,6 +42,11 @@ def _decimal_int(digits):
 class Dyadic:
     """A rational of the form ``num / 2**exp``, kept in lowest terms.
 
+    ``Dyadic(q, exp)`` is q / 2**exp for an int, a ``Dyadic`` or any other
+    rational whose denominator is a power of two: the package's one way
+    to turn a dyadic into a ``Dyadic``.  Any other rational raises
+    ``ValueError``, and a non-rational (a float, a str) ``TypeError``.
+
     Canonical form: ``exp >= 0`` and ``gcd(num, 2**exp) == 1``, i.e. the
     numerator is odd whenever ``exp > 0``; zero is ``(0, 0)``.  Equality is
     therefore structural and hashing cheap.  Addition, subtraction,
@@ -61,8 +66,16 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num, exp=0):
-        if isinstance(num, Dyadic):
-            num, exp = num.num, num.exp + exp
+        if type(num) is not int:
+            if isinstance(num, Dyadic):
+                num, exp = num.num, num.exp + exp
+            elif isinstance(num, numbers.Rational):
+                den = num.denominator
+                if den & (den - 1):
+                    raise ValueError(f"{num} is not a dyadic rational")
+                num, exp = num.numerator, exp + den.bit_length() - 1
+            else:
+                raise TypeError(f"{num!r} is not a rational")
         if exp < 0:
             num <<= -exp
             exp = 0
@@ -83,13 +96,6 @@ class Dyadic:
         raise AttributeError("Dyadic is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_fraction(q):
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{q} is not a dyadic rational")
-        return Dyadic(q.numerator, den.bit_length() - 1)
 
     @staticmethod
     def parse(text):
@@ -343,7 +349,7 @@ class Word:
     @staticmethod
     def from_point(q):
         """The shortest word w with 0.w == q."""
-        d = q if isinstance(q, Dyadic) else Dyadic.from_fraction(Fraction(q))
+        d = Dyadic(q)
         if not (ZERO <= d < ONE):
             raise ValueError(f"no word has value {d}")
         return Word(d.num, d.exp)

@@ -7,7 +7,9 @@ Two roles appear throughout the package:
   interval shifts, patching and measure bridging.
 - :class:`WeakFn` -- the approximation contract ``query(w, r)`` returning a
   rational within 2^-r of f(0.w).  No continuity is implied; the contract
-  speaks only about dyadic points.
+  speaks only about dyadic points.  The value at 1 comes only from
+  ``query_one(r)``, a separate contract: with no approximator at 1 it
+  raises, and nothing assumes f(1) = 1 instead.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ class FnOracle:
 
     def at_one(self):
         return self.at(Dyadic(1))
-
-    def at_word(self, w):
-        return self.at(w.value())
 
 
 def word_image(f, w):
@@ -205,10 +204,6 @@ class WeakFn:
         v = self._query(w, r)
         return v if type(v) is Fraction else Fraction(v)
 
-    @property
-    def has_one(self):
-        return self._query_one is not None
-
     def query_one(self, r):
         """Approximator for the value at 1 (separate contract)."""
         if self._query_one is None:
@@ -222,9 +217,9 @@ def as_weak(oracle):
 
     At 1 it answers with the exact value when the oracle has one, else
     with the oracle's ``approx_at_one(r)`` (within 2^-r) when it declares
-    one, else not at all (``has_one`` is False).
+    one, else not at all: its ``query_one`` raises.
     """
     query_one = (lambda r: oracle.at_one()) if oracle.has_one else \
         getattr(oracle, "approx_at_one", None)
-    return WeakFn(oracle.name, lambda w, r: oracle.at_word(w),
+    return WeakFn(oracle.name, lambda w, r: oracle.at(w.value()),
                   query_one_fn=query_one)

@@ -8,9 +8,12 @@ factors driven by a tiny state machine, which is what the kernels in
 :mod:`dymart.kernels` exploit.  Values of derived strategies (conservative
 transform, savings wrapper) may be general rationals.
 
-Every exact strategy answers ``exact`` through one ``PrefixFold`` stack:
-a state for λ, one state per longer prefix of the last word asked, and
-the value read off the last state.  ``exact`` is the fold's reply
+An ``ExactMartingale`` has one source: a reply function, a product
+form, or the product form whose savings wrapper it is.  The folds, the
+level reader and the block walks all read that one source, so no two of
+them can disagree.  Every exact strategy answers ``exact`` through one
+``PrefixFold`` stack: a state for λ, one state per longer prefix of the
+last word asked, and the value read off the last state.  ``exact`` is the fold's reply
 function itself, ``at`` is the same value as a ``Fraction``, and the
 approximation wrapper ``as_approx`` binds ``exact`` once and replies from
 it.  A product form folds (num, dexp, machine state), one factor per
@@ -123,20 +126,16 @@ def _halfbet(factor):
 class ExactMartingale:
     """Total exact-valued strategy; the oracle role in every check.
 
-    ``exact(w)`` is the exact d(w), and it is the reply function of the
-    strategy's fold itself: ``product_fold`` of ``product_form`` (a
-    ``Dyadic``) when no ``fn`` is given, else ``fn`` (a ``Dyadic`` for the
-    savings wrapper of a product form, a Fraction for the other derived
-    wrappers).  Product forms and the derived wrappers answer through a
-    per-instance ``PrefixFold``, so words asked in left-to-right order (a
-    cover) share their walks.
-
-    ``savings_form`` is the product form whose savings wrapper the
-    strategy is, set by ``savings_wrapper``.  A ``product_form`` given
-    with an ``fn`` must have fn's values, and a ``savings_form`` must be
-    the form whose savings wrapper ``fn`` is: the block walks (brackets,
-    ``as_approx``'s whole-cover replies) read the form that
-    ``block_walk`` names, not ``fn``.
+    A strategy has one source, exactly one of: ``fn``, its reply function;
+    ``product_form``, whose ``product_fold`` it is; ``savings_form``, the
+    product form whose savings wrapper (``savings_fold``) it is.  Any
+    other count raises ``ValueError``.  ``exact(w)`` is the exact d(w),
+    the reply function itself: a ``Dyadic`` from a form, else whatever
+    ``fn`` gives (a ``Fraction`` for the derived wrappers).  The folds
+    answer through a per-instance ``PrefixFold``, so words asked in
+    left-to-right order (a cover) share their walks, and the block walks
+    (brackets, ``as_approx``'s whole-cover replies) read the form that
+    ``block_walk`` names.
 
     ``conservative`` is True when every single-step bet ratio is certified
     to lie in [1/2, 3/2], the hypothesis of the pullback gap bound.
@@ -144,11 +143,13 @@ class ExactMartingale:
 
     def __init__(self, name, fn=None, *, product_form=None,
                  savings_form=None, conservative=False):
-        if fn is None:
-            if product_form is None:
-                raise ValueError(f"ExactMartingale({name!r}) needs fn or "
-                                 "product_form")
+        if sum(s is not None for s in (fn, product_form, savings_form)) != 1:
+            raise ValueError(f"ExactMartingale({name!r}) needs exactly one of "
+                             "fn, product_form and savings_form")
+        if product_form is not None:
             fn = product_fold(product_form)
+        elif savings_form is not None:
+            fn = savings_fold(savings_form)
         self.name = name
         self.exact = fn
         self.product_form = product_form
@@ -317,17 +318,16 @@ def conservative_transform(mart):
 
 
 def _savings_step(state, v):
-    level, reserve, mult, _ = state
+    level, reserve, _ = state
     while v >= 1 << (level + 1):
-        reserve += mult * v / 2
-        mult /= 2
         level += 1
-    return level, reserve, mult, v
+        reserve += v / (1 << level)
+    return level, reserve, v
 
 
 def _savings_value(state):
-    _, reserve, mult, v = state
-    return reserve + mult * v
+    level, reserve, v = state
+    return reserve + v / (1 << level)
 
 
 def savings_fold(pf):
@@ -384,23 +384,22 @@ def savings_wrapper(mart):
     one-unit-per-doubling reserve.
 
     The value is a fold along the prefixes of w through a ``PrefixFold``.
-    Over a product form it is ``savings_fold``, in integers, and ``exact``
-    is a ``Dyadic``; the wrapper records the form as its
-    ``savings_form``, so its brackets and pullback covers come from the
-    block walk.  Over any other strategy it folds the input's ``at``
-    values with the state (level, reserve, mult, d(prefix)) and the
-    answer reserve + mult d(w), in ``Fraction``s.
+    Over a product form the wrapper is given only the form, as its
+    ``savings_form``: ``exact`` is its ``savings_fold``, in integers, a
+    ``Dyadic``, and its brackets and pullback covers come from the block
+    walk.  Over any other strategy it folds the input's ``at`` values
+    with the state (level, reserve, d(prefix)) and the answer
+    reserve + d(w) / 2^level, in ``Fraction``s.
     """
-    pf = mart.product_form
-    if pf is not None:
-        value = savings_fold(pf)
-    else:
-        start = (0, Fraction(0), Fraction(1), None)
-        value = _value_fold(mart, lambda v: _savings_step(start, v),
-                            _savings_step, _savings_value)
-
-    return ExactMartingale(f"savings:{mart.name}", value, savings_form=pf,
-                           conservative=mart.conservative)
+    name = f"savings:{mart.name}"
+    if mart.product_form is not None:
+        return ExactMartingale(name, savings_form=mart.product_form,
+                               conservative=mart.conservative)
+    start = (0, Fraction(0), None)
+    return ExactMartingale(
+        name, _value_fold(mart, lambda v: _savings_step(start, v),
+                          _savings_step, _savings_value),
+        conservative=mart.conservative)
 
 
 def exact_levels(mart, top):
@@ -414,10 +413,10 @@ def exact_levels(mart, top):
     state s has the children 2k and 2k + 1, its numerator times the two
     factors of ``edges[s][tags[n]]``.  Level n + 1 sits over 2^e times
     the denominator of level n, with e the largest factor exponent at
-    ``tags[n]``, each factor brought over 2^e once per level.  This reads
-    the form, not ``exact``, which the contract of ``ExactMartingale``
-    allows: a ``product_form`` given with an ``fn`` has fn's values.  Any
-    other strategy is asked ``exact`` once per word, level by level.
+    ``tags[n]``, each factor brought over 2^e once per level.  Its
+    ``exact`` is the same form's ``product_fold``, the strategy's one
+    source.  Any other strategy is asked ``exact`` once per word, level
+    by level.
     """
     pf = mart.product_form
     if pf is None:

@@ -17,6 +17,8 @@ so both converge to a common value, the pullback martingale d_f(x).  The
 access to d and f alone: approximate D_x on a 2^-m grid with
 m = 4(|x| + r + 2), tile the approximation with a prefix-minimal cover S,
 and total the cover:  v = 2^|x| * sum over w in S of 2^-|w| dhat(w, m).
+The right end of D_x for x = 1^n is f(1), and it comes only from the
+approximator's ``query_one``.
 
 A range of grid cells is tiled by its maximal aligned blocks in one of two
 ways.  Generically it is a ``dyadic.Cover``, which makes the blocks' words
@@ -200,7 +202,9 @@ def pullback_approx(d_hat, f_hat, x, r):
     precision m per cover word, through ``d_hat.cover_replies(cover, m)``
     when the approximator has it, which asks them in its own order and
     gives every reply with its word's length, else word by word, left to
-    right.  Raises PrecisionContractError when a
+    right.  The f-queries are at x and at its successor, or, for
+    x = 1^n, ``f_hat.query_one``: an approximator with no value at 1
+    raises its ``ValueError`` there.  Raises PrecisionContractError when a
     reply is impossible for the declared contract (f values must lie
     within 2^-(m+2) of [0, 1], d values within 2^-m of [0, inf)).
     """
@@ -223,16 +227,7 @@ def pullback_approx(d_hat, f_hat, x, r):
                 f"{f_hat.name}: {what} = {c} outside [0,1] margin")
         return round_to_grid(c, m)
 
-    a = endpoint(x)
-    if not x.is_all_ones():
-        b = endpoint(lex_successor(x))
-    elif getattr(f_hat, "has_one", False):
-        # right endpoint of the image: the separate approximator at 1 when
-        # one is declared, else the f(1) = 1 normalization
-        b = endpoint(None)
-    else:
-        b = Dyadic(1)
-    a, b = clamp_unit(a, b)
+    a, b = clamp_unit(endpoint(x), endpoint(lex_successor(x)))
     cover = minimal_cover(a, b, m)
     replies = getattr(d_hat, "cover_replies", None)
     if replies is None:

@@ -145,7 +145,7 @@ class ZeroInsertionFn(FnOracle):
         self.has_one = scaled or zset.is_finite
 
     def at(self, q):
-        d = q if isinstance(q, Dyadic) else Dyadic.from_fraction(Fraction(q))
+        d = Dyadic(q)
         if d == 1:
             return Fraction(self.at_one())
         return Fraction(insertion_value(Word.from_point(d), self.zset))

@@ -516,7 +516,7 @@ class TestFixedPoint:
         spec = noisy_spec(make_spec()) if noisy else make_spec()
         lo, hi = spec.anchor_interval
         k = data.draw(st.integers(0, 1 << bits))
-        t = Dyadic.from_fraction(lo + (hi - lo) * F(k, 1 << bits))
+        t = Dyadic(lo + (hi - lo) * F(k, 1 << bits))
         total, sg = _fixed_point_sum(spec, t, s, _LevelTable(spec))
         lo_f, hi_f = oracle(F(t.num, 1 << t.exp), s + 80)
         assert in_interval(F(total, 1 << sg), lo_f, hi_f, F(1, 1 << s))
@@ -1042,8 +1042,7 @@ def shifted_series_instances(draw):
         interval = (Dyadic(0), Dyadic(1, top - 1))
     else:
         lo, hi = draw(dyadic_intervals())
-        interval = (Dyadic.from_fraction(F(lo) / top),
-                    Dyadic.from_fraction(F(hi) / top))
+        interval = (Dyadic(F(lo) / top), Dyadic(F(hi) / top))
     return builtin_spec(name).shifted(offset), interval
 
 

@@ -549,6 +549,17 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {spec}: explicit coefficients need 'C'\n"
 
+    def test_series_file_negative_tail_from(self, capsys, tmp_path):
+        # refused by name before any term is read: a negative start would
+        # index the term list from its end
+        spec = tmp_path / "neg.cfg"
+        spec.write_text("kind = series\ncoeffs = exp\ntail_from = -5\n")
+        code, out, err = run(capsys, "analytic", "eval", "--spec",
+                             f"@{spec}", "--word", "1", "--precision", "8")
+        assert code == 2 and out == ""
+        assert err == (f"error: series[{spec}]: tail_monotone_from = -5 "
+                       "is negative\n")
+
     def test_quotient_config_file(self, capsys, tmp_path):
         spec = tmp_path / "quot.cfg"
         # f(t) = 1 / (1 + t), certified away from zero on [0, 1]

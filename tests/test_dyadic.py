@@ -43,6 +43,18 @@ class TestDyadic:
         assert (a < b) == (F(a) < F(b))
         assert (a == b) == (F(a) == F(b))
 
+    def test_adapts_every_dyadic_rational(self):
+        # Dyadic(q, exp) is q / 2**exp for any rational with a power-of-two
+        # denominator; other rationals and non-rationals are refused
+        assert Dyadic(Fraction(3, 8)) == Dyadic(3, 3)
+        assert Dyadic(Fraction(3, 8), 2) == Dyadic(3, 5)
+        assert Dyadic(Dyadic(3, 3), 2) == Dyadic(3, 5)
+        with pytest.raises(ValueError, match="1/3 is not a dyadic"):
+            Dyadic(Fraction(1, 3))
+        for bad in (0.5, "1"):
+            with pytest.raises(TypeError):
+                Dyadic(bad)
+
     @given(dyadics)
     def test_canonical_invariant(self, a):
         assert a.exp == 0 or a.num % 2 == 1
@@ -329,6 +341,7 @@ class TestAffine:
         assert AffineFn(1, Dyadic(0)).at(Dyadic(1, 2)) == Dyadic(1, 1)
         assert AffineFn(0, Dyadic(-1, 1)).at(Dyadic(5, 3)) == Dyadic(1, 3)
         assert AffineFn(-3, Dyadic(3, 2)).at(Dyadic(1)) == Dyadic(7, 3)
+        assert AffineFn(1, Fraction(1, 4)).name == "affine:1,1/4"
 
     def test_negation_is_exact(self):
         assert -Dyadic(5, 3) == Dyadic(-5, 3)

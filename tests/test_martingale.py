@@ -59,7 +59,7 @@ class TestVerify:
             assert verify_martingale(d, 8).ok, d.name
 
     @pytest.mark.parametrize("depth", [0, 1, 5])
-    @pytest.mark.parametrize("reply", [Fraction, Dyadic.from_fraction],
+    @pytest.mark.parametrize("reply", [Fraction, Dyadic],
                              ids=["Fraction", "Dyadic"])
     def test_reports_match_word_by_word(self, reply, depth):
         # values in [-1/4, 7/4] and d(λ) = 9/8: every kind of violation
@@ -437,7 +437,8 @@ class TestReplyGuard:
     and Dyadic replies."""
 
     @pytest.mark.parametrize("r", [0, 1, 8, 70])
-    @pytest.mark.parametrize("kind", [F, Dyadic.from_fraction])
+    @pytest.mark.parametrize("kind", [F, Dyadic],
+                             ids=["Fraction", "from_fraction"])
     def test_exactly_minus_two_to_the_minus_r_passes(self, kind, r):
         reply = kind(F(-1, 1 << r))
         got = ApproxMartingale("edge", lambda w, p: reply).query(W("01"), r)
@@ -447,7 +448,8 @@ class TestReplyGuard:
         got = ApproxMartingale("edge", lambda w, p: -1).query(W("01"), 0)
         assert got == -1 and type(got) is F
 
-    @pytest.mark.parametrize("kind", [F, Dyadic.from_fraction])
+    @pytest.mark.parametrize("kind", [F, Dyadic],
+                             ids=["Fraction", "from_fraction"])
     def test_just_below_raises_the_same_text(self, kind):
         reply = kind(F(-1, 1 << 8) - F(1, 1 << 11))
         bad = ApproxMartingale("bad", lambda w, p: reply)
@@ -524,5 +526,15 @@ class TestNames:
 
     def test_neither_fn_nor_product_form(self):
         # a strategy needs a value function or a product form to fold
-        with pytest.raises(ValueError, match="needs fn or product_form"):
+        with pytest.raises(ValueError, match="needs exactly one of fn, "
+                                             "product_form"):
             ExactMartingale("x")
+
+    def test_two_sources_are_refused(self):
+        # a form beside its own fold is a second source of the same values
+        pf = uniform().product_form
+        for kw in ({"product_form": pf}, {"savings_form": pf}):
+            with pytest.raises(ValueError, match="needs exactly one"):
+                ExactMartingale("x", product_fold(pf), **kw)
+        with pytest.raises(ValueError, match="needs exactly one"):
+            ExactMartingale("x", product_form=pf, savings_form=pf)

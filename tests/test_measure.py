@@ -103,6 +103,7 @@ class TestCumulative:
         nu = ProductMeasure(F(2, 3))
         assert cumulative_point(nu, Dyadic(0)) == 0
         assert cumulative_point(nu, Dyadic(1)) == 1
+        assert CumulativeFn(UniformMeasure()).at(F(1, 4)) == F(1, 4)
 
 
 class TestDifferential:
@@ -206,7 +207,7 @@ class PlantedMeasure(ProbabilityMeasure):
         if self.as_int and v.denominator == 1:
             return v.numerator
         if self.as_dyadic and not v.denominator & (v.denominator - 1):
-            return Dyadic.from_fraction(v)
+            return Dyadic(v)
         return v
 
 

@@ -330,9 +330,11 @@ class TestStrongIncrease:
     def test_identity_passes_any_center(self):
         from dymart.funcs import IdentityFn
         f = IdentityFn()
-        for x0 in (Dyadic(0), Dyadic(1, 2), Dyadic(3, 3)):
+        for x0 in (Dyadic(0), Dyadic(1, 2), Dyadic(3, 3), F(1, 2)):
             rep = strong_increase_check(f, lambda q: F(q), x0, F(1), 6)
             assert rep.ok
+        assert strong_increase_check(f, lambda q: F(q), F(1, 2), F(1, 2),
+                                     3).ok
 
     def test_certified_instance_after_patching(self):
         f, x0, C, grid = certified_dip_instance()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dymart.dyadic import Dyadic, Word, all_words
 from dymart.errors import PrecisionContractError
-from dymart.funcs import AffineFn, IdentityFn, TableStepFn, as_weak
+from dymart.funcs import AffineFn, IdentityFn, TableStepFn, WeakFn, as_weak
 from dymart.martingale import (ApproxMartingale, ExactMartingale,
                                allin_zeros, as_approx,
                                conservative_transform, pattern_bettor,
@@ -360,6 +360,15 @@ class TestPullbackApprox:
         assert not fn.has_one
         v = pullback_approx(as_approx(uniform()), as_weak(fn), W("11"), 8)
         assert v == F(14965145599, 68719476736)
+
+    def test_value_at_one_only_from_query_one(self):
+        # f(1) is never assumed: with no approximator at 1, a word 1^n
+        # raises where it needs the right end of D_x
+        no_one = WeakFn("no-one", lambda w, r: F(w.value()))
+        with pytest.raises(ValueError, match="no-one has no approximator "
+                                             "at 1"):
+            pullback_approx(as_approx(uniform()), no_one, W("11"), 4)
+        assert pullback_approx(as_approx(uniform()), no_one, W("10"), 4) == 1
 
     def test_grid_exponent_formula(self):
         assert grid_exponent(3, 4) == 36

@@ -54,7 +54,7 @@ def failing_zoos(monkeypatch):
     suites."""
     zoo = verify._martingale_zoo()
     extra = [scrambled(F, "scrambled"),
-             scrambled(Dyadic.from_fraction, "scrambled-dyadic"),
+             scrambled(Dyadic, "scrambled-dyadic"),
              nondyadic_bettor(), savings_wrapper(nondyadic_bettor())]
     monkeypatch.setattr(verify, "_martingale_zoo", lambda: zoo + extra)
     # the domination check damps pattern_bettor("01"); here a scrambled

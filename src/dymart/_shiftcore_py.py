@@ -5,14 +5,13 @@ A *product-form* strategy assigns to a word ``w`` the value
     d(w) = prod_i factor(state_i, class(i), w[i])
 
 where the factors are nonnegative dyadics ``num / 2**dexp``, the state
-machine starts in ``start`` and steps along the bits, and ``class(i)`` is a
+machine starts in state 0 and steps along the bits, and ``class(i)`` is a
 per-position tag (pattern phase, insertion-set membership, ...).  The
 normalization d(empty) = 1 is the kernel's convention.
 
 Every kernel takes the strategy's ``martingale.ProductForm`` ``pf`` first
-and reads two of its fields::
+and reads one of its fields::
 
-    pf.start                                  the state at the root
     pf.edges[state][cls][bit] = (num, dexp, next_state)
 
 The fairness condition -- the two child factors of every (state, class)
@@ -61,7 +60,7 @@ def validate(pf):
 
 def cell_value(pf, classes, n, k):
     """d(word) for the depth-n cell with index k, as a (num, dexp) pair."""
-    state, edges = pf.start, pf.edges
+    state, edges = 0, pf.edges
     num, dexp = 1, 0
     for i in range(n):
         bit = (k >> (n - 1 - i)) & 1
@@ -87,7 +86,7 @@ def _path_values(pf, classes, n, end, away, top):
     are then zero, and the deeper blocks are yielded as (0, 0, lev, state)
     from the bits alone, so every block gets its value.
     """
-    num, dexp, state, edges = 1, 0, pf.start, pf.edges
+    num, dexp, state, edges = 1, 0, 0, pf.edges
     # the path's bits, top-down; b"0" and b"1" are bytes 48 and 49, and
     # format(0, "00b") would be "0", one bit too many
     bits = format(end, f"0{n}b").encode() if n else b""
@@ -132,7 +131,7 @@ def _savings_path_values(pf, classes, n, end, away, top):
     frozen, so every deeper block and the leaf are worth the reserve, and
     no lookup is made.
     """
-    num, dexp, state, edges = 1, 0, pf.start, pf.edges
+    num, dexp, state, edges = 1, 0, 0, pf.edges
     level = rnum = rexp = 0
     bits = format(end, f"0{n}b").encode() if n else b""
     for depth, byte in enumerate(bits):
@@ -174,7 +173,7 @@ def _block_values(pf, classes, n, a, b, ends, savings=False):
     product form or of its savings wrapper
     (``martingale.ProductFormApprox.cover_replies``)."""
     if b - a == 1 << n:
-        yield 1, 0, n, pf.start
+        yield 1, 0, n, 0
         return
     top = n - ((a - 1) ^ b).bit_length() if 0 < a and b < 1 << n else -1
     path = _savings_path_values if savings else _path_values

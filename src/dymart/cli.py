@@ -106,6 +106,9 @@ def _merge_config(args, argv, parser, command):
         if action is None:
             raise DymartError(f"{path}: {key!r} is not a long option of "
                               f"{args.command}")
+        if action.dest == "config":
+            raise DymartError(f"{path}: {key!r} cannot be set in a config "
+                              "file")
         if action.dest in defaults or action.dest in common:
             raise DymartError(f"{path}: {key!r} sets "
                               f"{action.option_strings[0]} a second time")
@@ -167,7 +170,7 @@ def cmd_pullback(args, out):
     if not fn.monotone:
         raise DymartError(f"{fn.name} is not monotone; the pullback needs a "
                           "monotone function")
-    word = cfg.parse_word(_need(args, "word"))
+    word = Word.parse(_need(args, "word"))
     r = _precision(args)
     approx = as_approx(mart)
     weak = as_weak(fn)
@@ -189,7 +192,7 @@ def cmd_patch(args, out):
     from .funcs import as_weak
     from .patch import patch_approx
     fn = cfg.parse_function(_need(args, "function"))
-    word = cfg.parse_word(_need(args, "word"))
+    word = Word.parse(_need(args, "word"))
     out.value(patch_approx(as_weak(fn), word, _precision(args)))
     return 0
 
@@ -203,7 +206,7 @@ def cmd_analytic(args, out):
             raise DymartError("--offset applies to series specs only")
         spec = spec.shifted(parse_rational(args.offset))
     if args.action == "eval":
-        word = cfg.parse_word(_need(args, "word"))
+        word = Word.parse(_need(args, "word"))
         r = _precision(args)
         if isinstance(spec, PowerSeriesSpec):
             out.value(eval_approx(spec, word, r))
@@ -266,11 +269,11 @@ def cmd_measure(args, out):
     from .measure import cumulative, differential, roundtrip_check
     if args.action == "cumulative":
         nu = cfg.parse_measure(_need(args, "measure"))
-        out.value(cumulative(nu, cfg.parse_word(_need(args, "word"))))
+        out.value(cumulative(nu, Word.parse(_need(args, "word"))))
         return 0
     if args.action == "differential":
         fn = cfg.parse_function(_need(args, "function"))
-        out.value(differential(fn, cfg.parse_word(_need(args, "word"))))
+        out.value(differential(fn, Word.parse(_need(args, "word"))))
         return 0
     nu = cfg.parse_measure(_need(args, "measure"))
     rep = roundtrip_check(nu, _depth(args.depth, "--depth", 14))
@@ -283,7 +286,7 @@ def cmd_trace(args, out):
     from . import config as cfg
     from .martingale import as_approx, capital_trace
     mart = cfg.parse_martingale(_need(args, "martingale"))
-    word = cfg.parse_word(_need(args, "word"))
+    word = Word.parse(_need(args, "word"))
     values = capital_trace(as_approx(mart), word, _precision(args))
     rows = [(str(i), str(word.prefix(i)), fmt_rational(v))
             for i, v in enumerate(values)]

@@ -65,10 +65,6 @@ def load_config(path):
     return out
 
 
-def parse_word(text):
-    return Word.parse(text)
-
-
 def parse_zset(text):
     from .tightness import CensusSet
     return CensusSet.parse(text)
@@ -169,7 +165,7 @@ def _evaluator_from_file(path):
             inherit("C", lambda b: b.term_bound),
             inherit("r", lambda b: b.radius),
             inherit("eps", lambda b: b.margin),
-            anchor=inherit("anchor", lambda b: b.anchor, parse_word),
+            anchor=inherit("anchor", lambda b: b.anchor, Word.parse),
             tail_from=inherit("tail_from", lambda b: b.tail_monotone_from,
                               int),
             polynomial=polynomial,

@@ -455,17 +455,16 @@ def lex_successor(w):
 
 
 def round_to_grid(q, m):
-    """Nearest multiple of 2^-m to the exact rational q, ties toward +inf.
+    """Nearest multiple of 2^-m to the exact rational q, ties toward +inf:
+    k/2^m with k = floor(q 2^m + 1/2), in integers from q's numerator and
+    denominator.
 
     The result is within 2^-(m+1) of q.
     """
     if m < 0:
         raise ValueError("grid exponent must be nonnegative")
-    if isinstance(q, Dyadic):
-        q = q.as_fraction()
-    scaled = q * (1 << m) + Fraction(1, 2)
-    k = scaled.numerator // scaled.denominator  # floor
-    return Dyadic(k, m)
+    num, den = q.numerator, q.denominator
+    return Dyadic(((num << (m + 1)) + den) // (den << 1), m)
 
 
 def clamp_unit(a, b):

@@ -2,9 +2,10 @@
 
 Two roles appear throughout the package:
 
-- :class:`FnOracle` -- exact evaluation at dyadic points of [0, 1] (plus,
-  when available, an exact value at 1).  Used as the ground truth for
-  interval shifts, patching and measure bridging.
+- :class:`FnOracle` -- exact evaluation at the dyadic points of [0, 1],
+  1 included: f(1) is ``at(1)``, and an oracle with no exact value at 1
+  raises there.  Used as the ground truth for interval shifts, patching
+  and measure bridging.
 - :class:`WeakFn` -- the approximation contract ``query(w, r)`` returning a
   rational within 2^-r of f(0.w).  No continuity is implied; the contract
   speaks only about dyadic points.  The value at 1 comes only from
@@ -23,28 +24,31 @@ from .errors import ParseError
 class FnOracle:
     """Exact function on the dyadics of [0, 1].
 
-    ``at`` accepts a Dyadic (or dyadic Fraction) in [0, 1] and returns an
-    exact rational.  ``at_one`` is split out because several families define
-    the value at 1 separately (or not at all: ``has_one`` is False then).
+    ``at`` accepts a Dyadic (or dyadic Fraction) in [0, 1], 1 included,
+    and returns an exact rational; an oracle with no exact value at 1
+    raises there.  ``approx_at_one(r)`` is the value at 1 within 2^-r:
+    ``at(1)`` unless the oracle has no exact one.
     """
 
     name = "fn"
     monotone = False
-    has_one = True
 
     def at(self, q):
         raise NotImplementedError
 
     def at_one(self):
+        """``at(1)``, under the name callers outside the package use."""
+        return self.at(Dyadic(1))
+
+    def approx_at_one(self, r):
         return self.at(Dyadic(1))
 
 
 def word_image(f, w):
     """Exact (f(0.w), f(0.w + 2^-|w|)) as Fractions: f at the ends of the
-    interval of w, through ``at_one()`` for w = 1^n.  No monotone check."""
+    interval of w.  No monotone check."""
     lo, hi = gamma(w)
-    return (Fraction(f.at(lo)),
-            Fraction(f.at_one() if w.is_all_ones() else f.at(hi)))
+    return Fraction(f.at(lo)), Fraction(f.at(hi))
 
 
 class IdentityFn(FnOracle):
@@ -213,13 +217,7 @@ class WeakFn:
 
 
 def as_weak(oracle):
-    """Exact-backed approximator: returns the true value at any precision.
-
-    At 1 it answers with the exact value when the oracle has one, else
-    with the oracle's ``approx_at_one(r)`` (within 2^-r) when it declares
-    one, else not at all: its ``query_one`` raises.
-    """
-    query_one = (lambda r: oracle.at_one()) if oracle.has_one else \
-        getattr(oracle, "approx_at_one", None)
+    """Exact-backed approximator: returns the true value at any precision,
+    and at 1 the oracle's ``approx_at_one(r)``, within 2^-r."""
     return WeakFn(oracle.name, lambda w, r: oracle.at(w.value()),
-                  query_one_fn=query_one)
+                  query_one_fn=oracle.approx_at_one)

@@ -57,10 +57,10 @@ def _one_class(i):
     return 0
 
 
-class ProductForm(namedtuple("ProductForm",
-                             "edges start classes_fn tags")):
+class ProductForm(namedtuple("ProductForm", "edges classes_fn tags")):
     """Finite-state product description of a martingale with d(λ) = 1.
 
+    The machine is in state 0 at λ, and
     ``edges[state][cls][bit] = (num, dexp, next_state)`` gives the per-step
     capital factor num/2**dexp; ``classes_fn(i)`` tags position i (pattern
     phase, insertion-set membership).  Construction validates, once, that
@@ -71,8 +71,8 @@ class ProductForm(namedtuple("ProductForm",
 
     __slots__ = ()
 
-    def __new__(cls, edges, start=0, classes_fn=_one_class):
-        self = super().__new__(cls, edges, start, classes_fn, [])
+    def __new__(cls, edges, classes_fn=_one_class):
+        self = super().__new__(cls, edges, classes_fn, [])
         kernels.validate(self)
         return self
 
@@ -191,8 +191,7 @@ def allin_zeros():
 
 def pattern_bettor(pattern):
     """Bets half its capital that the next bit continues ``pattern`` cyclically."""
-    if not isinstance(pattern, Word):
-        pattern = Word.parse(pattern)
+    pattern = Word.parse(pattern)
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     bits = tuple(pattern)
@@ -251,7 +250,7 @@ def product_fold(pf):
     when a word is longer than the list.
     """
     edges, tags = pf.edges, pf.tags
-    fold = PrefixFold(lambda: (1, 0, pf.start))
+    fold = PrefixFold(lambda: (1, 0, 0))
     states, shared = fold.states, fold.shared
 
     def exact(w):
@@ -350,7 +349,7 @@ def savings_fold(pf):
     """
     edges, tags, sum_pow2 = pf.edges, pf.tags, kernels.sum_pow2
     # d(λ) = 1 crosses no level
-    fold = PrefixFold(lambda: (1, 0, pf.start, 0, 0, 0))
+    fold = PrefixFold(lambda: (1, 0, 0, 0, 0, 0))
     states, shared = fold.states, fold.shared
 
     def exact(w):
@@ -425,7 +424,7 @@ def exact_levels(mart, top):
             yield level_numerators(exact, n)
         return
     edges, tags = pf.edges, pf.classes(top)
-    nums, states, den = [1], [pf.start], 1
+    nums, states, den = [1], [0], 1
     yield nums, den
     for n in range(top):
         pairs = [per_state[tags[n]] for per_state in edges]

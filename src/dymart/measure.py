@@ -57,7 +57,7 @@ class DifferentialMeasure(ProbabilityMeasure):
     def __init__(self, fn):
         if not fn.monotone:
             raise ValueError(f"{fn.name} is not flagged monotone")
-        if Fraction(fn.at(Dyadic(0))) != 0 or Fraction(fn.at_one()) != 1:
+        if Fraction(fn.at(Dyadic(0))) != 0 or Fraction(fn.at(Dyadic(1))) != 1:
             raise ValueError(f"{fn.name} must have f(0) = 0 and f(1) = 1")
         self.fn = fn
         self.name = f"from_function:{fn.name}"
@@ -189,7 +189,7 @@ def dual_roundtrip_check(fn, exp):
         q = Dyadic(k, exp)
         checked += 1
         back = cumulative_point(nu, q)
-        want = Fraction(fn.at_one() if q == Dyadic(1) else fn.at(q))
+        want = Fraction(fn.at(q))
         if back != want:
             violations.append(Violation(str(q), "roundtrip",
                                         f"{back} != {want}"))

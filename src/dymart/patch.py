@@ -39,7 +39,7 @@ def patch_table(f, exp):
     """
     g = [None] * ((1 << exp) + 1)
     g[0] = Fraction(f.at(Dyadic(0)))
-    g[-1] = Fraction(f.at_one())
+    g[-1] = Fraction(f.at(Dyadic(1)))
     for e in range(1, exp + 1):
         step = 1 << (exp - e)
         for j in range(1, 1 << e, 2):
@@ -80,7 +80,7 @@ def strong_increase_check(f, g_at, x0, C, exp):
     2^-exp grid (x != x0); lists every violating grid point."""
     x0 = Dyadic(x0)
     C = Fraction(C)
-    base = Fraction(f.at_one() if x0 == Dyadic(1) else f.at(x0))
+    base = Fraction(f.at(x0))
     violations = []
     checked = 0
     for k in range((1 << exp) + 1):

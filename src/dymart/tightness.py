@@ -70,7 +70,10 @@ class CensusSet:
 
     @staticmethod
     def parse(spec):
-        """"" or "empty" | "1,3,5" | "pow2" | "tower"."""
+        """"" or "empty" | "1,3,5" | "pow2" | "tower"; a ``CensusSet`` is
+        returned as it is."""
+        if isinstance(spec, CensusSet):
+            return spec
         spec = spec.strip()
         if spec in ("", "empty", "none", "∅"):
             return CensusSet(lambda i: False, "empty", finite_members=())
@@ -130,27 +133,21 @@ class ZeroInsertionFn(FnOracle):
     The value at 1 is not part of the family's domain.  ``scaled=True``
     grafts the constant 1 on at the right endpoint (the standard trick for
     feeding a monotone map with computable right endpoint to the pullback
-    machinery); otherwise, for finite sets the exact supremum is used and
-    for infinite sets there is no exact value at 1 (``has_one`` is False;
-    ``approx_at_one`` answers within 2^-r, and ``funcs.as_weak`` uses it).
+    machinery); otherwise, for finite sets ``at(1)`` is the exact
+    supremum, and for infinite sets it raises: there ``approx_at_one``
+    answers within 2^-r, and ``funcs.as_weak`` uses it.
     """
 
     def __init__(self, zset, scaled=False):
-        if not isinstance(zset, CensusSet):
-            zset = CensusSet.parse(zset)
-        self.zset = zset
+        self.zset = zset = CensusSet.parse(zset)
         self.scaled = scaled
         self.monotone = True
         self.name = f"fz{'_scaled' if scaled else ''}:{zset.name}"
-        self.has_one = scaled or zset.is_finite
 
     def at(self, q):
         d = Dyadic(q)
-        if d == 1:
-            return Fraction(self.at_one())
-        return Fraction(insertion_value(Word.from_point(d), self.zset))
-
-    def at_one(self):
+        if d != 1:
+            return Fraction(insertion_value(Word.from_point(d), self.zset))
         if self.scaled:
             return Fraction(1)
         if self.zset.is_finite:
@@ -165,8 +162,11 @@ class ZeroInsertionFn(FnOracle):
                          "infinite insertion set")
 
     def approx_at_one(self, r):
-        """Truncated limit, within 2^-r (monotone from below): the image
-        of 0.1^(r+1), whose tail beyond is below 2^-(r + 1 + census(r))."""
+        """``at(1)`` when the map is scaled or its set finite; else the
+        truncated limit, within 2^-r (monotone from below): the image of
+        0.1^(r+1), whose tail beyond is below 2^-(r + 1 + census(r))."""
+        if self.scaled or self.zset.is_finite:
+            return self.at(Dyadic(1))
         return Fraction(insertion_value(Word((2 << r) - 1, r + 1),
                                         self.zset))
 
@@ -174,22 +174,20 @@ class ZeroInsertionFn(FnOracle):
 class NormalizedInsertionFn(FnOracle):
     """The insertion map scaled by 1/f(1): monotone with endpoints 0 and 1.
 
-    Values are general rationals (the scale is usually not dyadic).
-    Finite insertion sets only, since the exact value at 1 is needed.
+    Values are general rationals (the scale is usually not dyadic), and
+    ``at(1)`` is f(1) / f(1) = 1 exactly.  Finite insertion sets only,
+    since the exact value at 1 is needed.
     """
 
     monotone = True
 
     def __init__(self, zset):
         self.inner = ZeroInsertionFn(zset)
-        self.scale = 1 / Fraction(self.inner.at_one())
+        self.scale = 1 / self.inner.at(Dyadic(1))
         self.name = f"fz_norm:{self.inner.zset.name}"
 
     def at(self, q):
         return Fraction(self.inner.at(q)) * self.scale
-
-    def at_one(self):
-        return Fraction(1)
 
 
 def z_bettor(zset):
@@ -199,8 +197,7 @@ def z_bettor(zset):
     ``martingale`` and imports it itself, so the insertion maps and their
     bounds load no strategy code."""
     from .martingale import ExactMartingale, ProductForm
-    if not isinstance(zset, CensusSet):
-        zset = CensusSet.parse(zset)
+    zset = CensusSet.parse(zset)
     edges = (
         (((1, 0, 0), (1, 0, 0)),     # class 0: free position
          ((2, 0, 0), (0, 0, 1))),    # class 1: insertion position
@@ -222,9 +219,7 @@ class GridImage:
     """
 
     def __init__(self, zset, exp):
-        if not isinstance(zset, CensusSet):
-            zset = CensusSet.parse(zset)
-        self.zset = zset
+        self.zset = zset = CensusSet.parse(zset)
         self.exp = exp
         self.nums, den = level_numerators(
             lambda w: insertion_value(w, zset), exp)

@@ -135,7 +135,7 @@ def scan_sum_max(pf, classes, n, a, b):
     if a >= b:
         return 0, 0, 0, 0
     edges = pf.edges
-    states = [pf.start] * (n + 1)
+    states = [0] * (n + 1)
     nums = [1] * (n + 1)
     dexps = [0] * (n + 1)
 
@@ -538,7 +538,7 @@ def random_product_forms(draw):
         edges.append(tuple(per_state))
     period = draw(st.integers(1, 4))
     cls_of = lambda i: (i % period) % n_classes
-    return ProductForm(tuple(edges), 0, cls_of)
+    return ProductForm(tuple(edges), cls_of)
 
 
 def pullback_by_words(d_hat, f_hat, x, r):

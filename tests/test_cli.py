@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dymart import cli
-from dymart.dyadic import parse_rational
+from dymart.dyadic import Word, parse_rational
 from dymart.errors import ParseError
 from dymart import config as cfg
 from helpers import decimal_by_digits, exp_interval, in_interval
@@ -163,7 +163,7 @@ class TestOutputModes:
         assert len(den) > 4300
         want = pullback_approx(as_approx(cfg.parse_martingale(argv[2])),
                                as_weak(cfg.parse_function(argv[4])),
-                               cfg.parse_word(argv[6]), 2048)
+                               Word.parse(argv[6]), 2048)
         assert F(_big_int(num), _big_int(den)) == want
 
     def test_decimal_is_labeled(self, capsys):
@@ -690,7 +690,10 @@ class TestErrors:
         ("1 1/2\n", "empty table"),
         ("0 0\n1 1/2\n00 0\n", "line 3: word 00 has length 2, not the "
          "table's 1"),
-    ], ids=["again", "again-same-value", "missing", "only-one", "longer"])
+        ("0 0\n1 1/2 extra\n", "line 2: expected 'word p/q'"),
+        ("2 0\n", "line 1: word must be over {0,1}: '2'"),
+    ], ids=["again", "again-same-value", "missing", "only-one", "longer",
+            "extra-field", "bad-word"])
     def test_table_on_the_half_grid_exit_2(self, capsys, tmp_path, text,
                                            error):
         table = tmp_path / "half.tbl"
@@ -790,6 +793,15 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err == f"error: {conf}: {error}\n"
 
+    def test_config_key_in_config_file_exit_2(self, capsys, tmp_path):
+        # a file cannot name another file: the key is refused, not dropped
+        conf = self._conf(tmp_path, "word = 1\nconfig = /nonexistent\n")
+        code, out, err = run(capsys, "trace", "--martingale", "uniform",
+                             "--config", conf)
+        assert code == 2 and out == ""
+        assert err == (f"error: {conf}: 'config' cannot be set in a config "
+                       "file\n")
+
     def test_repeated_option_exit_2(self, capsys, tmp_path):
         conf = self._conf(tmp_path, "step-exp = 2\nstep_exp = 3\n")
         code, out, err = run(capsys, "tightness", "bounds", "--zset", "1",
@@ -842,6 +854,24 @@ class TestSpecPaths:
          "unknown measure spec 'poisson'"),
         (("patch", "--function", "identity", "--word", "1"),
          "missing --precision (flag or config key)"),
+        (("tightness", "bounds", "--zset", "a"),
+         "cannot parse position set 'a'"),
+        (("tightness", "bounds", "--zset=-1"),
+         "positions must be nonnegative"),
+        (("trace", "--martingale", "pattern:", "--word", "1"),
+         "pattern must be nonempty"),
+        (("measure", "cumulative", "--measure", "product:3/2", "--word", "1"),
+         "bit probability outside [0, 1]"),
+        (("verify", "--suite", "x"),
+         "unknown suite 'x'; choose from martingale, pullback, patch, "
+         "analytic, tightness, measure, all"),
+        (("trace", "--martingale", "uniform", "--word", "2"),
+         "word must be over {0,1}: '2'"),
+        (("analytic", "root", "--spec", "exp", "--interval", "a,b",
+          "--precision", "4"), "cannot parse rational 'a'"),
+        (("analytic", "root", "--spec", "exp", "--interval", "0,1",
+          "--precision", "4", "--offset", "1/0"),
+         "zero denominator in '1/0'"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_bad_spec_exit_2(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
@@ -866,6 +896,25 @@ class TestSpecPaths:
                              "1", "--precision", "4")
         assert code == 2 and out == ""
         assert err == f"error: {spec}: {error}\n"
+
+    @pytest.mark.parametrize("argv, text, error", [
+        ("patch --function @{} --word 1 --precision 4",
+         "kind = quotient\nnum = 1\nden = 1\nden_floor = 0\n",
+         "den_floor must be positive"),
+        # 1 / (1 - x) at 7/8 has the denominator 1/8
+        ("analytic eval --spec @{} --word 111 --precision 4",
+         "kind = quotient\nnum = 1\nden = 1,-1\nden_floor = 1/4\n",
+         "denominator 1/8 below certified floor 1/4 at 7/8"),
+        ("measure roundtrip --measure from_function:table:{}",
+         "0 1/2\n1 1/4\n", "table[{}] is not flagged monotone"),
+    ], ids=["den-floor", "below-floor", "not-monotone"])
+    def test_bad_function_file_exit_2(self, capsys, tmp_path, argv, text,
+                                      error):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        code, out, err = run(capsys, *argv.format(spec).split())
+        assert code == 2 and out == ""
+        assert err == f"error: {error.format(spec)}\n"
 
 
 # Runs one command in a fresh interpreter and writes the names of the

@@ -160,6 +160,9 @@ class TestRounding:
         assert g == Dyadic(1, 1)
         assert abs(Fraction(3, 8) - F(g)) == Fraction(1, 8)
         assert round_to_grid(Fraction(1), 5) == Dyadic(1)
+        assert round_to_grid(Dyadic(3, 3), 2) == Dyadic(1, 1)
+        # a negative tie also rounds toward +inf
+        assert round_to_grid(Fraction(-1, 8), 2) == Dyadic(0)
 
     def test_exhaustive_error_bound(self):
         for q_den in range(1, 65):

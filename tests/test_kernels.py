@@ -41,6 +41,9 @@ class TestPureKernel:
         # ProductForm validates on construction, through pure.validate
         with pytest.raises(ValueError):
             ProductForm(((((2, 0, 0), (1, 0, 0)),),))
+        # averages to one, so only the sign check refuses it
+        with pytest.raises(ValueError, match="negative factor"):
+            ProductForm(((((-1, 0, 0), (3, 0, 0)),),))
 
     @pytest.mark.parametrize("mart", MARTS, ids=lambda m: m.name)
     def test_cell_value_matches_direct(self, mart):
@@ -443,7 +446,7 @@ class TestSavingsWalk:
         # reserve, with no lookup
         pf = allin_zeros().product_form
         edges = CountingEdges(pf.edges)
-        counted = ProductForm(edges, pf.start, pf.classes_fn)
+        counted = ProductForm(edges, pf.classes_fn)
         n = 12
         value = savings_fold(pf)
 
@@ -487,7 +490,7 @@ class TestWorkCounts:
         pf = base.product_form
         edges = CountingEdges(pf.edges)
         mart = ExactMartingale(
-            name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            name, product_form=ProductForm(edges, pf.classes_fn),
             conservative=base.conservative)
         fn = parse_function("fz_norm:0,2,4")
         x = Word.parse("0110")
@@ -517,7 +520,7 @@ class TestWorkCounts:
         pf = base.product_form
         edges = CountingEdges(pf.edges)
         mart = ExactMartingale(
-            name, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            name, product_form=ProductForm(edges, pf.classes_fn),
             conservative=base.conservative)
         approx, replies = as_approx(mart), []
         walk = approx.cover_replies
@@ -555,7 +558,7 @@ class TestWorkCounts:
         edges = CountingEdges(pf.edges)
         mart = ExactMartingale(
             base.name,
-            product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            product_form=ProductForm(edges, pf.classes_fn),
             conservative=base.conservative)
         m = 2072
         edges.steps = 0
@@ -577,7 +580,7 @@ class TestWorkCounts:
         pf = base.product_form
         edges = CountingEdges(pf.edges)
         counted = ExactMartingale(
-            inner, product_form=ProductForm(edges, pf.start, pf.classes_fn),
+            inner, product_form=ProductForm(edges, pf.classes_fn),
             conservative=base.conservative)
         mart = savings_wrapper(counted)
         exact, calls = mart.exact, []
@@ -617,7 +620,7 @@ class TestWorkCounts:
         # two end-path walks at most n + 1 each
         pf = parse_martingale(name).product_form
         edges = CountingEdges(pf.edges)
-        counted = ProductForm(edges, pf.start, pf.classes_fn)
+        counted = ProductForm(edges, pf.classes_fn)
         n = 256
         classes = pf.classes(n)
         cells = 1 << n

@@ -230,13 +230,13 @@ class TestPatchSweep:
 
     @pytest.mark.parametrize("exp", [0, 1, 3, 8])
     def test_one_query_per_grid_point(self, exp):
-        # f(0), then each of the 2^exp - 1 interior points once, and the
-        # value at 1 once through at_one
+        # f(0), f(1), then each of the 2^exp - 1 interior points once, all
+        # through at: at_one is never called
         for inner in (wiggle_table(), Zigzag()):
             f = CountingFn(inner)
             patch_table(f, exp)
-            assert sorted(f.points) == dyadic_grid(exp)[:-1]
-            assert f.ones == 1
+            assert sorted(f.points) == dyadic_grid(exp)
+            assert f.ones == 0
 
 
 class TestPatchApprox:

@@ -357,9 +357,15 @@ class TestPullbackApprox:
         # fz:pow2 has no exact value at 1; as_weak answers there with the
         # truncated limit instead of the f(1) = 1 normalization
         fn = ZeroInsertionFn("pow2")
-        assert not fn.has_one
+        with pytest.raises(ValueError):
+            fn.at(Dyadic(1))
         v = pullback_approx(as_approx(uniform()), as_weak(fn), W("11"), 8)
         assert v == F(14965145599, 68719476736)
+
+    def test_exact_value_at_one_from_at(self):
+        # an oracle with an exact value at 1 answers within any 2^-r with it
+        assert IdentityFn().approx_at_one(5) == 1
+        assert as_weak(IdentityFn()).query_one(5) == 1
 
     def test_value_at_one_only_from_query_one(self):
         # f(1) is never assumed: with no approximator at 1, a word 1^n

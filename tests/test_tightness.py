@@ -27,6 +27,10 @@ class TestCensus:
         z = CensusSet.parse("1,3,5")
         assert [z.census(i) for i in range(7)] == [0, 1, 1, 2, 2, 3, 3]
 
+    def test_parse_returns_a_census_set_unchanged(self):
+        cs = CensusSet.parse("0,2,4")
+        assert CensusSet.parse(cs) is cs
+
     def test_census_monotone_and_stepwise(self):
         for z in zoo():
             prev = 0
@@ -102,12 +106,16 @@ class TestZeroInsertionFn:
 
     def test_at_one_infinite_needs_approx(self):
         fn = ZeroInsertionFn(CensusSet.parse("pow2"))
-        assert not fn.has_one
         with pytest.raises(ValueError):
             fn.at_one()
         for r in (3, 6, 12):
             v = fn.approx_at_one(r)
             assert 0 <= fn.approx_at_one(r + 20) - v <= F(1, 1 << r)
+
+    def test_at_the_point_one_infinite_raises(self):
+        # f(1) is at(1): an infinite set's map has no exact value there
+        with pytest.raises(ValueError, match="no exact value at 1"):
+            ZeroInsertionFn("pow2").at(Dyadic(1))
 
     def test_scaled_pins_one(self):
         fn = ZeroInsertionFn(CensusSet.parse("1"), scaled=True)
